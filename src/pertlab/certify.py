@@ -15,12 +15,21 @@ polluted by classes supported near the truncation boundary.  Those are shed
 by profiling the invariant along the order filtration and reading the value
 off the widest plateau; two-level agreement of plateau values is then the
 certificate.
+
+Every two-level number goes through :func:`two_level_value`, whose single
+rule is: compute the invariant at D and at D + delta; if both levels resolve
+it and the values agree, the result is ``two-level-stable`` with the value at
+D; otherwise it is ``uncertified``, carrying the value at D when that level
+resolved it and None when it did not.  delta = 0 computes level D only and
+gives ``two-level-stable`` with a "weak certificate" note when that level
+resolves the value (``uncertified`` with None otherwise); a negative delta
+is rejected with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 EXACT = "exact"
 TWO_LEVEL = "two-level-stable"
@@ -73,17 +82,31 @@ def longest_plateau(profile: Sequence[int | None]) -> tuple[int | None, int]:
     return best_val, best_len
 
 
-def combine_levels(value_lo: int | None, value_hi: int | None,
-                   levels: tuple[int, int],
-                   lo_resolved: bool = True, hi_resolved: bool = True,
-                   note: str = "") -> CertifiedValue:
-    """Merge the same invariant computed at two truncation levels."""
-    if levels[0] == levels[1]:
-        return CertifiedValue(value_lo, TWO_LEVEL, levels,
-                              note="degenerate delta=0; weak certificate")
-    if lo_resolved and hi_resolved and value_lo == value_hi:
-        return CertifiedValue(value_lo, TWO_LEVEL, levels, note=note)
-    detail = f"levels {levels[0]}/{levels[1]} gave {value_lo}/{value_hi}"
-    if note:
-        detail = f"{note}; {detail}"
-    return CertifiedValue(value_lo, UNCERTIFIED, levels, note=detail)
+def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
+                    delta: int, ring_hi=None) -> CertifiedValue:
+    """Certify an invariant by computing it at truncations D and D + delta.
+
+    ``compute(level_ring)`` returns ``(value, resolved)``; ``ring`` is the
+    level-D model and ``ring_hi`` its D + delta rebuild when the caller
+    already holds one.  Disagreement is surfaced in the note, never dropped.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    levels = (ring.D, ring.D + delta)
+    value_lo, ok_lo = compute(ring)
+    if delta == 0:
+        if ok_lo:
+            return CertifiedValue(value_lo, TWO_LEVEL, levels,
+                                  note="degenerate delta=0; weak certificate")
+        return CertifiedValue(None, UNCERTIFIED, levels,
+                              note=f"unresolved at level {ring.D}")
+    if ring_hi is None:
+        ring_hi = ring.rebuild(ring.D + delta)
+    value_hi, ok_hi = compute(ring_hi)
+    if ok_lo and ok_hi and value_lo == value_hi:
+        return CertifiedValue(value_lo, TWO_LEVEL, levels)
+    shown = [repr(v) if ok else "unresolved"
+             for v, ok in ((value_lo, ok_lo), (value_hi, ok_hi))]
+    return CertifiedValue(value_lo if ok_lo else None, UNCERTIFIED, levels,
+                          note=f"levels {levels[0]}/{levels[1]} gave "
+                               f"{shown[0]}/{shown[1]}")

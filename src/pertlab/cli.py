@@ -20,10 +20,12 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
+from .catalog import CATALOG
+from .certify import EXACT, TWO_LEVEL, UNCERTIFIED
 from .errors import ManifestError, PertlabError
-from .harness import (ExperimentConfig, RingSpec, find_min_N, resolve_ring,
+from .harness import (ExperimentConfig, RingSpec, bound_record,
+                      build_workspace, filter_regular_record, find_min_N,
                       run_experiment, sample_in_power)
-from .ideals import IdealHandle
 from .invariants import (filter_regular_sequence_check, gr_hilbert_function,
                          hs_table, koszul_report)
 from .verifiers import (VIOLATED, VERIFIED, VerdictRecord, Workspace,
@@ -71,6 +73,15 @@ def _split_list(value: str) -> tuple[str, ...]:
     return parts
 
 
+def _int(key: str, raw: str) -> int:
+    """An integer manifest field; anything else is a ManifestError."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ManifestError(f"{key} must be an integer, got {raw.strip()!r}") \
+            from None
+
+
 def parse_manifest(text: str) -> Manifest:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep key case (D, N)
@@ -82,20 +93,20 @@ def parse_manifest(text: str) -> Manifest:
     if not cp.has_section("manifest") or not cp.has_option("manifest",
                                                            "format-version"):
         raise ManifestError("missing [manifest] section with format-version")
-    version = int(cp.get("manifest", "format-version"))
+    version = _int("format-version", cp.get("manifest", "format-version"))
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format-version {version}")
 
     ring = None
     if cp.has_section("ring"):
         try:
-            p = int(cp.get("ring", "p"))
+            p = _int("p", cp.get("ring", "p"))
             vars_ = _split_list(cp.get("ring", "vars"))
-        except (configparser.NoOptionError, ValueError) as exc:
+        except configparser.NoOptionError as exc:
             raise ManifestError(f"bad ring section: {exc}") from exc
         gens = _split_list(cp.get("ring", "gens", fallback=""))
         d_raw = cp.get("ring", "D", fallback="auto").strip()
-        d = None if d_raw == "auto" else int(d_raw)
+        d = None if d_raw == "auto" else _int("D", d_raw)
         ring = RingSpec(p, vars_, gens, d)
 
     ideals = []
@@ -111,7 +122,8 @@ def parse_manifest(text: str) -> Manifest:
                             + ", ".join(COMMANDS))
 
     def opt_int(key: str) -> int | None:
-        return int(cp.get("task", key)) if cp.has_option("task", key) else None
+        return (_int(key, cp.get("task", key)) if cp.has_option("task", key)
+                else None)
 
     n_range = None
     n_single = None
@@ -119,9 +131,12 @@ def parse_manifest(text: str) -> Manifest:
         raw = cp.get("task", "N").strip()
         if ".." in raw:
             lo, hi = raw.split("..", 1)
-            n_range = (int(lo), int(hi))
+            n_range = (_int("N", lo), _int("N", hi))
         else:
-            n_single = int(raw)
+            n_single = _int("N", raw)
+    delta = opt_int("delta")
+    if delta is not None and delta < 1:
+        raise ManifestError(f"delta must be at least 1, got {delta}")
 
     task = TaskSpec(
         command=command,
@@ -132,7 +147,7 @@ def parse_manifest(text: str) -> Manifest:
         n_single=n_single,
         samples=opt_int("samples"),
         seed=opt_int("seed"),
-        delta=opt_int("delta"),
+        delta=delta,
         claim=cp.get("task", "claim", fallback=None),
         epsilon=_split_list(cp.get("task", "epsilon"))
         if cp.has_option("task", "epsilon") else None,
@@ -209,6 +224,9 @@ class RunResult:
 def _resolve_config(m: Manifest) -> ExperimentConfig:
     t = m.task
     if t.catalog:
+        if t.catalog not in CATALOG:
+            raise ManifestError(f"unknown catalog id {t.catalog!r}; known: "
+                                + ", ".join(sorted(CATALOG)))
         cfg = ExperimentConfig.from_catalog(t.catalog)
         if m.ring is not None and m.ring.D is not None:
             cfg = replace(cfg, ring=replace(cfg.ring, D=m.ring.D))
@@ -245,17 +263,18 @@ def _resolve_ideal(m: Manifest, ref: str) -> tuple[str, ...]:
     return _split_list(ref)
 
 
-def _context(m: Manifest) -> tuple:
-    """(ring, fs, j_handle, workspace) for the direct commands."""
-    cfg = _resolve_config(m)
-    ring = resolve_ring(cfg.ring, cfg.j_exprs, cfg.n_max)
-    fs = tuple(ring.element(e) for e in cfg.f_exprs)
-    j = IdealHandle(ring, tuple(ring.element(g) for g in cfg.j_exprs))
-    ws = Workspace(ring, fs, j, cfg.n_max, cfg.delta)
-    return cfg, ring, fs, j, ws
+# Direct commands: handler(ws, cfg, task) -> records carrying the seed.
+# Handlers name the invariants and verifiers they call inside their bodies,
+# so those module globals are looked up at call time.
+
+def _filter_regular_records(ws: Workspace, cfg: ExperimentConfig,
+                            t: TaskSpec) -> list[VerdictRecord]:
+    report = filter_regular_sequence_check(ws.fs, delta=cfg.delta)
+    return [filter_regular_record(ws.ring, ws.fs, report, "cli", cfg.seed)]
 
 
-def _table_records(ws: Workspace, cfg: ExperimentConfig) -> list[VerdictRecord]:
+def _table_records(ws: Workspace, cfg: ExperimentConfig,
+                   t: TaskSpec) -> list[VerdictRecord]:
     i_handle = ws.i_handle
     hs = hs_table(i_handle, ws.j, cfg.n_max, ws.powers)
     gr = gr_hilbert_function(i_handle, ws.j, cfg.n_max, ws.powers)
@@ -264,119 +283,102 @@ def _table_records(ws: Workspace, cfg: ExperimentConfig) -> list[VerdictRecord]:
         rows = tuple(_row(claim, n=n, value_orig=e.value, status="ok",
                           certification=e.status)
                      for n, e in enumerate(table.entries))
-        rows = tuple({**r, "seed": cfg.seed} for r in rows)
         records.append(VerdictRecord(
             claim, VERIFIED, None,
             inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
-            "exact" if table.all_certified() else "uncertified",
-            note=f"convention {table.convention}", rows=rows))
+            EXACT if table.all_certified() else UNCERTIFIED,
+            note=f"convention {table.convention}", rows=rows)
+            .with_context(None, None, cfg.seed))
     return records
+
+
+def _ar_records(ws: Workspace, cfg: ExperimentConfig,
+                t: TaskSpec) -> list[VerdictRecord]:
+    value = ws.ar_value
+    rows = (_row("ar-number", n=0, value_orig=value.value,
+                 status="ok" if value.value is not None else "not found",
+                 certification=value.status),)
+    return [VerdictRecord("ar-number", VERIFIED, None,
+                          inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"),
+                          value.status, note=value.note, rows=rows)
+            .with_context(None, None, cfg.seed)]
+
+
+def _koszul_records(ws: Workspace, cfg: ExperimentConfig,
+                    t: TaskSpec) -> list[VerdictRecord]:
+    report = koszul_report(ws.fs, delta=cfg.delta)
+    rows = tuple(_row("koszul", n=i, value_orig=cv.value,
+                      status="finite" if fin else "unflagged",
+                      certification=cv.status)
+                 for i, (cv, fin) in enumerate(zip(report.lengths,
+                                                   report.finite), start=1))
+    return [VerdictRecord("koszul", VERIFIED, None,
+                          inputs_digest(ws.ring, ws.fs, None, None, "koszul"),
+                          TWO_LEVEL, rows=rows)
+            .with_context(None, None, cfg.seed)]
+
+
+def _bound_records(ws: Workspace, cfg: ExperimentConfig,
+                   t: TaskSpec) -> list[VerdictRecord]:
+    if len(ws.fs) != 1:
+        raise ManifestError("bound-n needs exactly one element in f")
+    report = bound_N_one_element(ws.fs[0], ws.j, delta=cfg.delta)
+    return [bound_record(ws, report).with_context(None, None, cfg.seed)]
+
+
+def _verify_records(ws: Workspace, cfg: ExperimentConfig,
+                    t: TaskSpec) -> list[VerdictRecord]:
+    checker = {
+        "main": check_main_equality,
+        "monotonicity": check_surjection_monotonicity,
+        "control-colon": check_control_colon,
+        "preservation": check_perturbed_filter_regular,
+    }.get(t.claim or "main")
+    if checker is None:
+        raise ManifestError(f"unknown claim {t.claim!r}; known: "
+                            + ", ".join(VERIFY_CLAIMS))
+    if t.epsilon is not None:
+        eps_list = [tuple(ws.ring.element(e) for e in t.epsilon)]
+    elif t.n_single is None:
+        raise ManifestError("verify needs either epsilon = ... or "
+                            "a single N for sampling")
+    else:
+        eps_list = [sample_in_power(ws.ring, t.n_single, cfg.seed, len(ws.fs),
+                                    spawn=(t.n_single, s))
+                    for s in range(cfg.samples)]
+    return [checker(ws, eps).with_context(t.n_single, s, cfg.seed)
+            for s, eps in enumerate(eps_list)]
+
+
+_DIRECT_COMMANDS = {
+    "check-filter-regular": _filter_regular_records,
+    "hilbert": _table_records,
+    "ar-number": _ar_records,
+    "koszul": _koszul_records,
+    "bound-n": _bound_records,
+    "verify": _verify_records,
+}
 
 
 def execute(m: Manifest) -> RunResult:
     started = time.monotonic()
     t = m.task
-    if t.command in ("experiment", "find-min-n"):
-        cfg = _resolve_config(m)
-        report = run_experiment(cfg) if t.command == "experiment" \
-            else find_min_N(cfg)
-        return RunResult(t.command, report.resolved_D, report.records,
-                         n_star=report.n_star,
-                         theoretical_N=(report.theoretical.n_bound.value
-                                        if report.theoretical else None),
-                         seed=cfg.seed, timing_s=report.timing_s)
-
-    cfg, ring, fs, j, ws = _context(m)
-
-    if t.command == "check-filter-regular":
-        report = filter_regular_sequence_check(fs, delta=cfg.delta)
-        rows = []
-        for step in report.steps:
-            rows.append({**_row("filter-regular", n=step.index,
-                                value_orig=step.exponent.value,
-                                status="true" if step.passed else "false",
-                                certification=step.exponent.status),
-                         "seed": cfg.seed})
-        rec = VerdictRecord(
-            "filter-regular", VERIFIED, None,
-            inputs_digest(ring, fs, None, None, "cli"),
-            "two-level-stable",
-            note=("filter-regular" if report.passed
-                  else f"fails at index {report.first_failure}"),
-            rows=tuple(rows))
-        return RunResult(t.command, ring.D, (rec,), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    if t.command == "hilbert":
-        records = _table_records(ws, cfg)
-        return RunResult(t.command, ring.D, tuple(records), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    if t.command == "ar-number":
-        value = ws.ar_value
-        rows = ({**_row("ar-number", n=0, value_orig=value.value,
-                        status="ok" if value.value is not None else "not found",
-                        certification=value.status), "seed": cfg.seed},)
-        rec = VerdictRecord("ar-number", VERIFIED, None,
-                            inputs_digest(ring, fs, None, j, "ar"),
-                            value.status, note=value.note, rows=rows)
-        return RunResult(t.command, ring.D, (rec,), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    if t.command == "koszul":
-        report = koszul_report(fs, delta=cfg.delta)
-        rows = []
-        for i, (cv, fin) in enumerate(zip(report.lengths, report.finite),
-                                      start=1):
-            rows.append({**_row("koszul", n=i, value_orig=cv.value,
-                                status="finite" if fin else "unflagged",
-                                certification=cv.status), "seed": cfg.seed})
-        rec = VerdictRecord("koszul", VERIFIED, None,
-                            inputs_digest(ring, fs, None, None, "koszul"),
-                            "two-level-stable", rows=tuple(rows))
-        return RunResult(t.command, ring.D, (rec,), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    if t.command == "bound-n":
-        if len(fs) != 1:
-            raise ManifestError("bound-n needs exactly one element in f")
-        report = bound_N_one_element(fs[0], j, delta=cfg.delta)
-        rows = tuple({**r, "seed": cfg.seed} for r in report.rows())
-        rec = VerdictRecord("bound-n", VERIFIED, None,
-                            inputs_digest(ring, fs, None, j, "bound"),
-                            report.n_bound.status, rows=rows)
-        return RunResult(t.command, ring.D, (rec,), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    if t.command == "verify":
-        claim = t.claim or "main"
-        if claim not in VERIFY_CLAIMS:
-            raise ManifestError(f"unknown claim {claim!r}; known: "
-                                + ", ".join(VERIFY_CLAIMS))
-        if t.epsilon is not None:
-            eps_list = [tuple(ring.element(e) for e in t.epsilon)]
-        else:
-            if t.n_single is None:
-                raise ManifestError("verify needs either epsilon = ... or "
-                                    "a single N for sampling")
-            count = cfg.samples
-            eps_list = [sample_in_power(ring, t.n_single, cfg.seed, len(fs),
-                                        spawn=(t.n_single, s))
-                        for s in range(count)]
-        checker = {
-            "main": check_main_equality,
-            "monotonicity": check_surjection_monotonicity,
-            "control-colon": check_control_colon,
-            "preservation": check_perturbed_filter_regular,
-        }[claim]
-        records = []
-        for s, eps in enumerate(eps_list):
-            rec = checker(ws, eps)
-            records.append(rec.with_context(t.n_single, s, cfg.seed))
-        return RunResult(t.command, ring.D, tuple(records), seed=cfg.seed,
-                         timing_s=time.monotonic() - started)
-
-    raise ManifestError(f"unhandled command {t.command!r}")
+    cfg = _resolve_config(m)
+    n_star = theoretical_n = None
+    if t.command in _DIRECT_COMMANDS:
+        ws = build_workspace(cfg)
+        resolved_d = ws.ring.D
+        records = tuple(_DIRECT_COMMANDS[t.command](ws, cfg, t))
+    else:
+        report = (run_experiment if t.command == "experiment"
+                  else find_min_N)(cfg)
+        resolved_d, records, n_star = (report.resolved_D, report.records,
+                                       report.n_star)
+        if report.theoretical is not None:
+            theoretical_n = report.theoretical.n_bound.value
+    return RunResult(t.command, resolved_d, records, n_star=n_star,
+                     theoretical_N=theoretical_n, seed=cfg.seed,
+                     timing_s=time.monotonic() - started)
 
 
 def run_manifest(source: str) -> RunResult:

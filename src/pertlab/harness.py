@@ -19,10 +19,9 @@ from .certify import EXACT, TWO_LEVEL, UNCERTIFIED
 from .errors import PertlabError
 from .ideals import IdealHandle, m_primary_level
 from .invariants import filter_regular_sequence_check
-from .polynomials import TruncPoly
 from .rings import Element, RingDescriptor, build_ring, default_truncation
 from .verifiers import (BoundReport, VerdictRecord, Workspace, VERIFIED,
-                        VIOLATED, INCONCLUSIVE, bound_N_one_element,
+                        INCONCLUSIVE, bound_N_one_element,
                         check_control_colon, check_main_equality,
                         check_perturbed_filter_regular,
                         check_surjection_monotonicity, inputs_digest,
@@ -80,21 +79,6 @@ class ExperimentReport:
     certification_summary: str
     timing_s: float
 
-    def rows(self) -> list[dict]:
-        out = []
-        for rec in self.records:
-            out.extend(dict(r) for r in rec.rows)
-        return out
-
-    def has_violation(self) -> bool:
-        return any(r.outcome == VIOLATED for r in self.records)
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.outcome] = counts.get(r.outcome, 0) + 1
-        return counts
-
 
 def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...],
                  n_max: int) -> RingDescriptor:
@@ -114,9 +98,9 @@ def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...],
     return build_ring(spec.p, spec.vars, spec.base_gens, d)
 
 
-def _rng_for(seed: int, n: int, sample: int) -> np.random.Generator:
+def _rng_for(seed: int, spawn: tuple[int, int] | None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(n, sample))))
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn or ())))
 
 
 def sample_in_power(ring: RingDescriptor, n: int, seed: int,
@@ -129,15 +113,13 @@ def sample_in_power(ring: RingDescriptor, n: int, seed: int,
     """
     if n >= ring.D:
         raise PertlabError(f"sampling order {n} needs to stay below D={ring.D}")
-    rng = _rng_for(seed, *spawn) if spawn else np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    rng = _rng_for(seed, spawn)
     lo = ring.cut(n)
     out = []
     for _ in range(count):
         vec = np.zeros(ring.M, dtype=np.int64)
         vec[lo:] = rng.integers(0, ring.p, ring.M - lo)
-        terms = {ring.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]}
-        out.append(ring.element(TruncPoly(ring.p, ring.vars, ring.D, terms)))
+        out.append(ring.element(ring.poly_of_vector(vec)))
     return tuple(out)
 
 
@@ -146,15 +128,12 @@ def sample_in_ideal_power(ws: Workspace, power: int, seed: int,
                           ) -> tuple[Element, ...]:
     """Uniform random combinations of an echelon basis of J^power."""
     sub = ws.powers.subspace(power)
-    rng = _rng_for(seed, *spawn) if spawn else np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    rng = _rng_for(seed, spawn)
     out = []
     for _ in range(count):
         coeffs = rng.integers(0, ws.ring.p, sub.rank)
         vec = (coeffs @ sub.rows) % ws.ring.p
-        terms = {ws.ring.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]}
-        out.append(ws.ring.element(TruncPoly(ws.ring.p, ws.ring.vars,
-                                             ws.ring.D, terms)))
+        out.append(ws.ring.element(ws.ring.poly_of_vector(vec)))
     return tuple(out)
 
 
@@ -200,6 +179,65 @@ def _minimal_stable_n(main_outcomes: dict[tuple[int, int], str],
     return n_star
 
 
+def build_workspace(config: ExperimentConfig) -> Workspace:
+    """Resolve the ring and read the sequence and J into a Workspace."""
+    ring = resolve_ring(config.ring, config.j_exprs, config.n_max)
+    fs = tuple(ring.element(e) for e in config.f_exprs)
+    j = IdealHandle(ring, tuple(ring.element(g) for g in config.j_exprs))
+    return Workspace(ring, fs, j, config.n_max, config.delta)
+
+
+def _sweep_to_threshold(ws: Workspace, config: ExperimentConfig
+                        ) -> tuple[list[VerdictRecord], int | None]:
+    """The N sweep, its empirical threshold N*, and the auxiliary
+    verifiers at N*: preservation and control colons for every sample, and
+    the Artin-Rees comparison for sample 0."""
+    records, main_outcomes = _sweep(ws, config)
+    n_star = _minimal_stable_n(main_outcomes, config)
+    if n_star is None:
+        return records, None
+    for s in range(config.samples):
+        eps = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
+                              spawn=(n_star, s))
+        records.append(check_perturbed_filter_regular(ws, eps)
+                       .with_context(n_star, s, config.seed))
+        records.append(check_control_colon(ws, eps)
+                       .with_context(n_star, s, config.seed))
+    eps0 = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
+                           spawn=(n_star, 0))
+    records.append(report_ar_comparison(ws, eps0)
+                   .with_context(n_star, 0, config.seed))
+    return records, n_star
+
+
+def _theoretical_bound(ws: Workspace, config: ExperimentConfig,
+                       n_star: int | None
+                       ) -> tuple[BoundReport | None, bool | None]:
+    """The explicit threshold of a single filter-regular element, and
+    whether the empirical N* of a sweep stays within it."""
+    if len(ws.fs) != 1 or not ws.sequence_report.passed:
+        return None, None
+    theoretical = bound_N_one_element(ws.fs[0], ws.j, delta=config.delta)
+    if config.n_range is None or theoretical.n_bound.value is None:
+        return theoretical, None
+    return theoretical, (n_star is not None
+                         and n_star <= theoretical.n_bound.value)
+
+
+def _report(ws: Workspace, config: ExperimentConfig,
+            records: list[VerdictRecord], n_star: int | None,
+            bound: tuple[BoundReport | None, bool | None],
+            started: float) -> ExperimentReport:
+    rec_tuple = tuple(records)
+    return ExperimentReport(
+        config=config, resolved_D=ws.ring.D,
+        levels=(ws.ring.D, ws.ring.D + config.delta),
+        records=rec_tuple, n_star=n_star, theoretical=bound[0],
+        bound_consistent=bound[1],
+        certification_summary=_summary(rec_tuple),
+        timing_s=time.monotonic() - started)
+
+
 def find_min_N(config: ExperimentConfig) -> ExperimentReport:
     """Sweep perturbation depths, locate the empirical stability threshold,
     and run the auxiliary verifiers at that threshold.
@@ -210,63 +248,53 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
     started = time.monotonic()
     if config.n_range is None:
         raise PertlabError("find-min-n needs an N range")
-    ring = resolve_ring(config.ring, config.j_exprs, config.n_max)
-    fs = tuple(ring.element(e) for e in config.f_exprs)
-    j = IdealHandle(ring, tuple(ring.element(g) for g in config.j_exprs))
-    ws = Workspace(ring, fs, j, config.n_max, config.delta)
-    records, main_outcomes = _sweep(ws, config)
-    n_star = _minimal_stable_n(main_outcomes, config)
-
-    if n_star is not None:
-        for s in range(config.samples):
-            eps = sample_in_power(ws.ring, n_star, config.seed, len(fs),
-                                  spawn=(n_star, s))
-            records.append(check_perturbed_filter_regular(ws, eps)
-                           .with_context(n_star, s, config.seed))
-            records.append(check_control_colon(ws, eps)
-                           .with_context(n_star, s, config.seed))
-        eps0 = sample_in_power(ws.ring, n_star, config.seed, len(fs),
-                               spawn=(n_star, 0))
-        records.append(report_ar_comparison(ws, eps0)
-                       .with_context(n_star, 0, config.seed))
-
-    theoretical = None
-    consistent = None
-    if len(fs) == 1 and ws.sequence_report.passed:
-        theoretical = bound_N_one_element(fs[0], j, delta=config.delta)
-        if theoretical.n_bound.value is not None:
-            consistent = (n_star is not None
-                          and n_star <= theoretical.n_bound.value)
-    rec_tuple = tuple(records)
-    digest_rows = tuple(_minn_rows(config, n_star, theoretical))
-    rec_tuple = rec_tuple + (VerdictRecord(
-        "min-n", VERIFIED if n_star is not None else INCONCLUSIVE,
-        n_star, inputs_digest(ring, fs, None, j, config.canonical()),
-        _summary(rec_tuple) if rec_tuple else EXACT,
-        note=("empirical threshold found" if n_star is not None
-              else "no stable N in range"),
-        rows=digest_rows),)
-    return ExperimentReport(
-        config=config, resolved_D=ring.D, levels=(ring.D, ring.D + config.delta),
-        records=rec_tuple, n_star=n_star, theoretical=theoretical,
-        bound_consistent=consistent,
-        certification_summary=_summary(rec_tuple),
-        timing_s=time.monotonic() - started)
-
-
-def _minn_rows(config: ExperimentConfig, n_star: int | None,
-               theoretical: BoundReport | None):
+    ws = build_workspace(config)
+    records, n_star = _sweep_to_threshold(ws, config)
+    bound = _theoretical_bound(ws, config, n_star)
     rows = [_row("min-n", n="N*",
                  value_orig=n_star if n_star is not None else "",
                  status="found" if n_star is not None else "not found in range",
                  certification="")]
-    if theoretical is not None:
+    if bound[0] is not None:
         rows.append(_row("min-n", n="N-theoretical",
-                         value_orig=theoretical.n_bound.value,
-                         status="bound", certification=theoretical.n_bound.status))
-    for r in rows:
-        r["seed"] = config.seed
-    return rows
+                         value_orig=bound[0].n_bound.value,
+                         status="bound", certification=bound[0].n_bound.status))
+    records.append(VerdictRecord(
+        "min-n", VERIFIED if n_star is not None else INCONCLUSIVE,
+        n_star, inputs_digest(ws.ring, ws.fs, None, ws.j, config.canonical()),
+        _summary(tuple(records)) if records else EXACT,
+        note=("empirical threshold found" if n_star is not None
+              else "no stable N in range"),
+        rows=tuple(rows)).with_context(None, None, config.seed))
+    return _report(ws, config, records, n_star, bound, started)
+
+
+def bound_record(ws: Workspace, theoretical: BoundReport) -> VerdictRecord:
+    """The explicit one-element threshold with its ingredients t, k, h."""
+    return VerdictRecord("bound-n", VERIFIED, None,
+                         inputs_digest(ws.ring, ws.fs, None, ws.j, "bound"),
+                         theoretical.n_bound.status,
+                         note="explicit one-element threshold",
+                         rows=theoretical.rows())
+
+
+def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
+                          report, tag: str, seed: int | None) -> VerdictRecord:
+    """One row per checked step of a filter-regularity report; ``tag``
+    keys the digest."""
+    rows = tuple(_row("filter-regular", n=step.index,
+                      value_orig=step.exponent.value,
+                      status="true" if step.passed else "false",
+                      certification=step.exponent.status)
+                 for step in report.steps)
+    statuses = {s.exponent.status for s in report.steps}
+    return VerdictRecord(
+        "filter-regular", VERIFIED, None,
+        inputs_digest(ring, seq, None, None, tag),
+        UNCERTIFIED if UNCERTIFIED in statuses else TWO_LEVEL,
+        note=("filter-regular" if report.passed
+              else f"fails at index {report.first_failure}"),
+        rows=rows).with_context(None, None, seed)
 
 
 def _catalog_checks(ws: Workspace, config: ExperimentConfig
@@ -283,27 +311,9 @@ def _catalog_checks(ws: Workspace, config: ExperimentConfig
     for label, seq in sequences:
         report = (ws.sequence_report if label == "base"
                   else filter_regular_sequence_check(seq, delta=config.delta))
-        rows = []
-        for step in report.steps:
-            rows.append(_row("filter-regular", n=step.index,
-                             value_orig=step.exponent.value,
-                             status="true" if step.passed else "false",
-                             certification=step.exponent.status))
-        for r in rows:
-            r["seed"] = config.seed
-        digest = inputs_digest(ws.ring, seq, None, None, label)
-        note = (f"sequence {label}: "
-                + ("filter-regular" if report.passed
-                   else f"fails at index {report.first_failure}"))
-        records.append(VerdictRecord("filter-regular", VERIFIED, None, digest,
-                                     _summary_steps(report), note=note,
-                                     rows=tuple(rows)))
+        record = filter_regular_record(ws.ring, seq, report, label, config.seed)
+        records.append(replace(record, note=f"sequence {label}: {record.note}"))
     return records
-
-
-def _summary_steps(report) -> str:
-    statuses = {s.exponent.status for s in report.steps} or {TWO_LEVEL}
-    return UNCERTIFIED if UNCERTIFIED in statuses else TWO_LEVEL
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -311,48 +321,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     search, aggregated into one report that is a pure function of the
     config."""
     started = time.monotonic()
-    ring = resolve_ring(config.ring, config.j_exprs, config.n_max)
-    fs = tuple(ring.element(e) for e in config.f_exprs)
-    j = IdealHandle(ring, tuple(ring.element(g) for g in config.j_exprs))
-    ws = Workspace(ring, fs, j, config.n_max, config.delta)
-
-    records: list[VerdictRecord] = []
-    records.extend(_catalog_checks(ws, config))
-
+    ws = build_workspace(config)
+    records = _catalog_checks(ws, config)
     n_star = None
-    theoretical = None
-    consistent = None
     if config.n_range is not None:
-        sweep_records, main_outcomes = _sweep(ws, config)
+        sweep_records, n_star = _sweep_to_threshold(ws, config)
         records.extend(sweep_records)
-        n_star = _minimal_stable_n(main_outcomes, config)
-        if n_star is not None:
-            for s in range(config.samples):
-                eps = sample_in_power(ws.ring, n_star, config.seed, len(fs),
-                                      spawn=(n_star, s))
-                records.append(check_perturbed_filter_regular(ws, eps)
-                               .with_context(n_star, s, config.seed))
-                records.append(check_control_colon(ws, eps)
-                               .with_context(n_star, s, config.seed))
-            eps0 = sample_in_power(ws.ring, n_star, config.seed, len(fs),
-                                   spawn=(n_star, 0))
-            records.append(report_ar_comparison(ws, eps0)
-                           .with_context(n_star, 0, config.seed))
-    if len(fs) == 1 and ws.sequence_report.passed:
-        theoretical = bound_N_one_element(fs[0], j, delta=config.delta)
-        records.append(VerdictRecord(
-            "bound-n", VERIFIED, None,
-            inputs_digest(ring, fs, None, j, "bound"),
-            theoretical.n_bound.status, note="explicit one-element threshold",
-            rows=theoretical.rows()))
-        if config.n_range is not None and theoretical.n_bound.value is not None:
-            consistent = (n_star is not None
-                          and n_star <= theoretical.n_bound.value)
-
-    rec_tuple = tuple(records)
-    return ExperimentReport(
-        config=config, resolved_D=ring.D, levels=(ring.D, ring.D + config.delta),
-        records=rec_tuple, n_star=n_star, theoretical=theoretical,
-        bound_consistent=consistent,
-        certification_summary=_summary(rec_tuple),
-        timing_s=time.monotonic() - started)
+    bound = _theoretical_bound(ws, config, n_star)
+    if bound[0] is not None:
+        records.append(bound_record(ws, bound[0]))
+    return _report(ws, config, records, n_star, bound, started)

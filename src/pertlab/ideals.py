@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from .certify import EXACT, UNCERTIFIED, CertifiedValue
 from .errors import RingMismatchError
+from .polynomials import TruncPoly
 from .rings import Element, RingDescriptor, Subspace, nakayama_contains_power
 
 
@@ -95,42 +96,26 @@ def _dedupe(gens: Iterable[Element]) -> list[Element]:
     return list(seen.values())
 
 
-def ideal_combine(op: str, a: IdealHandle,
-                  b: "IdealHandle | int") -> IdealHandle:
-    """Sum, product or power of ideals.
-
-    Sum concatenates generators, product takes pairwise generator products,
-    power iterates the product (exponent 0 gives the unit ideal).
-    """
-    if op == "sum":
-        assert isinstance(b, IdealHandle)
-        a._check_ring(b)
-        return IdealHandle(a.ring, _dedupe(a.gens + b.gens))
-    if op == "product":
-        assert isinstance(b, IdealHandle)
-        a._check_ring(b)
-        return IdealHandle(a.ring, _dedupe(g * h for g in a.gens for h in b.gens))
-    if op == "power":
-        assert isinstance(b, int)
-        if b < 0:
-            raise ValueError("negative ideal power")
-        result = unit_ideal(a.ring)
-        for _ in range(b):
-            result = ideal_combine("product", result, a)
-        return result
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
 def ideal_sum(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return ideal_combine("sum", a, b)
+    """Concatenated generators."""
+    a._check_ring(b)
+    return IdealHandle(a.ring, _dedupe(a.gens + b.gens))
 
 
 def ideal_product(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return ideal_combine("product", a, b)
+    """Pairwise generator products."""
+    a._check_ring(b)
+    return IdealHandle(a.ring, _dedupe(g * h for g in a.gens for h in b.gens))
 
 
 def ideal_power(a: IdealHandle, e: int) -> IdealHandle:
-    return ideal_combine("power", a, e)
+    """Iterated product; exponent 0 gives the unit ideal."""
+    if e < 0:
+        raise ValueError("negative ideal power")
+    result = unit_ideal(a.ring)
+    for _ in range(e):
+        result = ideal_product(result, a)
+    return result
 
 
 def ideal_intersection(a: IdealHandle, b: IdealHandle) -> IdealHandle:
@@ -149,22 +134,16 @@ def ideal_intersection(a: IdealHandle, b: IdealHandle) -> IdealHandle:
 
 def _gens_from_subspace(ring: RingDescriptor, sub: Subspace) -> tuple[Element, ...]:
     # A vector-space basis of (A + m^D)/m^D generates the ideal A + m^D.
-    from .polynomials import TruncPoly
-    gens = []
-    for row in sub.rows:
-        terms = {ring.monomials[c]: int(row[c]) for c in np.nonzero(row)[0]}
-        poly = TruncPoly(ring.p, ring.vars, ring.D, terms)
-        gens.append(Element(ring, ring._normal_form(row.copy()), poly))
-    return tuple(gens)
+    return tuple(Element(ring, ring._normal_form(row.copy()),
+                         ring.poly_of_vector(row)) for row in sub.rows)
 
 
 def mult_matrix(ring: RingDescriptor, elem: Element) -> np.ndarray:
     """Raw products elem * mu_j for every basis monomial, as matrix rows."""
     table = np.zeros((ring.M, ring.M + 1), dtype=np.int64)
     all_rows = np.arange(ring.M)
-    for col in np.nonzero(elem.vec)[0]:
-        colmap = ring.mul_table[int(col)]
-        targets = np.where(colmap >= 0, colmap, ring.M)
+    support = np.nonzero(elem.vec)[0]
+    for col, targets in zip(support, ring.monomial_shifts(support)):
         table[all_rows, targets] += int(elem.vec[col])
     return table[:, :ring.M] % ring.p
 
@@ -213,31 +192,41 @@ def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
     return handle
 
 
+def certificate_level(ring: RingDescriptor, sub: Subspace) -> int | None:
+    """Least t < D whose Nakayama certificate puts m^t inside ``sub``."""
+    return next((t for t in range(1, ring.D)
+                 if nakayama_contains_power(ring, sub, t)), None)
+
+
 def m_primary_level(a: IdealHandle) -> CertifiedValue:
     """Least t with a verified certificate m^t inside the ideal."""
     ring = a.ring
     if a.is_unit():
         # The unit ideal absorbs every power; report the lowest level.
         return CertifiedValue(1, EXACT, (ring.D,), note="unit ideal")
-    for t in range(1, ring.D):
-        if nakayama_contains_power(ring, a.subspace, t):
-            return CertifiedValue(t, EXACT, (ring.D,))
+    t = certificate_level(ring, a.subspace)
+    if t is None:
+        return CertifiedValue(None, UNCERTIFIED, (ring.D,),
+                              note=f"no m-primary certificate within D={ring.D}")
+    return CertifiedValue(t, EXACT, (ring.D,))
+
+
+def quotient_length(ring: RingDescriptor, sub: Subspace,
+                    level: int | None) -> CertifiedValue:
+    """Length of the quotient by the ideal carried by ``sub``: its
+    codimension, exact only when ``level`` certifies m^level inside it."""
+    codim = ring.M - sub.rank
+    if level is not None:
+        return CertifiedValue(codim, EXACT, (ring.D,), note=f"m^{level} certificate")
     return CertifiedValue(None, UNCERTIFIED, (ring.D,),
-                          note=f"no m-primary certificate within D={ring.D}")
+                          note=f"no m-primary certificate within D={ring.D}; "
+                               f"truncated codimension {codim}")
 
 
 def ideal_length(a: IdealHandle) -> CertifiedValue:
-    """Length of the quotient by the ideal: the codimension of its subspace,
-    exact only under an m-primary certificate."""
-    ring = a.ring
-    codim = ring.M - a.subspace.rank
-    level = m_primary_level(a)
-    if level.value is not None:
-        return CertifiedValue(codim, EXACT, (ring.D,),
-                              note=f"m^{level.value} certificate")
-    return CertifiedValue(None, UNCERTIFIED, (ring.D,),
-                          note=f"not certified m-primary within D={ring.D}; "
-                               f"truncated codimension {codim}")
+    """Length of the quotient by the ideal, exact under an m-primary
+    certificate."""
+    return quotient_length(a.ring, a.subspace, m_primary_level(a).value)
 
 
 def ideal_contains(a: IdealHandle, e: Element) -> bool:
@@ -270,12 +259,10 @@ class IdealPowers:
         while self.top < top:
             e = self.top + 1
             if self._is_maximal:
-                gens = [
-                    Element(self.ring,
-                            self.ring._normal_form(_unit_vec(self.ring, c)),
-                            _monomial_poly(self.ring, c))
-                    for c in range(self.ring.cut(e), self.ring.cut(e + 1))
-                ]
+                ring = self.ring
+                gens = [ring.element(TruncPoly(ring.p, ring.vars, ring.D,
+                                               {ring.monomials[c]: 1}))
+                        for c in range(ring.cut(e), ring.cut(e + 1))]
                 handle = IdealHandle(self.ring, _dedupe(gens))
                 handle._subspace = self.ring.power_span(e)
             else:
@@ -295,14 +282,3 @@ class IdealPowers:
         if e not in self._cert_levels:
             self._cert_levels[e] = m_primary_level(self.handle(e)).value
         return self._cert_levels[e]
-
-
-def _unit_vec(ring: RingDescriptor, col: int) -> np.ndarray:
-    vec = np.zeros(ring.M, dtype=np.int64)
-    vec[col] = 1
-    return vec
-
-
-def _monomial_poly(ring: RingDescriptor, col: int):
-    from .polynomials import TruncPoly
-    return TruncPoly(ring.p, ring.vars, ring.D, {ring.monomials[col]: 1})

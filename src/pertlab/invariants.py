@@ -16,7 +16,7 @@ ascending-degree echelon bases the whole profile is a pivot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -24,9 +24,10 @@ import numpy as np
 
 from . import linalg
 from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, PLATEAU_MIN_WIDTH,
-                      CertifiedValue, combine_levels, longest_plateau)
-from .ideals import IdealHandle, IdealPowers, colon_subspace, mult_matrix
-from .rings import RingDescriptor, Subspace, nakayama_contains_power
+                      CertifiedValue, longest_plateau, two_level_value)
+from .ideals import (IdealHandle, IdealPowers, certificate_level,
+                     colon_subspace, mult_matrix, quotient_length)
+from .rings import RingDescriptor, Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -51,23 +52,13 @@ class HilbertTable:
         return all(e.is_certified() for e in self.entries)
 
 
-def _quotient_length(ring: RingDescriptor, sub: Subspace) -> CertifiedValue:
-    codim = ring.M - sub.rank
-    for t in range(1, ring.D):
-        if nakayama_contains_power(ring, sub, t):
-            return CertifiedValue(codim, EXACT, (ring.D,), note=f"m^{t} certificate")
-    return CertifiedValue(None, UNCERTIFIED, (ring.D,),
-                          note="no m-primary certificate; "
-                               f"truncated codimension {codim}")
-
-
 def hilbert_samuel(i: IdealHandle, j: IdealHandle, n: int,
                    powers: IdealPowers | None = None) -> CertifiedValue:
     """Length of R/(I + J^(n+1)); exact under an m-primary certificate."""
     if powers is None:
         powers = IdealPowers(j, n + 1)
     union = i.subspace.sum(powers.subspace(n + 1))
-    return _quotient_length(i.ring, union)
+    return quotient_length(i.ring, union, certificate_level(i.ring, union))
 
 
 def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
@@ -94,7 +85,9 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
             entries.append(CertifiedValue(codim, EXACT, (ring.D,),
                                           note=f"m^{t} inside J^{n + 1}"))
         else:
-            entries.append(_quotient_length(ring, i_sub.sum(psub)))
+            union = i_sub.sum(psub)
+            entries.append(quotient_length(ring, union,
+                                           certificate_level(ring, union)))
     return HilbertTable("hs", tuple(entries))
 
 
@@ -136,17 +129,21 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
     Nakayama-quotient inclusion certificate, and the headline value is
     cross-checked at truncation D + delta.
     """
-    level_values: list[tuple[int | None, str]] = []
-    for ring_level, (ih, jh) in _levels(i.ring, delta, (i, j)):
-        value, witness = _ar_window(ih, jh, n_max,
-                                    powers if ring_level is i.ring else None)
-        level_values.append((value, witness))
-    (v_lo, note_lo), (v_hi, _) = level_values
-    base = combine_levels(v_lo, v_hi, (i.ring.D, i.ring.D + delta))
-    note = note_lo if base.status != UNCERTIFIED else f"{note_lo}; {base.note}"
-    if v_lo is None:
+    witnesses: list[str] = []
+
+    def window(ring: RingDescriptor) -> tuple[int | None, bool]:
+        if ring is i.ring:
+            value, witness = _ar_window(i, j, n_max, powers)
+        else:
+            value, witness = _ar_window(i.lift(ring), j.lift(ring), n_max, None)
+        witnesses.append(witness)
+        return value, True
+
+    cert = two_level_value(window, i.ring, delta)
+    note = "; ".join(filter(None, (witnesses[0], cert.note)))
+    if cert.value is None:
         note = f"no s <= {n_max} over the window; " + note
-    return CertifiedValue(base.value, base.status, base.levels, note=note)
+    return replace(cert, note=note)
 
 
 def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
@@ -177,22 +174,10 @@ def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
 def _times_ideal_once(ring: RingDescriptor, j: IdealHandle,
                       base: Subspace) -> Subspace:
     """Subspace of J * (ideal carried by ``base``)."""
-    rows = [_rows_times_element(ring, base.rows, g) for g in j.gens]
+    rows = [ring.rows_times(base.rows, g.vec) for g in j.gens]
     stacked = np.vstack(rows + [ring.base_subspace.rows])
     r, piv = linalg.rref(stacked, ring.p)
     return Subspace(ring, r, piv)
-
-
-def _rows_times_element(ring: RingDescriptor, rows: np.ndarray,
-                        g) -> np.ndarray:
-    out = np.zeros((rows.shape[0], ring.M), dtype=np.int64)
-    for col in np.nonzero(g.vec)[0]:
-        colmap = ring.mul_table[int(col)]
-        targets = np.where(colmap >= 0, colmap, ring.M)
-        scattered = np.zeros((rows.shape[0], ring.M + 1), dtype=np.int64)
-        scattered[:, targets] = rows
-        out += int(g.vec[col]) * scattered[:, :ring.M]
-    return out % ring.p
 
 
 # ---------------------------------------------------------------------------
@@ -210,70 +195,41 @@ def order_profile(upper: Subspace, lower: Subspace,
     return [upper.prefix_rank(c) - lower.prefix_rank(c) for c in cuts]
 
 
-def plateau_length(upper: Subspace, lower: Subspace,
-                   cuts: list[int]) -> tuple[int | None, int, list[int]]:
-    profile = order_profile(upper, lower, cuts)
-    value, width = longest_plateau(profile)
-    return value, width, profile
-
-
-def annihilator_thresholds(ring: RingDescriptor, start_rows: np.ndarray,
-                           target: Subspace, cap: int) -> list[int]:
-    """For h = 0..cap, the largest w such that m^h * span(start_rows) lies in
-    target + (order >= w).  Reaches D once the chain dies."""
-    thresholds = []
-    rows = target.reduce(start_rows)
-    rows = linalg.rref(rows, ring.p)[0]
-    for _h in range(cap + 1):
-        if rows.shape[0] == 0:
-            thresholds.append(ring.D)
-            break
-        mincol = int(rows[0].nonzero()[0][0]) if rows[0].any() else ring.M
-        # rows are RREF: the first row's pivot is the global minimum column.
-        w = int(np.searchsorted(
-            np.array([ring.cut(t) for t in range(ring.D + 1)]), mincol,
-            side="right")) - 1
-        thresholds.append(max(w, 0))
-        nxt = np.vstack([ring.rows_times_variable(rows, v)
-                         for v in range(len(ring.vars))])
-        rows = linalg.rref(target.reduce(nxt), ring.p)[0]
-    while len(thresholds) < cap + 1:
-        thresholds.append(ring.D)
-    return thresholds
-
-
 def annihilator_profile(ring: RingDescriptor, start_rows: np.ndarray,
                         target: Subspace) -> list[int | None]:
     """Profile w -> least h with m^h * span(start_rows) within
     target + (order >= w); always finite at the truncated level, so the
     honest reading is the value on the widest plateau."""
-    thresholds = annihilator_thresholds(ring, start_rows, target, ring.D)
-    profile: list[int | None] = []
-    for w in range(ring.D + 1):
-        h = next((h for h, t in enumerate(thresholds) if t >= w), None)
-        profile.append(h)
-    return profile
+    return _annihilator_chain(target, start_rows,
+                              [ring.cut(t) for t in range(ring.D + 1)],
+                              ring.rows_times_variable)
 
 
-def _plateau_certified(value_lo, width_lo, value_hi, width_hi,
-                       levels: tuple[int, int], what: str) -> CertifiedValue:
-    lo_ok = width_lo >= PLATEAU_MIN_WIDTH and value_lo is not None
-    hi_ok = width_hi >= PLATEAU_MIN_WIDTH and value_hi is not None
-    if lo_ok and hi_ok and value_lo == value_hi:
-        return CertifiedValue(value_lo, TWO_LEVEL, levels,
-                              note=f"{what}: plateau widths {width_lo}/{width_hi}")
-    return CertifiedValue(value_lo if lo_ok else None, UNCERTIFIED, levels,
-                          note=f"{what}: plateaus {value_lo}(w{width_lo})/"
-                               f"{value_hi}(w{width_hi})")
+def _annihilator_chain(target: Subspace, start_rows: np.ndarray,
+                       cuts: list[int], times_var) -> list[int | None]:
+    """Annihilator profile of span(start_rows) modulo ``target``.
 
-
-def _levels(ring: RingDescriptor, delta: int, handles: tuple):
-    """Yield (ring, lifted handles) at levels D and D + delta."""
-    yield ring, handles
-    if delta > 0:
-        hi = ring.rebuild(ring.D + delta)
-        yield hi, tuple(h.lift(hi) if hasattr(h, "lift") else hi.element(h.poly)
-                        for h in handles)
+    The h-th link of the chain m^h * span(start_rows) lies in
+    target + (order >= w) for w up to the order of its lowest surviving
+    term (D once the chain dies).  ``cuts[w]`` counts the coordinates of
+    order < w and ``times_var(rows, v)`` multiplies rows by the v-th
+    variable, so the same chain serves ring and module coordinates.
+    """
+    ring = target.ring
+    thresholds = []
+    rows = linalg.rref(target.reduce(start_rows), ring.p)[0]
+    for _h in range(ring.D + 1):
+        if rows.shape[0] == 0:
+            break
+        # rows are RREF: the first row's pivot is the global minimum column.
+        mincol = int(rows[0].nonzero()[0][0])
+        w = int(np.searchsorted(cuts, mincol, side="right")) - 1
+        thresholds.append(max(w, 0))
+        nxt = np.vstack([times_var(rows, v) for v in range(len(ring.vars))])
+        rows = linalg.rref(target.reduce(nxt), ring.p)[0]
+    thresholds += [ring.D] * (ring.D + 1 - len(thresholds))
+    return [next((h for h, t in enumerate(thresholds) if t >= w), None)
+            for w in range(ring.D + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +287,11 @@ def _module_order_structures(ring: RingDescriptor, ncomp: int):
     return perm, cuts
 
 
-def _homology_plateau(ring: RingDescriptor, fs: tuple, i: int
-                      ) -> tuple[int | None, int, list[int], bool]:
-    """Plateau length of H_i plus a finiteness flag from the annihilation
-    exponent of the homology subquotient."""
+def _homology_level(ring: RingDescriptor, fs: tuple, i: int
+                    ) -> tuple[int | None, bool, bool]:
+    """Plateau length of H_i at one truncation level, whether the plateau
+    is wide enough to resolve it, and a finiteness flag from the
+    annihilation exponent of the homology subquotient."""
     r = len(fs)
     d = ring.dim
     mats = [_reduced_mult_matrix(ring, f) for f in fs]
@@ -353,53 +310,52 @@ def _homology_plateau(ring: RingDescriptor, fs: tuple, i: int
     s_rows, s_piv = linalg.rref(image_rows[:, perm], ring.p)
     upper = Subspace(ring, u_rows, u_piv)
     lower = Subspace(ring, s_rows, s_piv)
-    profile = [upper.prefix_rank(c) - lower.prefix_rank(c) for c in cuts]
-    value, width = longest_plateau(profile)
+    value, width = longest_plateau(order_profile(upper, lower, cuts))
+    resolved = value is not None and width >= PLATEAU_MIN_WIDTH
 
     finite = False
-    if value is not None and width >= PLATEAU_MIN_WIDTH:
+    if resolved:
         # annihilation exponent of the homology, module-level chain
-        thresholds = _module_annihilator_thresholds(
-            ring, u_rows, lower, var_mats, ncomp, perm, cuts)
-        h_profile: list[int | None] = []
-        for w in range(ring.D + 1):
-            h = next((h for h, t in enumerate(thresholds) if t >= w), None)
-            h_profile.append(h)
-        h_val, h_width = longest_plateau(h_profile)
+        inv_perm = np.argsort(perm)
+
+        def times_var(rows: np.ndarray, v: int) -> np.ndarray:
+            blocks = rows[:, inv_perm].reshape(rows.shape[0], ncomp, d)
+            out = (blocks.astype(np.float64) @ var_mats[v].astype(np.float64))
+            out = out.astype(np.int64) % ring.p
+            return out.reshape(rows.shape[0], ncomp * d)[:, perm]
+
+        h_val, h_width = longest_plateau(
+            _annihilator_chain(lower, u_rows, cuts, times_var))
         if h_val is not None and h_width >= PLATEAU_MIN_WIDTH:
             max_order = max((f.order() for f in fs), default=0)
             finite = h_val + max_order + 1 <= ring.D
-    return value, width, profile, finite
+    return value, resolved, finite
 
 
-def _module_annihilator_thresholds(ring: RingDescriptor, u_rows: np.ndarray,
-                                   lower: Subspace, var_mats: list[np.ndarray],
-                                   ncomp: int, perm: np.ndarray,
-                                   cuts: list[int]) -> list[int]:
-    inv_perm = np.argsort(perm)
-    d = ring.dim
+def _koszul_length(fs: tuple, i: int, delta: int, fs_hi: tuple | None = None
+                   ) -> tuple[CertifiedValue, bool]:
+    """H_i length certified across two truncation levels, plus the
+    finiteness flag of every level computed; ``fs_hi`` is the sequence
+    already lifted to the D + delta rebuild, when the caller holds one."""
+    ring = fs[0].ring
+    flags = []
 
-    def times_var(rows: np.ndarray, v: int) -> np.ndarray:
-        blocks = rows[:, inv_perm].reshape(rows.shape[0], ncomp, d)
-        out = (blocks.astype(np.float64) @ var_mats[v].astype(np.float64))
-        out = out.astype(np.int64) % ring.p
-        return out.reshape(rows.shape[0], ncomp * d)[:, perm]
+    def level(level_ring: RingDescriptor) -> tuple[int | None, bool]:
+        if level_ring is ring:
+            lifted = tuple(fs)
+        else:
+            lifted = fs_hi or tuple(level_ring.element(f.poly) for f in fs)
+        value, resolved, finite = _homology_level(level_ring, lifted, i)
+        flags.append(finite)
+        return value, resolved
 
-    thresholds = []
-    rows = linalg.rref(lower.reduce(u_rows), ring.p)[0]
-    cuts_arr = np.array(cuts)
-    for _h in range(ring.D + 1):
-        if rows.shape[0] == 0:
-            thresholds.append(ring.D)
-            break
-        mincol = int(rows[0].nonzero()[0][0])
-        w = int(np.searchsorted(cuts_arr, mincol, side="right")) - 1
-        thresholds.append(max(w, 0))
-        nxt = np.vstack([times_var(rows, v) for v in range(len(ring.vars))])
-        rows = linalg.rref(lower.reduce(nxt), ring.p)[0]
-    while len(thresholds) < ring.D + 1:
-        thresholds.append(ring.D)
-    return thresholds
+    cert = two_level_value(level, ring, delta,
+                           ring_hi=fs_hi[0].ring if fs_hi else None)
+    finite = all(flags)
+    if cert.is_certified() and not finite:
+        cert = replace(cert, note=(cert.note + "; " if cert.note else "")
+                       + "finiteness flag not established")
+    return cert, finite
 
 
 def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
@@ -407,34 +363,20 @@ def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
     order-filtration plateau and certified across two truncation levels."""
     if not (1 <= i <= len(fs)):
         raise ValueError(f"homology index {i} out of range 1..{len(fs)}")
-    ring = fs[0].ring
-    results = []
-    for level_ring, lifted in _levels(ring, delta, tuple(fs)):
-        value, width, _profile, finite = _homology_plateau(level_ring, lifted, i)
-        results.append((value, width, finite))
-    (v_lo, w_lo, fin_lo), (v_hi, w_hi, fin_hi) = results
-    cert = _plateau_certified(v_lo, w_lo, v_hi, w_hi,
-                              (ring.D, ring.D + delta), f"H_{i}")
-    if cert.is_certified() and not (fin_lo and fin_hi):
-        cert = CertifiedValue(cert.value, cert.status, cert.levels,
-                              note=cert.note + "; finiteness flag not established")
-    return cert
+    return _koszul_length(fs, i, delta)[0]
 
 
 def koszul_report(fs: tuple, delta: int = 2) -> KoszulReport:
+    """All homology lengths H_1..H_r, rebuilding the D + delta ring once."""
     ring = fs[0].ring
-    hi_ring = ring.rebuild(ring.D + delta)
-    fs_hi = tuple(hi_ring.element(f.poly) for f in fs)
-    lengths = []
-    finite = []
-    for i in range(1, len(fs) + 1):
-        lo = _homology_plateau(ring, tuple(fs), i)
-        hi = _homology_plateau(hi_ring, fs_hi, i)
-        cert = _plateau_certified(lo[0], lo[1], hi[0], hi[1],
-                                  (ring.D, ring.D + delta), f"H_{i}")
-        lengths.append(cert)
-        finite.append(lo[3] and hi[3])
-    return KoszulReport(tuple(lengths), tuple(finite))
+    fs_hi = None
+    if delta > 0:
+        hi_ring = ring.rebuild(ring.D + delta)
+        fs_hi = tuple(hi_ring.element(f.poly) for f in fs)
+    results = [_koszul_length(fs, i, delta, fs_hi)
+               for i in range(1, len(fs) + 1)]
+    return KoszulReport(tuple(c for c, _ in results),
+                        tuple(f for _, f in results))
 
 
 # ---------------------------------------------------------------------------
@@ -456,46 +398,35 @@ class SequenceReport:
     first_failure: int | None
 
 
-def _annihilator_plateau(ring: RingDescriptor, colon: Subspace,
-                         target: Subspace) -> tuple[int | None, int]:
-    profile = annihilator_profile(ring, colon.rows, target)
-    return longest_plateau(profile)
-
-
 def filter_regular_check(i: IdealHandle, f, delta: int = 2
                          ) -> tuple[bool, CertifiedValue]:
     """Is f filter-regular on R/I?  True when some power of m multiplies the
     colon (I : f) back into I; also returns the least such exponent h.
 
-    Degenerate inputs: a unit f is vacuously regular (flagged); h is clamped
-    to be positive.
+    At each level the exponent is the value of a plateau at least
+    PLATEAU_MIN_WIDTH wide, or None without one; f passes when the two-level
+    result carries a value.  Degenerate inputs: a unit f is vacuously
+    regular (flagged); h is clamped to be positive.
     """
     ring = i.ring
     if f.is_unit():
         return True, CertifiedValue(1, TWO_LEVEL, (ring.D, ring.D + delta),
                                     note="degenerate: unit element")
-    results = []
-    for level_ring, (ih, fh) in _levels(ring, delta, (i, f)):
+
+    def exponent(level_ring: RingDescriptor) -> tuple[int | None, bool]:
+        ih, fh = (i, f) if level_ring is ring else (i.lift(level_ring),
+                                                    level_ring.element(f.poly))
         target = ih.subspace
         colon = colon_subspace(target, fh)
-        value, width = _annihilator_plateau(level_ring, colon, target)
-        results.append((value, width))
-    (v_lo, w_lo), (v_hi, w_hi) = results
-    lo_ok = v_lo is not None and w_lo >= PLATEAU_MIN_WIDTH
-    hi_ok = v_hi is not None and w_hi >= PLATEAU_MIN_WIDTH
-    levels = (ring.D, ring.D + delta)
-    if lo_ok and hi_ok and v_lo == v_hi:
-        h = max(int(v_lo), 1)
-        return True, CertifiedValue(h, TWO_LEVEL, levels,
-                                    note=f"plateau widths {w_lo}/{w_hi}")
-    if not lo_ok and not hi_ok:
-        return False, CertifiedValue(None, TWO_LEVEL, levels,
-                                     note="no stable annihilator exponent at "
-                                          "either level")
-    return lo_ok, CertifiedValue(max(int(v_lo), 1) if lo_ok else None,
-                                 UNCERTIFIED, levels,
-                                 note=f"levels disagree: {v_lo}(w{w_lo})/"
-                                      f"{v_hi}(w{w_hi})")
+        value, width = longest_plateau(
+            annihilator_profile(level_ring, colon.rows, target))
+        return (value if width >= PLATEAU_MIN_WIDTH else None), True
+
+    cert = two_level_value(exponent, ring, delta)
+    if cert.value is None:
+        return False, replace(cert, note=cert.note
+                              or "no stable annihilator exponent at either level")
+    return True, replace(cert, value=max(int(cert.value), 1))
 
 
 def filter_regular_sequence_check(fs: tuple, delta: int = 2) -> SequenceReport:

@@ -11,7 +11,7 @@ representation; dense coordinate vectors for linear algebra live in
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import PolyParseError, RingMismatchError
 
@@ -290,23 +290,6 @@ def parse_poly(text: str, ring) -> TruncPoly:
     return result
 
 
-def poly_arith(op: str, a: TruncPoly, b: "TruncPoly | int") -> TruncPoly:
-    """Dispatch arithmetic by name: add, mul, scale, pow."""
-    if op == "add":
-        assert isinstance(b, TruncPoly)
-        return a + b
-    if op == "mul":
-        assert isinstance(b, TruncPoly)
-        return a * b
-    if op == "scale":
-        assert isinstance(b, int)
-        return a.scale(b)
-    if op == "pow":
-        assert isinstance(b, int)
-        return a ** b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def monomials_below(nvars: int, trunc: int) -> list[Exponents]:
     """All exponent tuples of total degree < trunc, ascending graded-lex."""
 
@@ -327,11 +310,3 @@ def monomials_below(nvars: int, trunc: int) -> list[Exponents]:
     for d in range(trunc):
         out.extend(tuples_of_degree(d))
     return out
-
-
-def poly_from_terms(terms: Iterable[tuple[Exponents, int]], p: int,
-                    vars: tuple[str, ...], trunc: int) -> TruncPoly:
-    d: dict[Exponents, int] = {}
-    for e, c in terms:
-        d[e] = d.get(e, 0) + c
-    return TruncPoly(p, vars, trunc, d)

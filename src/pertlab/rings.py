@@ -18,12 +18,11 @@ term.  Two consequences are used throughout:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .certify import TWO_LEVEL, UNCERTIFIED, CertifiedValue
 from .errors import RingConstructionError, RingMismatchError, TruncationError
 from .polynomials import TruncPoly, monomials_below, parse_poly
 
@@ -113,10 +112,6 @@ class Subspace:
         """
         return int(np.searchsorted(self.pivots, cut))
 
-    def order_intersection_dim(self, w: int) -> int:
-        """Dimension of the part of the subspace supported in orders >= w."""
-        return self.rank - self.prefix_rank(self.ring.cut(w))
-
     def _check_ring(self, other: "Subspace") -> None:
         if other.ring is not self.ring:
             raise RingMismatchError("subspaces live over different rings")
@@ -187,9 +182,7 @@ class Element:
         a, b = self.vec, other.vec
         if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
-        acc = np.zeros(ring.M, dtype=np.int64)
-        for col in np.nonzero(a)[0]:
-            acc += int(a[col]) * ring.scatter_by_monomial(int(col), b)
+        acc = ring.rows_times(b[None, :], a)[0]
         return Element(ring, ring._normal_form(acc), self.poly * other.poly)
 
     def scale(self, c: int) -> "Element":
@@ -215,9 +208,7 @@ class Element:
 
     def to_poly(self) -> TruncPoly:
         """The normal form as a sparse polynomial."""
-        ring = self.ring
-        terms = {ring.monomials[c]: int(self.vec[c]) for c in np.nonzero(self.vec)[0]}
-        return TruncPoly(ring.p, ring.vars, ring.D, terms)
+        return self.ring.poly_of_vector(self.vec)
 
     def serialize(self) -> str:
         return self.to_poly().serialize()
@@ -229,8 +220,9 @@ class Element:
 class RingDescriptor:
     """The truncated model F_p[x_1..x_n]/(I_0 + m^D).
 
-    Immutable after construction; all derived structures (monomial
-    multiplication table, echelon base subspace) are built eagerly.
+    Immutable after construction; all derived structures (exponent keys,
+    echelon base subspace) are built eagerly.  Monomial products are looked
+    up through the keys, so no structure grows as M^2.
     """
 
     def __init__(self, p: int, vars: Sequence[str], base_gens: Sequence[TruncPoly],
@@ -246,7 +238,13 @@ class RingDescriptor:
         self.deg_of_col = np.array([sum(e) for e in self.monomials], dtype=np.int64)
         # cuts[w] = number of columns of degree < w, for w = 0..D (clamped above).
         self._cuts = np.searchsorted(self.deg_of_col, np.arange(D + 1))
-        self.mul_table = self._build_mul_table()
+        # Exponent keys in radix D + 1: below degree D the key of a product
+        # is the sum of the keys, and _key_col maps a key back to its column.
+        exps = np.array(self.monomials, dtype=np.int64)
+        self._keys = exps @ (D + 1) ** np.arange(exps.shape[1], dtype=np.int64)
+        self._key_col = np.full(2 * int(self._keys.max()) + 1, self.M,
+                                dtype=np.int64)
+        self._key_col[self._keys] = np.arange(self.M)
 
         base_rows = []
         for g in base_gens:
@@ -264,21 +262,6 @@ class RingDescriptor:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_mul_table(self) -> np.ndarray:
-        exps = np.array(self.monomials, dtype=np.int64)
-        radix = self.D + 1
-        weights = radix ** np.arange(exps.shape[1], dtype=np.int64)
-        keys = exps @ weights
-        lookup = np.full(int(keys.max()) * 2 + 2, -1, dtype=np.int64)
-        lookup[keys] = np.arange(self.M)
-        sum_keys = keys[:, None] + keys[None, :]
-        sum_degs = self.deg_of_col[:, None] + self.deg_of_col[None, :]
-        table = np.where(sum_degs < self.D,
-                         lookup[np.minimum(sum_keys, lookup.size - 1)], -1)
-        table = table.astype(np.int64)
-        table.flags.writeable = False
-        return table
-
     def cut(self, w: int) -> int:
         """Number of coordinates of degree < w (clamped to [0, D])."""
         if w <= 0:
@@ -294,6 +277,11 @@ class RingDescriptor:
         for exps, c in poly.terms.items():
             vec[self.col_index[exps]] = c
         return vec
+
+    def poly_of_vector(self, vec: np.ndarray) -> TruncPoly:
+        """The sparse polynomial with coordinate vector ``vec``."""
+        return TruncPoly(self.p, self.vars, self.D,
+                         {self.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]})
 
     def _normal_form(self, vec: np.ndarray) -> np.ndarray:
         out = self.base_subspace.reduce(vec)[0]
@@ -325,26 +313,34 @@ class RingDescriptor:
 
     # -- fast scatter products -------------------------------------------------
 
-    def scatter_by_monomial(self, col: int, vec: np.ndarray) -> np.ndarray:
-        """Raw product (no normal form) of a coordinate vector with the
-        basis monomial at ``col``; degree-overflow terms drop."""
-        out = np.zeros(self.M + 1, dtype=np.int64)
-        colmap = self.mul_table[col]
-        targets = np.where(colmap >= 0, colmap, self.M)
-        out[targets] = vec
-        out[self.M] = 0
-        return out[:self.M] % self.p
+    def monomial_shifts(self, cols) -> np.ndarray:
+        """Column of the product of basis monomials: entry (k, b) is the
+        column of mu_cols[k] * mu_b, or M (a sink) when the product has
+        degree >= D and drops."""
+        cols = np.asarray(cols, dtype=np.int64)
+        targets = self._key_col[self._keys[cols, None] + self._keys[None, :]]
+        overflow = self.deg_of_col[cols, None] + self.deg_of_col[None, :] >= self.D
+        targets[overflow] = self.M
+        return targets
+
+    def shift_rows(self, rows: np.ndarray, col: int) -> np.ndarray:
+        """Raw product (no normal form) of each row with the basis monomial
+        at ``col``; degree-overflow terms drop."""
+        out = np.zeros((rows.shape[0], self.M + 1), dtype=np.int64)
+        out[:, self.monomial_shifts([col])[0]] = rows
+        return out[:, :self.M]
+
+    def rows_times(self, rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Raw product mod p of each row with the coordinate vector ``vec``."""
+        out = np.zeros((rows.shape[0], self.M), dtype=np.int64)
+        for col in np.nonzero(vec)[0]:
+            out += int(vec[col]) * self.shift_rows(rows, int(col))
+        return out % self.p
 
     def rows_times_variable(self, rows: np.ndarray, var_idx: int) -> np.ndarray:
         """Multiply each row by the variable x_{var_idx} (raw scatter)."""
-        col = self.col_index[tuple(1 if j == var_idx else 0
-                                   for j in range(len(self.vars)))]
-        colmap = self.mul_table[col]
-        targets = np.where(colmap >= 0, colmap, self.M)
-        out = np.zeros((rows.shape[0], self.M + 1), dtype=np.int64)
-        out[:, targets] = rows
-        out[:, self.M] = 0
-        return out[:, :self.M]
+        return self.shift_rows(rows, self.col_index[
+            tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))])
 
     def _multiples_rows(self, vec: np.ndarray) -> list[np.ndarray]:
         """Rows spanning {vec * mu : mu monomial, product degree < D}."""
@@ -353,11 +349,9 @@ class RingDescriptor:
             return []
         order = int(self.deg_of_col[support[0]])
         num_mu = self.cut(self.D - order)
-        coeffs = vec[support]
-        idx = self.mul_table[:num_mu][:, support]
+        cols = self.monomial_shifts(support)[:, :num_mu].T
         rows = np.zeros((num_mu, self.M + 1), dtype=np.int64)
-        cols = np.where(idx >= 0, idx, self.M)
-        rows[np.arange(num_mu)[:, None], cols] = coeffs
+        rows[np.arange(num_mu)[:, None], cols] = vec[support]
         return [rows[:, :self.M] % self.p]
 
     # -- ideals as subspaces ----------------------------------------------------
@@ -441,20 +435,3 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
     reduced = linalg.reduce_rows(block, low_rows, low_piv, ring.p)
     return not reduced.any()
-
-
-def two_level_value(compute: Callable[[RingDescriptor], int], ring: RingDescriptor,
-                    delta: int) -> CertifiedValue:
-    """Run a pure invariant at truncations D and D + delta and certify on
-    agreement; disagreement is surfaced, never silently dropped."""
-    levels = (ring.D, ring.D + delta)
-    value_lo = compute(ring)
-    if delta == 0:
-        return CertifiedValue(value_lo, TWO_LEVEL, levels,
-                              note="degenerate delta=0; weak certificate")
-    value_hi = compute(ring.rebuild(ring.D + delta))
-    if value_lo == value_hi:
-        return CertifiedValue(value_lo, TWO_LEVEL, levels)
-    return CertifiedValue(value_lo, UNCERTIFIED, levels,
-                          note=f"levels {levels[0]}/{levels[1]} gave "
-                               f"{value_lo}/{value_hi}")

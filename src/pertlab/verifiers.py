@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .certify import (EXACT, PLATEAU_MIN_WIDTH, TWO_LEVEL, UNCERTIFIED,
-                      CertifiedValue, longest_plateau)
+                      CertifiedValue, longest_plateau, two_level_value)
 from .errors import FilterRegularityError, PertlabError
 from .ideals import (IdealHandle, IdealPowers, colon_subspace, ideal_sum,
                      m_primary_level, zero_ideal)
@@ -227,18 +227,18 @@ def check_surjection_monotonicity(ws: Workspace, eps: tuple[Element, ...],
 
 
 def _colon_quotient_stats(ring: RingDescriptor, omit_handle: IdealHandle,
-                          divisor: Element) -> tuple[int | None, int,
-                                                     int | None, int]:
+                          divisor: Element) -> tuple[tuple, bool]:
     """Plateau length of (A : g)/A and plateau annihilation exponent of the
-    colon into A."""
+    colon into A, and whether both plateaus are wide enough to read."""
     target = omit_handle.subspace
     colon = colon_subspace(target, divisor)
     cuts = [ring.cut(w) for w in range(ring.D + 1)]
-    length_profile = order_profile(colon, target, cuts)
-    l_val, l_width = longest_plateau(length_profile)
-    ann_profile = annihilator_profile(ring, colon.rows, target)
-    h_val, h_width = longest_plateau(ann_profile)
-    return l_val, l_width, h_val, h_width
+    l_val, l_width = longest_plateau(order_profile(colon, target, cuts))
+    h_val, h_width = longest_plateau(annihilator_profile(ring, colon.rows,
+                                                         target))
+    resolved = (l_val is not None and h_val is not None
+                and min(l_width, h_width) >= PLATEAU_MIN_WIDTH)
+    return (l_val, h_val), resolved
 
 
 def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:
@@ -256,14 +256,17 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
     outcome = VERIFIED
     witness = None
     for i in range(len(pert_lo)):
-        stats = []
-        for ring, pert in ((ws.ring, pert_lo), (ws.ring_hi, pert_hi)):
+        raw = []
+
+        def stats(ring: RingDescriptor, i: int = i) -> tuple[tuple, bool]:
+            pert = pert_lo if ring is ws.ring else pert_hi
             omit = IdealHandle(ring, pert[:i] + pert[i + 1:])
-            stats.append(_colon_quotient_stats(ring, omit, pert[i]))
-        (l_lo, lw_lo, h_lo, hw_lo), (l_hi, lw_hi, h_hi, hw_hi) = stats
-        resolved = (l_lo == l_hi and h_lo == h_hi and l_lo is not None
-                    and h_lo is not None
-                    and min(lw_lo, lw_hi, hw_lo, hw_hi) >= PLATEAU_MIN_WIDTH)
+            values, resolved = _colon_quotient_stats(ring, omit, pert[i])
+            raw.append(values)
+            return values, resolved
+
+        cert = two_level_value(stats, ws.ring, ws.delta, ring_hi=ws.ring_hi)
+        (l_lo, h_lo), resolved = raw[0], cert.status == TWO_LEVEL
         ok = resolved and l_lo <= h.value and h_lo <= h.value
         rows.append(_row("control-colon", n=i + 1, value_orig=l_lo,
                          value_pert=h_lo,

@@ -196,3 +196,46 @@ def test_main_csv_out_file(tmp_path):
     assert main([str(path), "--format", "csv", "--out", str(out)]) == 0
     content = out.read_text()
     assert content.startswith("claim,N,sample,n,")
+
+
+def _task_manifest(**task) -> str:
+    lines = ["[manifest]", "format-version = 1", "", "[task]"]
+    lines += [f"{key} = {value}" for key, value in task.items()]
+    return "\n".join(lines) + "\n"
+
+
+MALFORMED = {
+    "n_max-not-int": _task_manifest(command="hilbert", catalog="regular-line",
+                                    n_max="eight"),
+    "unknown-catalog": _task_manifest(command="hilbert", catalog="nope"),
+    "ar-delta-zero": _task_manifest(command="ar-number",
+                                    catalog="regular-line", delta=0),
+    "ar-delta-negative": _task_manifest(command="ar-number",
+                                        catalog="regular-line", delta=-1),
+    "koszul-delta-negative": _task_manifest(command="koszul",
+                                            catalog="remark-2-4", delta=-1),
+    "delta-not-int": _task_manifest(command="koszul", catalog="remark-2-4",
+                                    delta="two"),
+    "format-version-not-int": "[manifest]\nformat-version = one\n\n[task]\n"
+                              "command = hilbert\ncatalog = regular-line\n",
+    "D-not-int": "[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                 "vars = x, y\nD = big\n\n[task]\ncommand = hilbert\nf = x\n",
+    "N-range-not-int": _task_manifest(command="find-min-n",
+                                      catalog="regular-line", N="1..six"),
+    "N-single-not-int": _task_manifest(command="verify", catalog="regular-line",
+                                       N="three"),
+    "samples-not-int": _task_manifest(command="verify", catalog="regular-line",
+                                      N=3, samples="many"),
+    "seed-not-int": _task_manifest(command="hilbert", catalog="regular-line",
+                                   seed="0x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_manifest_exits_two(name, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MALFORMED[name])
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

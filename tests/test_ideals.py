@@ -7,8 +7,8 @@ import pytest
 
 from pertlab.certify import EXACT
 from pertlab.errors import RingMismatchError
-from pertlab.ideals import (IdealPowers, ideal, ideal_colon, ideal_combine,
-                            ideal_contains, ideal_intersection, ideal_length,
+from pertlab.ideals import (IdealPowers, ideal, ideal_colon, ideal_contains,
+                            ideal_intersection, ideal_length,
                             ideal_power, ideal_product, ideal_sum,
                             m_primary_level, maximal_ideal, unit_ideal,
                             zero_ideal)
@@ -34,7 +34,7 @@ def test_combine_examples(f5xy):
     assert ideal_product(ideal(r, ["x"]), unit_ideal(r)).equals(ideal(r, ["x"]))
     assert ideal_power(ideal(r, ["x"]), 0).is_unit()
     with pytest.raises(ValueError):
-        ideal_combine("power", ideal(r, ["x"]), -1)
+        ideal_power(ideal(r, ["x"]), -1)
 
 
 def test_mixed_ring_rejected(f5xy, branched):

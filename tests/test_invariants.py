@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from pertlab.catalog import CATALOG
+from pertlab.certify import TWO_LEVEL, UNCERTIFIED
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_length, ideal_product, ideal_sum,
                             maximal_ideal, unit_ideal, zero_ideal)
@@ -219,3 +221,31 @@ def test_colon_identities_regular_line(plane):
 def test_colon_identities_node_diagonal():
     node = build_ring(5, ("x", "y"), ["x*y"], 11)
     _colon_identity_case(node, "x + y", 6)
+
+
+# -- truncation-level spread ------------------------------------------------------
+
+@pytest.mark.parametrize("catalog_id", ["remark-2-4", "node-diagonal"])
+def test_delta_zero_single_level_and_negative_delta_rejected(catalog_id):
+    entry = CATALOG[catalog_id]
+    ring = build_ring(entry.p, entry.vars, entry.base_gens, 10)
+    fs = tuple(ring.element(e) for e in entry.f_exprs)
+    j = IdealHandle(ring, tuple(ring.element(g) for g in entry.j_exprs))
+    runs = {
+        "ar_number": lambda d: ar_number(IdealHandle(ring, fs), j, 4, delta=d),
+        "filter_regular_check": lambda d: filter_regular_check(
+            IdealHandle(ring, fs[:-1]), fs[-1], delta=d)[1],
+        "koszul_homology_length": lambda d: koszul_homology_length(
+            fs, 1, delta=d),
+    }
+    for name, run in runs.items():
+        single, two = run(0), run(2)
+        assert single.levels == (ring.D, ring.D), name
+        if single.status == TWO_LEVEL:
+            assert "weak" in single.note, name
+        else:
+            assert single.status == UNCERTIFIED and single.value is None, name
+        if two.status == TWO_LEVEL:
+            assert (single.status, single.value) == (TWO_LEVEL, two.value), name
+        with pytest.raises(ValueError):
+            run(-1)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pertlab.certify import TWO_LEVEL, UNCERTIFIED
+from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import ideal, zero_ideal, ideal_colon
 from pertlab.rings import (build_ring, nakayama_contains_power,
-                           subspace_of_ideal, two_level_value)
+                           subspace_of_ideal)
 
 
 def test_build_ring_dimensions():
@@ -126,17 +126,31 @@ def test_two_level_value_stable_and_unstable():
                                     r.element("y^2")])
         return r.M - sub.rank
 
-    cert = two_level_value(quotient_len, ring, 2)
+    cert = two_level_value(lambda r: (quotient_len(r), True), ring, 2)
     assert cert.value == 3 and cert.status == TWO_LEVEL
 
     def colon_rank(r):
         return ideal_colon(zero_ideal(r), r.element("x")).subspace.rank
 
-    cert2 = two_level_value(colon_rank, ring, 2)
+    cert2 = two_level_value(lambda r: (colon_rank(r), True), ring, 2)
     assert cert2.status == UNCERTIFIED  # truncation junk moves with D
 
-    degenerate = two_level_value(quotient_len, ring, 0)
+    degenerate = two_level_value(lambda r: (quotient_len(r), True), ring, 0)
     assert degenerate.status == TWO_LEVEL and "weak" in degenerate.note
+
+
+@pytest.mark.parametrize("nvars, gens, D", [(2, ["x*y"], 9),
+                                             (3, ["x*y", "x*z"], 6)])
+def test_monomial_shifts_match_exponent_addition(nvars, gens, D):
+    ring = build_ring(5, ("x", "y", "z")[:nvars], gens, D)
+    cols = np.arange(ring.M)
+    shifts = ring.monomial_shifts(cols)
+    for a in cols:
+        for b in cols:
+            prod = tuple(u + v for u, v in zip(ring.monomials[a],
+                                               ring.monomials[b]))
+            want = ring.col_index[prod] if sum(prod) < D else ring.M
+            assert shifts[a, b] == want
 
 
 def test_element_lift_between_levels():
