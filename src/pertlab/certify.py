@@ -82,6 +82,12 @@ def longest_plateau(profile: Sequence[int | None]) -> tuple[int | None, int]:
     return best_val, best_len
 
 
+def check_delta(delta: int) -> None:
+    """Reject a negative level gap before any shortcut can certify a value."""
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+
+
 def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
                     delta: int, ring_hi=None) -> CertifiedValue:
     """Certify an invariant by computing it at truncations D and D + delta.
@@ -90,8 +96,7 @@ def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
     level-D model and ``ring_hi`` its D + delta rebuild when the caller
     already holds one.  Disagreement is surfaced in the note, never dropped.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     levels = (ring.D, ring.D + delta)
     value_lo, ok_lo = compute(ring)
     if delta == 0:

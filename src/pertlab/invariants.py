@@ -24,7 +24,8 @@ import numpy as np
 
 from . import linalg
 from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, PLATEAU_MIN_WIDTH,
-                      CertifiedValue, longest_plateau, two_level_value)
+                      CertifiedValue, check_delta, longest_plateau,
+                      two_level_value)
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, mult_matrix, quotient_length)
 from .rings import RingDescriptor, Subspace
@@ -409,6 +410,7 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
     regular (flagged); h is clamped to be positive.
     """
     ring = i.ring
+    check_delta(delta)
     if f.is_unit():
         return True, CertifiedValue(1, TWO_LEVEL, (ring.D, ring.D + delta),
                                     note="degenerate: unit element")

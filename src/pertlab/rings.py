@@ -52,22 +52,23 @@ class Subspace:
     Instances are immutable.
     """
 
-    __slots__ = ("ring", "rows", "pivots", "_rows_f8")
+    __slots__ = ("ring", "rows", "pivots", "_rows_work")
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
         self.rows = rows
         self.pivots = pivots
-        self._rows_f8: np.ndarray | None = None
+        self._rows_work: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return self.rows.shape[0]
 
-    def rows_f8(self) -> np.ndarray:
-        if self._rows_f8 is None:
-            self._rows_f8 = self.rows.astype(np.float64)
-        return self._rows_f8
+    def rows_work(self) -> np.ndarray:
+        """The rows in ``linalg``'s work dtype, converted once per subspace."""
+        if self._rows_work is None:
+            self._rows_work = linalg.work_copy(self.rows, self.ring.p)
+        return self._rows_work
 
     def nonpivots(self) -> np.ndarray:
         return np.setdiff1d(np.arange(self.ring.M), self.pivots)
@@ -75,7 +76,7 @@ class Subspace:
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Normal form of each row of ``vectors`` against this subspace."""
         return linalg.reduce_rows(np.atleast_2d(vectors), self.rows, self.pivots,
-                                  self.ring.p, self.rows_f8())
+                                  self.ring.p, self.rows_work())
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -392,7 +393,14 @@ class RingDescriptor:
 
 def build_ring(p: int, vars: Sequence[str], base_gens: Sequence[str | TruncPoly],
                D: int) -> RingDescriptor:
-    """Validate inputs and construct the truncated model."""
+    """Validate inputs and construct the truncated model.
+
+    The modulus is capped at ``linalg.MAX_PRIME`` so that every elimination
+    stays exact in float64 (see the ``linalg`` module docstring).
+    """
+    if p > linalg.MAX_PRIME:
+        raise RingConstructionError(
+            f"p = {p} exceeds the largest supported prime {linalg.MAX_PRIME}")
     if not is_prime(p):
         raise RingConstructionError(f"{p} is not prime")
     if D < 2:

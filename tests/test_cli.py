@@ -6,10 +6,12 @@ import csv
 import io
 
 import pytest
+from hypothesis import (HealthCheck, event, example, given, settings,
+                        strategies as st)
 
-from pertlab.cli import (FORMAT_VERSION, Manifest, TaskSpec, emit_csv,
-                         emit_plot_data, emit_report, main, parse_manifest,
-                         run_manifest, serialize_manifest)
+from pertlab.cli import (COMMANDS, FORMAT_VERSION, VERIFY_CLAIMS, Manifest,
+                         TaskSpec, emit_csv, emit_plot_data, emit_report, main,
+                         parse_manifest, run_manifest, serialize_manifest)
 from pertlab.errors import ManifestError
 from pertlab.harness import RingSpec
 
@@ -239,3 +241,90 @@ def test_malformed_manifest_exits_two(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- manifest fuzzing ------------------------------------------------------------
+
+# Valid choices per manifest key; a fuzzed manifest starts from one of each
+# and then breaks a few keys with junk or drops them.
+VALID_FIELDS = {
+    ("manifest", "format-version"): ["1"],
+    ("ring", "p"): ["2", "3", "5", "7"],
+    ("ring", "vars"): ["x, y"],
+    ("ring", "gens"): ["", "x*y", "x^2", "y^3"],
+    ("ring", "D"): ["3", "4", "6", "auto"],
+    ("ideals", "J"): ["x, y"],
+    ("task", "command"): list(COMMANDS),
+    ("task", "catalog"): ["regular-line", "node-diagonal", "node-branch",
+                          "fat-line"],
+    ("task", "f"): ["x", "x + y", "x, y", "1 + x", "0"],
+    ("task", "J"): ["J"],
+    ("task", "n_max"): ["1", "2", "3"],
+    ("task", "N"): ["1..2", "1", "2"],
+    ("task", "samples"): ["1", "2"],
+    ("task", "seed"): ["0", "7"],
+    ("task", "delta"): ["1", "2"],
+    ("task", "claim"): list(VERIFY_CLAIMS),
+    ("task", "epsilon"): ["x^2", "x^2, y^2", "0"],
+}
+JUNK = ["", "x", "w", "0", "-1", "-7", "1..", "2..1", "0..3", "one", "x +",
+        "x, x", "1x", "nope", "1..six", "x^", "x*"]
+# Large numbers only where they cannot size a ring or a loop.
+EXTRA_JUNK = {
+    ("manifest", "format-version"): ["2", "9" * 30],
+    ("ring", "p"): ["4", "1", "65537", "2147483647", "9" * 30],
+    ("task", "seed"): ["9" * 30],
+}
+
+
+@st.composite
+def manifest_texts(draw):
+    fields = {key: draw(st.sampled_from(values))
+              for key, values in VALID_FIELDS.items()}
+    if draw(st.booleans()):
+        fields = {k: v for k, v in fields.items() if k[0] != "ring"}
+    else:
+        del fields[("task", "catalog")]
+    for key in draw(st.lists(st.sampled_from(sorted(VALID_FIELDS)), max_size=3)):
+        junk = draw(st.sampled_from(JUNK + EXTRA_JUNK.get(key, []) + [None]))
+        if junk is None:
+            fields.pop(key, None)
+        else:
+            fields[key] = junk
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in fields.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "\n".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                      for name, lines in sections.items())
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.text(max_size=8)) + text[cut:]
+    return text
+
+
+HUGE_PRIME = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2147483647\n"
+              "vars = x, y\nD = 4\n\n[task]\ncommand = hilbert\nf = x\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(manifest_texts())
+@example(HUGE_PRIME)
+def test_fuzzed_manifest_keeps_exit_code_contract(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    code = main([str(path), "--format", "csv"])
+    event(f"exit {code}")
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err, text
+    if code == 2:
+        assert err.startswith("error:"), text
+
+
+def test_huge_prime_manifest_exits_two(tmp_path, capsys):
+    path = tmp_path / "big-p.cfg"
+    path.write_text(HUGE_PRIME)
+    assert main([str(path)]) == 2
+    assert "largest supported prime" in capsys.readouterr().err

@@ -249,3 +249,12 @@ def test_delta_zero_single_level_and_negative_delta_rejected(catalog_id):
             assert (single.status, single.value) == (TWO_LEVEL, two.value), name
         with pytest.raises(ValueError):
             run(-1)
+
+
+def test_unit_element_rejects_negative_delta():
+    ring = build_ring(5, ("x", "y"), [], 8)
+    unit = ring.element("1 + x")
+    ok, cert = filter_regular_check(IdealHandle(ring, ()), unit, delta=2)
+    assert ok and cert.status == TWO_LEVEL and "unit" in cert.note
+    with pytest.raises(ValueError):
+        filter_regular_check(IdealHandle(ring, ()), unit, delta=-1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pertlab import linalg
 
@@ -100,3 +101,162 @@ def test_field_inverses(p):
     for a in range(1, p):
         assert (a * inv[a]) % p == 1
     assert inv[0] == 0
+
+
+# -- cross-check against a pure-int elimination --------------------------------
+
+def ref_rref(mat, p):
+    """RREF by inserting one row at a time into a reduced basis, in Python ints."""
+    basis = {}                      # pivot column -> row with a 1 there
+    for row in np.asarray(mat).tolist():
+        row = [int(v) % p for v in row]
+        for c, b in basis.items():
+            if row[c]:
+                f = row[c]
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        row = [x * inv % p for x in row]
+        for c, b in basis.items():
+            if b[lead]:
+                f = b[lead]
+                basis[c] = [(x - f * y) % p for x, y in zip(b, row)]
+        basis[lead] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def ref_nullspace(mat, p, ncols):
+    rows, pivots = ref_rref(mat, p)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in zip(rows, pivots):
+            v[c] = -r[f] % p
+        kernel.append(v)
+    return ref_rref(kernel, p)[0]
+
+
+def ref_intersection(a, b, p, ncols):
+    """Zassenhaus: rows (0 | w) of the RREF of [[a, a], [b, 0]] span the
+    intersection of the rowspaces of a and b."""
+    stacked = [list(r) + list(r) for r in a] + [list(r) + [0] * ncols for r in b]
+    rows, pivots = ref_rref(stacked, p)
+    return ref_rref([r[ncols:] for r, c in zip(rows, pivots) if c >= ncols], p)
+
+
+def assert_canonical(rows, pivots, expected_rows, expected_pivots, ncols):
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.shape == (len(expected_rows), ncols)
+    assert rows.tolist() == expected_rows
+    assert pivots.tolist() == expected_pivots
+
+
+PRIMES = [2, 3, 5, 7, 32003, 65521]
+
+
+@st.composite
+def residue_matrices(draw, p=None, cols=None):
+    """(p, matrix) pairs of the shapes that stress the batched kernel, with
+    entries that may lie outside [0, p)."""
+    p = p or draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["random", "sparse", "low-rank", "dense",
+                                 "same-lead", "tall", "zero", "empty"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(1, 24))
+    c = cols if cols is not None else int(rng.integers(1, 16))
+    if kind == "tall":
+        n = int(rng.integers(257, 600))
+    elif kind == "dense":
+        n = c if cols is not None else int(rng.integers(16, 40))
+        c = n
+    elif kind == "empty":
+        n = 0
+    mat = rng.integers(0, p, (n, c))
+    if kind == "sparse":
+        mat *= rng.random((n, c)) < 0.15
+    elif kind in ("low-rank", "tall"):
+        r = int(rng.integers(0, min(n, c) + 1))
+        mat = (rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, c))) % p
+    elif kind == "same-lead":
+        lead = int(rng.integers(0, c))
+        mat[:, :lead] = 0
+        mat[:, lead] = rng.integers(1, p, n)
+    elif kind == "zero":
+        mat[:] = 0
+    if draw(st.booleans()):
+        mat = mat + p * rng.integers(-3, 4, mat.shape)
+    return p, mat.astype(np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(residue_matrices())
+def test_rref_rank_nullspace_match_reference(case):
+    p, mat = case
+    ncols = mat.shape[1]
+    rows, pivots = linalg.rref(mat, p)
+    ref_rows, ref_pivots = ref_rref(mat, p)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    assert linalg.rank(mat, p) == len(ref_rows)
+    kernel = linalg.nullspace(mat, p)
+    assert kernel.dtype == np.int64
+    assert kernel.tolist() == ref_nullspace(mat, p, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_merge_and_intersection_match_reference(data):
+    p, a = data.draw(residue_matrices())
+    ncols = a.shape[1]
+    _, b = data.draw(residue_matrices(p=p, cols=ncols))
+    rows_a, piv_a = linalg.rref(a, p)
+    rows_b, piv_b = linalg.rref(b, p)
+    merged, merged_piv = linalg.merge(rows_a, piv_a, b, p)
+    ref_rows, ref_pivots = ref_rref(np.vstack([a, b]), p)
+    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols)
+    inter, inter_piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
+    ref_inter, ref_inter_piv = ref_intersection(rows_a.tolist(), rows_b.tolist(),
+                                                p, ncols)
+    assert inter.dtype == np.int64
+    assert inter.reshape(-1, ncols).tolist() == ref_inter
+    assert inter_piv.tolist() == ref_inter_piv
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+def test_reduce_rows_gives_int64_normal_forms_of_out_of_range_input(p):
+    rng = np.random.default_rng(17)
+    rows, pivots = linalg.rref(rng.integers(0, p, (5, 9)), p)
+    block = rng.integers(-5 * p, 5 * p, (7, 9))
+    out = linalg.reduce_rows(block, rows, pivots, p)
+    assert out.dtype == np.int64 and out.min() >= 0 and out.max() < p
+    # A normal form vanishes on the pivots and differs from its row by an
+    # element of the rowspace; together these determine it.
+    assert not out[:, pivots].any()
+    for row, normal in zip(block.tolist(), out.tolist()):
+        diff = [a - b for a, b in zip(row, normal)]
+        assert len(ref_rref(rows.tolist() + [diff], p)[0]) == len(rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_work_dtype_bound(p):
+    def largest_exact_k(limit):
+        return (limit - 1 - (p - 1)) // (p - 1) ** 2
+
+    k32, k64 = largest_exact_k(2 ** 23), largest_exact_k(2 ** 52)
+    if k32 >= 0:
+        assert linalg._work_dtype(p, k32) == np.float32
+    assert linalg._work_dtype(p, k32 + 1) == np.float64
+    assert linalg._work_dtype(p, k64) == np.float64
+    with pytest.raises(ValueError):
+        linalg._work_dtype(p, k64 + 1)
+
+
+def test_large_prime_rejected_instead_of_inexact():
+    p = 2 ** 31 - 1
+    with pytest.raises(ValueError):
+        linalg.rref(np.array([[1, 2], [3, 4]]), p)
+    with pytest.raises(ValueError):
+        linalg.inverses_mod(p)

@@ -28,6 +28,19 @@ def test_build_ring_rejects_bad_input():
         build_ring(5, ("x", "x"), [], 3)
 
 
+@pytest.mark.parametrize("p", [65537, 2147483647, 10 ** 18 + 9])
+def test_build_ring_rejects_primes_past_the_exactness_limit(p):
+    with pytest.raises(RingConstructionError, match="largest supported prime"):
+        build_ring(p, ("x", "y"), [], 3)
+
+
+def test_build_ring_accepts_the_largest_supported_prime():
+    ring = build_ring(65521, ("x", "y"), ["x*y"], 4)
+    assert ring.element("x*y").is_zero()
+    f = ring.element("x + 65520*y")
+    assert np.array_equal((f * f).vec, ring.element("x^2 + y^2").vec)
+
+
 def test_build_ring_deterministic():
     a = build_ring(5, ("x", "y", "z"), ["x*y", "x*z"], 5)
     b = build_ring(5, ("x", "y", "z"), ["x*y", "x*z"], 5)
