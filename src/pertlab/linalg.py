@@ -15,6 +15,18 @@ count alone, and a pair past the float64 bound raises ValueError.  Primes
 are limited to p <= MAX_PRIME = 65521 (``build_ring`` enforces it), which
 keeps float64 exact below 10^6 columns; p <= 5 stays in float32 far past any
 ring this package can build.
+
+The bases of ideal subspaces are mostly monomials.  A *unit row* of a basis
+is a row whose only nonzero entry is its pivot 1; subtracting multiples of
+it from other rows just zeroes its pivot column, which is exact in any
+dtype.  Every clearing step (``reduce_rows``, and through it ``merge`` and
+``intersect_rowspaces``; ``rref``'s basis updates; each round of
+``_echelon``, whose unit rows also stay out of the triangular inversion)
+applies unit rows that way.  Only the polynomial rows whose pivot column
+holds an entry enter a float product, with just the rows holding one, so
+the exactness bound above concerns those products alone.  ``rref`` tracks
+the unit mask of its growing basis; ``reduce_rows`` and ``merge`` accept a
+cached one (see ``unit_rows``).
 """
 
 from __future__ import annotations
@@ -56,6 +68,17 @@ def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the residue rows whose only nonzero entry is a 1: the unit
+    rows of an echelon basis.
+
+    Entries lie in [0, p), so a row sums to 1 exactly when it is such a
+    row; the sum is at most (p-1) times the column count, inside the
+    exactness bound of the work dtype.
+    """
+    return rows.sum(axis=1) == 1
+
+
 def work_copy(rows: np.ndarray, p: int) -> np.ndarray:
     """A copy of residue rows in the work dtype of their column count."""
     return rows.astype(_work_dtype(p, rows.shape[-1]))
@@ -89,17 +112,39 @@ def inverses_mod(p: int) -> np.ndarray:
 
 
 def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
-           p: int) -> np.ndarray:
+           unit: np.ndarray, p: int, copy: bool = False) -> np.ndarray:
     """Subtract from each row its entries at ``cols`` times the basis rows
-    whose unit columns they are, in place; only rows with such an entry are
-    touched."""
-    coeffs = rows[:, cols]
-    hit = coeffs.any(axis=1)
-    if hit.all():
-        rows -= coeffs @ basis
-        _mod(rows, p)
-    elif hit.any():
-        rows[hit] = _mod(rows[hit] - coeffs[hit] @ basis, p)
+    whose unit columns they are.  Returns the cleared rows: ``rows`` changed
+    in place or, with ``copy``, a copy made only when some entry changes.
+
+    Basis rows whose column is zero in every row act on nothing.  Of the
+    others, those marked in ``unit`` are e_c and only zero their column c;
+    the rest, converted to the dtype of ``rows``, enter one product, for
+    the rows with an entry at one of their columns.  The polynomial basis
+    rows vanish on every other column of ``cols``, so the two steps commute.
+    """
+    # Residues are >= 0, so a column maximum of 0 marks a zero column.
+    live = rows.max(axis=0, initial=0)[cols] > 0
+    if not live.any():
+        return rows
+    if copy:
+        rows = rows.copy()
+    poly = live & ~unit
+    if poly.any():
+        coeffs = rows[:, cols[poly]]
+        hit = coeffs.any(axis=1)
+        sub = (basis if poly.all() else basis[poly]).astype(rows.dtype,
+                                                            copy=False)
+        if hit.all():
+            rows -= coeffs @ sub
+            _mod(rows, p)
+        else:
+            rows[hit] = _mod(rows[hit] - coeffs[hit] @ sub, p)
+    zero = live & unit
+    if zero.any():
+        keep = np.ones(rows.shape[1], dtype=rows.dtype)
+        keep[cols[zero]] = 0
+        rows *= keep
     return rows
 
 
@@ -108,12 +153,13 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     by pivot.
 
     Works in rounds.  A round takes, for each distinct leading column, the
-    first row leading there and scales it to a leading 1.  On their leading
-    columns these rows form a unit upper triangular U; with N = I - U
+    first row leading there and scales it to a leading 1.  Its unit rows
+    reduce the others by zeroing their columns.  On their leading columns
+    the remaining k rows form a unit upper triangular U; with N = I - U
     nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k squarings reduce the
-    k rows among themselves.  One product then clears their columns from
-    every other row.  Rows with distinct leading columns, the common case for
-    the sparse blocks of ideal subspaces, thus cost one round in all.
+    k rows among themselves.  One product then clears the round's columns
+    from every other row.  Rows with distinct leading columns, the common
+    case for the sparse blocks of ideal subspaces, thus cost one round in all.
     """
     inv = inverses_mod(p)
     done = block[:0]
@@ -125,16 +171,22 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         sel = rest[first]
         scale = inv[sel[np.arange(piv.size), piv].astype(np.intp)]
         sel = _mod(sel * scale.astype(block.dtype)[:, None], p)
-        nil = _mod(-sel[:, piv], p)
-        np.fill_diagonal(nil, 0)
-        while nil.any():
-            sel = _mod(sel + nil @ sel, p)
-            nil = _mod(nil @ nil, p)
+        unit = unit_rows(sel)
+        poly = np.flatnonzero(~unit)
+        if poly.size:
+            sub = sel[poly]
+            sub[:, piv[unit]] = 0
+            nil = _mod(-sub[:, piv[poly]], p)
+            np.fill_diagonal(nil, 0)
+            while nil.any():
+                sub = _mod(sub + nil @ sub, p)
+                nil = _mod(nil @ nil, p)
+            sel[poly] = sub
         keep = np.ones(rest.shape[0], dtype=bool)
         keep[first] = False
-        rest = _clear(rest[keep], piv, sel, p)
+        rest = _clear(rest[keep], piv, sel, unit, p)
         rest = rest[rest.any(axis=1)]
-        done = np.vstack([_clear(done, piv, sel, p), sel])
+        done = np.vstack([_clear(done, piv, sel, unit, p), sel])
         done_piv = np.concatenate([done_piv, piv])
     order = np.argsort(done_piv, kind="stable")
     return done[order], done_piv[order]
@@ -150,26 +202,24 @@ def _canonical(rows: np.ndarray, pivots: np.ndarray
 
 
 def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-                p: int, rows_work: np.ndarray | None = None) -> np.ndarray:
+                p: int, rows_work: np.ndarray | None = None,
+                unit: np.ndarray | None = None) -> np.ndarray:
     """Normal form of each row of ``block`` against an RREF basis.
 
     One pass suffices because ``rows`` is fully reduced: subtracting
     coeffs @ rows clears every pivot column exactly.  The result is int64,
     except that a ``block`` already in the work dtype stays in it, which lets
     ``rref`` keep its chunks in float.  ``rows_work`` may carry a cached
-    work-dtype copy of the basis (see ``work_copy``).
+    work-dtype copy of the basis (see ``work_copy``) and ``unit`` its cached
+    unit-row mask (see ``unit_rows``).  ``block`` itself is never written.
     """
     dtype = _work_dtype(p, rows.shape[-1])
     keep_work = np.asarray(block).dtype == dtype
     out = _residues(block, p, dtype)
     if rows.shape[0] and out.shape[0]:
-        coeffs = out[:, pivots]
-        if coeffs.any():
-            if rows_work is None:
-                rows_work = rows.astype(dtype, copy=False)
-            prod = coeffs @ rows_work
-            np.subtract(out, prod, out=prod)
-            out = _mod(prod, p)
+        out = _clear(out, pivots, rows if rows_work is None else rows_work,
+                     unit_rows(rows) if unit is None else unit, p,
+                     copy=np.may_share_memory(out, block))
     return out if keep_work else out.astype(np.int64)
 
 
@@ -178,27 +228,38 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
     column.  Processes input in chunks: each chunk is reduced against the
-    accumulated basis with a single matmul before local elimination.  The
-    basis stays in the work dtype until the end.
+    accumulated basis in one ``reduce_rows`` call before local elimination.
+    The basis stays in the work dtype until the end.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
     work = _residues(mat, p, _work_dtype(p, ncols))
-    # Basis rows in order of discovery, with their pivots alongside; the
-    # order does not matter to reduce_rows, so they are sorted once at the end.
+    # Basis rows in order of discovery, with their pivots and unit mask
+    # alongside; the order does not matter to reduce_rows, so they are
+    # sorted once at the end.
     basis = np.empty((min(nrows, ncols), ncols), dtype=work.dtype)
     pivots = np.empty(basis.shape[0], dtype=np.int64)
+    unit = np.empty(basis.shape[0], dtype=bool)
     r = 0
     for start in range(0, nrows, _CHUNK):
-        chunk = reduce_rows(work[start:start + _CHUNK], basis[:r], pivots[:r], p)
+        chunk = reduce_rows(work[start:start + _CHUNK], basis[:r], pivots[:r],
+                            p, unit=unit[:r])
         chunk = chunk[np.any(chunk, axis=1)]
         if chunk.shape[0] == 0:
             continue
         new_rows, new_pivots = _echelon(chunk, p)
-        _clear(basis[:r], new_pivots, new_rows, p)
+        new_unit = unit_rows(new_rows)
+        # A unit basis row vanishes on every new pivot column, so only the
+        # polynomial rows can change, and only their masks are recounted.
+        poly = np.flatnonzero(~unit[:r])
+        if poly.size:
+            cleared = _clear(basis[poly], new_pivots, new_rows, new_unit, p)
+            basis[poly] = cleared
+            unit[poly] = unit_rows(cleared)
         k = new_pivots.size
         basis[r:r + k] = new_rows
         pivots[r:r + k] = new_pivots
+        unit[r:r + k] = new_unit
         r += k
     order = np.argsort(pivots[:r])
     return _canonical(basis[order], pivots[order])
@@ -209,20 +270,29 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
-          p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF."""
+          p: int, unit: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
+    ``unit`` may carry the cached unit-row mask of ``rows``."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
         return rows, pivots
-    rows_w = work_copy(rows, p)
-    reduced = reduce_rows(_residues(extra, p, rows_w.dtype), rows_w, pivots, p)
+    dtype = _work_dtype(p, rows.shape[-1])
+    if unit is None:
+        unit = unit_rows(rows)
+    reduced = reduce_rows(_residues(extra, p, dtype), rows, pivots, p,
+                          unit=unit)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
         return rows, pivots
     new_rows, new_pivots = rref(reduced, p)
-    merged = np.vstack([_clear(rows_w, new_pivots, work_copy(new_rows, p), p),
-                        new_rows])
+    merged = np.vstack([rows, new_rows])
+    # As in rref, only the polynomial rows of the old basis can change.
+    poly = np.flatnonzero(~unit)
+    if poly.size:
+        merged[poly] = _clear(rows[poly].astype(dtype), new_pivots, new_rows,
+                              unit_rows(new_rows), p)
     merged_piv = np.concatenate([pivots, new_pivots])
     order = np.argsort(merged_piv, kind="stable")
     return _canonical(merged[order], merged_piv[order])
@@ -265,7 +335,7 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
     rows_a_w = work_copy(rows_a, p)
-    residue = reduce_rows(rows_a_w, work_copy(rows_b, p), piv_b, p)
+    residue = reduce_rows(rows_a_w, rows_b, piv_b, p)
     nonpiv = np.setdiff1d(np.arange(ncols), piv_b)
     combos = left_nullspace(residue[:, nonpiv], p)
     if combos.shape[0] == 0:

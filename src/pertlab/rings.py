@@ -18,6 +18,7 @@ term.  Two consequences are used throughout:
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,13 @@ import numpy as np
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
 from .polynomials import TruncPoly, monomials_below, parse_poly
+
+
+# Largest supported number M of monomials below D.  Ideal subspaces,
+# multiplication matrices and coordinate blocks are dense arrays of up to
+# M x M entries, 0.8 GB each in int64 at the cap, so larger rings are
+# rejected before any of them is built.
+MAX_MONOMIALS = 10_000
 
 
 def is_prime(p: int) -> bool:
@@ -52,13 +60,14 @@ class Subspace:
     Instances are immutable.
     """
 
-    __slots__ = ("ring", "rows", "pivots", "_rows_work")
+    __slots__ = ("ring", "rows", "pivots", "_rows_work", "_unit")
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
         self.rows = rows
         self.pivots = pivots
         self._rows_work: np.ndarray | None = None
+        self._unit: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -70,13 +79,20 @@ class Subspace:
             self._rows_work = linalg.work_copy(self.rows, self.ring.p)
         return self._rows_work
 
+    def unit_rows(self) -> np.ndarray:
+        """Mask of the monomial rows (see ``linalg.unit_rows``), computed
+        once per subspace."""
+        if self._unit is None:
+            self._unit = linalg.unit_rows(self.rows)
+        return self._unit
+
     def nonpivots(self) -> np.ndarray:
         return np.setdiff1d(np.arange(self.ring.M), self.pivots)
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Normal form of each row of ``vectors`` against this subspace."""
         return linalg.reduce_rows(np.atleast_2d(vectors), self.rows, self.pivots,
-                                  self.ring.p, self.rows_work())
+                                  self.ring.p, self.rows_work(), self.unit_rows())
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -90,7 +106,8 @@ class Subspace:
 
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
         rows, pivots = linalg.merge(self.rows, self.pivots,
-                                    np.atleast_2d(extra), self.ring.p)
+                                    np.atleast_2d(extra), self.ring.p,
+                                    self.unit_rows())
         return Subspace(self.ring, rows, pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -223,7 +240,9 @@ class RingDescriptor:
 
     Immutable after construction; all derived structures (exponent keys,
     echelon base subspace) are built eagerly.  Monomial products are looked
-    up through the keys, so no structure grows as M^2.
+    up through the keys, so no structure grows as M^2.  A truncation with
+    more than ``MAX_MONOMIALS`` monomials raises ``RingConstructionError``
+    before any of them is enumerated; ``rebuild`` goes through here too.
     """
 
     def __init__(self, p: int, vars: Sequence[str], base_gens: Sequence[TruncPoly],
@@ -233,7 +252,12 @@ class RingDescriptor:
         self.D = D
         self.base_gen_polys = tuple(base_gens)
 
-        self.monomials = monomials_below(len(self.vars), D)
+        nvars = len(self.vars)
+        if comb(nvars + D - 1, nvars) > MAX_MONOMIALS:
+            raise RingConstructionError(
+                f"D = {D} gives more than MAX_MONOMIALS = {MAX_MONOMIALS} "
+                f"monomials in {nvars} variables")
+        self.monomials = monomials_below(nvars, D)
         self.M = len(self.monomials)
         self.col_index = {e: i for i, e in enumerate(self.monomials)}
         self.deg_of_col = np.array([sum(e) for e in self.monomials], dtype=np.int64)
@@ -371,8 +395,11 @@ class RingDescriptor:
     def power_span(self, w: int) -> Subspace:
         """Subspace of m^w: every coordinate of degree >= w, plus the base."""
         cut = self.cut(w)
-        eye = np.eye(self.M, dtype=np.int64)[cut:]
-        return self.base_subspace.sum_rows(eye) if cut < self.M else self.base_subspace
+        if cut == self.M:
+            return self.base_subspace
+        coords = np.zeros((self.M - cut, self.M), dtype=np.int64)
+        coords[np.arange(self.M - cut), np.arange(cut, self.M)] = 1
+        return self.base_subspace.sum_rows(coords)
 
     def rebuild(self, new_D: int) -> "RingDescriptor":
         """The same ring data at a different truncation order."""

@@ -328,3 +328,29 @@ def test_huge_prime_manifest_exits_two(tmp_path, capsys):
     path.write_text(HUGE_PRIME)
     assert main([str(path)]) == 2
     assert "largest supported prime" in capsys.readouterr().err
+
+
+HUGE = "9" * 30
+OVERSIZE = {
+    "D": ("[ring]\np = 5\nvars = x, y\nD = " + HUGE + "\n\n"
+          "[task]\ncommand = hilbert\nf = x\n"),
+    "D-past-cap": ("[ring]\np = 5\nvars = x, y\nD = 200\n\n"
+                   "[task]\ncommand = check-filter-regular\nf = x\n"),
+    "n_max": ("[ring]\np = 5\nvars = x, y\nD = auto\n\n[ideals]\nJ = x, y\n\n"
+              "[task]\ncommand = hilbert\nf = x\nJ = J\nn_max = " + HUGE + "\n"),
+    "delta": ("[ring]\np = 5\nvars = x, y\nD = 6\n\n"
+              "[task]\ncommand = check-filter-regular\nf = x\ndelta = "
+              + HUGE + "\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE))
+def test_oversize_ring_manifest_exits_two(name, tmp_path, capsys):
+    """A size key that sets D past the monomial cap, directly, through the
+    default truncation (n_max) or through the D + delta rebuild, is an
+    operational error, raised before any monomial is enumerated."""
+    path = tmp_path / "big.cfg"
+    path.write_text("[manifest]\nformat-version = 1\n\n" + OVERSIZE[name])
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_MONOMIALS" in err

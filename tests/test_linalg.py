@@ -158,13 +158,47 @@ def assert_canonical(rows, pivots, expected_rows, expected_pivots, ncols):
 PRIMES = [2, 3, 5, 7, 32003, 65521]
 
 
+def monomial_rows(rng, p, n, c, tall=False):
+    """Scaled unit rows a e_j mixed with a few sparse polynomial rows, the
+    shape of ideal subspaces.
+
+    The tall variant ignores ``n`` and fills three chunks of ``rref`` (over
+    512 rows): polynomial rows among monomials of some early columns;
+    monomials of part of the other columns, which turn some carried basis
+    rows into unit rows and leave others polynomial; then a few polynomial
+    rows that reduce against both kinds.
+    """
+    def block(rows, cols, npoly):
+        mat = np.zeros((rows, c), dtype=np.int64)
+        if cols.size:
+            mat[np.arange(rows), rng.choice(cols, rows)] = rng.integers(1, p, rows)
+        poly = rng.choice(rows, min(npoly, rows), replace=False)
+        mat[poly] = rng.integers(0, p, (poly.size, c)) * (
+            rng.random((poly.size, c)) < 0.3)
+        return mat
+
+    if tall:
+        late = rng.random(c) < 0.5
+        early = np.flatnonzero(~late)
+        mat = np.vstack([
+            block(256, early, int(rng.integers(1, 4))),
+            block(256, np.flatnonzero(late & (rng.random(c) < 0.5)), 0),
+            block(int(rng.integers(1, 80)), early, int(rng.integers(1, 4)))])
+    else:
+        mat = block(n, np.arange(c), int(rng.integers(0, 4)))
+    if rng.random() < 0.5:
+        mat = mat + p * rng.integers(-3, 4, mat.shape)
+    return mat
+
+
 @st.composite
 def residue_matrices(draw, p=None, cols=None):
     """(p, matrix) pairs of the shapes that stress the batched kernel, with
     entries that may lie outside [0, p)."""
     p = p or draw(st.sampled_from(PRIMES))
     kind = draw(st.sampled_from(["random", "sparse", "low-rank", "dense",
-                                 "same-lead", "tall", "zero", "empty"]))
+                                 "same-lead", "tall", "zero", "empty",
+                                 "monomial", "tall-monomial"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = int(rng.integers(1, 24))
     c = cols if cols is not None else int(rng.integers(1, 16))
@@ -175,6 +209,10 @@ def residue_matrices(draw, p=None, cols=None):
         c = n
     elif kind == "empty":
         n = 0
+    elif kind in ("monomial", "tall-monomial"):
+        if cols is None:
+            c = int(rng.integers(1, 40))
+        return p, monomial_rows(rng, p, n, c, tall=kind == "tall-monomial")
     mat = rng.integers(0, p, (n, c))
     if kind == "sparse":
         mat *= rng.random((n, c)) < 0.15
@@ -260,3 +298,44 @@ def test_large_prime_rejected_instead_of_inexact():
         linalg.rref(np.array([[1, 2], [3, 4]]), p)
     with pytest.raises(ValueError):
         linalg.inverses_mod(p)
+
+
+def test_unit_rows_marks_exactly_the_monomial_rows():
+    rows = np.array([[1, 0, 0], [0, 2, 0], [0, 1, 1], [0, 0, 0], [0, 0, 1]])
+    assert linalg.unit_rows(rows).tolist() == [True, False, False, False, True]
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 5, 32003])
+def test_kernel_never_writes_into_its_arguments(p):
+    """Inputs already in the work dtype and in range reach the kernel
+    uncopied; every entry point must leave them as they were."""
+    rng = np.random.default_rng(23)
+    ncols = 12
+    dtype = linalg._work_dtype(p, ncols)
+    mat = monomial_rows(rng, p, 0, ncols, tall=True) % p
+    rows, pivots = linalg.rref(mat, p)
+    ref_rows, ref_pivots = ref_rref(mat, p)
+    work = _read_only(mat.astype(dtype))
+    block = _read_only(rng.integers(0, p, (9, ncols)).astype(dtype))
+    rows_work = _read_only(linalg.work_copy(rows, p))
+    before = [work.copy(), block.copy(), rows_work.copy()]
+
+    assert_canonical(*linalg.rref(work, p), ref_rows, ref_pivots, ncols)
+    reduced = linalg.reduce_rows(block, rows, pivots, p, rows_work)
+    assert np.array_equal(reduced, linalg.reduce_rows(block.astype(np.int64),
+                                                      rows, pivots, p))
+    half, half_piv = linalg.rref(mat[:150], p)
+    merged, merged_piv = linalg.merge(half, half_piv, work[150:], p)
+    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols)
+    other, other_piv = linalg.rref(block, p)
+    inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    union = linalg.rank(np.vstack([rows, other]), p)
+    assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
+    for original, arg in zip(before, [work, block, rows_work]):
+        assert np.array_equal(original, arg)

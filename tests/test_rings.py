@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import ideal, zero_ideal, ideal_colon
-from pertlab.rings import (build_ring, nakayama_contains_power,
+from pertlab.rings import (MAX_MONOMIALS, build_ring, nakayama_contains_power,
                            subspace_of_ideal)
 
 
@@ -39,6 +40,19 @@ def test_build_ring_accepts_the_largest_supported_prime():
     assert ring.element("x*y").is_zero()
     f = ring.element("x + 65520*y")
     assert np.array_equal((f * f).vec, ring.element("x^2 + y^2").vec)
+
+
+def test_build_ring_rejects_more_than_max_monomials():
+    # M = C(D + 1, 2) in two variables: 9,870 at D = 140, 10,011 at D = 141.
+    assert build_ring(5, ("x", "y"), [], 140).M == 9870 <= MAX_MONOMIALS
+    with pytest.raises(RingConstructionError, match="MAX_MONOMIALS"):
+        build_ring(5, ("x", "y"), [], 141)
+    with pytest.raises(RingConstructionError, match="MAX_MONOMIALS"):
+        build_ring(5, ("x", "y"), [], 10 ** 30)
+    ring = build_ring(5, ("x", "y", "z", "w"), ["x*y"], 13)
+    assert ring.rebuild(15).M == 3060
+    with pytest.raises(RingConstructionError, match="MAX_MONOMIALS"):
+        ring.rebuild(10 ** 30)
 
 
 def test_build_ring_deterministic():
@@ -173,3 +187,25 @@ def test_element_lift_between_levels():
     lifted = hi.element(e.poly)
     assert lifted.serialize() == e.serialize()
     assert lifted.ring.D == 8
+
+
+@pytest.mark.parametrize("gens, D", [(["x*y"], 7), (["x^2 + y*z", "y^3"], 6),
+                                     ([], 5)])
+def test_subspace_cached_unit_mask_matches_kernel(gens, D):
+    """Subspace.reduce and sum_rows pass their cached unit mask and work copy;
+    the results equal the kernel computing both itself."""
+    ring = build_ring(5, ("x", "y", "z"), gens, D)
+    rng = np.random.default_rng(31)
+    subspaces = [ring.base_subspace, ring.power_span(2),
+                 ring.ideal_subspace([ring.element("x + y^2"), ring.element("z^2")])]
+    for sub in subspaces:
+        assert sub.unit_rows().tolist() == [
+            np.count_nonzero(row) == 1 for row in sub.rows]
+        vecs = rng.integers(-5, 10, (40, ring.M))
+        assert np.array_equal(sub.reduce(vecs), linalg.reduce_rows(
+            vecs, sub.rows, sub.pivots, ring.p))
+        extra = rng.integers(0, 5, (3, ring.M)) * (rng.random((3, ring.M)) < 0.2)
+        merged = sub.sum_rows(extra)
+        rows, pivots = linalg.merge(sub.rows, sub.pivots, extra, ring.p)
+        assert np.array_equal(merged.rows, rows)
+        assert np.array_equal(merged.pivots, pivots)
