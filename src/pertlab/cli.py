@@ -43,6 +43,11 @@ COMMANDS = ("check-filter-regular", "hilbert", "ar-number", "koszul",
 
 VERIFY_CLAIMS = ("main", "monotonicity", "control-colon", "preservation")
 
+# Largest accepted ``samples``: each sample is a full perturbed computation,
+# so the cap only keeps a mistyped count from running without end.  At
+# least one sample is needed, or a threshold would be found on no evidence.
+MAX_SAMPLES = 1_000
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -134,19 +139,35 @@ def parse_manifest(text: str) -> Manifest:
             n_range = (_int("N", lo), _int("N", hi))
         else:
             n_single = _int("N", raw)
+        if min(n_range or (n_single,)) < 0:
+            raise ManifestError(f"N must be non-negative, got {raw}")
     delta = opt_int("delta")
     if delta is not None and delta < 1:
         raise ManifestError(f"delta must be at least 1, got {delta}")
+    seed = opt_int("seed")
+    if seed is not None and seed < 0:
+        raise ManifestError(f"seed must be non-negative, got {seed}")
+    samples = opt_int("samples")
+    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+        raise ManifestError(f"samples must lie in 1..MAX_SAMPLES = "
+                            f"{MAX_SAMPLES}, got {samples}")
+    # Once n >= D - 1, J^(n+1) lies in m^D, which vanishes in the model, so
+    # every entry past n = D - 1 repeats that one: a larger n_max than an
+    # explicit D only costs time.
+    n_max = opt_int("n_max")
+    if (n_max is not None and ring is not None and ring.D is not None
+            and n_max > ring.D):
+        raise ManifestError(f"n_max = {n_max} exceeds the explicit D = {ring.D}")
 
     task = TaskSpec(
         command=command,
         f=_split_list(cp.get("task", "f", fallback="")),
         j=cp.get("task", "J", fallback="").strip(),
-        n_max=opt_int("n_max"),
+        n_max=n_max,
         n_range=n_range,
         n_single=n_single,
-        samples=opt_int("samples"),
-        seed=opt_int("seed"),
+        samples=samples,
+        seed=seed,
         delta=delta,
         claim=cp.get("task", "claim", fallback=None),
         epsilon=_split_list(cp.get("task", "epsilon"))

@@ -140,12 +140,7 @@ def _gens_from_subspace(ring: RingDescriptor, sub: Subspace) -> tuple[Element, .
 
 def mult_matrix(ring: RingDescriptor, elem: Element) -> np.ndarray:
     """Raw products elem * mu_j for every basis monomial, as matrix rows."""
-    table = np.zeros((ring.M, ring.M + 1), dtype=np.int64)
-    all_rows = np.arange(ring.M)
-    support = np.nonzero(elem.vec)[0]
-    for col, targets in zip(support, ring.monomial_shifts(support)):
-        table[all_rows, targets] += int(elem.vec[col])
-    return table[:, :ring.M] % ring.p
+    return ring.multiples(elem.vec, np.arange(ring.M))
 
 
 def colon_subspace(target: Subspace, elem: Element) -> Subspace:

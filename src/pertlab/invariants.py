@@ -27,7 +27,7 @@ from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, PLATEAU_MIN_WIDTH,
                       CertifiedValue, check_delta, longest_plateau,
                       two_level_value)
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
-                     colon_subspace, mult_matrix, quotient_length)
+                     colon_subspace, quotient_length)
 from .rings import RingDescriptor, Subspace
 
 
@@ -251,7 +251,7 @@ class KoszulReport:
 def _reduced_mult_matrix(ring: RingDescriptor, elem) -> np.ndarray:
     """Multiplication by ``elem`` on the quotient, in standard-monomial
     coordinates."""
-    rows = mult_matrix(ring, elem)[ring.std_cols]
+    rows = ring.multiples(elem.vec, ring.std_cols)
     reduced = ring.base_subspace.reduce(rows)
     return reduced[:, ring.std_cols]
 

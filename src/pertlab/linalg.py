@@ -24,9 +24,11 @@ dtype.  Every clearing step (``reduce_rows``, and through it ``merge`` and
 ``_echelon``, whose unit rows also stay out of the triangular inversion)
 applies unit rows that way.  Only the polynomial rows whose pivot column
 holds an entry enter a float product, with just the rows holding one, so
-the exactness bound above concerns those products alone.  ``rref`` tracks
-the unit mask of its growing basis; ``reduce_rows`` and ``merge`` accept a
-cached one (see ``unit_rows``).
+the exactness bound above concerns those products alone.  A basis has one
+dense form, its canonical int64 RREF; ``_clear`` converts to the work dtype
+just the live polynomial rows it multiplies.  ``rref`` tracks the unit mask
+of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
+(see ``unit_rows``).
 """
 
 from __future__ import annotations
@@ -77,11 +79,6 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     exactness bound of the work dtype.
     """
     return rows.sum(axis=1) == 1
-
-
-def work_copy(rows: np.ndarray, p: int) -> np.ndarray:
-    """A copy of residue rows in the work dtype of their column count."""
-    return rows.astype(_work_dtype(p, rows.shape[-1]))
 
 
 def _inverse_table(p: int) -> np.ndarray:
@@ -202,22 +199,22 @@ def _canonical(rows: np.ndarray, pivots: np.ndarray
 
 
 def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-                p: int, rows_work: np.ndarray | None = None,
-                unit: np.ndarray | None = None) -> np.ndarray:
+                p: int, unit: np.ndarray | None = None) -> np.ndarray:
     """Normal form of each row of ``block`` against an RREF basis.
 
     One pass suffices because ``rows`` is fully reduced: subtracting
     coeffs @ rows clears every pivot column exactly.  The result is int64,
     except that a ``block`` already in the work dtype stays in it, which lets
-    ``rref`` keep its chunks in float.  ``rows_work`` may carry a cached
-    work-dtype copy of the basis (see ``work_copy``) and ``unit`` its cached
-    unit-row mask (see ``unit_rows``).  ``block`` itself is never written.
+    ``rref`` keep its chunks in float.  ``unit`` may carry the cached
+    unit-row mask of the basis (see ``unit_rows``); of the basis itself,
+    ``_clear`` converts to the work dtype only the polynomial rows it
+    multiplies.  ``block`` itself is never written.
     """
     dtype = _work_dtype(p, rows.shape[-1])
     keep_work = np.asarray(block).dtype == dtype
     out = _residues(block, p, dtype)
     if rows.shape[0] and out.shape[0]:
-        out = _clear(out, pivots, rows if rows_work is None else rows_work,
+        out = _clear(out, pivots, rows,
                      unit_rows(rows) if unit is None else unit, p,
                      copy=np.may_share_memory(out, block))
     return out if keep_work else out.astype(np.int64)
@@ -334,7 +331,7 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     # Prefer reducing against the side whose cokernel is smaller.
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
-    rows_a_w = work_copy(rows_a, p)
+    rows_a_w = rows_a.astype(_work_dtype(p, ncols))
     residue = reduce_rows(rows_a_w, rows_b, piv_b, p)
     nonpiv = np.setdiff1d(np.arange(ncols), piv_b)
     combos = left_nullspace(residue[:, nonpiv], p)

@@ -291,22 +291,13 @@ def parse_poly(text: str, ring) -> TruncPoly:
 
 
 def monomials_below(nvars: int, trunc: int) -> list[Exponents]:
-    """All exponent tuples of total degree < trunc, ascending graded-lex."""
+    """All exponent tuples of total degree < trunc, ascending graded-lex.
 
-    def tuples_of_degree(d: int) -> list[Exponents]:
-        acc: list[Exponents] = []
-
-        def rec(prefix: list[int], remaining: int, left: int) -> None:
-            if remaining == 1:
-                acc.append(tuple(prefix + [left]))
-                return
-            for e in range(left + 1):
-                rec(prefix + [e], remaining - 1, left - e)
-
-        rec([], nvars, d)
-        return sorted(acc, key=grlex_key)
-
-    out: list[Exponents] = []
-    for d in range(trunc):
-        out.extend(tuples_of_degree(d))
-    return out
+    Built one variable at a time from the front: prefixing e to the tuples
+    of degree d - e, for e = 0..d in turn, keeps each degree in ascending
+    lex order."""
+    by_degree = [[()] if d == 0 else [] for d in range(trunc)]
+    for _ in range(nvars):
+        by_degree = [[(e,) + rest for e in range(d + 1)
+                      for rest in by_degree[d - e]] for d in range(trunc)]
+    return [exps for tuples in by_degree for exps in tuples]

@@ -28,11 +28,18 @@ from .errors import RingConstructionError, RingMismatchError, TruncationError
 from .polynomials import TruncPoly, monomials_below, parse_poly
 
 
-# Largest supported number M of monomials below D.  Ideal subspaces,
-# multiplication matrices and coordinate blocks are dense arrays of up to
-# M x M entries, 0.8 GB each in int64 at the cap, so larger rings are
-# rejected before any of them is built.
+# Largest supported number M of monomials below D.  Each subspace keeps one
+# dense form, its int64 RREF, and multiplication matrices and coordinate
+# blocks are dense too: arrays of up to M x M entries, 0.8 GB each at the
+# cap, so larger rings are rejected before any of them is built.
 MAX_MONOMIALS = 10_000
+
+# Largest supported exponent-key table.  Monomial products are looked up in
+# a direct table indexed by radix-(D+1) exponent keys, which has
+# 2 (D-1) (D+1)^(n-1) + 1 entries for n variables whatever M is: 128 MiB of
+# int64 at the cap, reached by many variables at a small D.  The cap also
+# keeps every key and every sum of two keys far inside int64.
+MAX_KEY_TABLE = 2 ** 24
 
 
 def is_prime(p: int) -> bool:
@@ -60,24 +67,17 @@ class Subspace:
     Instances are immutable.
     """
 
-    __slots__ = ("ring", "rows", "pivots", "_rows_work", "_unit")
+    __slots__ = ("ring", "rows", "pivots", "_unit")
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
         self.rows = rows
         self.pivots = pivots
-        self._rows_work: np.ndarray | None = None
         self._unit: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return self.rows.shape[0]
-
-    def rows_work(self) -> np.ndarray:
-        """The rows in ``linalg``'s work dtype, converted once per subspace."""
-        if self._rows_work is None:
-            self._rows_work = linalg.work_copy(self.rows, self.ring.p)
-        return self._rows_work
 
     def unit_rows(self) -> np.ndarray:
         """Mask of the monomial rows (see ``linalg.unit_rows``), computed
@@ -92,7 +92,7 @@ class Subspace:
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Normal form of each row of ``vectors`` against this subspace."""
         return linalg.reduce_rows(np.atleast_2d(vectors), self.rows, self.pivots,
-                                  self.ring.p, self.rows_work(), self.unit_rows())
+                                  self.ring.p, self.unit_rows())
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -240,9 +240,10 @@ class RingDescriptor:
 
     Immutable after construction; all derived structures (exponent keys,
     echelon base subspace) are built eagerly.  Monomial products are looked
-    up through the keys, so no structure grows as M^2.  A truncation with
-    more than ``MAX_MONOMIALS`` monomials raises ``RingConstructionError``
-    before any of them is enumerated; ``rebuild`` goes through here too.
+    up through the keys, so no structure grows as M^2.  An empty variable
+    list, a truncation with more than ``MAX_MONOMIALS`` monomials and a key
+    table past ``MAX_KEY_TABLE`` entries raise ``RingConstructionError``
+    before any monomial is enumerated; ``rebuild`` goes through here too.
     """
 
     def __init__(self, p: int, vars: Sequence[str], base_gens: Sequence[TruncPoly],
@@ -253,10 +254,17 @@ class RingDescriptor:
         self.base_gen_polys = tuple(base_gens)
 
         nvars = len(self.vars)
+        if nvars == 0:
+            raise RingConstructionError("the ring needs at least one variable")
         if comb(nvars + D - 1, nvars) > MAX_MONOMIALS:
             raise RingConstructionError(
                 f"D = {D} gives more than MAX_MONOMIALS = {MAX_MONOMIALS} "
                 f"monomials in {nvars} variables")
+        key_table = 2 * (D - 1) * (D + 1) ** (nvars - 1) + 1
+        if key_table > MAX_KEY_TABLE:
+            raise RingConstructionError(
+                f"{nvars} variables at D = {D} need an exponent-key table of "
+                f"{key_table} entries, more than MAX_KEY_TABLE = {MAX_KEY_TABLE}")
         self.monomials = monomials_below(nvars, D)
         self.M = len(self.monomials)
         self.col_index = {e: i for i, e in enumerate(self.monomials)}
@@ -267,16 +275,12 @@ class RingDescriptor:
         # is the sum of the keys, and _key_col maps a key back to its column.
         exps = np.array(self.monomials, dtype=np.int64)
         self._keys = exps @ (D + 1) ** np.arange(exps.shape[1], dtype=np.int64)
-        self._key_col = np.full(2 * int(self._keys.max()) + 1, self.M,
-                                dtype=np.int64)
+        self._key_col = np.full(key_table, self.M, dtype=np.int64)
         self._key_col[self._keys] = np.arange(self.M)
 
-        base_rows = []
-        for g in base_gens:
-            vec = self.vector_of_poly(g)
-            base_rows.extend(self._multiples_rows(vec))
-        stacked = (np.vstack(base_rows) if base_rows
-                   else np.zeros((0, self.M), dtype=np.int64))
+        stacked = np.vstack([np.zeros((0, self.M), dtype=np.int64)]
+                            + [self.multiples(self.vector_of_poly(g))
+                               for g in base_gens])
         rows, pivots = linalg.rref(stacked, p)
         self.base_subspace = Subspace(self, rows, pivots)
         if pivots.size and pivots[0] == 0:
@@ -367,17 +371,23 @@ class RingDescriptor:
         return self.shift_rows(rows, self.col_index[
             tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))])
 
-    def _multiples_rows(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Rows spanning {vec * mu : mu monomial, product degree < D}."""
+    def multiples(self, vec: np.ndarray, mus=None) -> np.ndarray:
+        """Raw products mod p (no normal form) of ``vec`` with the basis
+        monomials at columns ``mus``, one row each.
+
+        By default ``mus`` holds the monomials whose product with ``vec`` can
+        survive, those of degree < D - order(vec); their rows span the ideal
+        generated by ``vec`` modulo m^D.  Distinct monomials of the support
+        land on distinct columns, so one scatter builds every row.
+        """
         support = np.nonzero(vec)[0]
-        if support.size == 0:
-            return []
-        order = int(self.deg_of_col[support[0]])
-        num_mu = self.cut(self.D - order)
-        cols = self.monomial_shifts(support)[:, :num_mu].T
-        rows = np.zeros((num_mu, self.M + 1), dtype=np.int64)
-        rows[np.arange(num_mu)[:, None], cols] = vec[support]
-        return [rows[:, :self.M] % self.p]
+        if mus is None:
+            order = int(self.deg_of_col[support[0]]) if support.size else self.D
+            mus = np.arange(self.cut(self.D - order))
+        cols = self.monomial_shifts(support)[:, mus].T
+        rows = np.zeros((cols.shape[0], self.M + 1), dtype=np.int64)
+        rows[np.arange(cols.shape[0])[:, None], cols] = vec[support]
+        return rows[:, :self.M] % self.p
 
     # -- ideals as subspaces ----------------------------------------------------
 
@@ -387,9 +397,8 @@ class RingDescriptor:
         for g in gens:
             if g.ring is not self:
                 raise RingMismatchError("generator from a different ring")
-            rows.extend(self._multiples_rows(g.vec))
-        stacked = np.vstack(rows) if rows else np.zeros((0, self.M), dtype=np.int64)
-        r, piv = linalg.rref(stacked, self.p)
+            rows.append(self.multiples(g.vec))
+        r, piv = linalg.rref(np.vstack(rows), self.p)
         return Subspace(self, r, piv)
 
     def power_span(self, w: int) -> Subspace:

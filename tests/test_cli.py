@@ -245,6 +245,10 @@ def test_malformed_manifest_exits_two(name, tmp_path, capsys):
 
 # -- manifest fuzzing ------------------------------------------------------------
 
+def _variables(k: int) -> str:
+    return ", ".join(f"x{i}" for i in range(k))
+
+
 # Valid choices per manifest key; a fuzzed manifest starts from one of each
 # and then breaks a few keys with junk or drops them.
 VALID_FIELDS = {
@@ -269,10 +273,16 @@ VALID_FIELDS = {
 }
 JUNK = ["", "x", "w", "0", "-1", "-7", "1..", "2..1", "0..3", "one", "x +",
         "x, x", "1x", "nope", "1..six", "x^", "x*"]
-# Large numbers only where they cannot size a ring or a loop.
+# Key-specific junk: out-of-range moduli, huge values of the keys that size
+# a ring or a loop, and variable lists with many variables.  The "" of JUNK
+# empties any key, vars and f included.
 EXTRA_JUNK = {
     ("manifest", "format-version"): ["2", "9" * 30],
     ("ring", "p"): ["4", "1", "65537", "2147483647", "9" * 30],
+    ("ring", "vars"): [_variables(20), _variables(41)],
+    ("task", "n_max"): ["9" * 30],
+    ("task", "N"): ["9" * 30, "1.." + "9" * 30],
+    ("task", "samples"): ["9" * 30],
     ("task", "seed"): ["9" * 30],
 }
 
@@ -304,6 +314,9 @@ def manifest_texts(draw):
 
 HUGE_PRIME = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2147483647\n"
               "vars = x, y\nD = 4\n\n[task]\ncommand = hilbert\nf = x\n")
+EMPTY_VARS = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2\nvars =\n"
+              "gens =\nD = 4\n\n[ideals]\nJ = x, y\n\n[task]\n"
+              "command = bound-n\nf = x\nJ = J\n")
 
 
 @settings(max_examples=200, deadline=None,
@@ -311,6 +324,7 @@ HUGE_PRIME = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2147483647\n"
                                  HealthCheck.too_slow])
 @given(manifest_texts())
 @example(HUGE_PRIME)
+@example(EMPTY_VARS)
 def test_fuzzed_manifest_keeps_exit_code_contract(tmp_path, capsys, text):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
@@ -354,3 +368,60 @@ def test_oversize_ring_manifest_exits_two(name, tmp_path, capsys):
     assert main([str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MAX_MONOMIALS" in err
+
+
+# Inputs rejected before any ring or loop is sized, each with a phrase its
+# error must mention (the name of the cap, where there is one).
+REJECTED = {
+    "vars-empty": (EMPTY_VARS, "at least one variable"),
+    **{f"vars-{k}-at-D-2": ("[manifest]\nformat-version = 1\n\n[ring]\n"
+                            f"p = 5\nvars = {_variables(k)}\nD = 2\n\n"
+                            "[task]\ncommand = hilbert\nf = x0\n",
+                            "MAX_KEY_TABLE") for k in (20, 41)},
+    "samples-verify": (_task_manifest(command="verify", catalog="regular-line",
+                                      N=3, samples=HUGE), "MAX_SAMPLES"),
+    "samples-experiment": (_task_manifest(command="experiment",
+                                          catalog="remark-2-4", N="1..2",
+                                          samples=HUGE), "MAX_SAMPLES"),
+    "samples-zero": (_task_manifest(command="find-min-n",
+                                    catalog="regular-line", N="1..3",
+                                    samples=0), "MAX_SAMPLES"),
+    "n_max-past-explicit-D": (
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
+        "D = 6\n\n[ideals]\nJ = x, y\n\n[task]\ncommand = hilbert\nf = x\n"
+        "J = J\nn_max = " + HUGE + "\n", "explicit D = 6"),
+    "N-negative": (_task_manifest(command="verify", catalog="regular-line",
+                                  N=-1, samples=2), "non-negative"),
+    "N-range-negative": (_task_manifest(command="find-min-n",
+                                        catalog="regular-line", N="-2..1",
+                                        samples=1), "non-negative"),
+    "seed-negative": (_task_manifest(command="find-min-n",
+                                     catalog="regular-line", N="1..2",
+                                     samples=1, seed=-1), "non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_manifest_exits_two(name, tmp_path, capsys):
+    """An empty variable list, many variables at a small D (an exponent-key
+    table past its cap), a sample count of zero or past its cap, n_max above
+    an explicit D and a negative N or seed are operational errors, not
+    crashes, endless runs or verdicts on no samples."""
+    text, phrase = REJECTED[name]
+    path = tmp_path / "rejected.cfg"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and phrase in err
+    assert "Traceback" not in err
+
+
+def test_n_max_up_to_explicit_d_is_accepted():
+    """Entries past n = D - 1 repeat that one; n_max = D is the largest value
+    accepted beside an explicit D."""
+    ring = "[ring]\np = 5\nvars = x, y\nD = 6\n\n"
+    task = "[task]\ncommand = hilbert\nf = x\n"
+    parse_manifest(f"[manifest]\nformat-version = 1\n\n{ring}{task}n_max = 6\n")
+    with pytest.raises(ManifestError, match="n_max"):
+        parse_manifest(f"[manifest]\nformat-version = 1\n\n{ring}{task}"
+                       "n_max = 7\n")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pertlab.errors import PolyParseError, RingMismatchError
-from pertlab.polynomials import TruncPoly, parse_poly
+from pertlab.polynomials import TruncPoly, grlex_key, monomials_below, parse_poly
 
 
 class Ctx:
@@ -88,6 +90,16 @@ def test_serialize_parse_fixed_point():
         poly = parse_poly(text, F5XYZ)
         canon = poly.serialize()
         assert parse_poly(canon, F5XYZ).serialize() == canon
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_monomials_below_is_sorted_brute_force(nvars):
+    """Every exponent tuple of degree < trunc, in graded-lex order; with no
+    variables, only the constant monomial."""
+    for trunc in range(7):
+        want = sorted((e for e in product(range(trunc), repeat=nvars)
+                       if sum(e) < trunc), key=grlex_key)
+        assert monomials_below(nvars, trunc) == want
 
 
 # -- algebraic laws, randomized ------------------------------------------------

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
-from pertlab.ideals import ideal, zero_ideal, ideal_colon
-from pertlab.rings import (MAX_MONOMIALS, build_ring, nakayama_contains_power,
+from pertlab.ideals import ideal, mult_matrix, zero_ideal, ideal_colon
+from pertlab.polynomials import TruncPoly
+from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element, build_ring,
+                           nakayama_contains_power,
                            subspace_of_ideal)
 
 
@@ -53,6 +56,21 @@ def test_build_ring_rejects_more_than_max_monomials():
     assert ring.rebuild(15).M == 3060
     with pytest.raises(RingConstructionError, match="MAX_MONOMIALS"):
         ring.rebuild(10 ** 30)
+
+
+def test_build_ring_rejects_an_empty_variable_list():
+    with pytest.raises(RingConstructionError, match="at least one variable"):
+        build_ring(2, (), [], 4)
+
+
+@pytest.mark.parametrize("nvars", [20, 41])
+def test_build_ring_rejects_key_tables_past_the_cap(nvars):
+    """M = nvars + 1 at D = 2, far below MAX_MONOMIALS, but the exponent-key
+    table would hold 2 * 3^(nvars-1) + 1 entries (past int64 at 41)."""
+    names = tuple(f"x{i}" for i in range(nvars))
+    assert 2 * 3 ** (nvars - 1) + 1 > MAX_KEY_TABLE
+    with pytest.raises(RingConstructionError, match="MAX_KEY_TABLE"):
+        build_ring(5, names, [], 2)
 
 
 def test_build_ring_deterministic():
@@ -180,6 +198,51 @@ def test_monomial_shifts_match_exponent_addition(nvars, gens, D):
             assert shifts[a, b] == want
 
 
+@st.composite
+def rings_with_vectors(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    gens = draw(st.lists(st.sampled_from(
+        ["x^2", "x^3 + x^2", f"x*{names[-1]}", f"{names[-1]}^3"]), max_size=2))
+    ring = build_ring(p, names, gens, draw(st.integers(2, 6)))
+    vec = np.zeros(ring.M, dtype=np.int64)
+    for col, c in draw(st.dictionaries(st.integers(0, ring.M - 1),
+                                       st.integers(1, p - 1),
+                                       max_size=4)).items():
+        vec[col] = c
+    return ring, vec
+
+
+def _polynomial_products(ring, vec, mus):
+    """Coordinate rows of poly(vec) * mu through the dict-based TruncPoly
+    product, which shares nothing with RingDescriptor.multiples."""
+    poly = ring.poly_of_vector(vec)
+    out = np.zeros((len(mus), ring.M), dtype=np.int64)
+    for k, mu in enumerate(mus):
+        monomial = TruncPoly(ring.p, ring.vars, ring.D, {ring.monomials[mu]: 1})
+        out[k] = ring.vector_of_poly(poly * monomial)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings_with_vectors())
+def test_multiples_match_polynomial_products(case):
+    """The product builder equals the polynomial products for its default
+    rows (the monomials whose product with vec can survive), for the
+    standard monomials and for every monomial; mult_matrix is zero past the
+    default rows."""
+    ring, vec = case
+    order = min((sum(ring.monomials[c]) for c in np.nonzero(vec)[0]),
+                default=ring.D)
+    default = sum(1 for m in ring.monomials if sum(m) < ring.D - order)
+    for mus, rows in ((range(default), ring.multiples(vec)),
+                      (ring.std_cols, ring.multiples(vec, ring.std_cols)),
+                      (range(ring.M), ring.multiples(vec, np.arange(ring.M)))):
+        assert np.array_equal(rows, _polynomial_products(ring, vec, mus))
+    table = mult_matrix(ring, Element(ring, vec, ring.poly_of_vector(vec)))
+    assert not table[default:].any()
+
+
 def test_element_lift_between_levels():
     ring = build_ring(5, ("x", "y"), ["x*y"], 5)
     e = ring.element("x + 2*y^3")
@@ -191,9 +254,9 @@ def test_element_lift_between_levels():
 
 @pytest.mark.parametrize("gens, D", [(["x*y"], 7), (["x^2 + y*z", "y^3"], 6),
                                      ([], 5)])
-def test_subspace_cached_unit_mask_matches_kernel(gens, D):
-    """Subspace.reduce and sum_rows pass their cached unit mask and work copy;
-    the results equal the kernel computing both itself."""
+def test_subspace_unit_mask_matches_kernel(gens, D):
+    """Subspace.reduce and sum_rows pass their cached unit mask; the results
+    equal the kernel computing the mask itself."""
     ring = build_ring(5, ("x", "y", "z"), gens, D)
     rng = np.random.default_rng(31)
     subspaces = [ring.base_subspace, ring.power_span(2),
