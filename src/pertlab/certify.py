@@ -9,6 +9,9 @@ Every integer invariant read off a truncated model carries a status:
   D + delta.  Honest and falsifiable, but a heuristic.
 * ``uncertified``: neither applies; the raw value is reported with a note.
 
+A result built from several statuses carries the weakest of them
+(:func:`weakest`), so no combination ever promotes a status.
+
 For quantities not covered by the exactness rule (Koszul homology lengths,
 colons into non-primary ideals) the raw quotient over the truncated ring is
 polluted by classes supported near the truncation boundary.  Those are shed
@@ -29,11 +32,14 @@ is rejected with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 EXACT = "exact"
 TWO_LEVEL = "two-level-stable"
 UNCERTIFIED = "uncertified"
+
+#: Statuses from strongest to weakest.
+_STRENGTH = (EXACT, TWO_LEVEL, UNCERTIFIED)
 
 #: Minimum plateau width for a profile value to count as resolved.
 PLATEAU_MIN_WIDTH = 3
@@ -59,6 +65,12 @@ class CertifiedValue:
     def render(self) -> str:
         base = "not-finite" if self.value is None else str(self.value)
         return f"{base} [{self.status}]" + (f" ({self.note})" if self.note else "")
+
+
+def weakest(statuses: Iterable[str]) -> str:
+    """The weakest of ``statuses`` in the order exact > two-level-stable >
+    uncertified; ``exact`` when there are none."""
+    return _STRENGTH[max((_STRENGTH.index(s) for s in statuses), default=0)]
 
 
 def longest_plateau(profile: Sequence[int | None]) -> tuple[int | None, int]:

@@ -18,20 +18,20 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .catalog import CATALOG
-from .certify import EXACT, TWO_LEVEL, UNCERTIFIED
 from .errors import ManifestError, PertlabError
-from .harness import (ExperimentConfig, RingSpec, bound_record,
-                      build_workspace, filter_regular_record, find_min_N,
-                      run_experiment, sample_in_power)
+from .harness import (ExperimentConfig, ExperimentReport, RingSpec,
+                      bound_record, build_workspace, filter_regular_record,
+                      find_min_N, run_experiment, sample_in_power)
 from .invariants import (filter_regular_sequence_check, gr_hilbert_function,
                          hs_table, koszul_report)
-from .verifiers import (VIOLATED, VERIFIED, VerdictRecord, Workspace,
+from .verifiers import (VERIFIED, VerdictRecord, Workspace,
                         bound_N_one_element, check_control_colon,
                         check_main_equality, check_perturbed_filter_regular,
-                        check_surjection_monotonicity, inputs_digest, _row)
+                        check_surjection_monotonicity, inputs_digest, row,
+                        verdict)
 
 FORMAT_VERSION = 1
 
@@ -141,6 +141,9 @@ def parse_manifest(text: str) -> Manifest:
             n_single = _int("N", raw)
         if min(n_range or (n_single,)) < 0:
             raise ManifestError(f"N must be non-negative, got {raw}")
+        if n_range is not None and n_range[0] > n_range[1]:
+            raise ManifestError(f"N range {raw} is reversed: its low end "
+                                f"exceeds its high end")
     delta = opt_int("delta")
     if delta is not None and delta < 1:
         raise ManifestError(f"delta must be at least 1, got {delta}")
@@ -151,10 +154,12 @@ def parse_manifest(text: str) -> Manifest:
     if samples is not None and not 1 <= samples <= MAX_SAMPLES:
         raise ManifestError(f"samples must lie in 1..MAX_SAMPLES = "
                             f"{MAX_SAMPLES}, got {samples}")
+    n_max = opt_int("n_max")
+    if n_max is not None and n_max < 0:
+        raise ManifestError(f"n_max must be non-negative, got {n_max}")
     # Once n >= D - 1, J^(n+1) lies in m^D, which vanishes in the model, so
     # every entry past n = D - 1 repeats that one: a larger n_max than an
     # explicit D only costs time.
-    n_max = opt_int("n_max")
     if (n_max is not None and ring is not None and ring.D is not None
             and n_max > ring.D):
         raise ManifestError(f"n_max = {n_max} exceeds the explicit D = {ring.D}")
@@ -222,26 +227,6 @@ def serialize_manifest(m: Manifest) -> str:
 # Execution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunResult:
-    command: str
-    resolved_D: int
-    records: tuple[VerdictRecord, ...]
-    n_star: int | None = None
-    theoretical_N: int | None = None
-    seed: int | None = None
-    timing_s: float = 0.0
-
-    def rows(self) -> list[dict]:
-        out = []
-        for rec in self.records:
-            out.extend(dict(r) for r in rec.rows)
-        return out
-
-    def exit_code(self) -> int:
-        return 1 if any(r.outcome == VIOLATED for r in self.records) else 0
-
-
 def _resolve_config(m: Manifest) -> ExperimentConfig:
     t = m.task
     if t.catalog:
@@ -299,43 +284,37 @@ def _table_records(ws: Workspace, cfg: ExperimentConfig,
     i_handle = ws.i_handle
     hs = hs_table(i_handle, ws.j, cfg.n_max, ws.powers)
     gr = gr_hilbert_function(i_handle, ws.j, cfg.n_max, ws.powers)
-    records = []
-    for claim, table in (("hs-table", hs), ("gr-table", gr)):
-        rows = tuple(_row(claim, n=n, value_orig=e.value, status="ok",
-                          certification=e.status)
-                     for n, e in enumerate(table.entries))
-        records.append(VerdictRecord(
-            claim, VERIFIED, None,
-            inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
-            EXACT if table.all_certified() else UNCERTIFIED,
-            note=f"convention {table.convention}", rows=rows)
-            .with_context(None, None, cfg.seed))
-    return records
+    return [verdict(claim, VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
+                    [row(claim, n=n, value_orig=e.value, status="ok",
+                         certification=e.status)
+                     for n, e in enumerate(table.entries)],
+                    note=f"convention {table.convention}")
+            .with_context(None, None, cfg.seed)
+            for claim, table in (("hs-table", hs), ("gr-table", gr))]
 
 
 def _ar_records(ws: Workspace, cfg: ExperimentConfig,
                 t: TaskSpec) -> list[VerdictRecord]:
     value = ws.ar_value
-    rows = (_row("ar-number", n=0, value_orig=value.value,
-                 status="ok" if value.value is not None else "not found",
-                 certification=value.status),)
-    return [VerdictRecord("ar-number", VERIFIED, None,
-                          inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"),
-                          value.status, note=value.note, rows=rows)
-            .with_context(None, None, cfg.seed)]
+    rows = [row("ar-number", n=0, value_orig=value.value,
+                status="ok" if value.value is not None else "not found",
+                certification=value.status)]
+    return [verdict("ar-number", VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"), rows,
+                    note=value.note).with_context(None, None, cfg.seed)]
 
 
 def _koszul_records(ws: Workspace, cfg: ExperimentConfig,
                     t: TaskSpec) -> list[VerdictRecord]:
     report = koszul_report(ws.fs, delta=cfg.delta)
-    rows = tuple(_row("koszul", n=i, value_orig=cv.value,
-                      status="finite" if fin else "unflagged",
-                      certification=cv.status)
-                 for i, (cv, fin) in enumerate(zip(report.lengths,
-                                                   report.finite), start=1))
-    return [VerdictRecord("koszul", VERIFIED, None,
-                          inputs_digest(ws.ring, ws.fs, None, None, "koszul"),
-                          TWO_LEVEL, rows=rows)
+    rows = [row("koszul", n=i, value_orig=cv.value,
+                status="finite" if fin else "unflagged",
+                certification=cv.status)
+            for i, (cv, fin) in enumerate(zip(report.lengths, report.finite),
+                                          start=1)]
+    return [verdict("koszul", VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)
             .with_context(None, None, cfg.seed)]
 
 
@@ -381,28 +360,20 @@ _DIRECT_COMMANDS = {
 }
 
 
-def execute(m: Manifest) -> RunResult:
+def execute(m: Manifest) -> ExperimentReport:
     started = time.monotonic()
     t = m.task
     cfg = _resolve_config(m)
-    n_star = theoretical_n = None
-    if t.command in _DIRECT_COMMANDS:
-        ws = build_workspace(cfg)
-        resolved_d = ws.ring.D
-        records = tuple(_DIRECT_COMMANDS[t.command](ws, cfg, t))
-    else:
-        report = (run_experiment if t.command == "experiment"
-                  else find_min_N)(cfg)
-        resolved_d, records, n_star = (report.resolved_D, report.records,
-                                       report.n_star)
-        if report.theoretical is not None:
-            theoretical_n = report.theoretical.n_bound.value
-    return RunResult(t.command, resolved_d, records, n_star=n_star,
-                     theoretical_N=theoretical_n, seed=cfg.seed,
-                     timing_s=time.monotonic() - started)
+    if t.command not in _DIRECT_COMMANDS:
+        return (run_experiment if t.command == "experiment"
+                else find_min_N)(cfg)
+    ws = build_workspace(cfg)
+    records = tuple(_DIRECT_COMMANDS[t.command](ws, cfg, t))
+    return ExperimentReport(t.command, cfg, ws.ring.D, records,
+                            timing_s=time.monotonic() - started)
 
 
-def run_manifest(source: str) -> RunResult:
+def run_manifest(source: str) -> ExperimentReport:
     """Execute a manifest given as text or a file path."""
     text = source
     if "\n" not in source and not source.lstrip().startswith("["):
@@ -416,7 +387,7 @@ def run_manifest(source: str) -> RunResult:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def emit_csv(result: RunResult) -> str:
+def emit_csv(result: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -425,7 +396,7 @@ def emit_csv(result: RunResult) -> str:
     return buf.getvalue()
 
 
-def emit_table(result: RunResult) -> str:
+def emit_table(result: ExperimentReport) -> str:
     rows = result.rows()
     widths = {c: len(c) for c in CSV_COLUMNS}
     rendered = []
@@ -447,13 +418,13 @@ def emit_table(result: RunResult) -> str:
                                           for k, v in sorted(outcomes.items())))
     if result.n_star is not None:
         lines.append(f"empirical N* = {result.n_star}")
-    if result.theoretical_N is not None:
-        lines.append(f"theoretical N = {result.theoretical_N}")
+    if result.theoretical is not None:
+        lines.append(f"theoretical N = {result.theoretical.n_bound.value}")
     lines.append(f"elapsed: {result.timing_s:.2f}s")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: RunResult, format: str) -> str:
+def emit_report(result: ExperimentReport, format: str) -> str:
     """Render a run in the requested format; both formats carry the same
     numeric content (the table adds a human summary footer)."""
     if format == "csv":
@@ -463,7 +434,7 @@ def emit_report(result: RunResult, format: str) -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def emit_plot_data(result: RunResult) -> str:
+def emit_plot_data(result: ExperimentReport) -> str:
     """(n, value) pairs per Hilbert-style table row, for external plotting."""
     lines = []
     for row in result.rows():

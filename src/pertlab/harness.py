@@ -15,17 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import get as catalog_get
-from .certify import EXACT, TWO_LEVEL, UNCERTIFIED
+from .certify import weakest
 from .errors import PertlabError
 from .ideals import IdealHandle, m_primary_level
 from .invariants import filter_regular_sequence_check
 from .rings import Element, RingDescriptor, build_ring, default_truncation
-from .verifiers import (BoundReport, VerdictRecord, Workspace, VERIFIED,
-                        INCONCLUSIVE, bound_N_one_element,
+from .verifiers import (BoundReport, VerdictRecord, Workspace, INCONCLUSIVE,
+                        VERIFIED, VIOLATED, bound_N_one_element,
                         check_control_colon, check_main_equality,
                         check_perturbed_filter_regular,
                         check_surjection_monotonicity, inputs_digest,
-                        report_ar_comparison, _row)
+                        report_ar_comparison, row, verdict)
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,27 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The records of one command's run, with what the run resolved on the
+    way; every command returns one."""
+
+    command: str
     config: ExperimentConfig
     resolved_D: int
-    levels: tuple[int, int]
     records: tuple[VerdictRecord, ...]
-    n_star: int | None
-    theoretical: BoundReport | None
-    bound_consistent: bool | None
-    certification_summary: str
-    timing_s: float
+    n_star: int | None = None
+    theoretical: BoundReport | None = None
+    bound_consistent: bool | None = None
+    timing_s: float = 0.0
+
+    @property
+    def certification_summary(self) -> str:
+        return weakest(r.certification for r in self.records)
+
+    def rows(self) -> list[dict]:
+        return [dict(r) for rec in self.records for r in rec.rows]
+
+    def exit_code(self) -> int:
+        return 1 if any(r.outcome == VIOLATED for r in self.records) else 0
 
 
 def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...],
@@ -135,15 +147,6 @@ def sample_in_ideal_power(ws: Workspace, power: int, seed: int,
         vec = (coeffs @ sub.rows) % ws.ring.p
         out.append(ws.ring.element(ws.ring.poly_of_vector(vec)))
     return tuple(out)
-
-
-def _summary(records: tuple[VerdictRecord, ...]) -> str:
-    statuses = {r.certification for r in records}
-    if statuses <= {EXACT}:
-        return EXACT
-    if UNCERTIFIED in statuses:
-        return UNCERTIFIED
-    return TWO_LEVEL
 
 
 def _sweep(ws: Workspace, config: ExperimentConfig
@@ -224,20 +227,6 @@ def _theoretical_bound(ws: Workspace, config: ExperimentConfig,
                          and n_star <= theoretical.n_bound.value)
 
 
-def _report(ws: Workspace, config: ExperimentConfig,
-            records: list[VerdictRecord], n_star: int | None,
-            bound: tuple[BoundReport | None, bool | None],
-            started: float) -> ExperimentReport:
-    rec_tuple = tuple(records)
-    return ExperimentReport(
-        config=config, resolved_D=ws.ring.D,
-        levels=(ws.ring.D, ws.ring.D + config.delta),
-        records=rec_tuple, n_star=n_star, theoretical=bound[0],
-        bound_consistent=bound[1],
-        certification_summary=_summary(rec_tuple),
-        timing_s=time.monotonic() - started)
-
-
 def find_min_N(config: ExperimentConfig) -> ExperimentReport:
     """Sweep perturbation depths, locate the empirical stability threshold,
     and run the auxiliary verifiers at that threshold.
@@ -251,50 +240,47 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
     ws = build_workspace(config)
     records, n_star = _sweep_to_threshold(ws, config)
     bound = _theoretical_bound(ws, config, n_star)
-    rows = [_row("min-n", n="N*",
-                 value_orig=n_star if n_star is not None else "",
-                 status="found" if n_star is not None else "not found in range",
-                 certification="")]
+    rows = [row("min-n", n="N*",
+                value_orig=n_star if n_star is not None else "",
+                status="found" if n_star is not None else "not found in range")]
     if bound[0] is not None:
-        rows.append(_row("min-n", n="N-theoretical",
-                         value_orig=bound[0].n_bound.value,
-                         status="bound", certification=bound[0].n_bound.status))
-    records.append(VerdictRecord(
+        rows.append(row("min-n", n="N-theoretical",
+                        value_orig=bound[0].n_bound.value,
+                        status="bound", certification=bound[0].n_bound.status))
+    records.append(verdict(
         "min-n", VERIFIED if n_star is not None else INCONCLUSIVE,
-        n_star, inputs_digest(ws.ring, ws.fs, None, ws.j, config.canonical()),
-        _summary(tuple(records)) if records else EXACT,
+        inputs_digest(ws.ring, ws.fs, None, ws.j, config.canonical()), rows,
+        witness=n_star,
         note=("empirical threshold found" if n_star is not None
               else "no stable N in range"),
-        rows=tuple(rows)).with_context(None, None, config.seed))
-    return _report(ws, config, records, n_star, bound, started)
+        rests_on=[r.certification for r in records])
+        .with_context(None, None, config.seed))
+    return ExperimentReport("find-min-n", config, ws.ring.D, tuple(records),
+                            n_star, *bound,
+                            timing_s=time.monotonic() - started)
 
 
 def bound_record(ws: Workspace, theoretical: BoundReport) -> VerdictRecord:
     """The explicit one-element threshold with its ingredients t, k, h."""
-    return VerdictRecord("bound-n", VERIFIED, None,
-                         inputs_digest(ws.ring, ws.fs, None, ws.j, "bound"),
-                         theoretical.n_bound.status,
-                         note="explicit one-element threshold",
-                         rows=theoretical.rows())
+    return verdict("bound-n", VERIFIED,
+                   inputs_digest(ws.ring, ws.fs, None, ws.j, "bound"),
+                   theoretical.rows(), note="explicit one-element threshold")
 
 
 def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
                           report, tag: str, seed: int | None) -> VerdictRecord:
     """One row per checked step of a filter-regularity report; ``tag``
     keys the digest."""
-    rows = tuple(_row("filter-regular", n=step.index,
-                      value_orig=step.exponent.value,
-                      status="true" if step.passed else "false",
-                      certification=step.exponent.status)
-                 for step in report.steps)
-    statuses = {s.exponent.status for s in report.steps}
-    return VerdictRecord(
-        "filter-regular", VERIFIED, None,
-        inputs_digest(ring, seq, None, None, tag),
-        UNCERTIFIED if UNCERTIFIED in statuses else TWO_LEVEL,
-        note=("filter-regular" if report.passed
-              else f"fails at index {report.first_failure}"),
-        rows=rows).with_context(None, None, seed)
+    rows = [row("filter-regular", n=step.index,
+                value_orig=step.exponent.value,
+                status="true" if step.passed else "false",
+                certification=step.exponent.status)
+            for step in report.steps]
+    return verdict(
+        "filter-regular", VERIFIED, inputs_digest(ring, seq, None, None, tag),
+        rows, note=("filter-regular" if report.passed
+                    else f"fails at index {report.first_failure}")
+    ).with_context(None, None, seed)
 
 
 def _catalog_checks(ws: Workspace, config: ExperimentConfig
@@ -330,4 +316,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     bound = _theoretical_bound(ws, config, n_star)
     if bound[0] is not None:
         records.append(bound_record(ws, bound[0]))
-    return _report(ws, config, records, n_star, bound, started)
+    return ExperimentReport("experiment", config, ws.ring.D, tuple(records),
+                            n_star, *bound,
+                            timing_s=time.monotonic() - started)

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, PLATEAU_MIN_WIDTH,
                       CertifiedValue, check_delta, longest_plateau,
-                      two_level_value)
+                      two_level_value, weakest)
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
 from .rings import RingDescriptor, Subspace
@@ -108,9 +108,8 @@ def gr_hilbert_function(i: IdealHandle, j: IdealHandle, n_max: int,
             entries.append(CertifiedValue(None, UNCERTIFIED, (i.ring.D,),
                                           note="difference of uncertified lengths"))
         else:
-            status = EXACT if (cur.status == EXACT and prev.status == EXACT) \
-                else UNCERTIFIED
-            entries.append(CertifiedValue(cur.value - prev.value, status,
+            entries.append(CertifiedValue(cur.value - prev.value,
+                                          weakest((cur.status, prev.status)),
                                           (i.ring.D,)))
         prev = cur
     return HilbertTable("gr", tuple(entries))

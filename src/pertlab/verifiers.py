@@ -6,6 +6,11 @@ inconclusive.  A violation always carries a concrete witness; any
 uncertified ingredient downgrades the outcome to inconclusive rather than
 letting a truncation artifact masquerade as a counterexample.
 
+:func:`verdict` is the only record builder, here and in the harness and the
+command line.  A record's certification is the weakest of its rows'
+certifications and of the statuses it rests on, so no record is certified
+better than the numbers behind it.
+
 A :class:`Workspace` shares the expensive per-configuration structures
 (ideal powers, the unperturbed tables, Artin-Rees numbers, Koszul lengths,
 and the rebuilt higher-truncation ring) across many perturbation samples.
@@ -17,8 +22,9 @@ import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .certify import (EXACT, PLATEAU_MIN_WIDTH, TWO_LEVEL, UNCERTIFIED,
-                      CertifiedValue, longest_plateau, two_level_value)
+from .certify import (PLATEAU_MIN_WIDTH, TWO_LEVEL, UNCERTIFIED,
+                      CertifiedValue, longest_plateau, two_level_value,
+                      weakest)
 from .errors import FilterRegularityError, PertlabError
 from .ideals import (IdealHandle, IdealPowers, colon_subspace, ideal_sum,
                      m_primary_level, zero_ideal)
@@ -35,7 +41,8 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class VerdictRecord:
-    """Outcome of one verifier run, with CSV-ready detail rows."""
+    """Outcome of one verifier run, with CSV-ready detail rows; built by
+    :func:`verdict`."""
 
     claim: str
     outcome: str
@@ -66,20 +73,33 @@ class BoundReport:
     j_replaced: IdealHandle
 
     def rows(self) -> tuple[dict, ...]:
-        out = []
-        for name, cv in (("t", self.t), ("k", self.k), ("h", self.h),
-                         ("N", self.n_bound)):
-            out.append(_row("bound-n", n=name, value_orig=cv.value,
-                            status="ok", certification=cv.status))
-        return tuple(out)
+        return tuple(row("bound-n", n=name, value_orig=cv.value, status="ok",
+                         certification=cv.status)
+                     for name, cv in (("t", self.t), ("k", self.k),
+                                      ("h", self.h), ("N", self.n_bound)))
 
 
-def _row(claim: str, n="", value_orig="", value_pert="", status="",
-         certification="") -> dict:
+def row(claim: str, n="", value_orig="", value_pert="", status="",
+        certification="") -> dict:
+    """One CSV row; ``certification`` is empty on rows that carry no
+    certified number."""
     return {"claim": claim, "N": "", "sample": "", "n": n,
             "value_orig": "" if value_orig is None else value_orig,
             "value_pert": "" if value_pert is None else value_pert,
             "status": status, "certification": certification, "seed": ""}
+
+
+def verdict(claim: str, outcome: str, digest: str, rows=(), *,
+            witness: int | None = None, note: str = "",
+            rests_on=()) -> VerdictRecord:
+    """A record certified as the weakest of its rows' certifications and of
+    ``rests_on``, the statuses of values the outcome depends on that no row
+    shows."""
+    rows = tuple(rows)
+    certification = weakest([r["certification"] for r in rows
+                             if r["certification"]] + list(rests_on))
+    return VerdictRecord(claim, outcome, witness, digest, certification,
+                         note, rows)
 
 
 def _digest(*parts: str) -> str:
@@ -151,18 +171,29 @@ class Workspace:
         return gr_hilbert_function(handle, self.j, self.n_max, self.powers)
 
 
-def _tables_certified(*tables: HilbertTable) -> bool:
-    return all(t.all_certified() for t in tables)
-
-
-def _table_rows(claim: str, orig: HilbertTable, pert: HilbertTable) -> tuple[dict, ...]:
-    rows = []
-    for n, (a, b) in enumerate(zip(orig.entries, pert.entries)):
-        status = "match" if a.value == b.value else "mismatch"
-        cert = a.status if a.status == b.status else UNCERTIFIED
-        rows.append(_row(claim, n=n, value_orig=a.value, value_pert=b.value,
-                         status=status, certification=cert))
-    return tuple(rows)
+def _compare_tables(ws: Workspace, eps: tuple[Element, ...],
+                    pert_table: HilbertTable | None, claim: str, digest: str,
+                    fails, note: str = "", rests_on=()) -> VerdictRecord:
+    """Compare the gr tables of the original and perturbed quotients entry
+    by entry.  Any uncertified entry makes the verdict inconclusive;
+    otherwise the first n with ``fails(orig, pert)`` is the witness of a
+    violation."""
+    orig = ws.gr_orig
+    pert = pert_table if pert_table is not None else ws.gr_perturbed(eps)
+    pairs = list(zip(orig.entries, pert.entries))
+    rows = [row(claim, n=n, value_orig=a.value, value_pert=b.value,
+                status="match" if a.value == b.value else "mismatch",
+                certification=weakest((a.status, b.status)))
+            for n, (a, b) in enumerate(pairs)]
+    if not (orig.all_certified() and pert.all_certified()):
+        return verdict(claim, INCONCLUSIVE, digest, rows,
+                       note="; ".join(filter(None, ("uncertified table "
+                                                    "entries", note))),
+                       rests_on=rests_on)
+    witness = next((n for n, (a, b) in enumerate(pairs)
+                    if fails(a.value, b.value)), None)
+    return verdict(claim, VERIFIED if witness is None else VIOLATED, digest,
+                   rows, witness=witness, note=note, rests_on=rests_on)
 
 
 def check_main_equality(ws: Workspace, eps: tuple[Element, ...],
@@ -170,24 +201,11 @@ def check_main_equality(ws: Workspace, eps: tuple[Element, ...],
     """Do the gr tables of the original and perturbed quotients agree in all
     degrees up to n_max?  Runs with non-filter-regular input are permitted and
     labeled negative controls."""
-    orig = ws.gr_orig
-    pert = pert_table if pert_table is not None else ws.gr_perturbed(eps)
     digest = inputs_digest(ws.ring, ws.fs, eps, ws.j, f"n_max={ws.n_max}")
     note = "" if ws.sequence_report.passed else "negative control: base sequence " \
                                                "is not filter-regular"
-    rows = _table_rows("main-equality", orig, pert)
-    if not _tables_certified(orig, pert):
-        return VerdictRecord("main-equality", INCONCLUSIVE, None, digest,
-                             UNCERTIFIED, note="uncertified table entries; " + note,
-                             rows=rows)
-    cert = EXACT if all(e.status == EXACT for e in orig.entries + pert.entries) \
-        else TWO_LEVEL
-    for n in range(ws.n_max + 1):
-        if orig.entries[n].value != pert.entries[n].value:
-            return VerdictRecord("main-equality", VIOLATED, n, digest, cert,
-                                 note=note, rows=rows)
-    return VerdictRecord("main-equality", VERIFIED, None, digest, cert,
-                         note=note, rows=rows)
+    return _compare_tables(ws, eps, pert_table, "main-equality", digest,
+                           fails=lambda orig, pert: pert != orig, note=note)
 
 
 def check_surjection_monotonicity(ws: Workspace, eps: tuple[Element, ...],
@@ -195,35 +213,25 @@ def check_surjection_monotonicity(ws: Workspace, eps: tuple[Element, ...],
                                   ) -> VerdictRecord:
     """Perturbing inside J^(k+1), k the Artin-Rees number of the ideal, can
     only shrink the gr table pointwise.  Unconditional: no filter-regularity
-    hypothesis."""
+    hypothesis.  The verdict rests on k, so it is never certified better
+    than k."""
     digest = inputs_digest(ws.ring, ws.fs, eps, ws.j, "monotonicity")
     k = ws.ar_value
     if k.value is None:
-        return VerdictRecord("monotonicity", INCONCLUSIVE, None, digest,
-                             k.status, note=f"Artin-Rees number unresolved: {k.note}")
+        return verdict("monotonicity", INCONCLUSIVE, digest,
+                       note=f"Artin-Rees number unresolved: {k.note}",
+                       rests_on=(k.status,))
     depth = k.value + 1
     power = ws.powers.handle(depth)  # extends the cache on demand
     for idx, e in enumerate(eps):
         if not power.contains_element(e):
-            return VerdictRecord(
-                "monotonicity", INCONCLUSIVE, idx + 1, digest, k.status,
-                note=f"precondition unmet: perturbation {idx + 1} is not in "
-                     f"J^{depth}")
-    orig = ws.gr_orig
-    pert = pert_table if pert_table is not None else ws.gr_perturbed(eps)
-    rows = _table_rows("monotonicity", orig, pert)
-    if not _tables_certified(orig, pert):
-        return VerdictRecord("monotonicity", INCONCLUSIVE, None, digest,
-                             UNCERTIFIED, note="uncertified table entries",
-                             rows=rows)
-    for n in range(ws.n_max + 1):
-        if pert.entries[n].value > orig.entries[n].value:
-            return VerdictRecord("monotonicity", VIOLATED, n, digest,
-                                 TWO_LEVEL, note=f"pointwise drop fails at n={n}",
-                                 rows=rows)
-    return VerdictRecord("monotonicity", VERIFIED, None, digest,
-                         EXACT if _tables_certified(orig, pert) else TWO_LEVEL,
-                         rows=rows)
+            return verdict("monotonicity", INCONCLUSIVE, digest,
+                           witness=idx + 1, rests_on=(k.status,),
+                           note=f"precondition unmet: perturbation {idx + 1} "
+                                f"is not in J^{depth}")
+    return _compare_tables(ws, eps, pert_table, "monotonicity", digest,
+                           fails=lambda orig, pert: pert > orig,
+                           rests_on=(k.status,))
 
 
 def _colon_quotient_stats(ring: RingDescriptor, omit_handle: IdealHandle,
@@ -247,12 +255,12 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
     digest = inputs_digest(ws.ring, ws.fs, eps, None, "control-colon")
     h = ws.h1
     if not h.is_certified():
-        return VerdictRecord("control-colon", INCONCLUSIVE, None, digest,
-                             h.status, note=f"H_1 length unresolved: {h.note}")
+        return verdict("control-colon", INCONCLUSIVE, digest,
+                       note=f"H_1 length unresolved: {h.note}",
+                       rests_on=(h.status,))
     pert_lo = ws.perturbed(eps)
     pert_hi = ws.lift_elements(pert_lo)
     rows = []
-    worst = TWO_LEVEL
     outcome = VERIFIED
     witness = None
     for i in range(len(pert_lo)):
@@ -268,20 +276,19 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
         cert = two_level_value(stats, ws.ring, ws.delta, ring_hi=ws.ring_hi)
         (l_lo, h_lo), resolved = raw[0], cert.status == TWO_LEVEL
         ok = resolved and l_lo <= h.value and h_lo <= h.value
-        rows.append(_row("control-colon", n=i + 1, value_orig=l_lo,
-                         value_pert=h_lo,
-                         status="ok" if ok else ("unresolved" if not resolved
-                                                 else "exceeds"),
-                         certification=TWO_LEVEL if resolved else UNCERTIFIED))
+        rows.append(row("control-colon", n=i + 1, value_orig=l_lo,
+                        value_pert=h_lo,
+                        status="ok" if ok else ("unresolved" if not resolved
+                                                else "exceeds"),
+                        certification=cert.status))
         if not resolved:
             outcome = INCONCLUSIVE
-            worst = UNCERTIFIED
         elif not ok and outcome != INCONCLUSIVE:
             outcome = VIOLATED
             witness = i + 1
-    note = f"bound h = {h.value} from the first Koszul homology"
-    return VerdictRecord("control-colon", outcome, witness, digest, worst,
-                         note=note, rows=tuple(rows))
+    return verdict("control-colon", outcome, digest, rows, witness=witness,
+                   note=f"bound h = {h.value} from the first Koszul homology",
+                   rests_on=(h.status,))
 
 
 def check_perturbed_filter_regular(ws: Workspace,
@@ -292,22 +299,17 @@ def check_perturbed_filter_regular(ws: Workspace,
     pert = ws.perturbed(eps)
     report = filter_regular_sequence_check(pert, delta=ws.delta)
     orders = tuple(e.order() for e in eps)
-    rows = []
-    for step in report.steps:
-        rows.append(_row("preservation", n=step.index,
-                         value_orig=step.exponent.value,
-                         status="pass" if step.passed else "fail",
-                         certification=step.exponent.status))
-    note = f"perturbation orders {orders}"
-    uncertified = any(s.exponent.status == UNCERTIFIED for s in report.steps)
-    if uncertified:
-        return VerdictRecord("preservation", INCONCLUSIVE, report.first_failure,
-                             digest, UNCERTIFIED, note=note, rows=tuple(rows))
-    if report.passed:
-        return VerdictRecord("preservation", VERIFIED, None, digest, TWO_LEVEL,
-                             note=note, rows=tuple(rows))
-    return VerdictRecord("preservation", VIOLATED, report.first_failure, digest,
-                         TWO_LEVEL, note=note, rows=tuple(rows))
+    rows = [row("preservation", n=step.index, value_orig=step.exponent.value,
+                status="pass" if step.passed else "fail",
+                certification=step.exponent.status)
+            for step in report.steps]
+    if any(s.exponent.status == UNCERTIFIED for s in report.steps):
+        outcome = INCONCLUSIVE
+    else:
+        outcome = VERIFIED if report.passed else VIOLATED
+    return verdict("preservation", outcome, digest, rows,
+                   witness=report.first_failure,
+                   note=f"perturbation orders {orders}")
 
 
 def report_ar_comparison(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:
@@ -318,21 +320,16 @@ def report_ar_comparison(ws: Workspace, eps: tuple[Element, ...]) -> VerdictReco
     orig = ws.ar_value
     pert_handle = IdealHandle(ws.ring, ws.perturbed(eps))
     pert = ar_number(pert_handle, ws.j, ws.n_max, ws.powers, delta=ws.delta)
-    rows = (_row("ar-comparison", n=0, value_orig=orig.value,
-                 value_pert=pert.value,
-                 status="equal" if orig.value == pert.value else "differs",
-                 certification=orig.status if orig.status == pert.status
-                 else UNCERTIFIED),)
-    if orig.is_certified() and pert.is_certified() and orig.value == pert.value:
-        return VerdictRecord("ar-comparison", VERIFIED, None, digest, TWO_LEVEL,
-                             note="data only: values agree on this window",
-                             rows=rows)
-    return VerdictRecord("ar-comparison", INCONCLUSIVE, None, digest,
-                         UNCERTIFIED if not (orig.is_certified()
-                                             and pert.is_certified())
-                         else TWO_LEVEL,
-                         note="data only: no preservation claim is asserted",
-                         rows=rows)
+    rows = (row("ar-comparison", n=0, value_orig=orig.value,
+                value_pert=pert.value,
+                status="equal" if orig.value == pert.value else "differs",
+                certification=weakest((orig.status, pert.status))),)
+    agree = (orig.is_certified() and pert.is_certified()
+             and orig.value == pert.value)
+    note = ("values agree on this window" if agree
+            else "no preservation claim is asserted")
+    return verdict("ar-comparison", VERIFIED if agree else INCONCLUSIVE,
+                   digest, rows, note=f"data only: {note}")
 
 
 def bound_N_one_element(f: Element, j: IdealHandle, n_max: int | None = None,
@@ -358,9 +355,7 @@ def bound_N_one_element(f: Element, j: IdealHandle, n_max: int | None = None,
     if k.value is None:
         raise PertlabError(f"Artin-Rees number not found within window {window}")
     n_val = max(t.value * (k.value + 1), h.value)
-    statuses = {t.status, k.status, h.status}
-    status = EXACT if statuses == {EXACT} else (
-        TWO_LEVEL if UNCERTIFIED not in statuses else UNCERTIFIED)
-    n_cert = CertifiedValue(n_val, status, (ring.D, ring.D + delta),
+    n_cert = CertifiedValue(n_val, weakest((t.status, k.status, h.status)),
+                            (ring.D, ring.D + delta),
                             note="max(t(k+1), h)")
     return BoundReport(t, k, h, n_cert, j_replaced)

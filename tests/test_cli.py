@@ -317,6 +317,9 @@ HUGE_PRIME = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2147483647\n"
 EMPTY_VARS = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2\nvars =\n"
               "gens =\nD = 4\n\n[ideals]\nJ = x, y\n\n[task]\n"
               "command = bound-n\nf = x\nJ = J\n")
+# A negative control whose empty tables once let every sample "verify".
+NEGATIVE_N_MAX = _task_manifest(command="find-min-n", catalog="node-branch",
+                                n_max=-1, N="1..2", samples=2)
 
 
 @settings(max_examples=200, deadline=None,
@@ -325,6 +328,7 @@ EMPTY_VARS = ("[manifest]\nformat-version = 1\n\n[ring]\np = 2\nvars =\n"
 @given(manifest_texts())
 @example(HUGE_PRIME)
 @example(EMPTY_VARS)
+@example(NEGATIVE_N_MAX)
 def test_fuzzed_manifest_keeps_exit_code_contract(tmp_path, capsys, text):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
@@ -398,6 +402,13 @@ REJECTED = {
     "seed-negative": (_task_manifest(command="find-min-n",
                                      catalog="regular-line", N="1..2",
                                      samples=1, seed=-1), "non-negative"),
+    "n_max-negative": (NEGATIVE_N_MAX, "non-negative"),
+    "n_max-negative-hilbert": (_task_manifest(command="hilbert",
+                                              catalog="regular-line",
+                                              n_max=-1), "non-negative"),
+    "N-range-reversed": (_task_manifest(command="find-min-n",
+                                        catalog="regular-line", N="3..1",
+                                        samples=1), "reversed"),
 }
 
 
@@ -405,8 +416,9 @@ REJECTED = {
 def test_rejected_manifest_exits_two(name, tmp_path, capsys):
     """An empty variable list, many variables at a small D (an exponent-key
     table past its cap), a sample count of zero or past its cap, n_max above
-    an explicit D and a negative N or seed are operational errors, not
-    crashes, endless runs or verdicts on no samples."""
+    an explicit D, a negative n_max, N or seed and a reversed N range are
+    operational errors, not crashes, endless runs or verdicts on no samples
+    or empty tables."""
     text, phrase = REJECTED[name]
     path = tmp_path / "rejected.cfg"
     path.write_text(text)
