@@ -1,13 +1,17 @@
 """Manifest-driven command line front end.
 
 A manifest is a flat, sectioned key-value file (``configparser`` syntax)
-that fully determines a run: the ring, named ideals, and one task.  All
-randomness flows from the manifest seed, so reports are artifacts of
-record: re-running a manifest reproduces byte-identical CSV output.
+that fully determines a run: the ring, named ideals, and one task.
+``parse_manifest`` checks it in full and resolves it into the run's
+:class:`ExperimentConfig` (catalog fixture, named ideals, every task key)
+before any ring is built.  All randomness flows from the manifest seed, so
+reports are artifacts of record: re-running a manifest reproduces
+byte-identical CSV output.
 
-Exit codes: 0 clean, 1 at least one violated verdict, 2 operational error.
-A computed falsehood (e.g. ``check-filter-regular`` answering "false") is a
-result, not a violation.
+Exit codes: 0 clean, 1 at least one violated verdict, 2 operational error
+(a malformed manifest, a file that cannot be read as UTF-8, an unwritable
+``--out``).  A computed falsehood (e.g. ``check-filter-regular`` answering
+"false") is a result, not a violation.
 """
 
 from __future__ import annotations
@@ -48,46 +52,49 @@ VERIFY_CLAIMS = ("main", "monotonicity", "control-colon", "preservation")
 # least one sample is needed, or a threshold would be found on no evidence.
 MAX_SAMPLES = 1_000
 
-
-@dataclass(frozen=True)
-class TaskSpec:
-    command: str
-    f: tuple[str, ...] = ()
-    j: str = ""
-    n_max: int | None = None
-    n_range: tuple[int, int] | None = None
-    n_single: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    delta: int | None = None
-    claim: str | None = None
-    epsilon: tuple[str, ...] | None = None
-    catalog: str | None = None
+# (lowest, highest) value of each integer task key, None for no cap; a
+# capped key's cap is the module constant MAX_<KEY>, which its error names.
+# Each key given overrides the ExperimentConfig field of the same name.
+TASK_INTS = {"n_max": (0, None), "samples": (1, MAX_SAMPLES),
+             "seed": (0, None), "delta": (1, None)}
 
 
 @dataclass(frozen=True)
 class Manifest:
-    format_version: int
-    ring: RingSpec | None
-    ideals: tuple[tuple[str, tuple[str, ...]], ...]
-    task: TaskSpec
+    """A checked manifest: its command, the run's resolved configuration,
+    and the keys only ``verify`` reads."""
+
+    command: str
+    config: ExperimentConfig
+    claim: str | None = None
+    epsilon: tuple[str, ...] | None = None
+    n_single: int | None = None
 
 
 def _split_list(value: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in value.split(",") if p.strip())
-    return parts
+    return tuple(p.strip() for p in value.split(",") if p.strip())
 
 
-def _int(key: str, raw: str) -> int:
-    """An integer manifest field; anything else is a ManifestError."""
+def _int(key: str, raw: str, lo: int | None = None,
+         hi: int | None = None) -> int:
+    """An integer manifest value in lo..hi, else a ManifestError."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ManifestError(f"{key} must be an integer, got {raw.strip()!r}") \
             from None
+    if hi is not None and not lo <= value <= hi:
+        raise ManifestError(f"{key} must lie in {lo}..MAX_{key.upper()} = "
+                            f"{hi}, got {value}")
+    if lo is not None and value < lo:
+        raise ManifestError(f"{key} must be "
+                            + ("non-negative" if lo == 0 else f"at least {lo}")
+                            + f", got {value}")
+    return value
 
 
 def parse_manifest(text: str) -> Manifest:
+    """Check a manifest in full and resolve its run's configuration."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep key case (D, N)
     try:
@@ -111,116 +118,72 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError(f"bad ring section: {exc}") from exc
         gens = _split_list(cp.get("ring", "gens", fallback=""))
         d_raw = cp.get("ring", "D", fallback="auto").strip()
-        d = None if d_raw == "auto" else _int("D", d_raw)
-        ring = RingSpec(p, vars_, gens, d)
-
-    ideals = []
-    if cp.has_section("ideals"):
-        for name, value in cp.items("ideals"):
-            ideals.append((name, _split_list(value)))
+        ring = RingSpec(p, vars_, gens, None if d_raw == "auto"
+                        else _int("D", d_raw))
+    ideals = dict(cp.items("ideals")) if cp.has_section("ideals") else {}
 
     if not cp.has_section("task") or not cp.has_option("task", "command"):
         raise ManifestError("missing [task] section with a command")
-    command = cp.get("task", "command").strip()
+    task = dict(cp.items("task"))
+    command = task["command"].strip()
     if command not in COMMANDS:
         raise ManifestError(f"unknown command {command!r}; known: "
                             + ", ".join(COMMANDS))
 
-    def opt_int(key: str) -> int | None:
-        return (_int(key, cp.get("task", key)) if cp.has_option("task", key)
-                else None)
-
-    n_range = None
+    fields = {key: _int(key, task[key], *bounds)
+              for key, bounds in TASK_INTS.items() if key in task}
     n_single = None
-    if cp.has_option("task", "N"):
-        raw = cp.get("task", "N").strip()
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            n_range = (_int("N", lo), _int("N", hi))
-        else:
-            n_single = _int("N", raw)
-        if min(n_range or (n_single,)) < 0:
-            raise ManifestError(f"N must be non-negative, got {raw}")
-        if n_range is not None and n_range[0] > n_range[1]:
+    if "N" in task:
+        raw = task["N"].strip()
+        ends = tuple(_int("N", end, 0) for end in raw.split("..", 1))
+        if len(ends) == 1:
+            n_single = ends[0]
+        elif ends[0] > ends[1]:
             raise ManifestError(f"N range {raw} is reversed: its low end "
                                 f"exceeds its high end")
-    delta = opt_int("delta")
-    if delta is not None and delta < 1:
-        raise ManifestError(f"delta must be at least 1, got {delta}")
-    seed = opt_int("seed")
-    if seed is not None and seed < 0:
-        raise ManifestError(f"seed must be non-negative, got {seed}")
-    samples = opt_int("samples")
-    if samples is not None and not 1 <= samples <= MAX_SAMPLES:
-        raise ManifestError(f"samples must lie in 1..MAX_SAMPLES = "
-                            f"{MAX_SAMPLES}, got {samples}")
-    n_max = opt_int("n_max")
-    if n_max is not None and n_max < 0:
-        raise ManifestError(f"n_max must be non-negative, got {n_max}")
+        else:
+            fields["n_range"] = ends
+    f = _split_list(task.get("f", ""))
+    if f:
+        fields["f_exprs"] = f
+    j_ref = task.get("J", "").strip()
+    if j_ref:  # a name from [ideals], else an inline expression list
+        fields["j_exprs"] = _split_list(ideals.get(j_ref, j_ref))
+
+    catalog = task.get("catalog")
+    if catalog:
+        if catalog not in CATALOG:
+            raise ManifestError(f"unknown catalog id {catalog!r}; known: "
+                                + ", ".join(sorted(CATALOG)))
+        config = ExperimentConfig.from_catalog(catalog, **fields)
+        if ring is not None and ring.D is not None:
+            config = replace(config, ring=replace(config.ring, D=ring.D))
+    elif ring is None:
+        raise ManifestError("no [ring] section and no catalog reference")
+    elif "f_exprs" not in fields:
+        raise ManifestError("task needs f = <comma separated expressions>")
+    else:
+        config = ExperimentConfig(**{"ring": ring, "j_exprs": ring.vars,
+                                     **fields})
     # Once n >= D - 1, J^(n+1) lies in m^D, which vanishes in the model, so
     # every entry past n = D - 1 repeats that one: a larger n_max than an
     # explicit D only costs time.
-    if (n_max is not None and ring is not None and ring.D is not None
-            and n_max > ring.D):
-        raise ManifestError(f"n_max = {n_max} exceeds the explicit D = {ring.D}")
-
-    task = TaskSpec(
-        command=command,
-        f=_split_list(cp.get("task", "f", fallback="")),
-        j=cp.get("task", "J", fallback="").strip(),
-        n_max=n_max,
-        n_range=n_range,
-        n_single=n_single,
-        samples=samples,
-        seed=seed,
-        delta=delta,
-        claim=cp.get("task", "claim", fallback=None),
-        epsilon=_split_list(cp.get("task", "epsilon"))
-        if cp.has_option("task", "epsilon") else None,
-        catalog=cp.get("task", "catalog", fallback=None),
-    )
-    return Manifest(version, ring, tuple(ideals), task)
-
-
-def serialize_manifest(m: Manifest) -> str:
-    lines = ["[manifest]", f"format-version = {m.format_version}", ""]
-    if m.ring is not None:
-        lines += ["[ring]", f"p = {m.ring.p}",
-                  f"vars = {', '.join(m.ring.vars)}"]
-        if m.ring.base_gens:
-            lines.append(f"gens = {', '.join(m.ring.base_gens)}")
-        lines.append(f"D = {'auto' if m.ring.D is None else m.ring.D}")
-        lines.append("")
-    if m.ideals:
-        lines.append("[ideals]")
-        for name, gens in m.ideals:
-            lines.append(f"{name} = {', '.join(gens)}")
-        lines.append("")
-    t = m.task
-    lines += ["[task]", f"command = {t.command}"]
-    if t.catalog:
-        lines.append(f"catalog = {t.catalog}")
-    if t.f:
-        lines.append(f"f = {', '.join(t.f)}")
-    if t.j:
-        lines.append(f"J = {t.j}")
-    if t.n_max is not None:
-        lines.append(f"n_max = {t.n_max}")
-    if t.n_range is not None:
-        lines.append(f"N = {t.n_range[0]}..{t.n_range[1]}")
-    elif t.n_single is not None:
-        lines.append(f"N = {t.n_single}")
-    if t.samples is not None:
-        lines.append(f"samples = {t.samples}")
-    if t.seed is not None:
-        lines.append(f"seed = {t.seed}")
-    if t.delta is not None:
-        lines.append(f"delta = {t.delta}")
-    if t.claim:
-        lines.append(f"claim = {t.claim}")
-    if t.epsilon is not None:
-        lines.append(f"epsilon = {', '.join(t.epsilon)}")
-    return "\n".join(lines) + "\n"
+    if "n_max" in fields and config.ring.D is not None \
+            and config.n_max > config.ring.D:
+        raise ManifestError(f"n_max = {config.n_max} exceeds the explicit "
+                            f"D = {config.ring.D}")
+    epsilon = task.get("epsilon")
+    m = Manifest(command, config, task.get("claim"),
+                 None if epsilon is None else _split_list(epsilon), n_single)
+    if command == "bound-n" and len(config.f_exprs) != 1:
+        raise ManifestError("bound-n needs exactly one element in f")
+    if command == "verify" and (m.claim or "main") not in VERIFY_CLAIMS:
+        raise ManifestError(f"unknown claim {m.claim!r}; known: "
+                            + ", ".join(VERIFY_CLAIMS))
+    if command == "verify" and m.epsilon is None and n_single is None:
+        raise ManifestError("verify needs either epsilon = ... or "
+                            "a single N for sampling")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -228,86 +191,46 @@ def serialize_manifest(m: Manifest) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_config(m: Manifest) -> ExperimentConfig:
-    t = m.task
-    if t.catalog:
-        if t.catalog not in CATALOG:
-            raise ManifestError(f"unknown catalog id {t.catalog!r}; known: "
-                                + ", ".join(sorted(CATALOG)))
-        cfg = ExperimentConfig.from_catalog(t.catalog)
-        if m.ring is not None and m.ring.D is not None:
-            cfg = replace(cfg, ring=replace(cfg.ring, D=m.ring.D))
-    else:
-        if m.ring is None:
-            raise ManifestError("no [ring] section and no catalog reference")
-        if not t.f:
-            raise ManifestError("task needs f = <comma separated expressions>")
-        j_exprs = _resolve_ideal(m, t.j) if t.j else m.ring.vars
-        cfg = ExperimentConfig(ring=m.ring, f_exprs=t.f, j_exprs=j_exprs)
-    overrides = {}
-    if t.f and t.catalog:
-        overrides["f_exprs"] = t.f
-    if t.j and t.catalog:
-        overrides["j_exprs"] = _resolve_ideal(m, t.j)
-    if t.n_max is not None:
-        overrides["n_max"] = t.n_max
-    if t.n_range is not None:
-        overrides["n_range"] = t.n_range
-    if t.samples is not None:
-        overrides["samples"] = t.samples
-    if t.seed is not None:
-        overrides["seed"] = t.seed
-    if t.delta is not None:
-        overrides["delta"] = t.delta
-    return replace(cfg, **overrides)
+    """The run's configuration, resolved by ``parse_manifest``."""
+    return m.config
 
 
-def _resolve_ideal(m: Manifest, ref: str) -> tuple[str, ...]:
-    for name, gens in m.ideals:
-        if name == ref:
-            return gens
-    # not a name: treat as inline expression list
-    return _split_list(ref)
-
-
-# Direct commands: handler(ws, cfg, task) -> records carrying the seed.
+# Direct commands: handler(ws, manifest) -> records carrying the seed.
 # Handlers name the invariants and verifiers they call inside their bodies,
 # so those module globals are looked up at call time.
 
-def _filter_regular_records(ws: Workspace, cfg: ExperimentConfig,
-                            t: TaskSpec) -> list[VerdictRecord]:
+def _filter_regular_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
+    cfg = m.config
     report = filter_regular_sequence_check(ws.fs, delta=cfg.delta)
     return [filter_regular_record(ws.ring, ws.fs, report, "cli", cfg.seed)]
 
 
-def _table_records(ws: Workspace, cfg: ExperimentConfig,
-                   t: TaskSpec) -> list[VerdictRecord]:
+def _table_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
     i_handle = ws.i_handle
-    hs = hs_table(i_handle, ws.j, cfg.n_max, ws.powers)
-    gr = gr_hilbert_function(i_handle, ws.j, cfg.n_max, ws.powers)
+    hs = hs_table(i_handle, ws.j, m.config.n_max, ws.powers)
+    gr = gr_hilbert_function(i_handle, ws.j, m.config.n_max, ws.powers)
     return [verdict(claim, VERIFIED,
                     inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
                     [row(claim, n=n, value_orig=e.value, status="ok",
                          certification=e.status)
                      for n, e in enumerate(table.entries)],
                     note=f"convention {table.convention}")
-            .with_context(None, None, cfg.seed)
+            .with_context(None, None, m.config.seed)
             for claim, table in (("hs-table", hs), ("gr-table", gr))]
 
 
-def _ar_records(ws: Workspace, cfg: ExperimentConfig,
-                t: TaskSpec) -> list[VerdictRecord]:
+def _ar_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
     value = ws.ar_value
     rows = [row("ar-number", n=0, value_orig=value.value,
                 status="ok" if value.value is not None else "not found",
                 certification=value.status)]
     return [verdict("ar-number", VERIFIED,
                     inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"), rows,
-                    note=value.note).with_context(None, None, cfg.seed)]
+                    note=value.note).with_context(None, None, m.config.seed)]
 
 
-def _koszul_records(ws: Workspace, cfg: ExperimentConfig,
-                    t: TaskSpec) -> list[VerdictRecord]:
-    report = koszul_report(ws.fs, delta=cfg.delta)
+def _koszul_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
+    report = koszul_report(ws.fs, delta=m.config.delta)
     rows = [row("koszul", n=i, value_orig=cv.value,
                 status="finite" if fin else "unflagged",
                 certification=cv.status)
@@ -315,38 +238,29 @@ def _koszul_records(ws: Workspace, cfg: ExperimentConfig,
                                           start=1)]
     return [verdict("koszul", VERIFIED,
                     inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)
-            .with_context(None, None, cfg.seed)]
+            .with_context(None, None, m.config.seed)]
 
 
-def _bound_records(ws: Workspace, cfg: ExperimentConfig,
-                   t: TaskSpec) -> list[VerdictRecord]:
-    if len(ws.fs) != 1:
-        raise ManifestError("bound-n needs exactly one element in f")
-    report = bound_N_one_element(ws.fs[0], ws.j, delta=cfg.delta)
-    return [bound_record(ws, report).with_context(None, None, cfg.seed)]
+def _bound_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
+    report = bound_N_one_element(ws.fs[0], ws.j, delta=m.config.delta)
+    return [bound_record(ws, report).with_context(None, None, m.config.seed)]
 
 
-def _verify_records(ws: Workspace, cfg: ExperimentConfig,
-                    t: TaskSpec) -> list[VerdictRecord]:
+def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
+    cfg = m.config
     checker = {
         "main": check_main_equality,
         "monotonicity": check_surjection_monotonicity,
         "control-colon": check_control_colon,
         "preservation": check_perturbed_filter_regular,
-    }.get(t.claim or "main")
-    if checker is None:
-        raise ManifestError(f"unknown claim {t.claim!r}; known: "
-                            + ", ".join(VERIFY_CLAIMS))
-    if t.epsilon is not None:
-        eps_list = [tuple(ws.ring.element(e) for e in t.epsilon)]
-    elif t.n_single is None:
-        raise ManifestError("verify needs either epsilon = ... or "
-                            "a single N for sampling")
+    }[m.claim or "main"]
+    if m.epsilon is not None:
+        eps_list = [tuple(ws.ring.element(e) for e in m.epsilon)]
     else:
-        eps_list = [sample_in_power(ws.ring, t.n_single, cfg.seed, len(ws.fs),
-                                    spawn=(t.n_single, s))
+        eps_list = [sample_in_power(ws.ring, m.n_single, cfg.seed, len(ws.fs),
+                                    spawn=(m.n_single, s))
                     for s in range(cfg.samples)]
-    return [checker(ws, eps).with_context(t.n_single, s, cfg.seed)
+    return [checker(ws, eps).with_context(m.n_single, s, cfg.seed)
             for s, eps in enumerate(eps_list)]
 
 
@@ -362,14 +276,12 @@ _DIRECT_COMMANDS = {
 
 def execute(m: Manifest) -> ExperimentReport:
     started = time.monotonic()
-    t = m.task
-    cfg = _resolve_config(m)
-    if t.command not in _DIRECT_COMMANDS:
-        return (run_experiment if t.command == "experiment"
-                else find_min_N)(cfg)
-    ws = build_workspace(cfg)
-    records = tuple(_DIRECT_COMMANDS[t.command](ws, cfg, t))
-    return ExperimentReport(t.command, cfg, ws.ring.D, records,
+    if m.command not in _DIRECT_COMMANDS:
+        return (run_experiment if m.command == "experiment"
+                else find_min_N)(m.config)
+    ws = build_workspace(m.config)
+    records = tuple(_DIRECT_COMMANDS[m.command](ws, m))
+    return ExperimentReport(m.command, m.config, ws.ring.D, records,
                             timing_s=time.monotonic() - started)
 
 
@@ -378,9 +290,12 @@ def run_manifest(source: str) -> ExperimentReport:
     text = source
     if "\n" not in source and not source.lstrip().startswith("["):
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    manifest = parse_manifest(text)
-    return execute(manifest)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ManifestError(f"{source} is not UTF-8 text: {exc}") \
+                    from None
+    return execute(parse_manifest(text))
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +380,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = run_manifest(args.manifest)
-    except PertlabError as exc:
+        text = emit_report(result, args.format)
+        if args.emit_plot_data:
+            text += ("\n# plot data (claim, n, value)\n"
+                     + emit_plot_data(result))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            print(text, end="")
+    except (PertlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = emit_report(result, args.format)
-    if args.emit_plot_data:
-        text += "\n# plot data (claim, n, value)\n" + emit_plot_data(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
     return result.exit_code()
 
 

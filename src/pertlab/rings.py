@@ -207,6 +207,8 @@ class Element:
         return Element(self.ring, (c * self.vec) % self.ring.p, self.poly.scale(c))
 
     def __pow__(self, n: int) -> "Element":
+        if n < 0:
+            raise ValueError("negative exponent")
         result = self.ring.one()
         base = self
         while n:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from oracle import NaiveModel
 from pertlab.catalog import CATALOG

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
-from pertlab.cli import (COMMANDS, FORMAT_VERSION, VERIFY_CLAIMS, Manifest,
-                         TaskSpec, emit_csv, emit_plot_data, emit_report, main,
-                         parse_manifest, run_manifest, serialize_manifest)
+from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_plot_data,
+                         emit_report, main, parse_manifest, run_manifest)
 from pertlab.errors import ManifestError
-from pertlab.harness import RingSpec
+from pertlab.harness import ExperimentConfig, RingSpec
 
 REMARK = """
 [manifest]
@@ -55,33 +55,23 @@ seed = 7
 
 def test_parse_manifest_fields():
     m = parse_manifest(BOUND)
-    assert m.format_version == FORMAT_VERSION
-    assert m.ring == RingSpec(5, ("x", "y"), (), None)
-    assert m.ideals == (("J", ("x", "y")),)
-    assert m.task.command == "bound-n"
-    assert m.task.f == ("x",)
-    assert m.task.j == "J"
-    assert m.task.seed == 7
+    assert m.command == "bound-n"
+    assert m.config == ExperimentConfig(
+        ring=RingSpec(5, ("x", "y"), (), None), f_exprs=("x",),
+        j_exprs=("x", "y"), n_max=8, seed=7)
 
-
-def test_round_trip_identity():
-    for text in (REMARK, BOUND):
-        m = parse_manifest(text)
-        assert parse_manifest(serialize_manifest(m)) == m
-
-
-def test_round_trip_with_range_and_epsilon():
-    m = Manifest(
-        1, RingSpec(5, ("x", "y"), ("x*y",), 9),
-        (("J", ("x", "y")),),
-        TaskSpec(command="verify", f=("x + y",), j="J", n_max=6,
-                 n_range=None, n_single=3, samples=4, seed=5, delta=2,
-                 claim="main", epsilon=("y^3",)))
-    assert parse_manifest(serialize_manifest(m)) == m
-    m2 = Manifest(1, None, (), TaskSpec(command="experiment",
-                                        catalog="remark-2-4",
-                                        n_range=(1, 6), samples=20, seed=42))
-    assert parse_manifest(serialize_manifest(m2)) == m2
+    # A catalog fixture takes the [ring] D and the task's J, N and samples.
+    m = parse_manifest("[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                       "vars = x, y\nD = 9\n\n[task]\ncommand = verify\n"
+                       "catalog = node-branch\nJ = x, y^2\nN = 3\n"
+                       "samples = 4\nclaim = monotonicity\nepsilon = y^3\n")
+    fixture = ExperimentConfig.from_catalog("node-branch")
+    assert m.config == replace(fixture, ring=replace(fixture.ring, D=9),
+                               j_exprs=("x", "y^2"), samples=4)
+    assert (m.claim, m.epsilon, m.n_single) == ("monotonicity", ("y^3",), 3)
+    sweep = parse_manifest(_task_manifest(command="find-min-n",
+                                          catalog="node-branch", N="1..6"))
+    assert (sweep.config.n_range, sweep.n_single) == ((1, 6), None)
 
 
 def test_manifest_errors():
@@ -92,6 +82,19 @@ def test_manifest_errors():
                        "command = frobnicate\n")
     with pytest.raises(ManifestError):
         parse_manifest("not a manifest at all [")
+    # Faults in the keys alone are found while parsing, before any ring.
+    for task, phrase in [
+            (dict(command="hilbert", catalog="nope"), "unknown catalog id"),
+            (dict(command="hilbert", f="x"), "no catalog reference"),
+            (dict(command="bound-n", catalog="regular-pair"), "exactly one"),
+            (dict(command="verify", catalog="regular-line", N=3,
+                  claim="nope"), "unknown claim"),
+            (dict(command="verify", catalog="regular-line"), "epsilon")]:
+        with pytest.raises(ManifestError, match=phrase):
+            parse_manifest(_task_manifest(**task))
+    with pytest.raises(ManifestError, match="task needs f"):
+        parse_manifest("[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                       "vars = x\n\n[task]\ncommand = hilbert\n")
 
 
 def test_filter_regular_false_is_exit_zero():
@@ -198,6 +201,26 @@ def test_main_csv_out_file(tmp_path):
     assert main([str(path), "--format", "csv", "--out", str(out)]) == 0
     content = out.read_text()
     assert content.startswith("claim,N,sample,n,")
+
+
+def test_non_utf8_manifest_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BOUND.replace("seed = 7", "seed = 7 ; caf\xe9")
+                     .encode("latin-1"))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    path = tmp_path / "bound.cfg"
+    path.write_text(BOUND)
+    out = tmp_path / "missing-dir" / "report.csv"
+    assert main([str(path), "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def _task_manifest(**task) -> str:

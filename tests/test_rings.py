@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
-from pertlab.ideals import ideal, mult_matrix, zero_ideal, ideal_colon
+from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
 from pertlab.polynomials import TruncPoly
 from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element, build_ring,
                            nakayama_contains_power,
@@ -250,6 +250,14 @@ def test_element_lift_between_levels():
     lifted = hi.element(e.poly)
     assert lifted.serialize() == e.serialize()
     assert lifted.ring.D == 8
+
+
+def test_element_negative_power_raises():
+    """Like TruncPoly, a ring element has no negative powers."""
+    x = build_ring(5, ("x", "y"), [], 5).element("x")
+    assert x ** 2 == x * x
+    with pytest.raises(ValueError, match="negative exponent"):
+        x ** -1
 
 
 @pytest.mark.parametrize("gens, D", [(["x*y"], 7), (["x^2 + y*z", "y^3"], 6),
