@@ -16,8 +16,8 @@ For quantities not covered by the exactness rule (Koszul homology lengths,
 colons into non-primary ideals) the raw quotient over the truncated ring is
 polluted by classes supported near the truncation boundary.  Those are shed
 by profiling the invariant along the order filtration and reading the value
-off the widest plateau; two-level agreement of plateau values is then the
-certificate.
+off the widest plateau (:func:`plateau`, the one rule for when a plateau
+resolves); two-level agreement of plateau values is then the certificate.
 
 Every two-level number goes through :func:`two_level_value`, whose single
 rule is: compute the invariant at D and at D + delta; if both levels resolve
@@ -62,10 +62,6 @@ class CertifiedValue:
     def is_certified(self) -> bool:
         return self.status in (EXACT, TWO_LEVEL) and self.value is not None
 
-    def render(self) -> str:
-        base = "not-finite" if self.value is None else str(self.value)
-        return f"{base} [{self.status}]" + (f" ({self.note})" if self.note else "")
-
 
 def weakest(statuses: Iterable[str]) -> str:
     """The weakest of ``statuses`` in the order exact > two-level-stable >
@@ -73,8 +69,9 @@ def weakest(statuses: Iterable[str]) -> str:
     return _STRENGTH[max((_STRENGTH.index(s) for s in statuses), default=0)]
 
 
-def longest_plateau(profile: Sequence[int | None]) -> tuple[int | None, int]:
-    """Value and width of the longest constant run of a filtration profile.
+def plateau(profile: Sequence[int | None]) -> tuple[int | None, bool]:
+    """Value of the longest constant run of a filtration profile, and
+    whether it resolves: not None, on a run PLATEAU_MIN_WIDTH or wider.
 
     The final entry is the raw truncated value (no filtration window left)
     and is excluded from the search.  Ties break toward the latest run, the
@@ -91,7 +88,7 @@ def longest_plateau(profile: Sequence[int | None]) -> tuple[int | None, int]:
         if j - i >= best_len:
             best_val, best_len = seq[i], j - i
         i = j
-    return best_val, best_len
+    return best_val, best_val is not None and best_len >= PLATEAU_MIN_WIDTH
 
 
 def check_delta(delta: int) -> None:

@@ -29,8 +29,7 @@ from .errors import ManifestError, PertlabError
 from .harness import (ExperimentConfig, ExperimentReport, RingSpec,
                       bound_record, build_workspace, filter_regular_record,
                       find_min_N, run_experiment, sample_in_power)
-from .invariants import (filter_regular_sequence_check, gr_hilbert_function,
-                         hs_table, koszul_report)
+from .invariants import gr_hilbert_function, hs_table, koszul_report
 from .verifiers import (VERIFIED, VerdictRecord, Workspace,
                         bound_N_one_element, check_control_colon,
                         check_main_equality, check_perturbed_filter_regular,
@@ -183,6 +182,10 @@ def parse_manifest(text: str) -> Manifest:
     if command == "verify" and m.epsilon is None and n_single is None:
         raise ManifestError("verify needs either epsilon = ... or "
                             "a single N for sampling")
+    if command == "verify" and m.epsilon is not None \
+            and len(m.epsilon) != len(config.f_exprs):
+        raise ManifestError(f"epsilon lists {len(m.epsilon)} perturbations "
+                            f"but f lists {len(config.f_exprs)}")
     return m
 
 
@@ -200,9 +203,8 @@ def _resolve_config(m: Manifest) -> ExperimentConfig:
 # so those module globals are looked up at call time.
 
 def _filter_regular_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    cfg = m.config
-    report = filter_regular_sequence_check(ws.fs, delta=cfg.delta)
-    return [filter_regular_record(ws.ring, ws.fs, report, "cli", cfg.seed)]
+    return [filter_regular_record(ws.ring, ws.fs, ws.sequence_report, "cli",
+                                  m.config.seed)]
 
 
 def _table_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
@@ -255,7 +257,12 @@ def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
         "preservation": check_perturbed_filter_regular,
     }[m.claim or "main"]
     if m.epsilon is not None:
-        eps_list = [tuple(ws.ring.element(e) for e in m.epsilon)]
+        eps = tuple(ws.ring.element(e) for e in m.epsilon)
+        for expr, e in zip(m.epsilon, eps):
+            if m.n_single is not None and e.order() < m.n_single:
+                raise ManifestError(f"perturbation {expr!r} has order "
+                                    f"{e.order()}, below N = {m.n_single}")
+        eps_list = [eps]
     else:
         eps_list = [sample_in_power(ws.ring, m.n_single, cfg.seed, len(ws.fs),
                                     spawn=(m.n_single, s))

@@ -58,8 +58,10 @@ class IdealHandle:
         return self.subspace.rank and self.subspace.pivots[0] == 0
 
     def lift(self, ring: RingDescriptor) -> "IdealHandle":
-        """The same generators re-read in a rebuild of the ring."""
-        return IdealHandle(ring, [ring.element(g.poly) for g in self.gens],
+        """The generators re-read in a rebuild ``ring``; self in its own."""
+        if ring is self.ring:
+            return self
+        return IdealHandle(ring, [ring.element(g) for g in self.gens],
                            note=self.note)
 
     def _check_ring(self, other: "IdealHandle") -> None:
@@ -126,16 +128,17 @@ def ideal_intersection(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     by two-level agreement.
     """
     a._check_ring(b)
-    sub = a.subspace.intersect(b.subspace)
-    handle = IdealHandle(a.ring, _gens_from_subspace(a.ring, sub))
+    return _handle_of(a.subspace.intersect(b.subspace))
+
+
+def _handle_of(sub: Subspace) -> IdealHandle:
+    # A vector-space basis of (A + m^D)/m^D generates the ideal A + m^D.
+    ring = sub.ring
+    handle = IdealHandle(ring, [Element(ring, ring._normal_form(row.copy()),
+                                        ring.poly_of_vector(row))
+                                for row in sub.rows])
     handle._subspace = sub
     return handle
-
-
-def _gens_from_subspace(ring: RingDescriptor, sub: Subspace) -> tuple[Element, ...]:
-    # A vector-space basis of (A + m^D)/m^D generates the ideal A + m^D.
-    return tuple(Element(ring, ring._normal_form(row.copy()),
-                         ring.poly_of_vector(row)) for row in sub.rows)
 
 
 def mult_matrix(ring: RingDescriptor, elem: Element) -> np.ndarray:
@@ -170,10 +173,7 @@ def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
         if by.is_zero():
             return IdealHandle(ring, [ring.one()],
                                note="degenerate: colon by zero is the unit ideal")
-        sub = colon_subspace(a.subspace, by)
-        handle = IdealHandle(ring, _gens_from_subspace(ring, sub))
-        handle._subspace = sub
-        return handle
+        return _handle_of(colon_subspace(a.subspace, by))
     a._check_ring(by)
     divisors = [g for g in by.gens if not g.is_zero()]
     if not divisors:
@@ -182,9 +182,7 @@ def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
     sub = colon_subspace(a.subspace, divisors[0])
     for g in divisors[1:]:
         sub = sub.intersect(colon_subspace(a.subspace, g))
-    handle = IdealHandle(ring, _gens_from_subspace(ring, sub))
-    handle._subspace = sub
-    return handle
+    return _handle_of(sub)
 
 
 def certificate_level(ring: RingDescriptor, sub: Subspace) -> int | None:

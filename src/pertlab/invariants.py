@@ -23,9 +23,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, PLATEAU_MIN_WIDTH,
-                      CertifiedValue, check_delta, longest_plateau,
-                      two_level_value, weakest)
+from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
+                      check_delta, plateau, two_level_value, weakest)
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
 from .rings import RingDescriptor, Subspace
@@ -55,11 +54,8 @@ class HilbertTable:
 
 def hilbert_samuel(i: IdealHandle, j: IdealHandle, n: int,
                    powers: IdealPowers | None = None) -> CertifiedValue:
-    """Length of R/(I + J^(n+1)); exact under an m-primary certificate."""
-    if powers is None:
-        powers = IdealPowers(j, n + 1)
-    union = i.subspace.sum(powers.subspace(n + 1))
-    return quotient_length(i.ring, union, certificate_level(i.ring, union))
+    """Length of R/(I + J^(n+1)): entry n of :func:`hs_table`."""
+    return hs_table(i, j, n, powers).entries[n]
 
 
 def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
@@ -132,10 +128,7 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
     witnesses: list[str] = []
 
     def window(ring: RingDescriptor) -> tuple[int | None, bool]:
-        if ring is i.ring:
-            value, witness = _ar_window(i, j, n_max, powers)
-        else:
-            value, witness = _ar_window(i.lift(ring), j.lift(ring), n_max, None)
+        value, witness = _ar_window(i.lift(ring), j.lift(ring), n_max, powers)
         witnesses.append(witness)
         return value, True
 
@@ -149,7 +142,7 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
 def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
                powers: IdealPowers | None) -> tuple[int | None, str]:
     ring = i.ring
-    if powers is None:
+    if powers is None or powers.ring is not ring:
         powers = IdealPowers(j, n_max)
     meets = [i.subspace.intersect(powers.subspace(n)) for n in range(n_max + 1)]
     witness = ""
@@ -292,26 +285,21 @@ def _homology_level(ring: RingDescriptor, fs: tuple, i: int
     """Plateau length of H_i at one truncation level, whether the plateau
     is wide enough to resolve it, and a finiteness flag from the
     annihilation exponent of the homology subquotient."""
-    r = len(fs)
     d = ring.dim
     mats = [_reduced_mult_matrix(ring, f) for f in fs]
     var_mats = [_reduced_mult_matrix(ring, ring.variable(v))
                 for v in range(len(ring.vars))]
     d_i = _koszul_boundary(ring, mats, i)
     kernel = linalg.left_nullspace(d_i, ring.p)
-    if i + 1 <= r:
-        d_next = _koszul_boundary(ring, mats, i + 1)
-        image_rows = d_next
-    else:
-        image_rows = np.zeros((0, comb(r, i) * d), dtype=np.int64)
-    ncomp = comb(r, i)
+    # K_(r+1) = 0, so at i = r the image boundary has no rows.
+    image_rows = _koszul_boundary(ring, mats, i + 1)
+    ncomp = comb(len(fs), i)
     perm, cuts = _module_order_structures(ring, ncomp)
     u_rows, u_piv = linalg.rref(kernel[:, perm], ring.p)
     s_rows, s_piv = linalg.rref(image_rows[:, perm], ring.p)
     upper = Subspace(ring, u_rows, u_piv)
     lower = Subspace(ring, s_rows, s_piv)
-    value, width = longest_plateau(order_profile(upper, lower, cuts))
-    resolved = value is not None and width >= PLATEAU_MIN_WIDTH
+    value, resolved = plateau(order_profile(upper, lower, cuts))
 
     finite = False
     if resolved:
@@ -324,9 +312,9 @@ def _homology_level(ring: RingDescriptor, fs: tuple, i: int
             out = out.astype(np.int64) % ring.p
             return out.reshape(rows.shape[0], ncomp * d)[:, perm]
 
-        h_val, h_width = longest_plateau(
+        h_val, h_resolved = plateau(
             _annihilator_chain(lower, u_rows, cuts, times_var))
-        if h_val is not None and h_width >= PLATEAU_MIN_WIDTH:
+        if h_resolved:
             max_order = max((f.order() for f in fs), default=0)
             finite = h_val + max_order + 1 <= ring.D
     return value, resolved, finite
@@ -341,10 +329,8 @@ def _koszul_length(fs: tuple, i: int, delta: int, fs_hi: tuple | None = None
     flags = []
 
     def level(level_ring: RingDescriptor) -> tuple[int | None, bool]:
-        if level_ring is ring:
-            lifted = tuple(fs)
-        else:
-            lifted = fs_hi or tuple(level_ring.element(f.poly) for f in fs)
+        lifted = (fs_hi if fs_hi and level_ring is not ring
+                  else tuple(level_ring.element(f) for f in fs))
         value, resolved, finite = _homology_level(level_ring, lifted, i)
         flags.append(finite)
         return value, resolved
@@ -398,15 +384,25 @@ class SequenceReport:
     first_failure: int | None
 
 
+def colon_plateaus(target: Subspace, f) -> tuple[tuple, tuple]:
+    """Plateau readings (value, resolved) of the length of (A : f)/A and of
+    the least h with m^h (A : f) inside A, A the ideal of ``target``."""
+    ring = target.ring
+    colon = colon_subspace(target, f)
+    cuts = [ring.cut(w) for w in range(ring.D + 1)]
+    return (plateau(order_profile(colon, target, cuts)),
+            plateau(annihilator_profile(ring, colon.rows, target)))
+
+
 def filter_regular_check(i: IdealHandle, f, delta: int = 2
                          ) -> tuple[bool, CertifiedValue]:
     """Is f filter-regular on R/I?  True when some power of m multiplies the
     colon (I : f) back into I; also returns the least such exponent h.
 
-    At each level the exponent is the value of a plateau at least
-    PLATEAU_MIN_WIDTH wide, or None without one; f passes when the two-level
-    result carries a value.  Degenerate inputs: a unit f is vacuously
-    regular (flagged); h is clamped to be positive.
+    At each level the exponent is the plateau value of
+    :func:`colon_plateaus`, or None when the plateau does not resolve it;
+    f passes when the two-level result carries a value.  Degenerate inputs:
+    a unit f is vacuously regular (flagged); h is clamped to be positive.
     """
     ring = i.ring
     check_delta(delta)
@@ -415,13 +411,9 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
                                     note="degenerate: unit element")
 
     def exponent(level_ring: RingDescriptor) -> tuple[int | None, bool]:
-        ih, fh = (i, f) if level_ring is ring else (i.lift(level_ring),
-                                                    level_ring.element(f.poly))
-        target = ih.subspace
-        colon = colon_subspace(target, fh)
-        value, width = longest_plateau(
-            annihilator_profile(level_ring, colon.rows, target))
-        return (value if width >= PLATEAU_MIN_WIDTH else None), True
+        value, resolved = colon_plateaus(i.lift(level_ring).subspace,
+                                         level_ring.element(f))[1]
+        return (value if resolved else None), True
 
     cert = two_level_value(exponent, ring, delta)
     if cert.value is None:
@@ -433,14 +425,11 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
 def filter_regular_sequence_check(fs: tuple, delta: int = 2) -> SequenceReport:
     """Check the sequence step by step against the growing ideal; the first
     failing index (1-based) is reported."""
-    if not fs:
-        return SequenceReport(True, (), None)
-    ring = fs[0].ring
     steps = []
     first_failure = None
-    for idx in range(len(fs)):
-        prefix = IdealHandle(ring, fs[:idx])
-        ok, h = filter_regular_check(prefix, fs[idx], delta=delta)
+    for idx, f in enumerate(fs):
+        ok, h = filter_regular_check(IdealHandle(f.ring, fs[:idx]), f,
+                                     delta=delta)
         steps.append(FilterRegularStep(idx + 1, ok, h))
         if not ok:
             first_failure = idx + 1

@@ -14,6 +14,9 @@ term.  Two consequences are used throughout:
   degree appearing in its normal form;
 * the rank of any ideal subspace restricted to degrees < w is a pivot count,
   which makes order-filtration profiles free to evaluate.
+
+:class:`RingDescriptor` (public name ``build_ring``) is the one constructor;
+it checks every input, so each ring it returns computes in exact GF(p).
 """
 
 from __future__ import annotations
@@ -240,24 +243,37 @@ class Element:
 class RingDescriptor:
     """The truncated model F_p[x_1..x_n]/(I_0 + m^D).
 
+    The one ring constructor (``build_ring`` names it; ``rebuild`` calls
+    it).  String generators are parsed, and ``TruncPoly`` ones re-read, at
+    D.  Before any monomial is enumerated it raises ``RingConstructionError``
+    on a p that is not prime or exceeds ``linalg.MAX_PRIME`` (past it float64
+    elimination is inexact), D < 2, an empty or repeated variable list, more
+    than ``MAX_MONOMIALS`` monomials, a key table past ``MAX_KEY_TABLE``
+    entries, or a generator over another ring or with a constant term.
+
     Immutable after construction; all derived structures (exponent keys,
     echelon base subspace) are built eagerly.  Monomial products are looked
-    up through the keys, so no structure grows as M^2.  An empty variable
-    list, a truncation with more than ``MAX_MONOMIALS`` monomials and a key
-    table past ``MAX_KEY_TABLE`` entries raise ``RingConstructionError``
-    before any monomial is enumerated; ``rebuild`` goes through here too.
+    up through the keys, so no structure grows as M^2.
     """
 
-    def __init__(self, p: int, vars: Sequence[str], base_gens: Sequence[TruncPoly],
-                 D: int):
+    def __init__(self, p: int, vars: Sequence[str],
+                 base_gens: Sequence[str | TruncPoly], D: int):
         self.p = p
         self.vars = tuple(vars)
         self.D = D
-        self.base_gen_polys = tuple(base_gens)
 
         nvars = len(self.vars)
+        if p > linalg.MAX_PRIME:
+            raise RingConstructionError(
+                f"p = {p} exceeds the largest supported prime {linalg.MAX_PRIME}")
+        if not is_prime(p):
+            raise RingConstructionError(f"{p} is not prime")
+        if D < 2:
+            raise RingConstructionError("truncation order must be at least 2")
         if nvars == 0:
             raise RingConstructionError("the ring needs at least one variable")
+        if len(set(self.vars)) != nvars:
+            raise RingConstructionError("duplicate variable names")
         if comb(nvars + D - 1, nvars) > MAX_MONOMIALS:
             raise RingConstructionError(
                 f"D = {D} gives more than MAX_MONOMIALS = {MAX_MONOMIALS} "
@@ -267,6 +283,19 @@ class RingDescriptor:
             raise RingConstructionError(
                 f"{nvars} variables at D = {D} need an exponent-key table of "
                 f"{key_table} entries, more than MAX_KEY_TABLE = {MAX_KEY_TABLE}")
+        polys = []
+        for g in base_gens:
+            if isinstance(g, str):
+                g = parse_poly(g, self)
+            elif (g.p, g.vars) != (p, self.vars):
+                raise RingConstructionError(
+                    f"generator {g.serialize()!r} lives over F_{g.p}{g.vars}")
+            poly = TruncPoly(p, self.vars, D, g.terms)
+            if poly.constant_term():
+                raise RingConstructionError(
+                    f"generator {poly.serialize()!r} has nonzero constant term")
+            polys.append(poly)
+        self.base_gen_polys = tuple(polys)
         self.monomials = monomials_below(nvars, D)
         self.M = len(self.monomials)
         self.col_index = {e: i for i, e in enumerate(self.monomials)}
@@ -282,7 +311,7 @@ class RingDescriptor:
 
         stacked = np.vstack([np.zeros((0, self.M), dtype=np.int64)]
                             + [self.multiples(self.vector_of_poly(g))
-                               for g in base_gens])
+                               for g in polys])
         rows, pivots = linalg.rref(stacked, p)
         self.base_subspace = Subspace(self, rows, pivots)
         if pivots.size and pivots[0] == 0:
@@ -414,9 +443,7 @@ class RingDescriptor:
 
     def rebuild(self, new_D: int) -> "RingDescriptor":
         """The same ring data at a different truncation order."""
-        gens = [TruncPoly(self.p, self.vars, new_D, g.terms)
-                for g in self.base_gen_polys]
-        return RingDescriptor(self.p, self.vars, gens, new_D)
+        return RingDescriptor(self.p, self.vars, self.base_gen_polys, new_D)
 
     def spec_tuple(self) -> tuple:
         """Hashable identity of the underlying data, ignoring D."""
@@ -429,31 +456,7 @@ class RingDescriptor:
                 f"({gens}) + m^{self.D}, dim={self.dim})")
 
 
-def build_ring(p: int, vars: Sequence[str], base_gens: Sequence[str | TruncPoly],
-               D: int) -> RingDescriptor:
-    """Validate inputs and construct the truncated model.
-
-    The modulus is capped at ``linalg.MAX_PRIME`` so that every elimination
-    stays exact in float64 (see the ``linalg`` module docstring).
-    """
-    if p > linalg.MAX_PRIME:
-        raise RingConstructionError(
-            f"p = {p} exceeds the largest supported prime {linalg.MAX_PRIME}")
-    if not is_prime(p):
-        raise RingConstructionError(f"{p} is not prime")
-    if D < 2:
-        raise RingConstructionError("truncation order must be at least 2")
-    if len(set(vars)) != len(tuple(vars)):
-        raise RingConstructionError("duplicate variable names")
-    probe = type("_Ctx", (), {"p": p, "vars": tuple(vars), "D": D})()
-    polys = []
-    for g in base_gens:
-        poly = parse_poly(g, probe) if isinstance(g, str) else g
-        if poly.constant_term():
-            raise RingConstructionError(
-                f"generator {poly.serialize()!r} has nonzero constant term")
-        polys.append(poly)
-    return RingDescriptor(p, tuple(vars), polys, D)
+build_ring = RingDescriptor
 
 
 def subspace_of_ideal(ring: RingDescriptor, gens: Sequence[Element]) -> Subspace:

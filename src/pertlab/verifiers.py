@@ -22,16 +22,15 @@ import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .certify import (PLATEAU_MIN_WIDTH, TWO_LEVEL, UNCERTIFIED,
-                      CertifiedValue, longest_plateau, two_level_value,
-                      weakest)
+from .certify import (TWO_LEVEL, UNCERTIFIED, CertifiedValue,
+                      two_level_value, weakest)
 from .errors import FilterRegularityError, PertlabError
-from .ideals import (IdealHandle, IdealPowers, colon_subspace, ideal_sum,
-                     m_primary_level, zero_ideal)
-from .invariants import (HilbertTable, SequenceReport, annihilator_profile,
-                         ar_number, filter_regular_check,
+from .ideals import (IdealHandle, IdealPowers, ideal_sum, m_primary_level,
+                     zero_ideal)
+from .invariants import (HilbertTable, SequenceReport, ar_number,
+                         colon_plateaus, filter_regular_check,
                          filter_regular_sequence_check, gr_hilbert_function,
-                         koszul_homology_length, order_profile)
+                         koszul_homology_length)
 from .rings import Element, RingDescriptor
 
 VERIFIED = "verified"
@@ -70,7 +69,6 @@ class BoundReport:
     k: CertifiedValue
     h: CertifiedValue
     n_bound: CertifiedValue
-    j_replaced: IdealHandle
 
     def rows(self) -> tuple[dict, ...]:
         return tuple(row("bound-n", n=name, value_orig=cv.value, status="ok",
@@ -102,20 +100,16 @@ def verdict(claim: str, outcome: str, digest: str, rows=(), *,
                          note, rows)
 
 
-def _digest(*parts: str) -> str:
-    blob = "|".join(parts).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def inputs_digest(ring: RingDescriptor, fs: tuple[Element, ...],
                   eps: tuple[Element, ...] | None,
                   j: IdealHandle | None, extra: str = "") -> str:
-    return _digest(
+    blob = "|".join((
         repr(ring),
         ";".join(f.serialize() for f in fs),
         ";".join(e.serialize() for e in eps) if eps else "",
         ";".join(g.serialize() for g in j.gens) if j else "",
-        extra)
+        extra)).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class Workspace:
@@ -157,9 +151,6 @@ class Workspace:
     @cached_property
     def ring_hi(self) -> RingDescriptor:
         return self.ring.rebuild(self.ring.D + self.delta)
-
-    def lift_elements(self, elems: tuple[Element, ...]) -> tuple[Element, ...]:
-        return tuple(self.ring_hi.element(e.poly) for e in elems)
 
     def perturbed(self, eps: tuple[Element, ...]) -> tuple[Element, ...]:
         if len(eps) != len(self.fs):
@@ -234,21 +225,6 @@ def check_surjection_monotonicity(ws: Workspace, eps: tuple[Element, ...],
                            rests_on=(k.status,))
 
 
-def _colon_quotient_stats(ring: RingDescriptor, omit_handle: IdealHandle,
-                          divisor: Element) -> tuple[tuple, bool]:
-    """Plateau length of (A : g)/A and plateau annihilation exponent of the
-    colon into A, and whether both plateaus are wide enough to read."""
-    target = omit_handle.subspace
-    colon = colon_subspace(target, divisor)
-    cuts = [ring.cut(w) for w in range(ring.D + 1)]
-    l_val, l_width = longest_plateau(order_profile(colon, target, cuts))
-    h_val, h_width = longest_plateau(annihilator_profile(ring, colon.rows,
-                                                         target))
-    resolved = (l_val is not None and h_val is not None
-                and min(l_width, h_width) >= PLATEAU_MIN_WIDTH)
-    return (l_val, h_val), resolved
-
-
 def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:
     """Colon quotients of the perturbed sequence stay bounded by the first
     Koszul homology length h of the base sequence, and are killed by m^h."""
@@ -259,7 +235,7 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
                        note=f"H_1 length unresolved: {h.note}",
                        rests_on=(h.status,))
     pert_lo = ws.perturbed(eps)
-    pert_hi = ws.lift_elements(pert_lo)
+    pert_hi = tuple(ws.ring_hi.element(e) for e in pert_lo)
     rows = []
     outcome = VERIFIED
     witness = None
@@ -268,10 +244,10 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
 
         def stats(ring: RingDescriptor, i: int = i) -> tuple[tuple, bool]:
             pert = pert_lo if ring is ws.ring else pert_hi
-            omit = IdealHandle(ring, pert[:i] + pert[i + 1:])
-            values, resolved = _colon_quotient_stats(ring, omit, pert[i])
-            raw.append(values)
-            return values, resolved
+            omit = IdealHandle(ring, pert[:i] + pert[i + 1:]).subspace
+            (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
+            raw.append((l_val, h_val))
+            return (l_val, h_val), l_ok and h_ok
 
         cert = two_level_value(stats, ws.ring, ws.delta, ring_hi=ws.ring_hi)
         (l_lo, h_lo), resolved = raw[0], cert.status == TWO_LEVEL
@@ -332,7 +308,7 @@ def report_ar_comparison(ws: Workspace, eps: tuple[Element, ...]) -> VerdictReco
                    digest, rows, note=f"data only: {note}")
 
 
-def bound_N_one_element(f: Element, j: IdealHandle, n_max: int | None = None,
+def bound_N_one_element(f: Element, j: IdealHandle,
                         delta: int = 2) -> BoundReport:
     """Explicit threshold for a single filter-regular element: with
     t the primary level of (f) + J, k its Artin-Rees number and h the
@@ -350,7 +326,7 @@ def bound_N_one_element(f: Element, j: IdealHandle, n_max: int | None = None,
     if t.value is None:
         raise PertlabError("(f) + J carries no m-primary certificate at this "
                            "truncation; raise D")
-    window = n_max if n_max is not None else 2 * t.value + 4
+    window = 2 * t.value + 4
     k = ar_number(f_ideal, j_replaced, window, delta=delta)
     if k.value is None:
         raise PertlabError(f"Artin-Rees number not found within window {window}")
@@ -358,4 +334,4 @@ def bound_N_one_element(f: Element, j: IdealHandle, n_max: int | None = None,
     n_cert = CertifiedValue(n_val, weakest((t.status, k.status, h.status)),
                             (ring.D, ring.D + delta),
                             note="max(t(k+1), h)")
-    return BoundReport(t, k, h, n_cert, j_replaced)
+    return BoundReport(t, k, h, n_cert)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED, weakest
+from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED, plateau, weakest
 from pertlab.cli import VERIFY_CLAIMS, run_manifest
 from pertlab.harness import (ExperimentConfig, build_workspace,
                              sample_in_power)
@@ -33,6 +33,20 @@ def test_weakest(statuses, expected):
 def test_weakest_rejects_unknown_status():
     with pytest.raises(ValueError):
         weakest((EXACT, "exakt"))
+
+
+@pytest.mark.parametrize("profile, expected", [
+    ([5, 5, 9], (5, False)),                 # a run of width 2
+    ([5, 5, 5, 9], (5, True)),               # a run of width 3
+    ([None, None, None, None, 2], (None, False)),
+    ([1, 1, 1, 2, 2, 2, 7], (2, True)),      # a tie goes to the latest run
+    ([1, 1, 1, 2, 2, 2], (1, True)),         # the final entry is excluded
+    ([4], (4, False)),
+])
+def test_plateau(profile, expected):
+    """The value of the longest run, resolved only when it is not None and
+    its run is at least three entries wide."""
+    assert plateau(profile) == expected
 
 
 def _assert_not_promoted(record, *rests_on: str) -> None:

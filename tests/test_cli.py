@@ -432,6 +432,15 @@ REJECTED = {
     "N-range-reversed": (_task_manifest(command="find-min-n",
                                         catalog="regular-line", N="3..1",
                                         samples=1), "reversed"),
+    "epsilon-length-differs": (_task_manifest(command="verify",
+                                              catalog="regular-line",
+                                              claim="monotonicity",
+                                              epsilon="x, y"),
+                               "epsilon lists 2 perturbations but f lists 1"),
+    "epsilon-below-N": (_task_manifest(command="verify",
+                                       catalog="regular-line", claim="main",
+                                       epsilon="x", N=3),
+                        "'x' has order 1, below N = 3"),
 }
 
 

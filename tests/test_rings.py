@@ -11,7 +11,8 @@ from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
 from pertlab.polynomials import TruncPoly
-from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element, build_ring,
+from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element,
+                           RingDescriptor, build_ring,
                            nakayama_contains_power,
                            subspace_of_ideal)
 
@@ -71,6 +72,24 @@ def test_build_ring_rejects_key_tables_past_the_cap(nvars):
     assert 2 * 3 ** (nvars - 1) + 1 > MAX_KEY_TABLE
     with pytest.raises(RingConstructionError, match="MAX_KEY_TABLE"):
         build_ring(5, names, [], 2)
+
+
+def test_ring_descriptor_checks_every_input():
+    """RingDescriptor is build_ring: a composite modulus, repeated variables
+    and a generator over another ring are rejected, and a TruncPoly
+    generator of another truncation is re-read at D."""
+    with pytest.raises(RingConstructionError, match="not prime"):
+        RingDescriptor(4, ("x", "y"), [], 5)
+    with pytest.raises(RingConstructionError, match="duplicate"):
+        RingDescriptor(5, ("x", "x"), [], 5)
+    with pytest.raises(RingConstructionError, match="lives over"):
+        RingDescriptor(5, ("x", "y"),
+                       [TruncPoly(7, ("x", "y"), 5, {(1, 1): 1})], 5)
+    gen = TruncPoly(5, ("x", "y"), 20, {(9, 0): 1, (1, 1): 1})
+    ring = build_ring(5, ("x", "y"), [gen], 6)
+    assert ring.base_gen_polys == (TruncPoly(5, ("x", "y"), 6, {(1, 1): 1}),)
+    assert ring.element("x*y").is_zero() and not ring.element("x^5").is_zero()
+    assert ring.dim == build_ring(5, ("x", "y"), ["x*y"], 6).dim == 11
 
 
 def test_build_ring_deterministic():
