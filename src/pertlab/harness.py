@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import get as catalog_get
-from .certify import weakest
 from .errors import PertlabError
 from .ideals import IdealHandle, m_primary_level
 from .invariants import filter_regular_sequence_check
@@ -25,7 +24,7 @@ from .verifiers import (BoundReport, VerdictRecord, Workspace, INCONCLUSIVE,
                         check_control_colon, check_main_equality,
                         check_perturbed_filter_regular,
                         check_surjection_monotonicity, inputs_digest,
-                        report_ar_comparison, row, verdict)
+                        report_ar_comparison, row, sequence_rows, verdict)
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,6 @@ class ExperimentConfig:
                    catalog_id=catalog_id)
         return replace(base, **overrides)
 
-    def canonical(self) -> str:
-        rng = self.ring
-        return "|".join([
-            f"p={rng.p}", f"vars={','.join(rng.vars)}",
-            f"gens={','.join(rng.base_gens)}", f"D={rng.D or 'auto'}",
-            f"f={';'.join(self.f_exprs)}", f"J={';'.join(self.j_exprs)}",
-            f"n_max={self.n_max}", f"range={self.n_range}",
-            f"samples={self.samples}", f"seed={self.seed}",
-            f"delta={self.delta}", f"catalog={self.catalog_id}"])
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -80,10 +69,6 @@ class ExperimentReport:
     theoretical: BoundReport | None = None
     bound_consistent: bool | None = None
     timing_s: float = 0.0
-
-    @property
-    def certification_summary(self) -> str:
-        return weakest(r.certification for r in self.records)
 
     def rows(self) -> list[dict]:
         return [dict(r) for rec in self.records for r in rec.rows]
@@ -249,7 +234,7 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
                         status="bound", certification=bound[0].n_bound.status))
     records.append(verdict(
         "min-n", VERIFIED if n_star is not None else INCONCLUSIVE,
-        inputs_digest(ws.ring, ws.fs, None, ws.j, config.canonical()), rows,
+        inputs_digest(ws.ring, ws.fs, None, ws.j, repr(config)), rows,
         witness=n_star,
         note=("empirical threshold found" if n_star is not None
               else "no stable N in range"),
@@ -271,15 +256,11 @@ def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
                           report, tag: str, seed: int | None) -> VerdictRecord:
     """One row per checked step of a filter-regularity report; ``tag``
     keys the digest."""
-    rows = [row("filter-regular", n=step.index,
-                value_orig=step.exponent.value,
-                status="true" if step.passed else "false",
-                certification=step.exponent.status)
-            for step in report.steps]
     return verdict(
         "filter-regular", VERIFIED, inputs_digest(ring, seq, None, None, tag),
-        rows, note=("filter-regular" if report.passed
-                    else f"fails at index {report.first_failure}")
+        sequence_rows("filter-regular", report, ("true", "false")),
+        note=("filter-regular" if report.passed
+              else f"fails at index {report.first_failure}")
     ).with_context(None, None, seed)
 
 

@@ -165,15 +165,11 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
 
 
 def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
-    """(a : by); colon by an ideal intersects the colons by its generators."""
+    """(a : by); colon by an ideal intersects the colons by its generators,
+    and an element divisor is read as the ideal it generates."""
     ring = a.ring
     if isinstance(by, Element):
-        if by.ring is not ring:
-            raise RingMismatchError("colon divisor from a different ring")
-        if by.is_zero():
-            return IdealHandle(ring, [ring.one()],
-                               note="degenerate: colon by zero is the unit ideal")
-        return _handle_of(colon_subspace(a.subspace, by))
+        by = IdealHandle(by.ring, (by,))
     a._check_ring(by)
     divisors = [g for g in by.gens if not g.is_zero()]
     if not divisors:

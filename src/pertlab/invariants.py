@@ -236,9 +236,6 @@ class KoszulReport:
     lengths: tuple[CertifiedValue, ...]   # index 0 holds H_1
     finite: tuple[bool, ...]
 
-    def length(self, i: int) -> CertifiedValue:
-        return self.lengths[i - 1]
-
 
 def _reduced_mult_matrix(ring: RingDescriptor, elem) -> np.ndarray:
     """Multiplication by ``elem`` on the quotient, in standard-monomial

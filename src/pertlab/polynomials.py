@@ -34,6 +34,20 @@ def _normalized(terms: Mapping[Exponents, int], p: int, trunc: int) -> dict[Expo
     return out
 
 
+def power(base, n: int, one):
+    """base ** n by square-and-multiply, ``one`` being the identity of
+    base's ring; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class TruncPoly:
     """A polynomial over F_p with every term of total degree < D.
 
@@ -72,14 +86,6 @@ class TruncPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Maximum total degree of a term, -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def order(self) -> int:
-        """Minimum total degree of a term; trunc for the zero polynomial."""
-        return min((sum(e) for e in self.terms), default=self.trunc)
-
     def constant_term(self) -> int:
         return self.terms.get((0,) * len(self.vars), 0)
 
@@ -117,21 +123,9 @@ class TruncPoly:
                 terms[e] = terms.get(e, 0) + c1 * c2
         return TruncPoly(self.p, self.vars, self.trunc, terms)
 
-    def scale(self, c: int) -> "TruncPoly":
-        return TruncPoly(self.p, self.vars, self.trunc,
-                         {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "TruncPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = TruncPoly.constant(1, self.p, self.vars, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, TruncPoly.constant(1, self.p, self.vars,
+                                                 self.trunc))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncPoly):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
-from .polynomials import TruncPoly, monomials_below, parse_poly
+from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 
 # Largest supported number M of monomials below D.  Each subspace keeps one
@@ -206,20 +206,8 @@ class Element:
         acc = ring.rows_times(b[None, :], a)[0]
         return Element(ring, ring._normal_form(acc), self.poly * other.poly)
 
-    def scale(self, c: int) -> "Element":
-        return Element(self.ring, (c * self.vec) % self.ring.p, self.poly.scale(c))
-
     def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):

@@ -2,9 +2,11 @@
 
 Each verifier consumes a base sequence, a perturbation list and an ideal J,
 and returns a :class:`VerdictRecord` with outcome verified / violated /
-inconclusive.  A violation always carries a concrete witness; any
-uncertified ingredient downgrades the outcome to inconclusive rather than
-letting a truncation artifact masquerade as a counterexample.
+inconclusive.  A claim checked index by index (table degree n or sequence
+position i) is judged by :func:`judge`, the one outcome rule: inconclusive,
+with no witness, when some index is unresolved, so no truncation artifact
+passes for a counterexample; otherwise violated, its witness the first
+failing index; otherwise verified.
 
 :func:`verdict` is the only record builder, here and in the harness and the
 command line.  A record's certification is the weakest of its rows'
@@ -100,6 +102,25 @@ def verdict(claim: str, outcome: str, digest: str, rows=(), *,
                          note, rows)
 
 
+def judge(resolved, failing) -> tuple[str, int | None]:
+    """(outcome, witness) from a resolved flag per index and the failing
+    indices in order, which are not read when some index is unresolved."""
+    if not all(resolved):
+        return INCONCLUSIVE, None
+    witness = next(iter(failing), None)
+    return (VERIFIED if witness is None else VIOLATED), witness
+
+
+def sequence_rows(claim: str, report: SequenceReport,
+                  labels: tuple[str, str]) -> list[dict]:
+    """One row per checked step of a filter-regularity report, its status
+    ``labels[0]`` for a passing step and ``labels[1]`` for a failing one."""
+    return [row(claim, n=step.index, value_orig=step.exponent.value,
+                status=labels[0] if step.passed else labels[1],
+                certification=step.exponent.status)
+            for step in report.steps]
+
+
 def inputs_digest(ring: RingDescriptor, fs: tuple[Element, ...],
                   eps: tuple[Element, ...] | None,
                   j: IdealHandle | None, extra: str = "") -> str:
@@ -166,9 +187,7 @@ def _compare_tables(ws: Workspace, eps: tuple[Element, ...],
                     pert_table: HilbertTable | None, claim: str, digest: str,
                     fails, note: str = "", rests_on=()) -> VerdictRecord:
     """Compare the gr tables of the original and perturbed quotients entry
-    by entry.  Any uncertified entry makes the verdict inconclusive;
-    otherwise the first n with ``fails(orig, pert)`` is the witness of a
-    violation."""
+    by entry; degree n fails when ``fails(orig, pert)``."""
     orig = ws.gr_orig
     pert = pert_table if pert_table is not None else ws.gr_perturbed(eps)
     pairs = list(zip(orig.entries, pert.entries))
@@ -176,15 +195,13 @@ def _compare_tables(ws: Workspace, eps: tuple[Element, ...],
                 status="match" if a.value == b.value else "mismatch",
                 certification=weakest((a.status, b.status)))
             for n, (a, b) in enumerate(pairs)]
-    if not (orig.all_certified() and pert.all_certified()):
-        return verdict(claim, INCONCLUSIVE, digest, rows,
-                       note="; ".join(filter(None, ("uncertified table "
-                                                    "entries", note))),
-                       rests_on=rests_on)
-    witness = next((n for n, (a, b) in enumerate(pairs)
-                    if fails(a.value, b.value)), None)
-    return verdict(claim, VERIFIED if witness is None else VIOLATED, digest,
-                   rows, witness=witness, note=note, rests_on=rests_on)
+    outcome, witness = judge(
+        (a.is_certified() and b.is_certified() for a, b in pairs),
+        (n for n, (a, b) in enumerate(pairs) if fails(a.value, b.value)))
+    if outcome == INCONCLUSIVE:
+        note = "; ".join(filter(None, ("uncertified table entries", note)))
+    return verdict(claim, outcome, digest, rows, witness=witness, note=note,
+                   rests_on=rests_on)
 
 
 def check_main_equality(ws: Workspace, eps: tuple[Element, ...],
@@ -237,8 +254,6 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
     pert_lo = ws.perturbed(eps)
     pert_hi = tuple(ws.ring_hi.element(e) for e in pert_lo)
     rows = []
-    outcome = VERIFIED
-    witness = None
     for i in range(len(pert_lo)):
         raw = []
 
@@ -252,16 +267,12 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
         cert = two_level_value(stats, ws.ring, ws.delta, ring_hi=ws.ring_hi)
         (l_lo, h_lo), resolved = raw[0], cert.status == TWO_LEVEL
         ok = resolved and l_lo <= h.value and h_lo <= h.value
+        status = "ok" if ok else ("exceeds" if resolved else "unresolved")
         rows.append(row("control-colon", n=i + 1, value_orig=l_lo,
-                        value_pert=h_lo,
-                        status="ok" if ok else ("unresolved" if not resolved
-                                                else "exceeds"),
+                        value_pert=h_lo, status=status,
                         certification=cert.status))
-        if not resolved:
-            outcome = INCONCLUSIVE
-        elif not ok and outcome != INCONCLUSIVE:
-            outcome = VIOLATED
-            witness = i + 1
+    outcome, witness = judge((r["status"] != "unresolved" for r in rows),
+                             (r["n"] for r in rows if r["status"] == "exceeds"))
     return verdict("control-colon", outcome, digest, rows, witness=witness,
                    note=f"bound h = {h.value} from the first Koszul homology",
                    rests_on=(h.status,))
@@ -272,20 +283,14 @@ def check_perturbed_filter_regular(ws: Workspace,
     """Does the perturbed sequence stay filter-regular?  The record keeps the
     order of each perturbation for empirical threshold mapping."""
     digest = inputs_digest(ws.ring, ws.fs, eps, None, "preservation")
-    pert = ws.perturbed(eps)
-    report = filter_regular_sequence_check(pert, delta=ws.delta)
+    report = filter_regular_sequence_check(ws.perturbed(eps), delta=ws.delta)
     orders = tuple(e.order() for e in eps)
-    rows = [row("preservation", n=step.index, value_orig=step.exponent.value,
-                status="pass" if step.passed else "fail",
-                certification=step.exponent.status)
-            for step in report.steps]
-    if any(s.exponent.status == UNCERTIFIED for s in report.steps):
-        outcome = INCONCLUSIVE
-    else:
-        outcome = VERIFIED if report.passed else VIOLATED
-    return verdict("preservation", outcome, digest, rows,
-                   witness=report.first_failure,
-                   note=f"perturbation orders {orders}")
+    outcome, witness = judge(
+        (s.exponent.status != UNCERTIFIED for s in report.steps),
+        (s.index for s in report.steps if not s.passed))
+    return verdict("preservation", outcome, digest,
+                   sequence_rows("preservation", report, ("pass", "fail")),
+                   witness=witness, note=f"perturbation orders {orders}")
 
 
 def report_ar_comparison(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:

@@ -469,3 +469,27 @@ def test_n_max_up_to_explicit_d_is_accepted():
     with pytest.raises(ManifestError, match="n_max"):
         parse_manifest(f"[manifest]\nformat-version = 1\n\n{ring}{task}"
                        "n_max = 7\n")
+
+
+def test_table_footer_shows_thresholds(tmp_path, capsys):
+    path = tmp_path / "min-n.cfg"
+    path.write_text(_task_manifest(command="find-min-n",
+                                   catalog="regular-line", N="1..3",
+                                   samples=2, n_max=4, seed=3))
+    assert main([str(path), "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert "empirical N* = 1" in out
+    assert "theoretical N = 2" in out
+
+
+def test_main_appends_plot_data(tmp_path, capsys):
+    path = tmp_path / "verify.cfg"
+    path.write_text(_task_manifest(command="verify", catalog="regular-line",
+                                   claim="main", epsilon="y^3", N=3,
+                                   n_max=4))
+    assert main([str(path), "--format", "csv", "--emit-plot-data"]) == 0
+    out = capsys.readouterr().out
+    head, _, plot = out.partition("# plot data")
+    assert head.startswith("claim,N,sample,n,") and plot
+    assert any(line.startswith("main-equality-pert\t")
+               for line in plot.splitlines())

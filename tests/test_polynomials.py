@@ -126,3 +126,13 @@ def test_truncation_tower(a):
     lower = TruncPoly(a.p, a.vars, 3, a.terms)
     via = TruncPoly(a.p, a.vars, 3, TruncPoly(a.p, a.vars, 5, a.terms).terms)
     assert lower == via
+
+
+def test_power_is_repeated_product():
+    f = parse_poly("x + 2*y + 1", F5XY)
+    prod = TruncPoly.constant(1, 5, ("x", "y"), 6)
+    for n in range(7):
+        assert f ** n == prod
+        prod = prod * f
+    with pytest.raises(ValueError, match="negative exponent"):
+        f ** -1

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from pertlab.errors import FilterRegularityError
-from pertlab.ideals import maximal_ideal
+from pertlab.certify import TWO_LEVEL, UNCERTIFIED, CertifiedValue
+from pertlab.errors import FilterRegularityError, PertlabError
+from pertlab.harness import ExperimentConfig, build_workspace
+from pertlab.ideals import ideal, maximal_ideal
 from pertlab.rings import build_ring
 from pertlab.verifiers import (VERIFIED, VIOLATED, INCONCLUSIVE, Workspace,
                                bound_N_one_element, check_control_colon,
                                check_main_equality,
                                check_perturbed_filter_regular,
-                               check_surjection_monotonicity,
+                               check_surjection_monotonicity, judge,
                                report_ar_comparison)
 
 
@@ -160,3 +162,85 @@ def test_verdict_context_embedding(plane_ws):
     tagged = rec.with_context(2, 7, 99)
     assert all(row["N"] == 2 and row["sample"] == 7 and row["seed"] == 99
                for row in tagged.rows)
+
+
+def _failing_never_read():
+    raise AssertionError("failing indices read for an unresolved claim")
+    yield
+
+
+@pytest.mark.parametrize("resolved, failing, expected", [
+    ((), (), (VERIFIED, None)),
+    ((True, True), (), (VERIFIED, None)),
+    ((True, True, True), (0, 2), (VIOLATED, 0)),
+    ((True, True), (2, 1), (VIOLATED, 2)),
+    ((True, False), (1,), (INCONCLUSIVE, None)),
+])
+def test_judge_outcome_rule(resolved, failing, expected):
+    assert judge(resolved, failing) == expected
+    assert judge(iter(resolved), iter(failing)) == expected
+
+
+def test_judge_reads_no_failure_of_an_unresolved_claim():
+    assert judge((True, False), _failing_never_read()) == (INCONCLUSIVE, None)
+
+
+def test_control_colon_witness_is_first_failing_index():
+    # Both colons (x : y) and (y : x) over (x^2, y^2) are nonzero, so both
+    # exceed a bound h = 0; the witness names the first.
+    ring = build_ring(5, ("x", "y"), ["x^2", "y^2"], 10)
+    ws = Workspace(ring, (ring.element("x"), ring.element("y")),
+                   ideal(ring, ("x", "y")), 4)
+    ws.h1 = CertifiedValue(0, TWO_LEVEL, (10, 12))
+    rec = check_control_colon(ws, (ring.zero(), ring.zero()))
+    assert [r["status"] for r in rec.rows] == ["exceeds", "exceeds"]
+    assert (rec.outcome, rec.witness) == (VIOLATED, 1)
+
+
+@pytest.fixture
+def line_in_plane():
+    """F_5[x, y] at D = 8 with f = (x) and J = (x, y)."""
+    ring = build_ring(5, ("x", "y"), [], 8)
+    return Workspace(ring, (ring.element("x"),), ideal(ring, ("x", "y")), 4)
+
+
+def test_main_equality_uncertified_tables():
+    # J = (x) is not m-primary, so no table entry carries a certificate.
+    ring = build_ring(5, ("x", "y"), [], 8)
+    ws = Workspace(ring, (ring.element("x"),), ideal(ring, ("x",)), 4)
+    rec = check_main_equality(ws, (ring.element("y^3"),))
+    assert rec.outcome == INCONCLUSIVE and rec.witness is None
+    assert rec.note == "uncertified table entries"
+    assert rec.certification == UNCERTIFIED
+
+
+def test_monotonicity_unresolved_artin_rees(line_in_plane):
+    ws = line_in_plane
+    ws.ar_value = CertifiedValue(None, UNCERTIFIED, (8, 10))
+    rec = check_surjection_monotonicity(ws, (ws.ring.element("y^3"),))
+    assert rec.outcome == INCONCLUSIVE
+    assert rec.note.startswith("Artin-Rees number unresolved")
+    assert rec.certification == UNCERTIFIED
+
+
+def test_ar_comparison_differing_values(line_in_plane):
+    ws = line_in_plane
+    ws.ar_value = CertifiedValue(None, UNCERTIFIED, (8, 10))
+    rec = report_ar_comparison(ws, (ws.ring.element("y^3"),))
+    assert rec.rows[0]["status"] == "differs"
+    assert rec.outcome == INCONCLUSIVE
+
+
+def test_control_colon_unresolved_row():
+    # y is not filter-regular on the node, so its colon reads no plateau.
+    ws = build_workspace(ExperimentConfig.from_catalog("node-branch"))
+    ws.h1 = CertifiedValue(0, TWO_LEVEL, (ws.ring.D, ws.ring.D + 2))
+    rec = check_control_colon(ws, (ws.ring.zero(),))
+    assert [r["status"] for r in rec.rows] == ["unresolved"]
+    assert rec.outcome == INCONCLUSIVE and rec.witness is None
+
+
+def test_bound_without_primary_certificate():
+    ring = build_ring(5, ("x", "y"), [], 8)
+    with pytest.raises(PertlabError, match="no m-primary certificate"):
+        bound_N_one_element(ring.element("x"), ideal(ring, ("x",)))
