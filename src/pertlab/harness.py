@@ -129,7 +129,11 @@ def sample_in_ideal_power(ws: Workspace, power: int, seed: int,
     out = []
     for _ in range(count):
         coeffs = rng.integers(0, ws.ring.p, sub.rank)
-        vec = (coeffs @ sub.rows) % ws.ring.p
+        # Blocks of 256 rows: the narrow basis is widened to int64 one block
+        # at a time, never whole.
+        vec = sum((coeffs[s:s + 256] @ sub.rows[s:s + 256]
+                   for s in range(0, sub.rank, 256)),
+                  np.zeros(ws.ring.M, dtype=np.int64)) % ws.ring.p
         out.append(ws.ring.element(ws.ring.poly_of_vector(vec)))
     return tuple(out)
 

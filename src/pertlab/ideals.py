@@ -55,7 +55,7 @@ class IdealHandle:
         return self.subspace == other.subspace
 
     def is_unit(self) -> bool:
-        return self.subspace.rank and self.subspace.pivots[0] == 0
+        return bool(self.subspace.rank and self.subspace.pivots[0] == 0)
 
     def lift(self, ring: RingDescriptor) -> "IdealHandle":
         """The generators re-read in a rebuild ``ring``; self in its own."""
@@ -154,12 +154,13 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     """
     ring = target.ring
     if elem.is_zero():
-        rows, piv = linalg.rref(np.eye(ring.M, dtype=np.int64), ring.p)
+        rows, piv = linalg.rref(np.eye(ring.M, dtype=linalg.narrow_dtype(ring.p)),
+                                ring.p)
         return Subspace(ring, rows, piv)
-    products = mult_matrix(ring, elem)
-    residues = target.reduce(products)
-    nonpiv = target.nonpivots()
-    kernel = linalg.left_nullspace(residues[:, nonpiv], ring.p)
+    # One expression, so the M x M products and their residues are freed
+    # before the nullspace's elimination runs.
+    kernel = linalg.left_nullspace(
+        target.reduce(mult_matrix(ring, elem))[:, target.nonpivots()], ring.p)
     rows, piv = linalg.rref(kernel, ring.p)
     return Subspace(ring, rows, piv)
 

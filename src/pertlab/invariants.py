@@ -76,8 +76,8 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
         psub = powers.subspace(n + 1)
         t = powers.cert_level(n + 1)
         if t is not None:
-            reduced = i_sub.reduce(psub.rows)
-            extra = linalg.rank(reduced[:, nonpiv], ring.p)
+            # The full reduction dies before the rank's elimination runs.
+            extra = linalg.rank(i_sub.reduce(psub.rows)[:, nonpiv], ring.p)
             codim = ring.M - i_sub.rank - extra
             entries.append(CertifiedValue(codim, EXACT, (ring.D,),
                                           note=f"m^{t} inside J^{n + 1}"))
@@ -167,8 +167,8 @@ def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
 def _times_ideal_once(ring: RingDescriptor, j: IdealHandle,
                       base: Subspace) -> Subspace:
     """Subspace of J * (ideal carried by ``base``)."""
-    rows = [ring.rows_times(base.rows, g.vec) for g in j.gens]
-    stacked = np.vstack(rows + [ring.base_subspace.rows])
+    stacked = np.vstack([ring.rows_times(base.rows, g.vec) for g in j.gens]
+                        + [ring.base_subspace.rows])
     r, piv = linalg.rref(stacked, ring.p)
     return Subspace(ring, r, piv)
 

@@ -3,7 +3,10 @@
 Inputs are integer arrays; entries outside [0, p) are reduced first.  Outputs
 are int64 arrays with entries in [0, p).  Reduced row echelon forms are
 canonical for a fixed column order and read-only, so rowspace equality is
-plain array equality.
+plain array equality.  Bases stored for later use are kept narrower: every
+residue fits the unsigned dtype of ``narrow_dtype(p)`` (uint8 for p <= 251,
+uint16 up to MAX_PRIME), an eighth or a quarter of int64, and every entry
+point accepts such arrays as they are (see ``narrow``).
 
 Inside, residues live in a float work dtype so that every product runs
 through BLAS with delayed reduction.  A product with inner dimension k sums k
@@ -59,12 +62,28 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def narrow_dtype(p: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every residue mod p."""
+    return np.dtype(np.uint8 if p <= 256 else np.uint16)
+
+
+def narrow(rows, p: int) -> np.ndarray:
+    """Read-only residue rows in ``narrow_dtype(p)``; entries must already
+    lie in [0, p).  Rows already in that form are returned as they are."""
+    rows = np.asarray(rows)
+    dtype = narrow_dtype(p)
+    if rows.dtype == dtype and not rows.flags.writeable:
+        return rows
+    rows = np.array(rows, dtype=dtype)
+    rows.flags.writeable = False
+    return rows
+
+
 def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
     """``a`` mod p in ``dtype``; the reduction is skipped when a min/max
-    check shows every entry already in [0, p)."""
+    check shows every entry already in [0, p), so a narrow block in range
+    goes to ``dtype`` without an int64 copy."""
     a = np.asarray(a)
-    if a.dtype != dtype:
-        a = np.asarray(a, dtype=np.int64)
     if a.size and (a.min() < 0 or a.max() >= p):
         a = np.asarray(a, dtype=np.int64) % p
     return a.astype(dtype, copy=False)
@@ -191,7 +210,8 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _canonical(rows: np.ndarray, pivots: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 copies of an RREF, the form every caller receives."""
+    """Read-only int64 copies of an RREF, the form every caller receives;
+    a caller that stores the basis narrows it (see ``narrow``)."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     rows.flags.writeable = False
     pivots.flags.writeable = False
@@ -224,23 +244,24 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical reduced row echelon form.
 
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
-    column.  Processes input in chunks: each chunk is reduced against the
-    accumulated basis in one ``reduce_rows`` call before local elimination.
-    The basis stays in the work dtype until the end.
+    column.  Processes input in chunks: each chunk is converted to the work
+    dtype and reduced against the accumulated basis in one ``reduce_rows``
+    call before local elimination, so no work copy of the whole input is
+    made.  The basis stays in the work dtype until the end.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
-    work = _residues(mat, p, _work_dtype(p, ncols))
+    dtype = _work_dtype(p, ncols)
     # Basis rows in order of discovery, with their pivots and unit mask
     # alongside; the order does not matter to reduce_rows, so they are
     # sorted once at the end.
-    basis = np.empty((min(nrows, ncols), ncols), dtype=work.dtype)
+    basis = np.empty((min(nrows, ncols), ncols), dtype=dtype)
     pivots = np.empty(basis.shape[0], dtype=np.int64)
     unit = np.empty(basis.shape[0], dtype=bool)
     r = 0
     for start in range(0, nrows, _CHUNK):
-        chunk = reduce_rows(work[start:start + _CHUNK], basis[:r], pivots[:r],
-                            p, unit=unit[:r])
+        chunk = reduce_rows(_residues(mat[start:start + _CHUNK], p, dtype),
+                            basis[:r], pivots[:r], p, unit=unit[:r])
         chunk = chunk[np.any(chunk, axis=1)]
         if chunk.shape[0] == 0:
             continue
@@ -270,7 +291,8 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
           p: int, unit: np.ndarray | None = None
           ) -> tuple[np.ndarray, np.ndarray]:
     """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
-    ``unit`` may carry the cached unit-row mask of ``rows``."""
+    ``unit`` may carry the cached unit-row mask of ``rows``.  When ``extra``
+    adds nothing, ``rows`` and ``pivots`` come back as they are."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
@@ -303,7 +325,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     free = np.setdiff1d(np.arange(ncols), pivots)
     if free.size == 0:
         return np.zeros((0, ncols), dtype=np.int64)
-    kernel = np.zeros((free.size, ncols), dtype=np.int64)
+    kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
     kernel[np.arange(free.size), free] = 1
     if pivots.size:
         kernel[:, pivots] = (-rows[:, free].T) % p

@@ -32,9 +32,11 @@ from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 
 # Largest supported number M of monomials below D.  Each subspace keeps one
-# dense form, its int64 RREF, and multiplication matrices and coordinate
-# blocks are dense too: arrays of up to M x M entries, 0.8 GB each at the
-# cap, so larger rings are rejected before any of them is built.
+# dense form, its RREF in uint8 (p <= 251) or uint16, and multiplication
+# matrices and coordinate blocks are dense too: arrays of up to M x M
+# residues, 100 MB each at the cap in uint8 and 200 MB in uint16, with int64
+# and float copies of the blocks under elimination, so larger rings are
+# rejected before any of them is built.
 MAX_MONOMIALS = 10_000
 
 # Largest supported exponent-key table.  Monomial products are looked up in
@@ -67,14 +69,16 @@ class Subspace:
 
     Membership testing is reduction to zero; equality of subspaces is plain
     array equality because the RREF is canonical for the fixed column order.
-    Instances are immutable.
+    Instances are immutable: ``rows`` is stored read-only in
+    ``linalg.narrow_dtype(p)``, so any signed arithmetic on it must first
+    promote to int64.
     """
 
     __slots__ = ("ring", "rows", "pivots", "_unit")
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
-        self.rows = rows
+        self.rows = linalg.narrow(rows, ring.p)
         self.pivots = pivots
         self._unit: np.ndarray | None = None
 
@@ -297,7 +301,8 @@ class RingDescriptor:
         self._key_col = np.full(key_table, self.M, dtype=np.int64)
         self._key_col[self._keys] = np.arange(self.M)
 
-        stacked = np.vstack([np.zeros((0, self.M), dtype=np.int64)]
+        stacked = np.vstack([np.zeros((0, self.M),
+                                      dtype=linalg.narrow_dtype(p))]
                             + [self.multiples(self.vector_of_poly(g))
                                for g in polys])
         rows, pivots = linalg.rref(stacked, p)
@@ -397,27 +402,31 @@ class RingDescriptor:
         By default ``mus`` holds the monomials whose product with ``vec`` can
         survive, those of degree < D - order(vec); their rows span the ideal
         generated by ``vec`` modulo m^D.  Distinct monomials of the support
-        land on distinct columns, so one scatter builds every row.
+        land on distinct columns, so one scatter builds every row.  The rows
+        are a view in ``linalg.narrow_dtype(p)``.
         """
         support = np.nonzero(vec)[0]
         if mus is None:
             order = int(self.deg_of_col[support[0]]) if support.size else self.D
             mus = np.arange(self.cut(self.D - order))
         cols = self.monomial_shifts(support)[:, mus].T
-        rows = np.zeros((cols.shape[0], self.M + 1), dtype=np.int64)
-        rows[np.arange(cols.shape[0])[:, None], cols] = vec[support]
-        return rows[:, :self.M] % self.p
+        rows = np.zeros((cols.shape[0], self.M + 1),
+                        dtype=linalg.narrow_dtype(self.p))
+        rows[np.arange(cols.shape[0])[:, None], cols] = vec[support] % self.p
+        return rows[:, :self.M]
 
     # -- ideals as subspaces ----------------------------------------------------
 
     def ideal_subspace(self, gens: Iterable[Element]) -> Subspace:
         """Echelon basis of (generated ideal + defining ideal) inside V."""
-        rows = [self.base_subspace.rows]
+        blocks = [self.base_subspace.rows]
         for g in gens:
             if g.ring is not self:
                 raise RingMismatchError("generator from a different ring")
-            rows.append(self.multiples(g.vec))
-        r, piv = linalg.rref(np.vstack(rows), self.p)
+            blocks.append(self.multiples(g.vec))
+        stacked = np.vstack(blocks)
+        del blocks
+        r, piv = linalg.rref(stacked, self.p)
         return Subspace(self, r, piv)
 
     def power_span(self, w: int) -> Subspace:
@@ -425,7 +434,8 @@ class RingDescriptor:
         cut = self.cut(w)
         if cut == self.M:
             return self.base_subspace
-        coords = np.zeros((self.M - cut, self.M), dtype=np.int64)
+        coords = np.zeros((self.M - cut, self.M),
+                          dtype=linalg.narrow_dtype(self.p))
         coords[np.arange(self.M - cut), np.arange(cut, self.M)] = 1
         return self.base_subspace.sum_rows(coords)
 
@@ -468,7 +478,7 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
     keep = subspace.prefix_rank(cut)
     low_rows = subspace.rows[:keep, :cut]
     low_piv = subspace.pivots[:keep]
-    block = np.zeros((hi - lo, cut), dtype=np.int64)
+    block = np.zeros((hi - lo, cut), dtype=linalg.narrow_dtype(ring.p))
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
     reduced = linalg.reduce_rows(block, low_rows, low_piv, ring.p)
     return not reduced.any()

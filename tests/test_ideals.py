@@ -174,3 +174,9 @@ def test_ideal_powers_maximal_fast_path(branched):
     direct = ideal_power(maximal_ideal(branched), 3)
     assert powers.handle(3).equals(direct)
     assert powers.cert_level(3) == 3
+
+
+def test_is_unit_returns_a_bool(f5xy):
+    assert zero_ideal(f5xy).is_unit() is False
+    assert ideal(f5xy, ["x", "y"]).is_unit() is False
+    assert unit_ideal(f5xy).is_unit() is True

@@ -338,3 +338,89 @@ def test_kernel_never_writes_into_its_arguments(p):
     assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
     for original, arg in zip(before, [work, block]):
         assert np.array_equal(original, arg)
+
+
+# -- narrow storage -----------------------------------------------------------------
+
+NARROW_PRIMES = [2, 3, 251, 257, 65521]
+
+
+@pytest.mark.parametrize("p", NARROW_PRIMES)
+def test_narrow_dtype_holds_every_residue(p):
+    dtype = linalg.narrow_dtype(p)
+    assert dtype == (np.uint8 if p <= 251 else np.uint16)
+    assert np.iinfo(dtype).max >= p - 1
+    rows = linalg.narrow(np.array([[0, p - 1], [1, 0]]), p)
+    assert rows.dtype == dtype and not rows.flags.writeable
+    assert rows.tolist() == [[0, p - 1], [1, 0]]
+    assert linalg.narrow(rows, p) is rows
+
+
+def test_residues_reduce_a_uint16_block_past_p():
+    """At p = 257, uint16 entries reach 65535; they are reduced in uint16,
+    with no int64 copy, to the residues Python ints give."""
+    p = 257
+    block = np.array([[0, 256, 257, 258], [513, 65535, 1, 65534]],
+                     dtype=np.uint16)
+    out = linalg._residues(block, p, np.dtype(np.float32))
+    assert out.dtype == np.float32
+    assert out.tolist() == [[v % p for v in row] for row in block.tolist()]
+    assert block.tolist()[1][1] == 65535
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NARROW_PRIMES), st.sampled_from([np.uint8, np.uint16]),
+       st.integers(0, 2 ** 32 - 1))
+def test_unsigned_input_matches_int64_input(p, dtype, seed):
+    """Unsigned blocks with entries up to the dtype's maximum, so past p
+    wherever p fits the dtype, give every entry point what an int64 copy
+    gives."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(1, 20))
+    shape = (int(rng.integers(0, 30)), ncols)
+    block = (rng.integers(0, np.iinfo(dtype).max + 1, shape)
+             * (rng.random(shape) < 0.4)).astype(dtype)
+    wide = block.astype(np.int64)
+    work = linalg._work_dtype(p, ncols)
+    assert np.array_equal(linalg._residues(block, p, work), wide % p)
+    rows, pivots = linalg.rref(block, p)
+    ref_rows, ref_pivots = ref_rref(wide, p)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    assert np.array_equal(linalg.nullspace(block, p), linalg.nullspace(wide, p))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("p", [2, 251, 257, 65521])
+def test_kernel_never_writes_into_narrow_arguments(p, dtype):
+    """Read-only unsigned blocks, with entries up to the dtype's maximum, and
+    read-only narrow bases, the form ``Subspace`` stores, give every entry
+    point what int64 copies give, and stay as they were."""
+    rng = np.random.default_rng(29)
+    ncols = 12
+    top = np.iinfo(dtype).max
+    mat = _read_only((monomial_rows(rng, p, 0, ncols, tall=True)
+                      % (top + 1)).astype(dtype))
+    block = _read_only(rng.integers(0, top + 1, (9, ncols)).astype(dtype))
+    wide_mat, wide_block = mat.astype(np.int64), block.astype(np.int64)
+    before = [mat.copy(), block.copy()]
+
+    rows, pivots = linalg.rref(mat, p)
+    ref_rows, ref_pivots = ref_rref(wide_mat, p)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    narrow = linalg.narrow(rows, p)
+    assert np.array_equal(linalg.reduce_rows(block, narrow, pivots, p),
+                          linalg.reduce_rows(wide_block, rows, pivots, p))
+    half, half_piv = linalg.rref(wide_mat[:150], p)
+    # A merge that adds nothing hands back its narrow ``rows`` as they are.
+    merged, merged_piv = linalg.merge(linalg.narrow(half, p), half_piv,
+                                      mat[150:], p)
+    assert merged.tolist() == ref_rows and merged_piv.tolist() == ref_pivots
+    other, other_piv = linalg.rref(block, p)
+    inter = linalg.intersect_rowspaces(narrow, pivots, linalg.narrow(other, p),
+                                       other_piv, p)
+    wide_inter = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    assert all(np.array_equal(x, y) for x, y in zip(inter, wide_inter))
+    assert np.array_equal(linalg.nullspace(block, p),
+                          linalg.nullspace(wide_block, p))
+    for original, arg in zip(before, [mat, block]):
+        assert np.array_equal(original, arg)

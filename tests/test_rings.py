@@ -12,7 +12,7 @@ from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
 from pertlab.polynomials import TruncPoly
 from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element,
-                           RingDescriptor, build_ring,
+                           RingDescriptor, Subspace, build_ring,
                            nakayama_contains_power,
                            subspace_of_ideal)
 
@@ -299,3 +299,94 @@ def test_subspace_unit_mask_matches_kernel(gens, D):
         rows, pivots = linalg.merge(sub.rows, sub.pivots, extra, ring.p)
         assert np.array_equal(merged.rows, rows)
         assert np.array_equal(merged.pivots, pivots)
+
+
+# -- narrow storage against the int64 path ---------------------------------------
+
+NARROW_PRIMES = [2, 3, 251, 257, 65521]
+
+
+def _wide(sub):
+    """The subspace with int64 rows, past the narrowing constructor, so that
+    every method runs the int64 path."""
+    wide = Subspace.__new__(Subspace)
+    wide.ring, wide.pivots, wide._unit = sub.ring, sub.pivots, None
+    wide.rows = sub.rows.astype(np.int64)
+    return wide
+
+
+@st.composite
+def rings_with_subspaces(draw):
+    """A ring over one of NARROW_PRIMES with two ideal subspaces whose
+    generators carry coefficients up to p - 1, the top of the narrow dtype
+    at p = 251 and p = 65521; the first subspace has polynomial rows unless
+    the defining ideal absorbs them."""
+    p = draw(st.sampled_from(NARROW_PRIMES))
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    gens = draw(st.lists(st.sampled_from(["x*y", "x^2 + y^3", f"{names[-1]}^3"]),
+                         max_size=2))
+    ring = build_ring(p, names, gens, draw(st.integers(3, 5)))
+    coeffs = st.just(p - 1) | st.integers(1, p - 1)
+
+    def element():
+        terms = draw(st.dictionaries(st.integers(1, ring.M - 1), coeffs,
+                                     min_size=2, max_size=4))
+        vec = np.zeros(ring.M, dtype=np.int64)
+        vec[list(terms)] = list(terms.values())
+        return ring.element(ring.poly_of_vector(vec))
+
+    return ring, [ring.ideal_subspace([element() for _ in range(count)])
+                  for count in (draw(st.integers(1, 2)), draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings_with_subspaces(), st.integers(0, 2 ** 32 - 1))
+def test_narrow_subspaces_match_the_int64_path(case, seed):
+    """Every Subspace method, the Nakayama certificate and the raw product
+    give on narrow rows what they give on int64 copies of them."""
+    ring, (a, b) = case
+    p = ring.p
+    wa, wb = _wide(a), _wide(b)
+    for sub in (a, b):
+        assert sub.rows.dtype == (np.uint8 if p <= 251 else np.uint16)
+        assert not sub.rows.flags.writeable
+        with pytest.raises(ValueError):
+            sub.rows[...] = 0
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-p, 2 * p, (6, ring.M))
+    extra = rng.integers(0, p, (3, ring.M)) * (rng.random((3, ring.M)) < 0.3)
+    assert np.array_equal(a.reduce(vecs), wa.reduce(vecs))
+    assert a.sum_rows(extra) == wa.sum_rows(extra)
+    assert a.sum(b) == wa.sum(wb)
+    assert a.intersect(b) == wa.intersect(wb)
+    assert (a.contains(b), b.contains(a)) == (wa.contains(wb), wb.contains(wa))
+    assert (a == b) == (wa == wb)
+    rebuilt = Subspace(ring, wa.rows, a.pivots)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    for t in range(1, ring.D):
+        assert (nakayama_contains_power(ring, a, t)
+                == nakayama_contains_power(ring, wa, t))
+    vec = rng.integers(0, p, ring.M)
+    vec[rng.integers(0, ring.M, 3)] = p - 1
+    assert np.array_equal(ring.rows_times(a.rows, vec),
+                          ring.rows_times(wa.rows, vec))
+
+
+@pytest.mark.parametrize("p", [251, 65521])
+def test_multiples_keep_top_coefficients_exact(p):
+    """Coefficients of p - 1 fill the narrow dtype (250 of uint8's 255 at
+    p = 251): the product tables, and the ideal they span, must equal the
+    polynomial products computed in int64."""
+    ring = build_ring(p, ("x", "y", "z"), ["x*y"], 5)
+    vec = np.zeros(ring.M, dtype=np.int64)
+    vec[[1, 3, 5, 9]] = [p - 1, p - 1, 2, p - 2]
+    elem = ring.element(ring.poly_of_vector(vec))
+    every = np.arange(ring.M)
+    for mus, rows in ((ring.std_cols, ring.multiples(elem.vec, ring.std_cols)),
+                      (every, mult_matrix(ring, elem))):
+        assert rows.dtype == linalg.narrow_dtype(p)
+        assert np.array_equal(rows, _polynomial_products(ring, elem.vec, mus))
+    spanned = np.vstack([ring.base_subspace.rows.astype(np.int64),
+                         _polynomial_products(ring, elem.vec, every)])
+    assert np.array_equal(ring.ideal_subspace([elem]).rows,
+                          linalg.rref(spanned, p)[0])
