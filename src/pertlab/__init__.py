@@ -9,17 +9,16 @@ from .errors import (FilterRegularityError, ManifestError, PertlabError,
 from .harness import (ExperimentConfig, ExperimentReport, RingSpec,
                       find_min_N, run_experiment, sample_in_power)
 from .ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
-                     ideal_contains, ideal_intersection,
-                     ideal_length, ideal_power, ideal_product, ideal_sum,
-                     m_primary_level, maximal_ideal, unit_ideal, zero_ideal)
+                     ideal_intersection, ideal_length, ideal_power,
+                     ideal_product, ideal_sum, m_primary_level, maximal_ideal,
+                     unit_ideal, zero_ideal)
 from .invariants import (HilbertTable, KoszulReport, SequenceReport, ar_number,
                          filter_regular_check, filter_regular_sequence_check,
-                         gr_hilbert_function, hilbert_samuel, hs_table,
+                         gr_hilbert_function, hs_table,
                          koszul_homology_length, koszul_report)
 from .polynomials import TruncPoly, parse_poly
 from .rings import (Element, RingDescriptor, Subspace, build_ring,
-                    default_truncation, nakayama_contains_power,
-                    subspace_of_ideal)
+                    default_truncation, nakayama_contains_power)
 from .verifiers import (BoundReport, VerdictRecord, Workspace,
                         bound_N_one_element, check_control_colon,
                         check_main_equality, check_perturbed_filter_regular,
@@ -34,15 +33,14 @@ __all__ = [
     "ManifestError",
     "TruncPoly", "parse_poly",
     "RingDescriptor", "Element", "Subspace", "build_ring",
-    "default_truncation", "nakayama_contains_power", "subspace_of_ideal",
+    "default_truncation", "nakayama_contains_power",
     "IdealHandle", "IdealPowers", "ideal", "ideal_colon",
-    "ideal_contains", "ideal_intersection", "ideal_length", "ideal_power",
+    "ideal_intersection", "ideal_length", "ideal_power",
     "ideal_product", "ideal_sum", "m_primary_level", "maximal_ideal",
     "unit_ideal", "zero_ideal",
     "HilbertTable", "KoszulReport", "SequenceReport", "ar_number",
     "filter_regular_check", "filter_regular_sequence_check",
-    "gr_hilbert_function", "hilbert_samuel", "hs_table",
-    "koszul_homology_length", "koszul_report",
+    "gr_hilbert_function", "hs_table", "koszul_homology_length", "koszul_report",
     "BoundReport", "VerdictRecord", "Workspace", "bound_N_one_element",
     "check_control_colon", "check_main_equality",
     "check_perturbed_filter_regular", "check_surjection_monotonicity",

@@ -23,10 +23,9 @@ Every two-level number goes through :func:`two_level_value`, whose single
 rule is: compute the invariant at D and at D + delta; if both levels resolve
 it and the values agree, the result is ``two-level-stable`` with the value at
 D; otherwise it is ``uncertified``, carrying the value at D when that level
-resolved it and None when it did not.  delta = 0 computes level D only and
-gives ``two-level-stable`` with a "weak certificate" note when that level
-resolves the value (``uncertified`` with None otherwise); a negative delta
-is rejected with ValueError.
+resolved it and None when it did not.  delta must be at least 1, since a
+value read at one level only certifies nothing; a smaller delta is rejected
+with ValueError.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ def plateau(profile: Sequence[int | None]) -> tuple[int | None, bool]:
 
 
 def check_delta(delta: int) -> None:
-    """Reject a negative level gap before any shortcut can certify a value."""
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    """Reject a level gap below 1 before any shortcut can certify a value."""
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, got {delta}")
 
 
 def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
@@ -108,12 +107,6 @@ def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
     check_delta(delta)
     levels = (ring.D, ring.D + delta)
     value_lo, ok_lo = compute(ring)
-    if delta == 0:
-        if ok_lo:
-            return CertifiedValue(value_lo, TWO_LEVEL, levels,
-                                  note="degenerate delta=0; weak certificate")
-        return CertifiedValue(None, UNCERTIFIED, levels,
-                              note=f"unresolved at level {ring.D}")
     if ring_hi is None:
         ring_hi = ring.rebuild(ring.D + delta)
     value_hi, ok_hi = compute(ring_hi)

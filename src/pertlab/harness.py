@@ -300,7 +300,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         records.extend(sweep_records)
     bound = _theoretical_bound(ws, config, n_star)
     if bound[0] is not None:
-        records.append(bound_record(ws, bound[0]))
+        records.append(bound_record(ws, bound[0])
+                       .with_context(None, None, config.seed))
     return ExperimentReport("experiment", config, ws.ring.D, tuple(records),
                             n_star, *bound,
                             timing_s=time.monotonic() - started)

@@ -182,10 +182,10 @@ def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
     return _handle_of(sub)
 
 
-def certificate_level(ring: RingDescriptor, sub: Subspace) -> int | None:
+def certificate_level(sub: Subspace) -> int | None:
     """Least t < D whose Nakayama certificate puts m^t inside ``sub``."""
-    return next((t for t in range(1, ring.D)
-                 if nakayama_contains_power(ring, sub, t)), None)
+    return next((t for t in range(1, sub.ring.D)
+                 if nakayama_contains_power(sub.ring, sub, t)), None)
 
 
 def m_primary_level(a: IdealHandle) -> CertifiedValue:
@@ -194,17 +194,17 @@ def m_primary_level(a: IdealHandle) -> CertifiedValue:
     if a.is_unit():
         # The unit ideal absorbs every power; report the lowest level.
         return CertifiedValue(1, EXACT, (ring.D,), note="unit ideal")
-    t = certificate_level(ring, a.subspace)
+    t = certificate_level(a.subspace)
     if t is None:
         return CertifiedValue(None, UNCERTIFIED, (ring.D,),
                               note=f"no m-primary certificate within D={ring.D}")
     return CertifiedValue(t, EXACT, (ring.D,))
 
 
-def quotient_length(ring: RingDescriptor, sub: Subspace,
-                    level: int | None) -> CertifiedValue:
+def quotient_length(sub: Subspace, level: int | None) -> CertifiedValue:
     """Length of the quotient by the ideal carried by ``sub``: its
     codimension, exact only when ``level`` certifies m^level inside it."""
+    ring = sub.ring
     codim = ring.M - sub.rank
     if level is not None:
         return CertifiedValue(codim, EXACT, (ring.D,), note=f"m^{level} certificate")
@@ -216,12 +216,7 @@ def quotient_length(ring: RingDescriptor, sub: Subspace,
 def ideal_length(a: IdealHandle) -> CertifiedValue:
     """Length of the quotient by the ideal, exact under an m-primary
     certificate."""
-    return quotient_length(a.ring, a.subspace, m_primary_level(a).value)
-
-
-def ideal_contains(a: IdealHandle, e: Element) -> bool:
-    """Membership modulo m^D; exact for ideals certified m-primary below D."""
-    return a.contains_element(e)
+    return quotient_length(a.subspace, m_primary_level(a).value)
 
 
 class IdealPowers:

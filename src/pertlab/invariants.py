@@ -48,15 +48,6 @@ class HilbertTable:
     def values(self) -> tuple[int | None, ...]:
         return tuple(e.value for e in self.entries)
 
-    def all_certified(self) -> bool:
-        return all(e.is_certified() for e in self.entries)
-
-
-def hilbert_samuel(i: IdealHandle, j: IdealHandle, n: int,
-                   powers: IdealPowers | None = None) -> CertifiedValue:
-    """Length of R/(I + J^(n+1)): entry n of :func:`hs_table`."""
-    return hs_table(i, j, n, powers).entries[n]
-
 
 def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
              powers: IdealPowers | None = None) -> HilbertTable:
@@ -83,8 +74,7 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
                                           note=f"m^{t} inside J^{n + 1}"))
         else:
             union = i_sub.sum(psub)
-            entries.append(quotient_length(ring, union,
-                                           certificate_level(ring, union)))
+            entries.append(quotient_length(union, certificate_level(union)))
     return HilbertTable("hs", tuple(entries))
 
 
@@ -150,7 +140,7 @@ def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
         ok = True
         current = meets[s]
         for n in range(s + 1, n_max + 1):
-            current = _times_ideal_once(ring, j, current)
+            current = _times_ideal_once(j, current)
             if not (meets[n].rank == current.rank and meets[n] == current):
                 ok = False
                 witness = f"minimality witness: s={s} fails at n={n}"
@@ -164,9 +154,9 @@ def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
     return None, witness or f"every s <= {n_max} fails"
 
 
-def _times_ideal_once(ring: RingDescriptor, j: IdealHandle,
-                      base: Subspace) -> Subspace:
+def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
     """Subspace of J * (ideal carried by ``base``)."""
+    ring = base.ring
     stacked = np.vstack([ring.rows_times(base.rows, g.vec) for g in j.gens]
                         + [ring.base_subspace.rows])
     r, piv = linalg.rref(stacked, ring.p)
@@ -188,11 +178,12 @@ def order_profile(upper: Subspace, lower: Subspace,
     return [upper.prefix_rank(c) - lower.prefix_rank(c) for c in cuts]
 
 
-def annihilator_profile(ring: RingDescriptor, start_rows: np.ndarray,
+def annihilator_profile(start_rows: np.ndarray,
                         target: Subspace) -> list[int | None]:
     """Profile w -> least h with m^h * span(start_rows) within
     target + (order >= w); always finite at the truncated level, so the
     honest reading is the value on the widest plateau."""
+    ring = target.ring
     return _annihilator_chain(target, start_rows,
                               [ring.cut(t) for t in range(ring.D + 1)],
                               ring.rows_times_variable)
@@ -237,9 +228,10 @@ class KoszulReport:
     finite: tuple[bool, ...]
 
 
-def _reduced_mult_matrix(ring: RingDescriptor, elem) -> np.ndarray:
+def _reduced_mult_matrix(elem) -> np.ndarray:
     """Multiplication by ``elem`` on the quotient, in standard-monomial
     coordinates."""
+    ring = elem.ring
     rows = ring.multiples(elem.vec, ring.std_cols)
     reduced = ring.base_subspace.reduce(rows)
     return reduced[:, ring.std_cols]
@@ -283,8 +275,8 @@ def _homology_level(ring: RingDescriptor, fs: tuple, i: int
     is wide enough to resolve it, and a finiteness flag from the
     annihilation exponent of the homology subquotient."""
     d = ring.dim
-    mats = [_reduced_mult_matrix(ring, f) for f in fs]
-    var_mats = [_reduced_mult_matrix(ring, ring.variable(v))
+    mats = [_reduced_mult_matrix(f) for f in fs]
+    var_mats = [_reduced_mult_matrix(ring.variable(v))
                 for v in range(len(ring.vars))]
     d_i = _koszul_boundary(ring, mats, i)
     kernel = linalg.left_nullspace(d_i, ring.p)
@@ -317,23 +309,27 @@ def _homology_level(ring: RingDescriptor, fs: tuple, i: int
     return value, resolved, finite
 
 
-def _koszul_length(fs: tuple, i: int, delta: int, fs_hi: tuple | None = None
+def _lift(fs: tuple, delta: int) -> tuple:
+    """The sequence re-read in the D + delta rebuild of its ring."""
+    check_delta(delta)
+    ring_hi = fs[0].ring.rebuild(fs[0].ring.D + delta)
+    return tuple(ring_hi.element(f) for f in fs)
+
+
+def _koszul_length(fs: tuple, fs_hi: tuple, i: int
                    ) -> tuple[CertifiedValue, bool]:
-    """H_i length certified across two truncation levels, plus the
-    finiteness flag of every level computed; ``fs_hi`` is the sequence
-    already lifted to the D + delta rebuild, when the caller holds one."""
-    ring = fs[0].ring
+    """H_i length certified across the levels of ``fs`` and of its lift
+    ``fs_hi``, plus the finiteness flag of every level computed."""
+    ring, ring_hi = fs[0].ring, fs_hi[0].ring
     flags = []
 
     def level(level_ring: RingDescriptor) -> tuple[int | None, bool]:
-        lifted = (fs_hi if fs_hi and level_ring is not ring
-                  else tuple(level_ring.element(f) for f in fs))
-        value, resolved, finite = _homology_level(level_ring, lifted, i)
+        seq = fs if level_ring is ring else fs_hi
+        value, resolved, finite = _homology_level(level_ring, seq, i)
         flags.append(finite)
         return value, resolved
 
-    cert = two_level_value(level, ring, delta,
-                           ring_hi=fs_hi[0].ring if fs_hi else None)
+    cert = two_level_value(level, ring, ring_hi.D - ring.D, ring_hi=ring_hi)
     finite = all(flags)
     if cert.is_certified() and not finite:
         cert = replace(cert, note=(cert.note + "; " if cert.note else "")
@@ -346,18 +342,13 @@ def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
     order-filtration plateau and certified across two truncation levels."""
     if not (1 <= i <= len(fs)):
         raise ValueError(f"homology index {i} out of range 1..{len(fs)}")
-    return _koszul_length(fs, i, delta)[0]
+    return _koszul_length(fs, _lift(fs, delta), i)[0]
 
 
 def koszul_report(fs: tuple, delta: int = 2) -> KoszulReport:
     """All homology lengths H_1..H_r, rebuilding the D + delta ring once."""
-    ring = fs[0].ring
-    fs_hi = None
-    if delta > 0:
-        hi_ring = ring.rebuild(ring.D + delta)
-        fs_hi = tuple(hi_ring.element(f.poly) for f in fs)
-    results = [_koszul_length(fs, i, delta, fs_hi)
-               for i in range(1, len(fs) + 1)]
+    fs_hi = _lift(fs, delta)
+    results = [_koszul_length(fs, fs_hi, i) for i in range(1, len(fs) + 1)]
     return KoszulReport(tuple(c for c, _ in results),
                         tuple(f for _, f in results))
 
@@ -371,7 +362,6 @@ class FilterRegularStep:
     index: int            # 1-based position in the sequence
     passed: bool
     exponent: CertifiedValue   # least h with m^h (I : f) inside I
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -388,7 +378,7 @@ def colon_plateaus(target: Subspace, f) -> tuple[tuple, tuple]:
     colon = colon_subspace(target, f)
     cuts = [ring.cut(w) for w in range(ring.D + 1)]
     return (plateau(order_profile(colon, target, cuts)),
-            plateau(annihilator_profile(ring, colon.rows, target)))
+            plateau(annihilator_profile(colon.rows, target)))
 
 
 def filter_regular_check(i: IdealHandle, f, delta: int = 2

@@ -176,10 +176,15 @@ class TruncPoly:
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
 
+# Deepest accepted parenthesis nesting: the parser recurses at every level,
+# so deeper input could exhaust the interpreter's stack.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
+    depth = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
@@ -189,6 +194,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             bad_at = len(text) - len(stripped)
             raise PolyParseError(f"unexpected character {stripped[0]!r}", bad_at)
         kind = m.lastgroup
+        depth += {"(": 1, ")": -1}.get(m.group(kind), 0)
+        if depth > MAX_NESTING:
+            raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))

@@ -195,12 +195,6 @@ class Element:
         return Element(self.ring, self.ring._normal_form(self.vec + other.vec),
                        self.poly + other.poly)
 
-    def __neg__(self) -> "Element":
-        return Element(self.ring, (-self.vec) % self.ring.p, -self.poly)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
     def __mul__(self, other: "Element") -> "Element":
         self._check_ring(other)
         ring = self.ring
@@ -455,10 +449,6 @@ class RingDescriptor:
 
 
 build_ring = RingDescriptor
-
-
-def subspace_of_ideal(ring: RingDescriptor, gens: Sequence[Element]) -> Subspace:
-    return ring.ideal_subspace(gens)
 
 
 def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,

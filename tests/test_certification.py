@@ -6,12 +6,10 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import (EXACT, TWO_LEVEL, UNCERTIFIED, plateau,
-                             two_level_value, weakest)
+from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED, plateau, weakest
 from pertlab.cli import VERIFY_CLAIMS, run_manifest
 from pertlab.harness import (ExperimentConfig, build_workspace,
                              sample_in_power)
-from pertlab.rings import build_ring
 from pertlab.verifiers import check_surjection_monotonicity
 
 # Rank by weakness, written out here rather than read from the code under
@@ -105,10 +103,3 @@ def test_monotonicity_not_certified_above_artin_rees_number(cid):
         eps = sample_in_power(ws.ring, 2, 3, len(ws.fs), spawn=(2, s))
         rec = check_surjection_monotonicity(ws, eps)
         _assert_not_promoted(rec, ws.ar_value.status)
-
-
-def test_delta_zero_unresolved_is_uncertified():
-    ring = build_ring(5, ("x", "y"), [], 8)
-    cv = two_level_value(lambda r: (None, False), ring, 0)
-    assert (cv.status, cv.value) == (UNCERTIFIED, None)
-    assert cv.note == "unresolved at level 8"

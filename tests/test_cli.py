@@ -253,6 +253,10 @@ MALFORMED = {
                                       N=3, samples="many"),
     "seed-not-int": _task_manifest(command="hilbert", catalog="regular-line",
                                    seed="0x"),
+    # Past the parser's nesting cap, not a RecursionError traceback.
+    "f-nested-400-deep": "[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                         "vars = x, y\nD = 6\n\n[task]\ncommand = hilbert\n"
+                         f"f = {'(' * 400}x{')' * 400}\n",
 }
 
 
@@ -264,6 +268,16 @@ def test_malformed_manifest_exits_two(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_row_carries_the_manifest_seed(command):
+    n = {"verify": 2, "find-min-n": "2..3", "experiment": "2..3"}
+    extra = {"N": n[command]} if command in n else {}
+    text = _task_manifest(command=command, catalog="regular-line", n_max=4,
+                          samples=1, seed=9, **extra)
+    rows = list(csv.DictReader(io.StringIO(emit_csv(run_manifest(text)))))
+    assert rows and {r["seed"] for r in rows} == {"9"}
 
 
 # -- manifest fuzzing ------------------------------------------------------------

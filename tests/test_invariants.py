@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import TWO_LEVEL, UNCERTIFIED
+from pertlab.certify import TWO_LEVEL, two_level_value
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_length, ideal_product, ideal_sum,
                             maximal_ideal, unit_ideal, zero_ideal)
 from pertlab.invariants import (ar_number, filter_regular_check,
                                 filter_regular_sequence_check,
-                                gr_hilbert_function, hilbert_samuel, hs_table,
+                                gr_hilbert_function, hs_table,
                                 koszul_homology_length, koszul_report)
 from pertlab.rings import build_ring
 
@@ -32,7 +32,7 @@ def test_hs_values_regular_line(plane):
     j = maximal_ideal(plane)
     i = ideal(plane, ["x"])
     for n in range(8):
-        assert hilbert_samuel(i, j, n).value == n + 1
+        assert hs_table(i, j, n).entries[n].value == n + 1
 
 
 def test_hs_values_branched(branched):
@@ -40,7 +40,7 @@ def test_hs_values_branched(branched):
     i = ideal(branched, ["x + y", "z"])
     table = hs_table(i, j, 6)
     assert table.values() == (1, 2, 2, 2, 2, 2, 2)
-    assert table.all_certified()
+    assert all(e.is_certified() for e in table.entries)
 
 
 def test_hs_unit_ideal(plane):
@@ -126,7 +126,7 @@ def test_koszul_h0_consistency():
     plane8 = build_ring(5, ("x", "y"), [], 8)
     fs = (plane8.element("x^2"), plane8.element("y^3"))
     # H_0 computed from the complex equals the certified quotient length
-    mats = [_reduced_mult_matrix(plane8, f) for f in fs]
+    mats = [_reduced_mult_matrix(f) for f in fs]
     d1 = _koszul_boundary(plane8, mats, 1)
     h0 = plane8.dim - linalg.rank(d1, plane8.p)
     handle = IdealHandle(plane8, fs)
@@ -225,30 +225,41 @@ def test_colon_identities_node_diagonal():
 
 # -- truncation-level spread ------------------------------------------------------
 
-@pytest.mark.parametrize("catalog_id", ["remark-2-4", "node-diagonal"])
-def test_delta_zero_single_level_and_negative_delta_rejected(catalog_id):
+@pytest.mark.parametrize("catalog_id", sorted(CATALOG))
+def test_delta_below_one_rejected_and_levels_are_d_and_d_plus_delta(catalog_id):
+    """Every two-level entry point rejects delta < 1 before reading any
+    level, and every value it returns was compared at D and D + delta."""
     entry = CATALOG[catalog_id]
-    ring = build_ring(entry.p, entry.vars, entry.base_gens, 10)
+    ring = build_ring(entry.p, entry.vars, entry.base_gens, 8)
     fs = tuple(ring.element(e) for e in entry.f_exprs)
     j = IdealHandle(ring, tuple(ring.element(g) for g in entry.j_exprs))
+    reads = []
+
+    def read(level_ring):
+        reads.append(level_ring.D)
+        return level_ring.M, True
+
     runs = {
-        "ar_number": lambda d: ar_number(IdealHandle(ring, fs), j, 4, delta=d),
-        "filter_regular_check": lambda d: filter_regular_check(
-            IdealHandle(ring, fs[:-1]), fs[-1], delta=d)[1],
-        "koszul_homology_length": lambda d: koszul_homology_length(
-            fs, 1, delta=d),
+        "ar_number": lambda d: [ar_number(IdealHandle(ring, fs), j, 3,
+                                          delta=d)],
+        "filter_regular_check": lambda d: [filter_regular_check(
+            IdealHandle(ring, fs[:-1]), fs[-1], delta=d)[1]],
+        "koszul_homology_length": lambda d: [koszul_homology_length(
+            fs, 1, delta=d)],
+        "koszul_report": lambda d: list(koszul_report(fs, delta=d).lengths),
+        "two_level_value": lambda d: [two_level_value(read, ring, d)],
     }
+    stable = 0
     for name, run in runs.items():
-        single, two = run(0), run(2)
-        assert single.levels == (ring.D, ring.D), name
-        if single.status == TWO_LEVEL:
-            assert "weak" in single.note, name
-        else:
-            assert single.status == UNCERTIFIED and single.value is None, name
-        if two.status == TWO_LEVEL:
-            assert (single.status, single.value) == (TWO_LEVEL, two.value), name
-        with pytest.raises(ValueError):
-            run(-1)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                run(bad)
+        assert reads == [], name
+        for delta in (1, 2, 3):
+            for cert in run(delta):
+                assert cert.levels == (ring.D, ring.D + delta), (name, delta)
+                stable += cert.status == TWO_LEVEL
+    assert stable
 
 
 def test_unit_element_rejects_negative_delta():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pertlab.errors import PolyParseError, RingMismatchError
-from pertlab.polynomials import TruncPoly, grlex_key, monomials_below, parse_poly
+from pertlab.polynomials import (MAX_NESTING, TruncPoly, grlex_key,
+                                 monomials_below, parse_poly)
 
 
 class Ctx:
@@ -48,6 +49,15 @@ def test_malformed_rejected():
     for bad in ("x +", "(x", "x**2", "", "2x", "x$y"):
         with pytest.raises(PolyParseError):
             parse_poly(bad, F5XY)
+
+
+def test_nesting_cap():
+    capped = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(capped, F5XY) == parse_poly("x", F5XY)
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("(" * 400 + "x" + ")" * 400, F5XY)
+    assert "nested deeper" in str(err.value)
+    assert err.value.offset == MAX_NESTING
 
 
 def test_additive_inverse():
