@@ -95,11 +95,6 @@ def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...],
     return build_ring(spec.p, spec.vars, spec.base_gens, d)
 
 
-def _rng_for(seed: int, spawn: tuple[int, int] | None) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=spawn or ())))
-
-
 def sample_in_power(ring: RingDescriptor, n: int, seed: int,
                     count: int, spawn: tuple[int, int] | None = None
                     ) -> tuple[Element, ...]:
@@ -110,31 +105,14 @@ def sample_in_power(ring: RingDescriptor, n: int, seed: int,
     """
     if n >= ring.D:
         raise PertlabError(f"sampling order {n} needs to stay below D={ring.D}")
-    rng = _rng_for(seed, spawn)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn or ())))
     lo = ring.cut(n)
     out = []
     for _ in range(count):
         vec = np.zeros(ring.M, dtype=np.int64)
         vec[lo:] = rng.integers(0, ring.p, ring.M - lo)
         out.append(ring.element(ring.poly_of_vector(vec)))
-    return tuple(out)
-
-
-def sample_in_ideal_power(ws: Workspace, power: int, seed: int,
-                          count: int, spawn: tuple[int, int] | None = None
-                          ) -> tuple[Element, ...]:
-    """Uniform random combinations of an echelon basis of J^power."""
-    sub = ws.powers.subspace(power)
-    rng = _rng_for(seed, spawn)
-    out = []
-    for _ in range(count):
-        coeffs = rng.integers(0, ws.ring.p, sub.rank)
-        # Blocks of 256 rows: the narrow basis is widened to int64 one block
-        # at a time, never whole.
-        vec = sum((coeffs[s:s + 256] @ sub.rows[s:s + 256]
-                   for s in range(0, sub.rank, 256)),
-                  np.zeros(ws.ring.M, dtype=np.int64)) % ws.ring.p
-        out.append(ws.ring.element(ws.ring.poly_of_vector(vec)))
     return tuple(out)
 
 

@@ -154,9 +154,10 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     """
     ring = target.ring
     if elem.is_zero():
-        rows, piv = linalg.rref(np.eye(ring.M, dtype=linalg.narrow_dtype(ring.p)),
-                                ring.p)
-        return Subspace(ring, rows, piv)
+        # Everything multiplies zero into the target: the unit subspace,
+        # whose RREF is the identity.
+        return Subspace(ring, np.eye(ring.M, dtype=linalg.narrow_dtype(ring.p)),
+                        np.arange(ring.M))
     # One expression, so the M x M products and their residues are freed
     # before the nullspace's elimination runs.
     kernel = linalg.left_nullspace(

@@ -230,11 +230,11 @@ class KoszulReport:
 
 def _reduced_mult_matrix(elem) -> np.ndarray:
     """Multiplication by ``elem`` on the quotient, in standard-monomial
-    coordinates."""
+    coordinates, widened to int64 for the signs of ``_koszul_boundary``."""
     ring = elem.ring
     rows = ring.multiples(elem.vec, ring.std_cols)
     reduced = ring.base_subspace.reduce(rows)
-    return reduced[:, ring.std_cols]
+    return reduced[:, ring.std_cols].astype(np.int64)
 
 
 def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],

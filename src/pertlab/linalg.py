@@ -1,12 +1,13 @@
 """Exact Gaussian elimination over GF(p), vectorized with numpy.
 
 Inputs are integer arrays; entries outside [0, p) are reduced first.  Outputs
-are int64 arrays with entries in [0, p).  Reduced row echelon forms are
-canonical for a fixed column order and read-only, so rowspace equality is
-plain array equality.  Bases stored for later use are kept narrower: every
-residue fits the unsigned dtype of ``narrow_dtype(p)`` (uint8 for p <= 251,
-uint16 up to MAX_PRIME), an eighth or a quarter of int64, and every entry
-point accepts such arrays as they are (see ``narrow``).
+are narrow residues: read-only arrays in the unsigned dtype of
+``narrow_dtype(p)`` (uint8 for p <= 251, uint16 up to MAX_PRIME), an eighth
+or a quarter of int64, with entries in [0, p).  Every entry point accepts
+such arrays as they are (see ``narrow``); a caller that does signed
+arithmetic on an output widens it first.  Reduced row echelon forms are
+canonical for a fixed column order, so rowspace equality is plain array
+equality.
 
 Inside, residues live in a float work dtype so that every product runs
 through BLAS with delayed reduction.  A product with inner dimension k sums k
@@ -28,7 +29,7 @@ dtype.  Every clearing step (``reduce_rows``, and through it ``merge`` and
 applies unit rows that way.  Only the polynomial rows whose pivot column
 holds an entry enter a float product, with just the rows holding one, so
 the exactness bound above concerns those products alone.  A basis has one
-dense form, its canonical int64 RREF; ``_clear`` converts to the work dtype
+dense form, its canonical narrow RREF; ``_clear`` converts to the work dtype
 just the live polynomial rows it multiplies.  ``rref`` tracks the unit mask
 of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
 (see ``unit_rows``).
@@ -208,14 +209,15 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return done[order], done_piv[order]
 
 
-def _canonical(rows: np.ndarray, pivots: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 copies of an RREF, the form every caller receives;
-    a caller that stores the basis narrows it (see ``narrow``)."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    rows.flags.writeable = False
-    pivots.flags.writeable = False
-    return rows, pivots
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _empty(ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF of the zero space: no rows, no pivots."""
+    return (_read_only(np.zeros((0, ncols), dtype=narrow_dtype(p))),
+            _read_only(np.zeros(0, dtype=np.int64)))
 
 
 def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
@@ -223,7 +225,7 @@ def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     """Normal form of each row of ``block`` against an RREF basis.
 
     One pass suffices because ``rows`` is fully reduced: subtracting
-    coeffs @ rows clears every pivot column exactly.  The result is int64,
+    coeffs @ rows clears every pivot column exactly.  The result is narrow,
     except that a ``block`` already in the work dtype stays in it, which lets
     ``rref`` keep its chunks in float.  ``unit`` may carry the cached
     unit-row mask of the basis (see ``unit_rows``); of the basis itself,
@@ -237,7 +239,7 @@ def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
         out = _clear(out, pivots, rows,
                      unit_rows(rows) if unit is None else unit, p,
                      copy=np.may_share_memory(out, block))
-    return out if keep_work else out.astype(np.int64)
+    return out if keep_work else _read_only(out.astype(narrow_dtype(p)))
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +249,9 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     column.  Processes input in chunks: each chunk is converted to the work
     dtype and reduced against the accumulated basis in one ``reduce_rows``
     call before local elimination, so no work copy of the whole input is
-    made.  The basis stays in the work dtype until the end.
+    made.  The basis stays in the work dtype until the end, when its rows
+    are written in pivot order into the narrow output, ``_CHUNK`` rows at a
+    time, so no sorted copy of the whole basis is made in a wider dtype.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
@@ -280,7 +284,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         unit[r:r + k] = new_unit
         r += k
     order = np.argsort(pivots[:r])
-    return _canonical(basis[order], pivots[order])
+    out = np.empty((r, ncols), dtype=narrow_dtype(p))
+    for start in range(0, r, _CHUNK):
+        out[start:start + _CHUNK] = basis[order[start:start + _CHUNK]]
+    return _read_only(out), _read_only(pivots[order])
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -292,11 +299,13 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
           ) -> tuple[np.ndarray, np.ndarray]:
     """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
     ``unit`` may carry the cached unit-row mask of ``rows``.  When ``extra``
-    adds nothing, ``rows`` and ``pivots`` come back as they are."""
+    adds nothing, ``rows`` and ``pivots`` come back as they are, narrowed.
+    Old and new rows go straight to their sorted places in the output; the
+    old polynomial rows pass through the work dtype a chunk at a time."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
-        return rows, pivots
+        return narrow(rows, p), pivots
     dtype = _work_dtype(p, rows.shape[-1])
     if unit is None:
         unit = unit_rows(rows)
@@ -304,17 +313,23 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
                           unit=unit)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
-        return rows, pivots
+        return narrow(rows, p), pivots
     new_rows, new_pivots = rref(reduced, p)
-    merged = np.vstack([rows, new_rows])
-    # As in rref, only the polynomial rows of the old basis can change.
-    poly = np.flatnonzero(~unit)
-    if poly.size:
-        merged[poly] = _clear(rows[poly].astype(dtype), new_pivots, new_rows,
-                              unit_rows(new_rows), p)
     merged_piv = np.concatenate([pivots, new_pivots])
     order = np.argsort(merged_piv, kind="stable")
-    return _canonical(merged[order], merged_piv[order])
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    out = np.empty((order.size, rows.shape[1]), dtype=narrow_dtype(p))
+    out[place[:rows.shape[0]]] = rows
+    out[place[rows.shape[0]:]] = new_rows
+    # As in rref, only the polynomial rows of the old basis can change.
+    poly = np.flatnonzero(~unit)
+    new_unit = unit_rows(new_rows)
+    for start in range(0, poly.size, _CHUNK):
+        chunk = poly[start:start + _CHUNK]
+        out[place[chunk]] = _clear(rows[chunk].astype(dtype), new_pivots,
+                                   new_rows, new_unit, p)
+    return _read_only(out), _read_only(merged_piv[order])
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -324,11 +339,12 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     rows, pivots = rref(mat, p)
     free = np.setdiff1d(np.arange(ncols), pivots)
     if free.size == 0:
-        return np.zeros((0, ncols), dtype=np.int64)
+        return _empty(ncols, p)[0]
     kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
     kernel[np.arange(free.size), free] = 1
     if pivots.size:
-        kernel[:, pivots] = (-rows[:, free].T) % p
+        # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
+        kernel[:, pivots] = (p - rows[:, free].T) % p
     # Rows are already independent; canonicalize for downstream equality.
     return rref(kernel, p)[0]
 
@@ -348,8 +364,7 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     """
     ncols = rows_a.shape[1]
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
-        empty = np.zeros((0, ncols), dtype=np.int64)
-        return empty, np.zeros(0, dtype=np.int64)
+        return _empty(ncols, p)
     # Prefer reducing against the side whose cokernel is smaller.
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
@@ -358,6 +373,5 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     nonpiv = np.setdiff1d(np.arange(ncols), piv_b)
     combos = left_nullspace(residue[:, nonpiv], p)
     if combos.shape[0] == 0:
-        empty = np.zeros((0, ncols), dtype=np.int64)
-        return empty, np.zeros(0, dtype=np.int64)
+        return _empty(ncols, p)
     return rref(_mod(combos.astype(rows_a_w.dtype) @ rows_a_w, p), p)

@@ -33,10 +33,11 @@ from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 # Largest supported number M of monomials below D.  Each subspace keeps one
 # dense form, its RREF in uint8 (p <= 251) or uint16, and multiplication
-# matrices and coordinate blocks are dense too: arrays of up to M x M
-# residues, 100 MB each at the cap in uint8 and 200 MB in uint16, with int64
-# and float copies of the blocks under elimination, so larger rings are
-# rejected before any of them is built.
+# matrices, coordinate blocks and every elimination output are dense and
+# narrow too: arrays of up to M x M residues, 100 MB each at the cap in uint8
+# and 200 MB in uint16.  No int64 copy of a block remains; the float work
+# copy of the block under elimination (4 or 8 bytes a residue) is the
+# largest, so larger rings are rejected before any of them is built.
 MAX_MONOMIALS = 10_000
 
 # Largest supported exponent-key table.  Monomial products are looked up in
@@ -69,16 +70,19 @@ class Subspace:
 
     Membership testing is reduction to zero; equality of subspaces is plain
     array equality because the RREF is canonical for the fixed column order.
-    Instances are immutable: ``rows`` is stored read-only in
-    ``linalg.narrow_dtype(p)``, so any signed arithmetic on it must first
-    promote to int64.
+    Instances are immutable: ``rows`` is a read-only copy in
+    ``linalg.narrow_dtype(p)`` that owns its data, and any signed arithmetic
+    on it must first promote to int64.
     """
 
     __slots__ = ("ring", "rows", "pivots", "_unit")
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
-        self.rows = linalg.narrow(rows, ring.p)
+        # A copy of its own, made once the kernel's work buffers are freed:
+        # keeping the kernel's output alive instead fragments the heap.
+        self.rows = np.array(rows, dtype=linalg.narrow_dtype(ring.p))
+        self.rows.flags.writeable = False
         self.pivots = pivots
         self._unit: np.ndarray | None = None
 
@@ -331,7 +335,9 @@ class RingDescriptor:
                          {self.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]})
 
     def _normal_form(self, vec: np.ndarray) -> np.ndarray:
-        out = self.base_subspace.reduce(vec)[0]
+        # Element vectors are added, so they are widened from the narrow
+        # normal form: a sum of two uint8 residues wraps at p = 251.
+        out = self.base_subspace.reduce(vec)[0].astype(np.int64)
         out.flags.writeable = False
         return out
 

@@ -12,11 +12,12 @@ import time
 import numpy as np
 
 from oracle import NaiveModel
+from sampling import sample_in_ideal_power
 from pertlab.catalog import CATALOG
 from pertlab.certify import EXACT
 from pertlab.cli import emit_csv, run_manifest
 from pertlab.harness import (ExperimentConfig, find_min_N, run_experiment,
-                             sample_in_ideal_power, sample_in_power)
+                             sample_in_power)
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_intersection, ideal_length, ideal_power,
                             ideal_product, ideal_sum, maximal_ideal,

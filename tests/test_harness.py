@@ -112,7 +112,7 @@ def test_delta_two_vs_four_agree_on_catalog():
 
 def test_monotonicity_never_violated_on_catalog_samples():
     # ideal-power sampling puts every draw inside J^(k+1)
-    from pertlab.harness import sample_in_ideal_power
+    from sampling import sample_in_ideal_power
     from pertlab.verifiers import check_surjection_monotonicity
     trials = 0
     for cid, entry in sorted(CATALOG.items()):

@@ -180,3 +180,30 @@ def test_is_unit_returns_a_bool(f5xy):
     assert zero_ideal(f5xy).is_unit() is False
     assert ideal(f5xy, ["x", "y"]).is_unit() is False
     assert unit_ideal(f5xy).is_unit() is True
+
+
+def test_colon_by_an_element_that_is_zero_in_the_ring():
+    """x*y vanishes in F_5[x,y]/(xy): the colon is the unit subspace, built
+    directly, and zero is not filter-regular on this one-dimensional ring."""
+    from oracle import NaiveModel
+    from pertlab import cli, linalg
+    from pertlab.ideals import colon_subspace
+    from pertlab.invariants import filter_regular_check
+    ring = build_ring(5, ("x", "y"), ["x*y"], 6)
+    f = ring.element("x*y")
+    assert f.is_zero()
+    colon = colon_subspace(ring.base_subspace, f)
+    rows, pivots = linalg.rref(np.eye(ring.M, dtype=np.int64), ring.p)
+    assert np.array_equal(colon.rows, rows)
+    assert np.array_equal(colon.pivots, pivots)
+    assert colon == ring.power_span(0)
+    model = NaiveModel(5, 2, 6, [{(1, 1): 1}])
+    assert len(model.colon(model.base_span, {})) == colon.rank == ring.M
+
+    passed, exponent = filter_regular_check(zero_ideal(ring), f)
+    assert not passed and exponent.value is None
+    report = cli.run_manifest(
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
+        "gens = x*y\nD = 6\n\n[task]\ncommand = check-filter-regular\n"
+        "f = x*y\n")
+    assert [(r["n"], r["status"]) for r in report.rows()] == [(1, "false")]

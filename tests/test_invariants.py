@@ -269,3 +269,24 @@ def test_unit_element_rejects_negative_delta():
     assert ok and cert.status == TWO_LEVEL and "unit" in cert.note
     with pytest.raises(ValueError):
         filter_regular_check(IdealHandle(ring, ()), unit, delta=-1)
+
+
+def test_koszul_report_at_p_251_matches_oracle():
+    """Coefficients near the top of uint8 reach the signed Koszul boundary
+    through narrow normal forms.  On the Artinian ring F_251[x,y]/(x^3, y^3)
+    the truncation is exact, H_2 = (0 : (f1, f2)) and, the Euler
+    characteristic being zero, H_1 = H_0 + H_2."""
+    from oracle import NaiveModel
+    p, D = 251, 10
+    ring = build_ring(p, ("x", "y"), ["x^3", "y^3"], D)
+    fs = (ring.element("200*x + 250*y^2"), ring.element("150*x + 230*x*y"))
+    report = koszul_report(fs)
+    model = NaiveModel(p, 2, D, [{(3, 0): 1}, {(0, 3): 1}])
+    F = [{(1, 0): 200, (0, 2): 250}, {(1, 0): 150, (1, 1): 230}]
+    base = model.base_span
+    h0 = model.length(model.ideal_span(F))
+    h2 = (len(model.intersection(model.colon(base, F[0]), model.colon(base, F[1])))
+          - len(base))
+    assert [(c.value, c.status) for c in report.lengths] == [
+        (h0 + h2, TWO_LEVEL), (h2, TWO_LEVEL)]
+    assert h2 > 0 and all(report.finite)

@@ -148,8 +148,8 @@ def ref_intersection(a, b, p, ncols):
     return ref_rref([r[ncols:] for r, c in zip(rows, pivots) if c >= ncols], p)
 
 
-def assert_canonical(rows, pivots, expected_rows, expected_pivots, ncols):
-    assert rows.dtype == np.int64 and not rows.flags.writeable
+def assert_canonical(rows, pivots, expected_rows, expected_pivots, ncols, p):
+    assert rows.dtype == linalg.narrow_dtype(p) and not rows.flags.writeable
     assert rows.shape == (len(expected_rows), ncols)
     assert rows.tolist() == expected_rows
     assert pivots.tolist() == expected_pivots
@@ -237,10 +237,10 @@ def test_rref_rank_nullspace_match_reference(case):
     ncols = mat.shape[1]
     rows, pivots = linalg.rref(mat, p)
     ref_rows, ref_pivots = ref_rref(mat, p)
-    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols, p)
     assert linalg.rank(mat, p) == len(ref_rows)
     kernel = linalg.nullspace(mat, p)
-    assert kernel.dtype == np.int64
+    assert kernel.dtype == linalg.narrow_dtype(p) and not kernel.flags.writeable
     assert kernel.tolist() == ref_nullspace(mat, p, ncols)
 
 
@@ -254,28 +254,74 @@ def test_merge_and_intersection_match_reference(data):
     rows_b, piv_b = linalg.rref(b, p)
     merged, merged_piv = linalg.merge(rows_a, piv_a, b, p)
     ref_rows, ref_pivots = ref_rref(np.vstack([a, b]), p)
-    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols)
+    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
     inter, inter_piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
     ref_inter, ref_inter_piv = ref_intersection(rows_a.tolist(), rows_b.tolist(),
                                                 p, ncols)
-    assert inter.dtype == np.int64
+    assert inter.dtype == linalg.narrow_dtype(p) and not inter.flags.writeable
     assert inter.reshape(-1, ncols).tolist() == ref_inter
     assert inter_piv.tolist() == ref_inter_piv
 
 
 @pytest.mark.parametrize("p", [3, 65521])
-def test_reduce_rows_gives_int64_normal_forms_of_out_of_range_input(p):
+def test_reduce_rows_gives_narrow_normal_forms_of_out_of_range_input(p):
     rng = np.random.default_rng(17)
     rows, pivots = linalg.rref(rng.integers(0, p, (5, 9)), p)
     block = rng.integers(-5 * p, 5 * p, (7, 9))
     out = linalg.reduce_rows(block, rows, pivots, p)
-    assert out.dtype == np.int64 and out.min() >= 0 and out.max() < p
+    assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
+    assert out.min() >= 0 and out.max() < p
     # A normal form vanishes on the pivots and differs from its row by an
     # element of the rowspace; together these determine it.
     assert not out[:, pivots].any()
     for row, normal in zip(block.tolist(), out.tolist()):
         diff = [a - b for a, b in zip(row, normal)]
         assert len(ref_rref(rows.tolist() + [diff], p)[0]) == len(rows)
+
+
+def ref_normal_forms(block, rows, pivots, p):
+    """Each row of ``block`` reduced against a reference RREF, in Python ints."""
+    out = []
+    for row in np.asarray(block).tolist():
+        row = [int(v) % p for v in row]
+        for basis, c in zip(rows, pivots):
+            f = row[c]
+            row = [(x - f * y) % p for x, y in zip(row, basis)]
+        out.append(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 251, 257, 65521]), st.data())
+def test_every_entry_point_returns_narrow_residues(p, data):
+    """rref, merge, reduce_rows, nullspace, left_nullspace and
+    intersect_rowspaces all return read-only ``narrow_dtype(p)`` arrays equal
+    to the pure-int reference, at the top of uint8 (251) and of uint16
+    (65521) and just past uint8 (257)."""
+    _, a = data.draw(residue_matrices(p=p))
+    ncols = a.shape[1]
+    _, b = data.draw(residue_matrices(p=p, cols=ncols))
+
+    def narrow_equal(out, expected, width):
+        assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
+        assert out.shape == (len(expected), width)
+        assert out.tolist() == expected
+
+    rows, pivots = linalg.rref(a, p)
+    ref_rows, ref_pivots = ref_rref(a, p)
+    narrow_equal(rows, ref_rows, ncols)
+    merged, _ = linalg.merge(rows, pivots, b, p)
+    narrow_equal(merged, ref_rref(np.vstack([a, b]), p)[0], ncols)
+    narrow_equal(linalg.reduce_rows(b, rows, pivots, p),
+                 ref_normal_forms(b, ref_rows, ref_pivots, p), ncols)
+    narrow_equal(linalg.nullspace(a, p), ref_nullspace(a, p, ncols), ncols)
+    head = a[:24]   # the reference is slow on the tall kinds' cokernels
+    narrow_equal(linalg.left_nullspace(head, p),
+                 ref_nullspace(head.T, p, head.shape[0]), head.shape[0])
+    rows_b, piv_b = linalg.rref(b, p)
+    inter, _ = linalg.intersect_rowspaces(rows, pivots, rows_b, piv_b, p)
+    narrow_equal(inter, ref_intersection(ref_rows, rows_b.tolist(), p, ncols)[0],
+                 ncols)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -325,13 +371,13 @@ def test_kernel_never_writes_into_its_arguments(p):
     block = _read_only(rng.integers(0, p, (9, ncols)).astype(dtype))
     before = [work.copy(), block.copy()]
 
-    assert_canonical(*linalg.rref(work, p), ref_rows, ref_pivots, ncols)
+    assert_canonical(*linalg.rref(work, p), ref_rows, ref_pivots, ncols, p)
     reduced = linalg.reduce_rows(block, rows, pivots, p)
     assert np.array_equal(reduced, linalg.reduce_rows(block.astype(np.int64),
                                                       rows, pivots, p))
     half, half_piv = linalg.rref(mat[:150], p)
     merged, merged_piv = linalg.merge(half, half_piv, work[150:], p)
-    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols)
+    assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
     other, other_piv = linalg.rref(block, p)
     inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
     union = linalg.rank(np.vstack([rows, other]), p)
@@ -385,7 +431,7 @@ def test_unsigned_input_matches_int64_input(p, dtype, seed):
     assert np.array_equal(linalg._residues(block, p, work), wide % p)
     rows, pivots = linalg.rref(block, p)
     ref_rows, ref_pivots = ref_rref(wide, p)
-    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols, p)
     assert np.array_equal(linalg.nullspace(block, p), linalg.nullspace(wide, p))
 
 
@@ -406,7 +452,7 @@ def test_kernel_never_writes_into_narrow_arguments(p, dtype):
 
     rows, pivots = linalg.rref(mat, p)
     ref_rows, ref_pivots = ref_rref(wide_mat, p)
-    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols)
+    assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols, p)
     narrow = linalg.narrow(rows, p)
     assert np.array_equal(linalg.reduce_rows(block, narrow, pivots, p),
                           linalg.reduce_rows(wide_block, rows, pivots, p))

@@ -386,3 +386,43 @@ def test_multiples_keep_top_coefficients_exact(p):
                          _polynomial_products(ring, elem.vec, every)])
     assert np.array_equal(ring.ideal_subspace([elem]).rows,
                           linalg.rref(spanned, p)[0])
+
+
+# -- narrow kernel outputs at the top of uint8 --------------------------------------
+
+def _oracle_dict(elem) -> dict:
+    return {exps: int(c) for exps, c in elem.to_poly().terms.items()}
+
+
+def test_element_arithmetic_at_p_251_matches_oracle():
+    """Coefficients whose sums and products pass 255: Element vectors are
+    widened from the narrow normal forms, so nothing wraps in uint8."""
+    from oracle import NaiveModel
+    p = 251
+    ring = build_ring(p, ("x", "y"), ["x^3", "y^3"], 7)
+    model = NaiveModel(p, 2, 7, [{(3, 0): 1}, {(0, 3): 1}])
+    a = ring.element("200*x + 250*y + 180*x*y + 240*x^2*y")
+    b = ring.element("150*x + 100*y + 90*x*y + 230*x^2*y")
+    A, B = _oracle_dict(a), _oracle_dict(b)
+    for got, want in ((a + b, model.add(A, B)), (a * b, model.mul(A, B)),
+                      (a * a + b, model.add(model.mul(A, A), B))):
+        assert got.vec.dtype == np.int64 and not got.vec.flags.writeable
+        assert got.vec.min() >= 0 and got.vec.max() < p
+        diff = model.add(_oracle_dict(got), model.scale(want, -1))
+        assert model.contains(model.base_span, diff)
+    assert (a + b).vec[ring.col_index[(1, 0)]] == (200 + 150) % p
+
+
+def test_subspace_rows_are_compact_and_own_their_data():
+    """A subspace keeps a compact narrow copy of its rows, also when built
+    from a view of a larger array, so no kernel buffer stays alive."""
+    ring = build_ring(251, ("x", "y"), ["x*y"], 6)
+    f = ring.element("200*x + 250*y^2")
+    subs = [ring.base_subspace, ring.ideal_subspace([f]), ring.power_span(2),
+            ring.ideal_subspace([f]).sum(ring.power_span(3)),
+            ring.ideal_subspace([f]).intersect(ring.power_span(2))]
+    identity = linalg.narrow(np.eye(ring.M), ring.p)
+    subs.append(Subspace(ring, identity[:4], np.arange(4)))
+    for sub in subs:
+        assert sub.rows.base is None and sub.rows.flags.c_contiguous
+        assert sub.rows.dtype == np.uint8 and not sub.rows.flags.writeable
