@@ -19,19 +19,19 @@ by profiling the invariant along the order filtration and reading the value
 off the widest plateau (:func:`plateau`, the one rule for when a plateau
 resolves); two-level agreement of plateau values is then the certificate.
 
-Every two-level number goes through :func:`two_level_value`, whose single
-rule is: compute the invariant at D and at D + delta; if both levels resolve
-it and the values agree, the result is ``two-level-stable`` with the value at
-D; otherwise it is ``uncertified``, carrying the value at D when that level
-resolved it and None when it did not.  delta must be at least 1, since a
-value read at one level only certifies nothing; a smaller delta is rejected
-with ValueError.
+Every two-level number goes through :func:`two_level_value`, a pure rule
+over two readings ``(value, resolved)`` that its caller takes at D and at
+D + delta: if both resolve and agree, the result is ``two-level-stable`` with
+the value at D; otherwise it is ``uncertified``, carrying the value at D when
+that reading resolved and None when it did not.  delta must be at least 1,
+since a value read at one level only certifies nothing; every caller runs
+:func:`check_delta`, which raises ValueError, before its first reading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 EXACT = "exact"
 TWO_LEVEL = "two-level-stable"
@@ -96,24 +96,16 @@ def check_delta(delta: int) -> None:
         raise ValueError(f"delta must be at least 1, got {delta}")
 
 
-def two_level_value(compute: Callable[[object], tuple[object, bool]], ring,
-                    delta: int, ring_hi=None) -> CertifiedValue:
-    """Certify an invariant by computing it at truncations D and D + delta.
-
-    ``compute(level_ring)`` returns ``(value, resolved)``; ``ring`` is the
-    level-D model and ``ring_hi`` its D + delta rebuild when the caller
-    already holds one.  Disagreement is surfaced in the note, never dropped.
+def two_level_value(lo: tuple[object, bool], hi: tuple[object, bool],
+                    levels: tuple[int, int]) -> CertifiedValue:
+    """Certify an invariant from its readings ``(value, resolved)`` at the
+    truncation levels ``levels = (D, D + delta)``, ``lo`` at D and ``hi`` at
+    D + delta.  Disagreement is surfaced in the note, never dropped.
     """
-    check_delta(delta)
-    levels = (ring.D, ring.D + delta)
-    value_lo, ok_lo = compute(ring)
-    if ring_hi is None:
-        ring_hi = ring.rebuild(ring.D + delta)
-    value_hi, ok_hi = compute(ring_hi)
+    (value_lo, ok_lo), (value_hi, ok_hi) = lo, hi
     if ok_lo and ok_hi and value_lo == value_hi:
         return CertifiedValue(value_lo, TWO_LEVEL, levels)
-    shown = [repr(v) if ok else "unresolved"
-             for v, ok in ((value_lo, ok_lo), (value_hi, ok_hi))]
+    shown = [repr(v) if ok else "unresolved" for v, ok in (lo, hi)]
     return CertifiedValue(value_lo if ok_lo else None, UNCERTIFIED, levels,
                           note=f"levels {levels[0]}/{levels[1]} gave "
                                f"{shown[0]}/{shown[1]}")

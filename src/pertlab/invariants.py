@@ -8,9 +8,13 @@ off order-filtration plateaus and certified by two-level agreement.
 
 The plateau device: any subquotient H = U/S of the model inherits a
 decreasing filtration by order, F_w H = image of (U with support in degrees
->= w).  Classes created by the truncation live just below degree D, so the
-profile w -> length(H / F_w H) starts at the true length, stays flat through
-the middle orders, and only picks up boundary junk near w = D.  With
+>= w).  The profile w -> length(H / F_w H) is 0 up to the lowest order of
+a class, rises to the true length, stays flat through the middle orders, and
+picks up boundary junk near w = D, where the classes created by the
+truncation live.  The widest run is read as the value, so a leading run of
+zeros wider than the true plateau gives a wrong reading at that level.  The
+zero run does not move with D, so two-level agreement catches such a
+reading only when the other level's true plateau is the wider.  With
 ascending-degree echelon bases the whole profile is a pivot count.
 """
 
@@ -115,15 +119,14 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
     Nakayama-quotient inclusion certificate, and the headline value is
     cross-checked at truncation D + delta.
     """
-    witnesses: list[str] = []
-
-    def window(ring: RingDescriptor) -> tuple[int | None, bool]:
-        value, witness = _ar_window(i.lift(ring), j.lift(ring), n_max, powers)
-        witnesses.append(witness)
-        return value, True
-
-    cert = two_level_value(window, i.ring, delta)
-    note = "; ".join(filter(None, (witnesses[0], cert.note)))
+    check_delta(delta)
+    ring = i.ring
+    value, witness = _ar_window(i, j, n_max, powers)
+    ring_hi = ring.rebuild(ring.D + delta)
+    value_hi, _ = _ar_window(i.lift(ring_hi), j.lift(ring_hi), n_max, None)
+    cert = two_level_value((value, True), (value_hi, True),
+                           (ring.D, ring_hi.D))
+    note = "; ".join(filter(None, (witness, cert.note)))
     if cert.value is None:
         note = f"no s <= {n_max} over the window; " + note
     return replace(cert, note=note)
@@ -131,21 +134,18 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
 
 def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
                powers: IdealPowers | None) -> tuple[int | None, str]:
-    ring = i.ring
-    if powers is None or powers.ring is not ring:
+    if powers is None:
         powers = IdealPowers(j, n_max)
     meets = [i.subspace.intersect(powers.subspace(n)) for n in range(n_max + 1)]
     witness = ""
     for s in range(n_max + 1):
-        ok = True
         current = meets[s]
         for n in range(s + 1, n_max + 1):
             current = _times_ideal_once(j, current)
-            if not (meets[n].rank == current.rank and meets[n] == current):
-                ok = False
+            if meets[n] != current:
                 witness = f"minimality witness: s={s} fails at n={n}"
                 break
-        if ok:
+        else:
             # The Nakayama-quotient certificate (lhs inside rhs + m*lhs at
             # the working truncation) is implied by the subspace equality
             # just verified, so it passes without further computation.
@@ -168,7 +168,7 @@ def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def order_profile(upper: Subspace, lower: Subspace,
-                  cuts: list[int]) -> list[int]:
+                  cuts: np.ndarray) -> list[int]:
     """Profile w -> length(H / F_w H) for the subquotient H = upper/lower.
 
     ``cuts[w]`` is the number of coordinates of order < w.  Requires lower
@@ -184,13 +184,12 @@ def annihilator_profile(start_rows: np.ndarray,
     target + (order >= w); always finite at the truncated level, so the
     honest reading is the value on the widest plateau."""
     ring = target.ring
-    return _annihilator_chain(target, start_rows,
-                              [ring.cut(t) for t in range(ring.D + 1)],
+    return _annihilator_chain(target, start_rows, ring.cuts,
                               ring.rows_times_variable)
 
 
 def _annihilator_chain(target: Subspace, start_rows: np.ndarray,
-                       cuts: list[int], times_var) -> list[int | None]:
+                       cuts: np.ndarray, times_var) -> list[int | None]:
     """Annihilator profile of span(start_rows) modulo ``target``.
 
     The h-th link of the chain m^h * span(start_rows) lies in
@@ -201,16 +200,15 @@ def _annihilator_chain(target: Subspace, start_rows: np.ndarray,
     """
     ring = target.ring
     thresholds = []
-    rows = linalg.rref(target.reduce(start_rows), ring.p)[0]
+    rows, piv = linalg.rref(target.reduce(start_rows), ring.p)
     for _h in range(ring.D + 1):
-        if rows.shape[0] == 0:
+        if piv.size == 0:
             break
-        # rows are RREF: the first row's pivot is the global minimum column.
-        mincol = int(rows[0].nonzero()[0][0])
-        w = int(np.searchsorted(cuts, mincol, side="right")) - 1
+        # Pivots ascend, so the first is the lowest surviving column.
+        w = int(np.searchsorted(cuts, piv[0], side="right")) - 1
         thresholds.append(max(w, 0))
         nxt = np.vstack([times_var(rows, v) for v in range(len(ring.vars))])
-        rows = linalg.rref(target.reduce(nxt), ring.p)[0]
+        rows, piv = linalg.rref(target.reduce(nxt), ring.p)
     thresholds += [ring.D] * (ring.D + 1 - len(thresholds))
     return [next((h for h, t in enumerate(thresholds) if t >= w), None)
             for w in range(ring.D + 1)]
@@ -230,11 +228,10 @@ class KoszulReport:
 
 def _reduced_mult_matrix(elem) -> np.ndarray:
     """Multiplication by ``elem`` on the quotient, in standard-monomial
-    coordinates, widened to int64 for the signs of ``_koszul_boundary``."""
+    coordinates, as narrow residues."""
     ring = elem.ring
     rows = ring.multiples(elem.vec, ring.std_cols)
-    reduced = ring.base_subspace.reduce(rows)
-    return reduced[:, ring.std_cols].astype(np.int64)
+    return ring.base_subspace.reduce(rows)[:, ring.std_cols]
 
 
 def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],
@@ -246,13 +243,14 @@ def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],
     dom = list(combinations(range(r), i))
     cod = list(combinations(range(r), i - 1))
     cod_index = {s: k for k, s in enumerate(cod)}
-    out = np.zeros((len(dom) * d, len(cod) * d), dtype=np.int64)
+    p = ring.p
+    signed = (mats, [(p - m) % p for m in mats])  # -m mod p stays unsigned
+    out = np.zeros((len(dom) * d, len(cod) * d), dtype=linalg.narrow_dtype(p))
     for a, subset in enumerate(dom):
         for t, jt in enumerate(subset):
             rest = subset[:t] + subset[t + 1:]
             b = cod_index[rest]
-            sign = 1 if t % 2 == 0 else -1
-            out[a * d:(a + 1) * d, b * d:(b + 1) * d] = (sign * mats[jt]) % ring.p
+            out[a * d:(a + 1) * d, b * d:(b + 1) * d] = signed[t % 2][jt]
     return out
 
 
@@ -265,15 +263,15 @@ def _module_order_structures(ring: RingDescriptor, ncomp: int):
     deg_full = np.tile(degs, ncomp)
     idx_full = np.tile(np.arange(d), ncomp)
     perm = np.lexsort((idx_full, comp, deg_full))
-    cuts = [int(np.searchsorted(deg_full[perm], w)) for w in range(ring.D + 1)]
+    cuts = np.searchsorted(deg_full[perm], np.arange(ring.D + 1))
     return perm, cuts
 
 
-def _homology_level(ring: RingDescriptor, fs: tuple, i: int
-                    ) -> tuple[int | None, bool, bool]:
-    """Plateau length of H_i at one truncation level, whether the plateau
-    is wide enough to resolve it, and a finiteness flag from the
-    annihilation exponent of the homology subquotient."""
+def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
+    """Reading (plateau length, resolved) of H_i at the truncation level of
+    ``fs``, and a finiteness flag from the annihilation exponent of the
+    homology subquotient."""
+    ring = fs[0].ring
     d = ring.dim
     mats = [_reduced_mult_matrix(f) for f in fs]
     var_mats = [_reduced_mult_matrix(ring.variable(v))
@@ -306,7 +304,7 @@ def _homology_level(ring: RingDescriptor, fs: tuple, i: int
         if h_resolved:
             max_order = max((f.order() for f in fs), default=0)
             finite = h_val + max_order + 1 <= ring.D
-    return value, resolved, finite
+    return (value, resolved), finite
 
 
 def _lift(fs: tuple, delta: int) -> tuple:
@@ -319,18 +317,11 @@ def _lift(fs: tuple, delta: int) -> tuple:
 def _koszul_length(fs: tuple, fs_hi: tuple, i: int
                    ) -> tuple[CertifiedValue, bool]:
     """H_i length certified across the levels of ``fs`` and of its lift
-    ``fs_hi``, plus the finiteness flag of every level computed."""
-    ring, ring_hi = fs[0].ring, fs_hi[0].ring
-    flags = []
-
-    def level(level_ring: RingDescriptor) -> tuple[int | None, bool]:
-        seq = fs if level_ring is ring else fs_hi
-        value, resolved, finite = _homology_level(level_ring, seq, i)
-        flags.append(finite)
-        return value, resolved
-
-    cert = two_level_value(level, ring, ring_hi.D - ring.D, ring_hi=ring_hi)
-    finite = all(flags)
+    ``fs_hi``, plus whether both levels flag it finite."""
+    lo, finite_lo = _homology_level(fs, i)
+    hi, finite_hi = _homology_level(fs_hi, i)
+    cert = two_level_value(lo, hi, (fs[0].ring.D, fs_hi[0].ring.D))
+    finite = finite_lo and finite_hi
     if cert.is_certified() and not finite:
         cert = replace(cert, note=(cert.note + "; " if cert.note else "")
                        + "finiteness flag not established")
@@ -374,10 +365,8 @@ class SequenceReport:
 def colon_plateaus(target: Subspace, f) -> tuple[tuple, tuple]:
     """Plateau readings (value, resolved) of the length of (A : f)/A and of
     the least h with m^h (A : f) inside A, A the ideal of ``target``."""
-    ring = target.ring
     colon = colon_subspace(target, f)
-    cuts = [ring.cut(w) for w in range(ring.D + 1)]
-    return (plateau(order_profile(colon, target, cuts)),
+    return (plateau(order_profile(colon, target, target.ring.cuts)),
             plateau(annihilator_profile(colon.rows, target)))
 
 
@@ -393,16 +382,15 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
     """
     ring = i.ring
     check_delta(delta)
+    levels = (ring.D, ring.D + delta)
     if f.is_unit():
-        return True, CertifiedValue(1, TWO_LEVEL, (ring.D, ring.D + delta),
+        return True, CertifiedValue(1, TWO_LEVEL, levels,
                                     note="degenerate: unit element")
-
-    def exponent(level_ring: RingDescriptor) -> tuple[int | None, bool]:
-        value, resolved = colon_plateaus(i.lift(level_ring).subspace,
-                                         level_ring.element(f))[1]
-        return (value if resolved else None), True
-
-    cert = two_level_value(exponent, ring, delta)
+    lo = colon_plateaus(i.subspace, f)[1]
+    ring_hi = ring.rebuild(ring.D + delta)
+    hi = colon_plateaus(i.lift(ring_hi).subspace, ring_hi.element(f))[1]
+    cert = two_level_value(*[(value if resolved else None, True)
+                             for value, resolved in (lo, hi)], levels)
     if cert.value is None:
         return False, replace(cert, note=cert.note
                               or "no stable annihilator exponent at either level")

@@ -4,10 +4,10 @@ Inputs are integer arrays; entries outside [0, p) are reduced first.  Outputs
 are narrow residues: read-only arrays in the unsigned dtype of
 ``narrow_dtype(p)`` (uint8 for p <= 251, uint16 up to MAX_PRIME), an eighth
 or a quarter of int64, with entries in [0, p).  Every entry point accepts
-such arrays as they are (see ``narrow``); a caller that does signed
-arithmetic on an output widens it first.  Reduced row echelon forms are
-canonical for a fixed column order, so rowspace equality is plain array
-equality.
+such arrays as they are (see ``narrow``); the one caller that does signed
+arithmetic on an output, the ring's Element vectors, widens it first.
+Reduced row echelon forms are canonical for a fixed column order, so
+rowspace equality is plain array equality.
 
 Inside, residues live in a float work dtype so that every product runs
 through BLAS with delayed reduction.  A product with inner dimension k sums k

@@ -290,8 +290,8 @@ class RingDescriptor:
         self.M = len(self.monomials)
         self.col_index = {e: i for i, e in enumerate(self.monomials)}
         self.deg_of_col = np.array([sum(e) for e in self.monomials], dtype=np.int64)
-        # cuts[w] = number of columns of degree < w, for w = 0..D (clamped above).
-        self._cuts = np.searchsorted(self.deg_of_col, np.arange(D + 1))
+        # cuts[w] = cut(w), the number of columns of degree < w, for w = 0..D.
+        self.cuts = np.searchsorted(self.deg_of_col, np.arange(D + 1))
         # Exponent keys in radix D + 1: below degree D the key of a product
         # is the sum of the keys, and _key_col maps a key back to its column.
         exps = np.array(self.monomials, dtype=np.int64)
@@ -314,12 +314,8 @@ class RingDescriptor:
     # -- construction helpers ------------------------------------------------
 
     def cut(self, w: int) -> int:
-        """Number of coordinates of degree < w (clamped to [0, D])."""
-        if w <= 0:
-            return 0
-        if w >= self.D:
-            return self.M
-        return int(self._cuts[w])
+        """Number of coordinates of degree < w: 0 for w <= 0, M for w >= D."""
+        return int(np.searchsorted(self.deg_of_col, w))
 
     # -- vectors and normal forms ---------------------------------------------
 

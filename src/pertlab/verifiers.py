@@ -242,6 +242,15 @@ def check_surjection_monotonicity(ws: Workspace, eps: tuple[Element, ...],
                            rests_on=(k.status,))
 
 
+def _colon_reading(pert: tuple[Element, ...], i: int) -> tuple[tuple, bool]:
+    """Reading ((colon length, annihilation exponent), resolved) of
+    (A : f)/A for f = pert[i] and A the ideal of the other elements, at the
+    truncation level of ``pert``."""
+    omit = IdealHandle(pert[i].ring, pert[:i] + pert[i + 1:]).subspace
+    (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
+    return (l_val, h_val), l_ok and h_ok
+
+
 def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:
     """Colon quotients of the perturbed sequence stay bounded by the first
     Koszul homology length h of the base sequence, and are killed by m^h."""
@@ -253,19 +262,12 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
                        rests_on=(h.status,))
     pert_lo = ws.perturbed(eps)
     pert_hi = tuple(ws.ring_hi.element(e) for e in pert_lo)
+    levels = (ws.ring.D, ws.ring_hi.D)
     rows = []
     for i in range(len(pert_lo)):
-        raw = []
-
-        def stats(ring: RingDescriptor, i: int = i) -> tuple[tuple, bool]:
-            pert = pert_lo if ring is ws.ring else pert_hi
-            omit = IdealHandle(ring, pert[:i] + pert[i + 1:]).subspace
-            (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
-            raw.append((l_val, h_val))
-            return (l_val, h_val), l_ok and h_ok
-
-        cert = two_level_value(stats, ws.ring, ws.delta, ring_hi=ws.ring_hi)
-        (l_lo, h_lo), resolved = raw[0], cert.status == TWO_LEVEL
+        lo = _colon_reading(pert_lo, i)
+        cert = two_level_value(lo, _colon_reading(pert_hi, i), levels)
+        (l_lo, h_lo), resolved = lo[0], cert.status == TWO_LEVEL
         ok = resolved and l_lo <= h.value and h_lo <= h.value
         status = "ok" if ok else ("exceeds" if resolved else "unresolved")
         rows.append(row("control-colon", n=i + 1, value_orig=l_lo,

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED, plateau, weakest
+from pertlab.certify import (EXACT, TWO_LEVEL, UNCERTIFIED, plateau,
+                             two_level_value, weakest)
 from pertlab.cli import VERIFY_CLAIMS, run_manifest
 from pertlab.harness import (ExperimentConfig, build_workspace,
                              sample_in_power)
@@ -47,6 +48,24 @@ def test_plateau(profile, expected):
     """The value of the longest run, resolved only when it is not None and
     its run is at least three entries wide."""
     assert plateau(profile) == expected
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    ((3, True), (3, True), (3, TWO_LEVEL, "")),
+    ((3, True), (4, True), (3, UNCERTIFIED, "levels 8/10 gave 3/4")),
+    ((3, False), (3, True), (None, UNCERTIFIED,
+                             "levels 8/10 gave unresolved/3")),
+    ((3, True), (3, False), (3, UNCERTIFIED,
+                             "levels 8/10 gave 3/unresolved")),
+    ((3, False), (4, False), (None, UNCERTIFIED,
+                              "levels 8/10 gave unresolved/unresolved")),
+])
+def test_two_level_value(lo, hi, expected):
+    """Stable only when both readings resolve and agree; otherwise the value
+    at D when that reading resolved, and a note showing both readings."""
+    cert = two_level_value(lo, hi, (8, 10))
+    assert (cert.value, cert.status, cert.note) == expected
+    assert cert.levels == (8, 10)
 
 
 def _assert_not_promoted(record, *rests_on: str) -> None:

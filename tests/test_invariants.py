@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import TWO_LEVEL, two_level_value
+from pertlab.certify import TWO_LEVEL, UNCERTIFIED
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_length, ideal_product, ideal_sum,
                             maximal_ideal, unit_ideal, zero_ideal)
@@ -227,18 +227,12 @@ def test_colon_identities_node_diagonal():
 
 @pytest.mark.parametrize("catalog_id", sorted(CATALOG))
 def test_delta_below_one_rejected_and_levels_are_d_and_d_plus_delta(catalog_id):
-    """Every two-level entry point rejects delta < 1 before reading any
-    level, and every value it returns was compared at D and D + delta."""
+    """Every two-level entry point rejects delta < 1, and every value it
+    returns was compared at D and D + delta."""
     entry = CATALOG[catalog_id]
     ring = build_ring(entry.p, entry.vars, entry.base_gens, 8)
     fs = tuple(ring.element(e) for e in entry.f_exprs)
     j = IdealHandle(ring, tuple(ring.element(g) for g in entry.j_exprs))
-    reads = []
-
-    def read(level_ring):
-        reads.append(level_ring.D)
-        return level_ring.M, True
-
     runs = {
         "ar_number": lambda d: [ar_number(IdealHandle(ring, fs), j, 3,
                                           delta=d)],
@@ -247,14 +241,12 @@ def test_delta_below_one_rejected_and_levels_are_d_and_d_plus_delta(catalog_id):
         "koszul_homology_length": lambda d: [koszul_homology_length(
             fs, 1, delta=d)],
         "koszul_report": lambda d: list(koszul_report(fs, delta=d).lengths),
-        "two_level_value": lambda d: [two_level_value(read, ring, d)],
     }
     stable = 0
     for name, run in runs.items():
         for bad in (0, -1):
             with pytest.raises(ValueError):
                 run(bad)
-        assert reads == [], name
         for delta in (1, 2, 3):
             for cert in run(delta):
                 assert cert.levels == (ring.D, ring.D + delta), (name, delta)
@@ -272,21 +264,37 @@ def test_unit_element_rejects_negative_delta():
 
 
 def test_koszul_report_at_p_251_matches_oracle():
-    """Coefficients near the top of uint8 reach the signed Koszul boundary
-    through narrow normal forms.  On the Artinian ring F_251[x,y]/(x^3, y^3)
-    the truncation is exact, H_2 = (0 : (f1, f2)) and, the Euler
-    characteristic being zero, H_1 = H_0 + H_2."""
+    """Coefficients near the top of uint8 (p = 251), and of a uint16 prime
+    (p = 257), reach the unsigned Koszul boundary through narrow normal
+    forms.  On the Artinian ring F_p[x,y]/(x^3, y^3) the truncation is
+    exact, H_2 = (0 : (f1, f2)) and, the Euler characteristic being zero,
+    H_1 = H_0 + H_2."""
     from oracle import NaiveModel
-    p, D = 251, 10
-    ring = build_ring(p, ("x", "y"), ["x^3", "y^3"], D)
+    D = 10
+    for p in (251, 257):
+        ring = build_ring(p, ("x", "y"), ["x^3", "y^3"], D)
+        fs = (ring.element("200*x + 250*y^2"),
+              ring.element("150*x + 230*x*y"))
+        report = koszul_report(fs)
+        model = NaiveModel(p, 2, D, [{(3, 0): 1}, {(0, 3): 1}])
+        F = [{(1, 0): 200, (0, 2): 250}, {(1, 0): 150, (1, 1): 230}]
+        base = model.base_span
+        h0 = model.length(model.ideal_span(F))
+        h2 = (len(model.intersection(model.colon(base, F[0]),
+                                     model.colon(base, F[1])))
+              - len(base))
+        assert [(c.value, c.status) for c in report.lengths] == [
+            (h0 + h2, TWO_LEVEL), (h2, TWO_LEVEL)], p
+        assert h2 > 0 and all(report.finite), p
+
+
+def test_koszul_leading_zero_plateau_stays_uncertified():
+    """At D = 8 the H_2 order profile of the sequence above opens with a
+    run of zeros (orders below its lowest class) wider than its run at the
+    true length 2, so D reads 0 while D + 2 reads 2.  The two readings
+    disagree, so the value stays uncertified rather than certified 0."""
+    ring = build_ring(251, ("x", "y"), ["x^3", "y^3"], 8)
     fs = (ring.element("200*x + 250*y^2"), ring.element("150*x + 230*x*y"))
-    report = koszul_report(fs)
-    model = NaiveModel(p, 2, D, [{(3, 0): 1}, {(0, 3): 1}])
-    F = [{(1, 0): 200, (0, 2): 250}, {(1, 0): 150, (1, 1): 230}]
-    base = model.base_span
-    h0 = model.length(model.ideal_span(F))
-    h2 = (len(model.intersection(model.colon(base, F[0]), model.colon(base, F[1])))
-          - len(base))
-    assert [(c.value, c.status) for c in report.lengths] == [
-        (h0 + h2, TWO_LEVEL), (h2, TWO_LEVEL)]
-    assert h2 > 0 and all(report.finite)
+    cert = koszul_homology_length(fs, 2)
+    assert (cert.value, cert.status, cert.note) == (
+        0, UNCERTIFIED, "levels 8/10 gave 0/2")

@@ -167,6 +167,44 @@ def test_nakayama_soundness_at_higher_level():
             assert sub_hi.contains_vector(vec)
 
 
+@st.composite
+def small_ideal_subspaces(draw):
+    """An ideal subspace of a few sparse nonunit generators, with low-order
+    terms, in a ring over p in {2, 3, 5, 7} in 1-3 variables at D 3-7."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    base = draw(st.lists(st.sampled_from([f"{names[0]}^4",
+                                          f"{names[0]}*{names[-1]}"]),
+                         max_size=1))
+    ring = build_ring(p, names, base, draw(st.integers(3, 7)))
+    low = ring.cut(3)
+
+    def element():
+        terms = draw(st.dictionaries(st.integers(1, max(low, 2) - 1),
+                                     st.integers(1, p - 1),
+                                     min_size=1, max_size=3))
+        vec = np.zeros(ring.M, dtype=np.int64)
+        vec[list(terms)] = list(terms.values())
+        return ring.element(ring.poly_of_vector(vec))
+
+    return ring, ring.ideal_subspace(
+        [element() for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_ideal_subspaces())
+def test_nakayama_certificate_is_a_pivot_count(case):
+    """m^t lies in the subspace modulo m^(t+1) exactly when every column of
+    degree t is a pivot: a nonpivot column of degree t has its unit vector
+    outside the span, and when all of them are pivots their RREF rows are
+    those unit vectors up to degree t."""
+    ring, sub = case
+    for t in range(ring.D):
+        degree_t = np.arange(ring.cut(t), ring.cut(t + 1))
+        assert (nakayama_contains_power(ring, sub, t)
+                == bool(np.isin(degree_t, sub.pivots).all())), t
+
+
 def test_truncation_compatibility():
     # a certified subspace computed at level D, restricted to degrees < D',
     # matches the level-D' computation
@@ -183,19 +221,23 @@ def test_truncation_compatibility():
 
 def test_two_level_value_stable_and_unstable():
     ring = build_ring(5, ("x", "y"), [], 4)
+    ring_hi = ring.rebuild(ring.D + 2)
+    levels = (ring.D, ring_hi.D)
 
     def quotient_len(r):
         sub = r.ideal_subspace([r.element("x^2"), r.element("x*y"),
                                 r.element("y^2")])
         return r.M - sub.rank
 
-    cert = two_level_value(lambda r: (quotient_len(r), True), ring, 2)
+    cert = two_level_value((quotient_len(ring), True),
+                           (quotient_len(ring_hi), True), levels)
     assert cert.value == 3 and cert.status == TWO_LEVEL
 
     def colon_rank(r):
         return ideal_colon(zero_ideal(r), r.element("x")).subspace.rank
 
-    cert2 = two_level_value(lambda r: (colon_rank(r), True), ring, 2)
+    cert2 = two_level_value((colon_rank(ring), True),
+                            (colon_rank(ring_hi), True), levels)
     assert cert2.status == UNCERTIFIED  # truncation junk moves with D
 
 
