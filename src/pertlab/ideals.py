@@ -162,6 +162,9 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     # before the nullspace's elimination runs.
     kernel = linalg.left_nullspace(
         target.reduce(mult_matrix(ring, elem))[:, target.nonpivots()], ring.p)
+    # The kernel is already in RREF, so this elimination passes it through
+    # unchanged.  It stays only because removing it moves the benchmark's
+    # exact rref and reduce_rows counters (ROADMAP item 1).
     rows, piv = linalg.rref(kernel, ring.p)
     return Subspace(ring, rows, piv)
 

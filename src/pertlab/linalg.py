@@ -33,6 +33,12 @@ dense form, its canonical narrow RREF; ``_clear`` converts to the work dtype
 just the live polynomial rows it multiplies.  ``rref`` tracks the unit mask
 of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
 (see ``unit_rows``).
+
+Kernels take one elimination.  ``nullspace`` eliminates the matrix with
+its columns reversed; read forwards, that RREF gives the kernel rows
+already in RREF (the argument is in its docstring).  ``_echelon`` returns a
+block already in RREF after one check, so re-reducing such a kernel, as
+``nullspace`` itself and ``colon_subspace`` still do, costs no round.
 """
 
 from __future__ import annotations
@@ -83,9 +89,10 @@ def narrow(rows, p: int) -> np.ndarray:
 def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
     """``a`` mod p in ``dtype``; the reduction is skipped when a min/max
     check shows every entry already in [0, p), so a narrow block in range
-    goes to ``dtype`` without an int64 copy."""
+    goes to ``dtype`` without an int64 copy.  An unsigned block cannot be
+    negative, so only its maximum is checked."""
     a = np.asarray(a)
-    if a.size and (a.min() < 0 or a.max() >= p):
+    if a.size and ((a.dtype.kind != "u" and a.min() < 0) or a.max() >= p):
         a = np.asarray(a, dtype=np.int64) % p
     return a.astype(dtype, copy=False)
 
@@ -177,13 +184,22 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     k rows among themselves.  One product then clears the round's columns
     from every other row.  Rows with distinct leading columns, the common
     case for the sparse blocks of ideal subspaces, thus cost one round in all.
+
+    A block already in RREF (leading columns strictly increasing, each
+    leading entry 1 and the only nonzero of its column) is returned as it
+    is, after one check instead of a round: the kernel rows ``nullspace``
+    builds, and the kernels ``colon_subspace`` re-reduces, are such blocks.
     """
+    lead = (block != 0).argmax(axis=1)
+    if (np.all(lead[1:] > lead[:-1])
+            and np.all(block[np.arange(lead.size), lead] == 1)
+            and np.all(np.count_nonzero(block[:, lead], axis=0) == 1)):
+        return block, lead
     inv = inverses_mod(p)
     done = block[:0]
     done_piv = np.zeros(0, dtype=np.int64)
     rest = block
     while rest.shape[0]:
-        lead = (rest != 0).argmax(axis=1)
         piv, first = np.unique(lead, return_index=True)
         sel = rest[first]
         scale = inv[sel[np.arange(piv.size), piv].astype(np.intp)]
@@ -203,6 +219,7 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         keep[first] = False
         rest = _clear(rest[keep], piv, sel, unit, p)
         rest = rest[rest.any(axis=1)]
+        lead = (rest != 0).argmax(axis=1)
         done = np.vstack([_clear(done, piv, sel, unit, p), sel])
         done_piv = np.concatenate([done_piv, piv])
     order = np.argsort(done_piv, kind="stable")
@@ -333,19 +350,31 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows, in RREF) of {v : mat @ v = 0}."""
+    """Basis (as rows, in RREF) of {v : mat @ v = 0}, from one elimination.
+
+    The leading columns of the kernel's RREF are the complement of the
+    columns where rows of rowspace(mat) can end.  So ``mat`` is eliminated
+    with its columns reversed: read back in forward order, that RREF has
+    rows r_i whose *last* nonzero is a 1 at t_i, and the columns T = {t_i}
+    hold an identity.  For each column q outside T the row
+    e_q - sum_i r_i[q] e_{t_i} is orthogonal to every r_i, and r_i[q] != 0
+    only when t_i > q, so its leading entry is the 1 at q.  These rows,
+    sorted by q, are the kernel's RREF as they stand.  The reversed
+    elimination has the same shape, chunks and rank as ``rref(mat)``.
+    """
     mat = np.atleast_2d(np.asarray(mat))
     ncols = mat.shape[1]
-    rows, pivots = rref(mat, p)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    rows, pivots = rref(mat[:, ::-1], p)
+    rows, ends = rows[:, ::-1], ncols - 1 - pivots
+    free = np.setdiff1d(np.arange(ncols), ends)
     if free.size == 0:
         return _empty(ncols, p)[0]
     kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
     kernel[np.arange(free.size), free] = 1
-    if pivots.size:
+    if ends.size:
         # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
-        kernel[:, pivots] = (p - rows[:, free].T) % p
-    # Rows are already independent; canonicalize for downstream equality.
+        kernel[:, ends] = (p - rows[:, free].T) % p
+    # Already canonical, so this elimination passes each chunk through.
     return rref(kernel, p)[0]
 
 

@@ -166,9 +166,10 @@ class Element:
     for elements defined by polynomials of degree < D, which covers all
     inputs (generators, perturbations, and their sums); it is documented as
     lossy for products, whose defining polynomials are themselves truncated.
+    An element is immutable, so its text is derived once.
     """
 
-    __slots__ = ("ring", "vec", "poly")
+    __slots__ = ("ring", "vec", "poly", "_text")
 
     def __init__(self, ring: "RingDescriptor", vec: np.ndarray, poly: TruncPoly):
         self.ring = ring
@@ -176,6 +177,7 @@ class Element:
             vec.flags.writeable = False
         self.vec = vec
         self.poly = poly
+        self._text: str | None = None
 
     def is_zero(self) -> bool:
         return not self.vec.any()
@@ -224,7 +226,9 @@ class Element:
         return self.ring.poly_of_vector(self.vec)
 
     def serialize(self) -> str:
-        return self.to_poly().serialize()
+        if self._text is None:
+            self._text = self.to_poly().serialize()
+        return self._text
 
     def __repr__(self) -> str:
         return f"Element({self.serialize()!r})"

@@ -470,3 +470,112 @@ def test_kernel_never_writes_into_narrow_arguments(p, dtype):
                           linalg.nullspace(wide_block, p))
     for original, arg in zip(before, [mat, block]):
         assert np.array_equal(original, arg)
+
+
+# -- canonical blocks and wide kernels -----------------------------------------
+
+def canonical_block(p, mat):
+    """The reference RREF of ``mat`` in the work dtype, with its pivots."""
+    rows, pivots = ref_rref(mat, p)
+    ncols = mat.shape[1]
+    return (np.array(rows, dtype=linalg._work_dtype(p, ncols)).reshape(-1, ncols),
+            pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(residue_matrices())
+def test_echelon_passes_canonical_blocks_through(case):
+    p, mat = case
+    block, pivots = canonical_block(p, mat)
+    if block.shape[0] == 0:
+        return
+    rows, piv = linalg._echelon(block, p)
+    assert rows is block
+    assert piv.tolist() == pivots
+
+
+NEAR_CANONICAL = ["lead-not-one", "pivot-column-entry", "shared-lead",
+                  "out-of-order", "zero-row"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_matrices(), st.sampled_from(NEAR_CANONICAL),
+       st.integers(0, 2 ** 32 - 1))
+def test_echelon_reduces_near_canonical_blocks(case, change, seed):
+    """Blocks one step from RREF fail the pass-through check and are
+    reduced to the reference RREF of the same rows."""
+    p, mat = case
+    block, _ = canonical_block(p, mat)
+    k, ncols = block.shape
+    if k < (1 if change in ("lead-not-one", "shared-lead", "zero-row") else 2):
+        return
+    if change == "lead-not-one" and p == 2:
+        return
+    rng = np.random.default_rng(seed)
+    block = block.copy()
+    lead = (block != 0).argmax(axis=1)
+    i, j = rng.choice(k, 2, replace=False) if k > 1 else (0, 0)
+    if change == "lead-not-one":
+        block[i] = block[i] * int(rng.integers(2, p)) % p
+    elif change == "pivot-column-entry":
+        block[i, lead[j]] = int(rng.integers(1, p))
+    elif change == "shared-lead":
+        extra = block[i].copy()
+        tail = np.arange(ncols) > lead[i]
+        extra[tail] = (extra[tail] + rng.integers(0, p, tail.sum())) % p
+        block = np.vstack([block, extra])
+    elif change == "out-of-order":
+        block[[i, j]] = block[[j, i]]
+    else:
+        block = np.vstack([block, np.zeros((1, ncols), dtype=block.dtype)])
+    ref_rows, ref_pivots = ref_rref(block, p)
+    if change == "zero-row":
+        # ``_echelon`` takes nonzero rows; ``rref`` drops zero rows first.
+        rows, piv = linalg.rref(block, p)
+        assert_canonical(rows, piv, ref_rows, ref_pivots, ncols, p)
+        return
+    rows, piv = linalg._echelon(block, p)
+    assert rows.tolist() == ref_rows
+    assert piv.tolist() == ref_pivots
+
+
+@st.composite
+def wide_matrices(draw, p):
+    """Matrices mod p with at most 20 rows and up to 300 columns: the
+    transposed cokernel problems of colons, whose kernels are wide."""
+    kind = draw(st.sampled_from(["random", "sparse", "low-rank", "zero",
+                                 "rref", "colon"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = int(rng.integers(1, 21))
+    c = int(rng.integers(1, 301))
+    mat = rng.integers(0, p, (s, c))
+    if kind == "sparse":
+        mat *= rng.random((s, c)) < 0.05
+    elif kind == "low-rank":
+        r = int(rng.integers(0, min(s, c) + 1))
+        mat = (rng.integers(0, p, (s, r)) @ rng.integers(0, p, (r, c))) % p
+    elif kind == "zero":
+        mat[:] = 0
+    elif kind == "rref":
+        mat = linalg.rref(mat * (rng.random((s, c)) < 0.1), p)[0]
+    elif kind == "colon":
+        # Sparse products reduced against an ideal-like basis, restricted
+        # to at most 20 of its nonpivot columns and transposed.
+        basis, piv = linalg.rref(monomial_rows(rng, p, c, c), p)
+        nonpiv = np.setdiff1d(np.arange(c), piv)[:20]
+        products = rng.integers(0, p, (c, c)) * (rng.random((c, c)) < 0.02)
+        mat = linalg.reduce_rows(products, basis, piv, p)[:, nonpiv].T
+    return np.asarray(mat, dtype=np.int64).reshape(-1, c)
+
+
+@pytest.mark.parametrize("p", PRIMES + [251, 257])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_wide_nullspace_matches_reference_and_is_canonical(p, data):
+    mat = data.draw(wide_matrices(p))
+    ncols = mat.shape[1]
+    kernel = linalg.nullspace(mat, p)
+    assert kernel.dtype == linalg.narrow_dtype(p) and not kernel.flags.writeable
+    assert kernel.tolist() == ref_nullspace(mat, p, ncols)
+    rows, _ = linalg.rref(kernel, p)
+    assert np.array_equal(rows, kernel)
