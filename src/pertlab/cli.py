@@ -198,13 +198,13 @@ def _resolve_config(m: Manifest) -> ExperimentConfig:
     return m.config
 
 
-# Direct commands: handler(ws, manifest) -> records carrying the seed.
+# Direct commands: handler(ws, manifest) -> records; the report stamps the
+# seed.
 # Handlers name the invariants and verifiers they call inside their bodies,
 # so those module globals are looked up at call time.
 
 def _filter_regular_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    return [filter_regular_record(ws.ring, ws.fs, ws.sequence_report, "cli",
-                                  m.config.seed)]
+    return [filter_regular_record(ws.ring, ws.fs, ws.sequence_report, "cli")]
 
 
 def _table_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
@@ -217,7 +217,6 @@ def _table_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
                          certification=e.status)
                      for n, e in enumerate(table.entries)],
                     note=f"convention {table.convention}")
-            .with_context(None, None, m.config.seed)
             for claim, table in (("hs-table", hs), ("gr-table", gr))]
 
 
@@ -228,7 +227,7 @@ def _ar_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
                 certification=value.status)]
     return [verdict("ar-number", VERIFIED,
                     inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"), rows,
-                    note=value.note).with_context(None, None, m.config.seed)]
+                    note=value.note)]
 
 
 def _koszul_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
@@ -239,13 +238,12 @@ def _koszul_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
             for i, (cv, fin) in enumerate(zip(report.lengths, report.finite),
                                           start=1)]
     return [verdict("koszul", VERIFIED,
-                    inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)
-            .with_context(None, None, m.config.seed)]
+                    inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)]
 
 
 def _bound_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
     report = bound_N_one_element(ws.fs[0], ws.j, delta=m.config.delta)
-    return [bound_record(ws, report).with_context(None, None, m.config.seed)]
+    return [bound_record(ws, report)]
 
 
 def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
@@ -267,7 +265,7 @@ def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
         eps_list = [sample_in_power(ws.ring, m.n_single, cfg.seed, len(ws.fs),
                                     spawn=(m.n_single, s))
                     for s in range(cfg.samples)]
-    return [checker(ws, eps).with_context(m.n_single, s, cfg.seed)
+    return [checker(ws, eps).with_context(m.n_single, s)
             for s, eps in enumerate(eps_list)]
 
 
@@ -282,14 +280,12 @@ _DIRECT_COMMANDS = {
 
 
 def execute(m: Manifest) -> ExperimentReport:
-    started = time.monotonic()
     if m.command not in _DIRECT_COMMANDS:
         return (run_experiment if m.command == "experiment"
                 else find_min_N)(m.config)
     ws = build_workspace(m.config)
     records = tuple(_DIRECT_COMMANDS[m.command](ws, m))
-    return ExperimentReport(m.command, m.config, ws.ring.D, records,
-                            timing_s=time.monotonic() - started)
+    return ExperimentReport(m.command, m.config, ws.ring.D, records)
 
 
 def run_manifest(source: str) -> ExperimentReport:
@@ -318,7 +314,9 @@ def emit_csv(result: ExperimentReport) -> str:
     return buf.getvalue()
 
 
-def emit_table(result: ExperimentReport) -> str:
+def emit_table(result: ExperimentReport, elapsed_s: float) -> str:
+    """Aligned rows and a footer: command, resolved D, outcomes, thresholds
+    and ``elapsed_s``, the run's wall time."""
     rows = result.rows()
     widths = {c: len(c) for c in CSV_COLUMNS}
     rendered = []
@@ -342,36 +340,8 @@ def emit_table(result: ExperimentReport) -> str:
         lines.append(f"empirical N* = {result.n_star}")
     if result.theoretical is not None:
         lines.append(f"theoretical N = {result.theoretical.n_bound.value}")
-    lines.append(f"elapsed: {result.timing_s:.2f}s")
+    lines.append(f"elapsed: {elapsed_s:.2f}s")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(result: ExperimentReport, format: str) -> str:
-    """Render a run in the requested format; both formats carry the same
-    numeric content (the table adds a human summary footer)."""
-    if format == "csv":
-        return emit_csv(result)
-    if format == "table":
-        return emit_table(result)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def emit_plot_data(result: ExperimentReport) -> str:
-    """(n, value) pairs per Hilbert-style table row, for external plotting."""
-    lines = []
-    for row in result.rows():
-        claim = row.get("claim", "")
-        if claim in ("hs-table", "gr-table", "main-equality", "monotonicity"):
-            n = row.get("n", "")
-            if n == "":
-                continue
-            value = row.get("value_orig", "")
-            if value != "":
-                lines.append(f"{claim}\t{n}\t{value}")
-            pert = row.get("value_pert", "")
-            if pert != "":
-                lines.append(f"{claim}-pert\t{n}\t{pert}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -382,15 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("manifest", help="path to a manifest file")
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     parser.add_argument("--out", help="write the report to this file")
-    parser.add_argument("--emit-plot-data", action="store_true",
-                        help="append (n, value) pairs per Hilbert table")
     args = parser.parse_args(argv)
     try:
+        started = time.monotonic()
         result = run_manifest(args.manifest)
-        text = emit_report(result, args.format)
-        if args.emit_plot_data:
-            text += ("\n# plot data (claim, n, value)\n"
-                     + emit_plot_data(result))
+        text = (emit_csv(result) if args.format == "csv"
+                else emit_table(result, time.monotonic() - started))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -1,15 +1,14 @@
 """Seeded randomized experiments.
 
 A fully specified :class:`ExperimentConfig` determines every random draw, so
-identical configs produce identical reports (timing aside).  Randomness
-comes from numpy's PCG64 generator keyed through ``SeedSequence`` with the
-(config seed, N, sample index) tuple, which makes samples independent of
-evaluation order and safe to compute in parallel.
+identical configs produce equal reports.  Randomness comes from numpy's
+PCG64 generator keyed through ``SeedSequence`` with the (config seed, N,
+sample index) tuple, which makes samples independent of evaluation order and
+safe to compute in parallel.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +58,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     """The records of one command's run, with what the run resolved on the
-    way; every command returns one."""
+    way; every command returns one, a pure function of its config."""
 
     command: str
     config: ExperimentConfig
@@ -68,10 +67,11 @@ class ExperimentReport:
     n_star: int | None = None
     theoretical: BoundReport | None = None
     bound_consistent: bool | None = None
-    timing_s: float = 0.0
 
     def rows(self) -> list[dict]:
-        return [dict(r) for rec in self.records for r in rec.rows]
+        """Every record's rows, stamped with the run's seed."""
+        return [{**r, "seed": self.config.seed}
+                for rec in self.records for r in rec.rows]
 
     def exit_code(self) -> int:
         return 1 if any(r.outcome == VIOLATED for r in self.records) else 0
@@ -130,8 +130,8 @@ def _sweep(ws: Workspace, config: ExperimentConfig
             pert = ws.gr_perturbed(eps)
             main = check_main_equality(ws, eps, pert_table=pert)
             mono = check_surjection_monotonicity(ws, eps, pert_table=pert)
-            records.append(main.with_context(n, s, config.seed))
-            records.append(mono.with_context(n, s, config.seed))
+            records.append(main.with_context(n, s))
+            records.append(mono.with_context(n, s))
             main_outcomes[(n, s)] = main.outcome
     return records, main_outcomes
 
@@ -170,13 +170,11 @@ def _sweep_to_threshold(ws: Workspace, config: ExperimentConfig
         eps = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
                               spawn=(n_star, s))
         records.append(check_perturbed_filter_regular(ws, eps)
-                       .with_context(n_star, s, config.seed))
-        records.append(check_control_colon(ws, eps)
-                       .with_context(n_star, s, config.seed))
+                       .with_context(n_star, s))
+        records.append(check_control_colon(ws, eps).with_context(n_star, s))
     eps0 = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
                            spawn=(n_star, 0))
-    records.append(report_ar_comparison(ws, eps0)
-                   .with_context(n_star, 0, config.seed))
+    records.append(report_ar_comparison(ws, eps0).with_context(n_star, 0))
     return records, n_star
 
 
@@ -201,7 +199,6 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
     For a single filter-regular element the report also carries the explicit
     theoretical threshold and checks the empirical one does not exceed it.
     """
-    started = time.monotonic()
     if config.n_range is None:
         raise PertlabError("find-min-n needs an N range")
     ws = build_workspace(config)
@@ -220,11 +217,9 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
         witness=n_star,
         note=("empirical threshold found" if n_star is not None
               else "no stable N in range"),
-        rests_on=[r.certification for r in records])
-        .with_context(None, None, config.seed))
+        rests_on=[r.certification for r in records]))
     return ExperimentReport("find-min-n", config, ws.ring.D, tuple(records),
-                            n_star, *bound,
-                            timing_s=time.monotonic() - started)
+                            n_star, *bound)
 
 
 def bound_record(ws: Workspace, theoretical: BoundReport) -> VerdictRecord:
@@ -235,15 +230,14 @@ def bound_record(ws: Workspace, theoretical: BoundReport) -> VerdictRecord:
 
 
 def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
-                          report, tag: str, seed: int | None) -> VerdictRecord:
+                          report, tag: str) -> VerdictRecord:
     """One row per checked step of a filter-regularity report; ``tag``
     keys the digest."""
     return verdict(
         "filter-regular", VERIFIED, inputs_digest(ring, seq, None, None, tag),
         sequence_rows("filter-regular", report, ("true", "false")),
         note=("filter-regular" if report.passed
-              else f"fails at index {report.first_failure}")
-    ).with_context(None, None, seed)
+              else f"fails at index {report.first_failure}"))
 
 
 def _catalog_checks(ws: Workspace, config: ExperimentConfig
@@ -260,7 +254,7 @@ def _catalog_checks(ws: Workspace, config: ExperimentConfig
     for label, seq in sequences:
         report = (ws.sequence_report if label == "base"
                   else filter_regular_sequence_check(seq, delta=config.delta))
-        record = filter_regular_record(ws.ring, seq, report, label, config.seed)
+        record = filter_regular_record(ws.ring, seq, report, label)
         records.append(replace(record, note=f"sequence {label}: {record.note}"))
     return records
 
@@ -269,7 +263,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Catalog checks, the N sweep with all verifiers, and the threshold
     search, aggregated into one report that is a pure function of the
     config."""
-    started = time.monotonic()
     ws = build_workspace(config)
     records = _catalog_checks(ws, config)
     n_star = None
@@ -278,8 +271,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         records.extend(sweep_records)
     bound = _theoretical_bound(ws, config, n_star)
     if bound[0] is not None:
-        records.append(bound_record(ws, bound[0])
-                       .with_context(None, None, config.seed))
+        records.append(bound_record(ws, bound[0]))
     return ExperimentReport("experiment", config, ws.ring.D, tuple(records),
-                            n_star, *bound,
-                            timing_s=time.monotonic() - started)
+                            n_star, *bound)

@@ -164,7 +164,7 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
         target.reduce(mult_matrix(ring, elem))[:, target.nonpivots()], ring.p)
     # The kernel is already in RREF, so this elimination passes it through
     # unchanged.  It stays only because removing it moves the benchmark's
-    # exact rref and reduce_rows counters (ROADMAP item 1).
+    # exact rref and reduce_rows counters (ROADMAP item 2).
     rows, piv = linalg.rref(kernel, ring.p)
     return Subspace(ring, rows, piv)
 

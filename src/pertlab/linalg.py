@@ -38,7 +38,8 @@ Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
 already in RREF (the argument is in its docstring).  ``_echelon`` returns a
 block already in RREF after one check, so re-reducing such a kernel, as
-``nullspace`` itself and ``colon_subspace`` still do, costs no round.
+``nullspace`` itself and ``colon_subspace`` still do until ROADMAP item 2
+deletes both calls, costs no round.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@ fixed total degree.
 
 A :class:`TruncPoly` stores finitely many (exponent tuple, coefficient) pairs
 with all total degrees below the truncation order ``D``; sums and products
-silently drop every term of degree >= D.  This is the user-facing term
-representation; dense coordinate vectors for linear algebra live in
-:mod:`pertlab.rings`.
+drop every term of degree >= D and record a lower bound on the degrees they
+dropped, so that no re-reading at a higher order misses a term.  This is the
+user-facing term representation; dense coordinate vectors for linear algebra
+live in :mod:`pertlab.rings`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .errors import PolyParseError, RingMismatchError
+from .errors import PolyParseError, RingMismatchError, TruncationError
 
 Exponents = tuple[int, ...]
 
@@ -23,15 +24,26 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _normalized(terms: Mapping[Exponents, int], p: int, trunc: int) -> dict[Exponents, int]:
+def _lowest(*degrees: int | None) -> int | None:
+    """The least of the degrees that are not None; None if there is none."""
+    return min((d for d in degrees if d is not None), default=None)
+
+
+def _normalized(terms: Mapping[Exponents, int], p: int, trunc: int
+                ) -> tuple[dict[Exponents, int], int | None]:
+    """The nonzero terms below ``trunc``, and the least degree dropped."""
     out: dict[Exponents, int] = {}
+    dropped = None
     for exps, c in terms.items():
-        if sum(exps) >= trunc:
-            continue
         c %= p
-        if c:
+        if not c:
+            continue
+        d = sum(exps)
+        if d < trunc:
             out[exps] = c
-    return out
+        elif dropped is None or d < dropped:
+            dropped = d
+    return out, dropped
 
 
 def power(base, n: int, one):
@@ -43,8 +55,9 @@ def power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:  # a square past the last bit is unused, and its dropped terms
+            base = base * base  # would mark a TruncPoly result as lossy
     return result
 
 
@@ -53,17 +66,20 @@ class TruncPoly:
 
     Instances are immutable; arithmetic returns new objects.  The context
     (p, vars, D) travels with the polynomial so that mixed-context operands
-    are rejected.
+    are rejected.  ``dropped`` is a lower bound on the degree of every term
+    that truncation removed from it or from its operands (None if none was),
+    given as the ``dropped`` argument or found among ``terms``.
     """
 
-    __slots__ = ("p", "vars", "trunc", "terms")
+    __slots__ = ("p", "vars", "trunc", "terms", "dropped")
 
     def __init__(self, p: int, vars: tuple[str, ...], trunc: int,
-                 terms: Mapping[Exponents, int]):
+                 terms: Mapping[Exponents, int], dropped: int | None = None):
         self.p = p
         self.vars = tuple(vars)
         self.trunc = trunc
-        self.terms = _normalized(terms, p, trunc)
+        self.terms, lost = _normalized(terms, p, trunc)
+        self.dropped = _lowest(dropped, lost)
 
     # -- constructors ------------------------------------------------------
 
@@ -89,6 +105,16 @@ class TruncPoly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * len(self.vars), 0)
 
+    def at(self, trunc: int) -> "TruncPoly":
+        """The same polynomial truncated at ``trunc``; TruncationError when
+        it dropped a term that could lie below ``trunc``."""
+        if self.dropped is not None and self.dropped < trunc:
+            raise TruncationError(
+                f"{self.serialize()!r} dropped a term of degree >= "
+                f"{self.dropped} at D = {self.trunc}, so it cannot be read at "
+                f"D = {trunc}; give a D above every input term's degree")
+        return TruncPoly(self.p, self.vars, trunc, self.terms, self.dropped)
+
     def _check_context(self, other: "TruncPoly") -> None:
         if (self.p, self.vars, self.trunc) != (other.p, other.vars, other.trunc):
             raise RingMismatchError(
@@ -102,11 +128,12 @@ class TruncPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return TruncPoly(self.p, self.vars, self.trunc, terms)
+        return TruncPoly(self.p, self.vars, self.trunc, terms,
+                         _lowest(self.dropped, other.dropped))
 
     def __neg__(self) -> "TruncPoly":
         return TruncPoly(self.p, self.vars, self.trunc,
-                         {e: -c for e, c in self.terms.items()})
+                         {e: -c for e, c in self.terms.items()}, self.dropped)
 
     def __sub__(self, other: "TruncPoly") -> "TruncPoly":
         return self + (-other)
@@ -114,14 +141,18 @@ class TruncPoly:
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         self._check_context(other)
         terms: dict[Exponents, int] = {}
+        dropped = _lowest(self.dropped, other.dropped)
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
             for e2, c2 in other.terms.items():
-                if d1 + sum(e2) >= self.trunc:
+                d = d1 + sum(e2)
+                if d >= self.trunc:
+                    if dropped is None or d < dropped:
+                        dropped = d
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return TruncPoly(self.p, self.vars, self.trunc, terms)
+        return TruncPoly(self.p, self.vars, self.trunc, terms, dropped)
 
     def __pow__(self, n: int) -> "TruncPoly":
         return power(self, n, TruncPoly.constant(1, self.p, self.vars,

@@ -163,10 +163,10 @@ class Element:
 
     The polynomial is kept so the element can be re-interpreted exactly in a
     rebuild of the ring at a higher truncation order.  That lift is faithful
-    for elements defined by polynomials of degree < D, which covers all
-    inputs (generators, perturbations, and their sums); it is documented as
-    lossy for products, whose defining polynomials are themselves truncated.
-    An element is immutable, so its text is derived once.
+    for elements defined by polynomials of degree < D; one whose polynomial
+    dropped a term below the new order, such as a product or an input with a
+    term of degree >= D, raises TruncationError instead of reading another
+    element.  An element is immutable, so its text is derived once.
     """
 
     __slots__ = ("ring", "vec", "poly", "_text")
@@ -239,11 +239,13 @@ class RingDescriptor:
 
     The one ring constructor (``build_ring`` names it; ``rebuild`` calls
     it).  String generators are parsed, and ``TruncPoly`` ones re-read, at
-    D.  Before any monomial is enumerated it raises ``RingConstructionError``
-    on a p that is not prime or exceeds ``linalg.MAX_PRIME`` (past it float64
-    elimination is inexact), D < 2, an empty or repeated variable list, more
-    than ``MAX_MONOMIALS`` monomials, a key table past ``MAX_KEY_TABLE``
-    entries, or a generator over another ring or with a constant term.
+    D; one that dropped a term of degree below D raises ``TruncationError``
+    (see ``TruncPoly.at``).  Before any monomial is enumerated it raises
+    ``RingConstructionError`` on a p that is not prime or exceeds
+    ``linalg.MAX_PRIME`` (past it float64 elimination is inexact), D < 2, an
+    empty or repeated variable list, more than ``MAX_MONOMIALS`` monomials, a
+    key table past ``MAX_KEY_TABLE`` entries, or a generator over another
+    ring or with a constant term.
 
     Immutable after construction; all derived structures (exponent keys,
     echelon base subspace) are built eagerly.  Monomial products are looked
@@ -284,7 +286,7 @@ class RingDescriptor:
             elif (g.p, g.vars) != (p, self.vars):
                 raise RingConstructionError(
                     f"generator {g.serialize()!r} lives over F_{g.p}{g.vars}")
-            poly = TruncPoly(p, self.vars, D, g.terms)
+            poly = g.at(D)
             if poly.constant_term():
                 raise RingConstructionError(
                     f"generator {poly.serialize()!r} has nonzero constant term")
@@ -351,7 +353,7 @@ class RingDescriptor:
         if (source.p, source.vars) != (self.p, self.vars):
             raise RingMismatchError("polynomial context does not match the ring")
         if source.trunc != self.D:
-            source = TruncPoly(self.p, self.vars, self.D, source.terms)
+            source = source.at(self.D)
         vec = self._normal_form(self.vector_of_poly(source))
         return Element(self, vec, source)
 

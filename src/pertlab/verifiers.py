@@ -53,14 +53,12 @@ class VerdictRecord:
     note: str = ""
     rows: tuple[dict, ...] = ()
 
-    def with_context(self, n_pert: int | None, sample: int | None,
-                     seed: int | None) -> "VerdictRecord":
-        updated = tuple({**row,
-                         "N": "" if n_pert is None else n_pert,
-                         "sample": "" if sample is None else sample,
-                         "seed": "" if seed is None else seed}
-                        for row in self.rows)
-        return replace(self, rows=updated)
+    def with_context(self, n_pert: int | None, sample: int) -> "VerdictRecord":
+        """The rows stamped with the perturbation depth (None for none) and
+        the sample index; the report stamps the run's seed."""
+        return replace(self, rows=tuple(
+            {**row, "N": "" if n_pert is None else n_pert, "sample": sample}
+            for row in self.rows))
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,12 @@ class BoundReport:
 
 def row(claim: str, n="", value_orig="", value_pert="", status="",
         certification="") -> dict:
-    """One CSV row; ``certification`` is empty on rows that carry no
-    certified number."""
+    """One CSV row but its seed, which the report stamps; ``certification``
+    is empty on rows that carry no certified number."""
     return {"claim": claim, "N": "", "sample": "", "n": n,
             "value_orig": "" if value_orig is None else value_orig,
             "value_pert": "" if value_pert is None else value_pert,
-            "status": status, "certification": certification, "seed": ""}
+            "status": status, "certification": certification}
 
 
 def verdict(claim: str, outcome: str, digest: str, rows=(), *,

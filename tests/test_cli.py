@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
-from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_plot_data,
-                         emit_report, main, parse_manifest, run_manifest)
+from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_table, main,
+                         parse_manifest, run_manifest)
 from pertlab.errors import ManifestError
 from pertlab.harness import ExperimentConfig, RingSpec
 
@@ -141,8 +142,8 @@ def test_csv_reparse_matches_rows():
 
 def test_formats_share_numeric_content():
     result = run_manifest(BOUND)
-    table = emit_report(result, "table")
-    csv_text = emit_report(result, "csv")
+    table = emit_table(result, 0.0)
+    csv_text = emit_csv(result)
     for row in result.rows():
         assert str(row["value_orig"]) in table
         assert str(row["value_orig"]) in csv_text
@@ -152,33 +153,6 @@ def test_csv_deterministic_across_runs():
     a = emit_csv(run_manifest(BOUND))
     b = emit_csv(run_manifest(BOUND))
     assert a == b
-
-
-def test_plot_data():
-    text = """
-[manifest]
-format-version = 1
-
-[ring]
-p = 5
-vars = x, y, z
-gens = x*y, x*z
-D = auto
-
-[ideals]
-J = x, y, z
-
-[task]
-command = hilbert
-f = x + y, z
-J = J
-n_max = 3
-seed = 0
-"""
-    result = run_manifest(text)
-    plot = emit_plot_data(result)
-    assert "gr-table\t0\t1" in plot
-    assert "gr-table\t2\t0" in plot
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -492,18 +466,39 @@ def test_table_footer_shows_thresholds(tmp_path, capsys):
                                    samples=2, n_max=4, seed=3))
     assert main([str(path), "--format", "table"]) == 0
     out = capsys.readouterr().out
+    assert "command: find-min-n   resolved D: " in out
+    assert "outcomes: " in out
     assert "empirical N* = 1" in out
     assert "theoretical N = 2" in out
+    assert re.search(r"^elapsed: \d+\.\d\ds$", out, re.MULTILINE)
 
 
-def test_main_appends_plot_data(tmp_path, capsys):
-    path = tmp_path / "verify.cfg"
-    path.write_text(_task_manifest(command="verify", catalog="regular-line",
-                                   claim="main", epsilon="y^3", N=3,
-                                   n_max=4))
-    assert main([str(path), "--format", "csv", "--emit-plot-data"]) == 0
-    out = capsys.readouterr().out
-    head, _, plot = out.partition("# plot data")
-    assert head.startswith("claim,N,sample,n,") and plot
-    assert any(line.startswith("main-equality-pert\t")
-               for line in plot.splitlines())
+def _filter_regular_manifest(gens: str, f: str, D: int) -> str:
+    return ("[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
+            f"gens = {gens}\nD = {D}\n\n[task]\n"
+            f"command = check-filter-regular\nf = {f}\n")
+
+
+@pytest.mark.parametrize("gens, f", [("x*y - y^9", "x"), ("x*y", "x + y^9")],
+                         ids=["in-generator", "in-f"])
+def test_input_term_at_d_is_not_certified_from_a_truncated_lift(
+        gens, f, tmp_path, capsys):
+    # y^9 lies between D = 8 and the D + delta = 10 rebuild.  Reading it as
+    # zero at both levels once certified f as not filter-regular; x is a
+    # nonzerodivisor on y(x - y^8) = 0.  The run now stops at the lift.
+    path = tmp_path / "lossy.cfg"
+    path.write_text(_filter_regular_manifest(gens, f, 8))
+    assert main([str(path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "degree >= 8 at D = 8" in captured.err
+    assert "cannot be read at D = 10" in captured.err
+
+
+def test_input_term_below_d_certifies_filter_regular(tmp_path, capsys):
+    path = tmp_path / "exact.cfg"
+    path.write_text(_filter_regular_manifest("x*y - y^9", "x", 12))
+    assert main([str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "filter-regular,,,1,1,,true,two-level-stable,0"

@@ -94,6 +94,7 @@ def test_run_experiment_is_pure_function_of_config():
     r2 = run_experiment(cfg)
     assert r1.records == r2.records
     assert r1.n_star == r2.n_star
+    assert r1 == r2
 
 
 def test_delta_two_vs_four_agree_on_catalog():

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pertlab.errors import PolyParseError, RingMismatchError
+from pertlab.errors import PolyParseError, RingMismatchError, TruncationError
 from pertlab.polynomials import (MAX_NESTING, TruncPoly, grlex_key,
                                  monomials_below, parse_poly)
 
@@ -146,3 +146,42 @@ def test_power_is_repeated_product():
         prod = prod * f
     with pytest.raises(ValueError, match="negative exponent"):
         f ** -1
+
+
+def test_truncation_records_lowest_dropped_degree():
+    at8 = Ctx(5, ("x", "y"), 8)
+    assert parse_poly("x*y + y^7", at8).dropped is None
+    # Square-and-multiply squares no further than the exponent needs.
+    assert parse_poly("x^5", at8).dropped is None
+    lossy = parse_poly("x*y - y^9", at8)
+    assert lossy.serialize() == "x*y" and lossy.dropped == 8
+    assert (lossy + parse_poly("x", at8)).dropped == 8
+    assert (-lossy).dropped == 8
+    assert (parse_poly("x^4", at8) * parse_poly("y^5", at8)).dropped == 9
+    assert lossy.at(8) == lossy
+    with pytest.raises(TruncationError, match=r"'x\*y' dropped a term of "
+                       r"degree >= 8 at D = 8, so it cannot be read at D = 9"):
+        lossy.at(9)
+    lifted = parse_poly("x^5 + y", at8).at(12)
+    assert lifted == parse_poly("x^5 + y", Ctx(5, ("x", "y"), 12))
+    assert lifted.at(5).dropped == 5
+
+
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         st.integers(1, 4), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TERMS, _TERMS, st.integers(2, 9))
+def test_truncated_product_never_reads_wrong_at_a_higher_order(a, b, t):
+    """A product taken at order t either reads as the exact product at every
+    higher order or refuses to be read there."""
+    exact = TruncPoly(5, ("x", "y"), 20, a) * TruncPoly(5, ("x", "y"), 20, b)
+    low = TruncPoly(5, ("x", "y"), t, a) * TruncPoly(5, ("x", "y"), t, b)
+    for trunc in range(t, 20):
+        try:
+            lifted = low.at(trunc)
+        except TruncationError:
+            assert low.dropped < trunc
+            continue
+        assert lifted == exact.at(trunc)

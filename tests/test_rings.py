@@ -468,3 +468,28 @@ def test_subspace_rows_are_compact_and_own_their_data():
     for sub in subs:
         assert sub.rows.base is None and sub.rows.flags.c_contiguous
         assert sub.rows.dtype == np.uint8 and not sub.rows.flags.writeable
+
+
+def test_rebuild_refuses_a_generator_truncated_below_the_new_order():
+    # x^9 drops at D = 8; reading the stored x*y at D = 10 would model
+    # (x*y) + m^10 instead of (x*y - x^9) + m^10.
+    assert build_ring(5, ("x", "y"), ["x*y - x^9"], 10).base_gen_polys[0] \
+        .serialize() == "4*x^9 + x*y"
+    low = build_ring(5, ("x", "y"), ["x*y - x^9"], 8)
+    with pytest.raises(TruncationError, match="degree >= 8 at D = 8"):
+        low.rebuild(10)
+    assert low.rebuild(7).base_gen_polys == \
+        build_ring(5, ("x", "y"), ["x*y - x^9"], 7).base_gen_polys
+    exact = build_ring(5, ("x", "y"), ["x*y - x^7"], 8).rebuild(10)
+    assert exact.base_subspace.rows.tobytes() == build_ring(
+        5, ("x", "y"), ["x*y - x^7"], 10).base_subspace.rows.tobytes()
+
+
+def test_element_lift_refuses_a_dropped_input_term():
+    low = build_ring(5, ("x", "y"), ["x*y"], 8)
+    high = low.rebuild(10)
+    with pytest.raises(TruncationError, match="degree >= 8"):
+        high.element(low.element("x + y^9"))
+    with pytest.raises(TruncationError, match="degree >= 8"):
+        high.element(low.element("x^4") * low.element("y^4"))
+    assert high.element(low.element("x + y^7")) == high.element("x + y^7")
