@@ -28,11 +28,21 @@ dtype.  Every clearing step (``reduce_rows``, and through it ``merge`` and
 ``_echelon``, whose unit rows also stay out of the triangular inversion)
 applies unit rows that way.  Only the polynomial rows whose pivot column
 holds an entry enter a float product, with just the rows holding one, so
-the exactness bound above concerns those products alone.  A basis has one
-dense form, its canonical narrow RREF; ``_clear`` converts to the work dtype
-just the live polynomial rows it multiplies.  ``rref`` tracks the unit mask
-of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
-(see ``unit_rows``).
+the exactness bound above concerns those products alone.  ``rref`` tracks
+the unit mask of its growing basis; ``reduce_rows`` and ``merge`` accept a
+cached one (see ``unit_rows``).
+
+Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
+rows of a block exists, except that a block handed in already in the work
+dtype, as ``rref`` hands its chunks to ``reduce_rows``, is cleared whole.
+A basis has one dense form, its canonical narrow RREF, and ``rref`` grows
+its basis in that form too.  ``_clear`` converts to the work dtype only the
+live polynomial basis rows it multiplies, ``_CHUNK`` of them at a time;
+``reduce_rows`` widens, clears and narrows a block ``_CHUNK`` rows at a
+time; and ``rref`` and ``merge`` widen just the polynomial basis rows that
+new pivots touch, a chunk at a time.  Products split over chunks of their
+inner dimension add up exactly, since together they have the inner
+dimension of one product.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
@@ -144,9 +154,12 @@ def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
 
     Basis rows whose column is zero in every row act on nothing.  Of the
     others, those marked in ``unit`` are e_c and only zero their column c;
-    the rest, converted to the dtype of ``rows``, enter one product, for
-    the rows with an entry at one of their columns.  The polynomial basis
-    rows vanish on every other column of ``cols``, so the two steps commute.
+    the rest enter a product, for the rows with an entry at one of their
+    columns, converted to the dtype of ``rows`` ``_CHUNK`` basis rows at a
+    time.  The partial products together have the inner dimension of one
+    product, so they add up exactly before the one reduction.  The
+    polynomial basis rows vanish on every other column of ``cols``, so the
+    two steps commute.
     """
     # Residues are >= 0, so a column maximum of 0 marks a zero column.
     live = rows.max(axis=0, initial=0)[cols] > 0
@@ -154,17 +167,22 @@ def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
         return rows
     if copy:
         rows = rows.copy()
-    poly = live & ~unit
-    if poly.any():
+    poly = np.flatnonzero(live & ~unit)
+    if poly.size:
         coeffs = rows[:, cols[poly]]
         hit = coeffs.any(axis=1)
-        sub = (basis if poly.all() else basis[poly]).astype(rows.dtype,
-                                                            copy=False)
-        if hit.all():
-            rows -= coeffs @ sub
-            _mod(rows, p)
-        else:
-            rows[hit] = _mod(rows[hit] - coeffs[hit] @ sub, p)
+        every = hit.all()
+        acc = rows if every else rows[hit]
+        if not every:
+            coeffs = coeffs[hit]
+        whole = poly.size == basis.shape[0]
+        for start in range(0, poly.size, _CHUNK):
+            stop = start + _CHUNK
+            sub = basis[start:stop] if whole else basis[poly[start:stop]]
+            acc -= coeffs[:, start:stop] @ sub.astype(rows.dtype, copy=False)
+        _mod(acc, p)
+        if not every:
+            rows[hit] = acc
     zero = live & unit
     if zero.any():
         keep = np.ones(rows.shape[1], dtype=rows.dtype)
@@ -194,7 +212,7 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     lead = (block != 0).argmax(axis=1)
     if (np.all(lead[1:] > lead[:-1])
             and np.all(block[np.arange(lead.size), lead] == 1)
-            and np.all(np.count_nonzero(block[:, lead], axis=0) == 1)):
+            and np.all(block[:, lead].sum(axis=0) == 1)):
         return block, lead
     inv = inverses_mod(p)
     done = block[:0]
@@ -243,21 +261,74 @@ def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     """Normal form of each row of ``block`` against an RREF basis.
 
     One pass suffices because ``rows`` is fully reduced: subtracting
-    coeffs @ rows clears every pivot column exactly.  The result is narrow,
-    except that a ``block`` already in the work dtype stays in it, which lets
-    ``rref`` keep its chunks in float.  ``unit`` may carry the cached
+    coeffs @ rows clears every pivot column exactly.  The result is narrow:
+    ``block`` is converted to the work dtype, cleared and written to it
+    ``_CHUNK`` rows at a time, so no wide copy of more rows exists.  A
+    ``block`` already in the work dtype, one of ``rref``'s chunks, is
+    cleared whole and stays in that dtype.  ``unit`` may carry the cached
     unit-row mask of the basis (see ``unit_rows``); of the basis itself,
     ``_clear`` converts to the work dtype only the polynomial rows it
     multiplies.  ``block`` itself is never written.
     """
     dtype = _work_dtype(p, rows.shape[-1])
-    keep_work = np.asarray(block).dtype == dtype
-    out = _residues(block, p, dtype)
-    if rows.shape[0] and out.shape[0]:
-        out = _clear(out, pivots, rows,
-                     unit_rows(rows) if unit is None else unit, p,
-                     copy=np.may_share_memory(out, block))
-    return out if keep_work else _read_only(out.astype(narrow_dtype(p)))
+    block = np.asarray(block)
+    if rows.shape[0] and unit is None:
+        unit = unit_rows(rows)
+
+    def cleared(part: np.ndarray) -> np.ndarray:
+        out = _residues(part, p, dtype)
+        if rows.shape[0] and out.shape[0]:
+            out = _clear(out, pivots, rows, unit, p,
+                         copy=np.may_share_memory(out, part))
+        return out
+
+    if block.dtype == dtype:
+        return cleared(block)
+    out = np.empty(block.shape, dtype=narrow_dtype(p))
+    for start in range(0, block.shape[0], _CHUNK):
+        out[start:start + _CHUNK] = cleared(block[start:start + _CHUNK])
+    return _read_only(out)
+
+
+def _touched(rows: np.ndarray, poly: np.ndarray, new_rows: np.ndarray,
+             new_pivots: np.ndarray, new_unit: np.ndarray, p: int):
+    """Yield (indices, cleared rows) for the rows ``poly`` of a narrow basis
+    that hold an entry at one of ``new_pivots``, cleared against the new
+    rows in the work dtype ``_CHUNK`` rows at a time and yielded narrow, so
+    that a part the caller still holds costs no wide buffer.  The other
+    rows do not change."""
+    dtype = _work_dtype(p, rows.shape[1])
+    poly = poly[rows[np.ix_(poly, new_pivots)].any(axis=1)]
+    for start in range(0, poly.size, _CHUNK):
+        part = poly[start:start + _CHUNK]
+        yield part, _clear(rows[part].astype(dtype), new_pivots, new_rows,
+                           new_unit, p).astype(rows.dtype)
+
+
+def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
+            rows: np.ndarray, p: int) -> int:
+    """Add the rowspace of ``rows`` to the RREF held, in order of discovery,
+    in the first ``r`` rows of ``basis``, ``pivots`` and ``unit``; returns
+    the new rank.  The chunk's work buffers die with the call."""
+    chunk = reduce_rows(_residues(rows, p, _work_dtype(p, basis.shape[1])),
+                        basis[:r], pivots[:r], p, unit=unit[:r])
+    chunk = chunk[np.any(chunk, axis=1)]
+    if chunk.shape[0] == 0:
+        return r
+    new_rows, new_pivots = _echelon(chunk, p)
+    del chunk
+    new_unit = unit_rows(new_rows)
+    # A unit basis row vanishes on every new pivot column, so only the
+    # polynomial rows can change, and only their masks are recounted.
+    for part, cleared in _touched(basis, np.flatnonzero(~unit[:r]),
+                                  new_rows, new_pivots, new_unit, p):
+        basis[part] = cleared
+        unit[part] = unit_rows(cleared)
+    k = new_pivots.size
+    basis[r:r + k] = new_rows
+    pivots[r:r + k] = new_pivots
+    unit[r:r + k] = new_unit
+    return r + k
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,46 +337,25 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
     column.  Processes input in chunks: each chunk is converted to the work
     dtype and reduced against the accumulated basis in one ``reduce_rows``
-    call before local elimination, so no work copy of the whole input is
-    made.  The basis stays in the work dtype until the end, when its rows
-    are written in pivot order into the narrow output, ``_CHUNK`` rows at a
-    time, so no sorted copy of the whole basis is made in a wider dtype.
+    call before local elimination.  The basis is narrow; of it, only the
+    polynomial rows that a chunk's pivots touch are widened, ``_CHUNK`` rows
+    at a time, to be cleared.  So no wide copy of more than ``_CHUNK`` rows
+    of the input or of the basis exists.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
-    dtype = _work_dtype(p, ncols)
+    _work_dtype(p, ncols)  # raises past the exactness bound, rows or none
     # Basis rows in order of discovery, with their pivots and unit mask
     # alongside; the order does not matter to reduce_rows, so they are
     # sorted once at the end.
-    basis = np.empty((min(nrows, ncols), ncols), dtype=dtype)
+    basis = np.empty((min(nrows, ncols), ncols), dtype=narrow_dtype(p))
     pivots = np.empty(basis.shape[0], dtype=np.int64)
     unit = np.empty(basis.shape[0], dtype=bool)
     r = 0
     for start in range(0, nrows, _CHUNK):
-        chunk = reduce_rows(_residues(mat[start:start + _CHUNK], p, dtype),
-                            basis[:r], pivots[:r], p, unit=unit[:r])
-        chunk = chunk[np.any(chunk, axis=1)]
-        if chunk.shape[0] == 0:
-            continue
-        new_rows, new_pivots = _echelon(chunk, p)
-        new_unit = unit_rows(new_rows)
-        # A unit basis row vanishes on every new pivot column, so only the
-        # polynomial rows can change, and only their masks are recounted.
-        poly = np.flatnonzero(~unit[:r])
-        if poly.size:
-            cleared = _clear(basis[poly], new_pivots, new_rows, new_unit, p)
-            basis[poly] = cleared
-            unit[poly] = unit_rows(cleared)
-        k = new_pivots.size
-        basis[r:r + k] = new_rows
-        pivots[r:r + k] = new_pivots
-        unit[r:r + k] = new_unit
-        r += k
+        r = _extend(basis, pivots, unit, r, mat[start:start + _CHUNK], p)
     order = np.argsort(pivots[:r])
-    out = np.empty((r, ncols), dtype=narrow_dtype(p))
-    for start in range(0, r, _CHUNK):
-        out[start:start + _CHUNK] = basis[order[start:start + _CHUNK]]
-    return _read_only(out), _read_only(pivots[order])
+    return _read_only(basis[order]), _read_only(pivots[order])
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -318,21 +368,22 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
     """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
     ``unit`` may carry the cached unit-row mask of ``rows``.  When ``extra``
     adds nothing, ``rows`` and ``pivots`` come back as they are, narrowed.
-    Old and new rows go straight to their sorted places in the output; the
-    old polynomial rows pass through the work dtype a chunk at a time."""
+    ``extra`` goes to ``reduce_rows`` as it is, which widens it a chunk at a
+    time.  Old and new rows go straight to their sorted places in the
+    output; the old polynomial rows that the new pivots touch pass through
+    the work dtype ``_CHUNK`` rows at a time."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
         return narrow(rows, p), pivots
-    dtype = _work_dtype(p, rows.shape[-1])
     if unit is None:
         unit = unit_rows(rows)
-    reduced = reduce_rows(_residues(extra, p, dtype), rows, pivots, p,
-                          unit=unit)
+    reduced = reduce_rows(extra, rows, pivots, p, unit=unit)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
         return narrow(rows, p), pivots
     new_rows, new_pivots = rref(reduced, p)
+    del reduced
     merged_piv = np.concatenate([pivots, new_pivots])
     order = np.argsort(merged_piv, kind="stable")
     place = np.empty_like(order)
@@ -341,13 +392,17 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
     out[place[:rows.shape[0]]] = rows
     out[place[rows.shape[0]:]] = new_rows
     # As in rref, only the polynomial rows of the old basis can change.
-    poly = np.flatnonzero(~unit)
-    new_unit = unit_rows(new_rows)
-    for start in range(0, poly.size, _CHUNK):
-        chunk = poly[start:start + _CHUNK]
-        out[place[chunk]] = _clear(rows[chunk].astype(dtype), new_pivots,
-                                   new_rows, new_unit, p)
+    for part, cleared in _touched(rows, np.flatnonzero(~unit), new_rows,
+                                  new_pivots, unit_rows(new_rows), p):
+        out[place[part]] = cleared
     return _read_only(out), _read_only(merged_piv[order])
+
+
+def nonpivots(pivots: np.ndarray, ncols: int) -> np.ndarray:
+    """The columns below ``ncols`` that are not in ``pivots``, ascending."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -367,7 +422,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     ncols = mat.shape[1]
     rows, pivots = rref(mat[:, ::-1], p)
     rows, ends = rows[:, ::-1], ncols - 1 - pivots
-    free = np.setdiff1d(np.arange(ncols), ends)
+    free = nonpivots(ends, ncols)
     if free.size == 0:
         return _empty(ncols, p)[0]
     kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
@@ -391,6 +446,10 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
 
     Works through the cokernel of the side with fewer non-pivot columns:
     v = c @ A lies in B iff c kills the reduction of A's rows modulo B.
+    A's rows are reduced narrow, and the spanning rows combos @ A are formed
+    ``_CHUNK`` output rows at a time, each from products over ``_CHUNK``
+    rows of A.  A has at most ncols rows, so the partial products add up
+    exactly in the work dtype before the one reduction of each chunk.
     """
     ncols = rows_a.shape[1]
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
@@ -398,10 +457,18 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     # Prefer reducing against the side whose cokernel is smaller.
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
-    rows_a_w = rows_a.astype(_work_dtype(p, ncols))
-    residue = reduce_rows(rows_a_w, rows_b, piv_b, p)
-    nonpiv = np.setdiff1d(np.arange(ncols), piv_b)
-    combos = left_nullspace(residue[:, nonpiv], p)
+    residue = reduce_rows(rows_a, rows_b, piv_b, p)
+    combos = left_nullspace(residue[:, nonpivots(piv_b, ncols)], p)
     if combos.shape[0] == 0:
         return _empty(ncols, p)
-    return rref(_mod(combos.astype(rows_a_w.dtype) @ rows_a_w, p), p)
+    dtype = _work_dtype(p, ncols)
+    span = np.empty((combos.shape[0], ncols), dtype=narrow_dtype(p))
+    for start in range(0, combos.shape[0], _CHUNK):
+        part = combos[start:start + _CHUNK]
+        acc = np.zeros((part.shape[0], ncols), dtype=dtype)
+        for inner in range(0, rows_a.shape[0], _CHUNK):
+            stop = inner + _CHUNK
+            acc += (part[:, inner:stop].astype(dtype)
+                    @ rows_a[inner:stop].astype(dtype))
+        span[start:start + _CHUNK] = _mod(acc, p)
+    return rref(span, p)

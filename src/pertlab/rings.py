@@ -33,11 +33,13 @@ from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 # Largest supported number M of monomials below D.  Each subspace keeps one
 # dense form, its RREF in uint8 (p <= 251) or uint16, and multiplication
-# matrices, coordinate blocks and every elimination output are dense and
-# narrow too: arrays of up to M x M residues, 100 MB each at the cap in uint8
-# and 200 MB in uint16.  No int64 copy of a block remains; the float work
-# copy of the block under elimination (4 or 8 bytes a residue) is the
-# largest, so larger rings are rejected before any of them is built.
+# matrices, ring products, coordinate blocks, the elimination kernel's
+# growing basis and every elimination output are dense and narrow too:
+# arrays of up to M x M residues, 100 MB each at the cap in uint8 and 200 MB
+# in uint16, so larger rings are rejected before any of them is built.  The
+# elimination kernel makes no float (4 or 8 bytes a residue) or int64 copy
+# of more than ``linalg._CHUNK`` rows of such a block, and a ring product
+# widens, to uint16 or uint32, only the one monomial's terms it is adding.
 MAX_MONOMIALS = 10_000
 
 # Largest supported exponent-key table.  Monomial products are looked up in
@@ -98,7 +100,7 @@ class Subspace:
         return self._unit
 
     def nonpivots(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.ring.M), self.pivots)
+        return linalg.nonpivots(self.pivots, self.ring.M)
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Normal form of each row of ``vectors`` against this subspace."""
@@ -380,17 +382,34 @@ class RingDescriptor:
 
     def shift_rows(self, rows: np.ndarray, col: int) -> np.ndarray:
         """Raw product (no normal form) of each row with the basis monomial
-        at ``col``; degree-overflow terms drop."""
-        out = np.zeros((rows.shape[0], self.M + 1), dtype=np.int64)
+        at ``col``, in the dtype of ``rows``; degree-overflow terms drop."""
+        out = np.zeros((rows.shape[0], self.M + 1), dtype=rows.dtype)
         out[:, self.monomial_shifts([col])[0]] = rows
         return out[:, :self.M]
 
     def rows_times(self, rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Raw product mod p of each row with the coordinate vector ``vec``."""
-        out = np.zeros((rows.shape[0], self.M), dtype=np.int64)
-        for col in np.nonzero(vec)[0]:
-            out += int(vec[col]) * self.shift_rows(rows, int(col))
-        return out % self.p
+        """Raw product mod p of each row of residues with the coordinate
+        vector ``vec``, in ``linalg.narrow_dtype(p)``.
+
+        Each monomial of the support scatters once, onto the columns where
+        its products survive.  Only those products are widened: a sum of a
+        residue and a product of two, below p^2, fits uint16 for p <= 251
+        and uint32 up to ``linalg.MAX_PRIME``.
+        """
+        p = self.p
+        dtype = linalg.narrow_dtype(p)
+        wide = np.uint16 if dtype == np.uint8 else np.uint32
+        out = np.zeros((rows.shape[0], self.M), dtype=dtype)
+        support = np.nonzero(vec)[0]
+        for c, targets in zip(vec[support] % p,
+                              self.monomial_shifts(support)):
+            keep = targets < self.M
+            cols = targets[keep]
+            acc = rows[:, keep].astype(wide) * wide(c)
+            acc += out[:, cols]
+            acc %= p
+            out[:, cols] = acc
+        return out
 
     def rows_times_variable(self, rows: np.ndarray, var_idx: int) -> np.ndarray:
         """Multiply each row by the variable x_{var_idx} (raw scatter)."""

@@ -291,6 +291,45 @@ def ref_normal_forms(block, rows, pivots, p):
     return out
 
 
+BLOCK_KINDS = ["narrow", "int64", "uint16", "work"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 5, 251, 257, 65521]), st.sampled_from(BLOCK_KINDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_chunked_reduce_rows_matches_reference(p, kind, seed):
+    """Blocks of 257-700 rows, so two or more chunks, reduce to the
+    pure-int normal forms: narrow residues, int64 entries outside [0, p),
+    uint16 entries up to 65535 (past p = 257), and work-dtype residues,
+    which come back in the work dtype as ``rref``'s chunks need.  Every
+    other result is narrow and read-only, and ``block`` is never written."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(1, 17))
+    rows, pivots = linalg.rref(monomial_rows(rng, p, int(rng.integers(1, 12)),
+                                             ncols), p)
+    n = int(rng.integers(257, 701))
+    residues = rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
+    if kind == "narrow":
+        block = residues.astype(linalg.narrow_dtype(p))
+    elif kind == "int64":
+        block = residues + p * rng.integers(-3, 4, (n, ncols))
+    elif kind == "uint16":
+        block = (residues + p * rng.integers(0, 65536 // p, (n, ncols))
+                 ).astype(np.uint16)
+    else:
+        block = residues.astype(linalg._work_dtype(p, ncols))
+    block.flags.writeable = False
+    before = block.copy()
+    out = linalg.reduce_rows(block, rows, pivots, p)
+    if kind == "work":
+        assert out.dtype == block.dtype
+    else:
+        assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
+    assert out.tolist() == ref_normal_forms(block, rows.tolist(),
+                                            pivots.tolist(), p)
+    assert np.array_equal(block, before)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 251, 257, 65521]), st.data())
 def test_every_entry_point_returns_narrow_residues(p, data):
@@ -470,6 +509,54 @@ def test_kernel_never_writes_into_narrow_arguments(p, dtype):
                           linalg.nullspace(wide_block, p))
     for original, arg in zip(before, [mat, block]):
         assert np.array_equal(original, arg)
+
+
+def np_rref(mat, p):
+    """RREF by Gauss-Jordan in int64 numpy row operations, a pivot at a
+    time: a reference for bases too large for ``ref_rref``."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
+            continue
+        a[[r, r + below[0]]] = a[[r + below[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a -= factors[:, None] * a[r]
+        a %= p
+        pivots.append(c)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("p", [5, 65521])
+def test_bases_past_a_chunk_clear_exactly(p):
+    """Dense bases of over two chunks of polynomial rows: ``_clear`` widens
+    them a chunk at a time and adds the partial products, in float32 at
+    p = 5 and float64 at p = 65521.  rref, reduce_rows, merge and
+    intersect_rowspaces agree with int64 arithmetic."""
+    rng = np.random.default_rng(37)
+    c = 560
+    mat = rng.integers(0, p, (530, c))
+    rows, pivots = linalg.rref(mat, p)
+    ref_rows, ref_pivots = np_rref(mat, p)
+    assert rows.tolist() == ref_rows.tolist() and pivots.tolist() == ref_pivots
+    block = rng.integers(0, p, (40, c))
+    normal = (block - block[:, pivots] @ rows.astype(np.int64)) % p
+    assert np.array_equal(linalg.reduce_rows(block, rows, pivots, p), normal)
+    head, head_piv = linalg.rref(mat[:300], p)
+    merged, merged_piv = linalg.merge(head, head_piv, mat[300:], p)
+    assert np.array_equal(merged, rows) and np.array_equal(merged_piv, pivots)
+    other, other_piv = linalg.rref(rng.integers(0, p, (300, c)), p)
+    inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    assert not linalg.reduce_rows(inter, rows, pivots, p).any()
+    assert not linalg.reduce_rows(inter, other, other_piv, p).any()
+    union = linalg.rank(np.vstack([rows, other]), p)
+    assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
 
 
 # -- canonical blocks and wide kernels -----------------------------------------

@@ -1,19 +1,21 @@
-"""Memory budget of the largest shipped-scale ring.
+"""Memory budgets: the largest shipped-scale ring, and each entry point of
+the elimination kernel on a block past several chunks.
 
-Stored bases and every elimination output are narrow (uint8 at p = 5), the
-M x M product tables are dropped before each elimination, and ``rref``
-writes its sorted rows to its output a chunk at a time; an int64 or full
-float copy of any of them brought back by a later change shows here as a
-peak over budget.
+Stored bases, the kernel's growing basis and every elimination output are
+narrow (uint8 at p = 5), the M x M product tables are dropped before each
+elimination, and the kernel widens at most ``_CHUNK`` rows of a block at a
+time; an int64 or full float copy of any of them brought back by a later
+change shows here as a peak over budget.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from pertlab import cli
+from pertlab import cli, linalg
 
 # F_5[x,y,z,w]/(xy) at D = 13: M = 1,820, and 3,060 in the D + 2 rebuild of
 # the filter-regularity check.
@@ -40,9 +42,11 @@ TASKS = {
 # With int64 bases and product tables the two peaks were 430 and 485 MiB;
 # narrow storage brought them to about 97 and 178 MiB, and narrow elimination
 # outputs to about 61 MiB (hilbert) and 71 MiB (check-filter-regular).
-# Kernels built in one elimination leave both peaks where they were (60.8
-# and 71.0 MiB): neither peak lies in a nullspace.
-BUDGET_MIB = 128
+# Kernels built in one elimination left both peaks there.  A narrow rref
+# basis and work buffers of at most one chunk bring them to about 50 and
+# 41 MiB: the hilbert peak is now the cached J = m power spans, each about
+# M x M in uint8.
+BUDGET_MIB = 64
 
 
 @pytest.mark.parametrize("command", sorted(TASKS))
@@ -55,3 +59,59 @@ def test_scale_ring_peak_memory_within_budget(command):
         tracemalloc.stop()
     assert report.rows()
     assert peak < BUDGET_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
+P, NROWS, NCOLS = 5, 2000, 3000
+# One float32 work buffer of a chunk: 2.9 MiB.  A whole-block float copy is
+# four narrow blocks (22.9 MiB) and an int64 copy eight, more than any
+# budget below leaves spare.
+CHUNK_BUFFER = linalg._CHUNK * NCOLS * 4
+
+
+def staircase_block(rng):
+    """A dense uint8 block of full rank whose rows lead at distinct columns,
+    shuffled: every basis row is polynomial, and each chunk still takes one
+    round of ``_echelon``."""
+    lead = np.sort(rng.choice(NCOLS, NROWS, replace=False))
+    block = rng.integers(0, P, (NROWS, NCOLS)).astype(np.uint8)
+    block[np.arange(NCOLS)[None, :] < lead[:, None]] = 0
+    block[np.arange(NROWS), lead] = 1
+    block = block[rng.permutation(NROWS)]
+    block.flags.writeable = False
+    return block
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    rng = np.random.default_rng(31)
+    block, other = staircase_block(rng), staircase_block(rng)
+    return (block, linalg.rref(block, P), linalg.rref(other, P),
+            linalg.rref(other[:linalg._CHUNK], P))
+
+
+ENTRY_POINTS = {
+    "rref": lambda block, a, b, head: linalg.rref(block, P)[0],
+    "reduce_rows": lambda block, a, b, head: linalg.reduce_rows(block, *b, P),
+    "merge": lambda block, a, b, head: linalg.merge(*head, block, P)[0],
+    "intersect_rowspaces":
+        lambda block, a, b, head: linalg.intersect_rowspaces(*a, *b, P)[0],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_peak_is_narrow_arrays_and_a_few_chunks(entry, blocks):
+    """The peak of each entry point on a 2,000 x 3,000 uint8 block stays
+    below its narrow output, plus two narrow blocks (the basis under
+    construction and, in merge, the reduced rows it eliminates; in
+    intersect_rowspaces, the reduced rows), plus six chunk buffers."""
+    block, a, b, head = blocks
+    tracemalloc.start()
+    try:
+        out = ENTRY_POINTS[entry](block, a, b, head)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.uint8 and out.shape[1] == NCOLS
+    budget = out.nbytes + 2 * block.nbytes + 6 * CHUNK_BUFFER
+    assert peak < budget, (f"peak {peak / 2 ** 20:.1f} MiB, budget "
+                           f"{budget / 2 ** 20:.1f} MiB")

@@ -430,6 +430,38 @@ def test_multiples_keep_top_coefficients_exact(p):
                           linalg.rref(spanned, p)[0])
 
 
+@pytest.mark.parametrize("p", [251, 65521])
+def test_ring_products_keep_top_coefficients_exact(p):
+    """rows_times, rows_times_variable and Element.__mul__ on narrow rows
+    and coefficients of p - 1: at p = 251 a product such as 250 * 250, or a
+    sum of two residues, wraps in uint8, so a narrow scatter that does not
+    widen what it multiplies differs from the int64 polynomial products."""
+    ring = build_ring(p, ("x", "y", "z"), ["x*y"], 5)
+    rng = np.random.default_rng(41)
+    rows = np.where(rng.random((6, ring.M)) < 0.5, p - 1,
+                    rng.integers(0, p, (6, ring.M))).astype(
+                        linalg.narrow_dtype(p))
+    vec = np.zeros(ring.M, dtype=np.int64)
+    vec[[0, 1, 3, 5, 9]] = [p - 1, p - 1, p - 1, 2, p - 2]
+
+    def products(factor):
+        return np.array([ring.vector_of_poly(ring.poly_of_vector(row) * factor)
+                         for row in rows.astype(np.int64)])
+
+    times = ring.rows_times(rows, vec)
+    assert times.dtype == linalg.narrow_dtype(p)
+    assert np.array_equal(times, products(ring.poly_of_vector(vec)))
+    for v, name in enumerate(ring.vars):
+        shifted = ring.rows_times_variable(rows, v)
+        assert shifted.dtype == linalg.narrow_dtype(p)
+        assert np.array_equal(shifted, products(
+            TruncPoly.variable(name, p, ring.vars, ring.D)))
+    a = ring.element(ring.poly_of_vector(vec))
+    b = ring.element(ring.poly_of_vector(rows[0]))
+    assert np.array_equal((a * b).vec, ring.element(a.poly * b.poly).vec)
+    assert np.array_equal((a * a).vec, ring.element(a.poly * a.poly).vec)
+
+
 # -- narrow kernel outputs at the top of uint8 --------------------------------------
 
 def _oracle_dict(elem) -> dict:
