@@ -23,26 +23,25 @@ ring this package can build.
 The bases of ideal subspaces are mostly monomials.  A *unit row* of a basis
 is a row whose only nonzero entry is its pivot 1; subtracting multiples of
 it from other rows just zeroes its pivot column, which is exact in any
-dtype.  Every clearing step (``reduce_rows``, and through it ``merge`` and
-``intersect_rowspaces``; ``rref``'s basis updates; each round of
-``_echelon``, whose unit rows also stay out of the triangular inversion)
-applies unit rows that way.  Only the polynomial rows whose pivot column
-holds an entry enter a float product, with just the rows holding one, so
-the exactness bound above concerns those products alone.  ``rref`` tracks
-the unit mask of its growing basis; ``reduce_rows`` and ``merge`` accept a
-cached one (see ``unit_rows``).
+dtype.  Every clearing step goes through ``_clear``, which applies unit
+rows that way (in ``_echelon`` they also stay out of the triangular
+inversion).  Only the polynomial rows whose pivot column holds an entry
+enter a float product, with just the rows holding one, so the exactness
+bound above concerns those products alone.  ``rref`` tracks the unit mask
+of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
+(see ``unit_rows``).
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
-rows of a block exists, except that a block handed in already in the work
-dtype, as ``rref`` hands its chunks to ``reduce_rows``, is cleared whole.
-A basis has one dense form, its canonical narrow RREF, and ``rref`` grows
-its basis in that form too.  ``_clear`` converts to the work dtype only the
-live polynomial basis rows it multiplies, ``_CHUNK`` of them at a time;
-``reduce_rows`` widens, clears and narrows a block ``_CHUNK`` rows at a
-time; and ``rref`` and ``merge`` widen just the polynomial basis rows that
-new pivots touch, a chunk at a time.  Products split over chunks of their
-inner dimension add up exactly, since together they have the inner
-dimension of one product.
+rows of a block or of a basis exists.  Residues are widened for clearing in
+two places only.  ``_reduce`` widens, clears and narrows a block ``_CHUNK``
+rows at a time, for ``reduce_rows``, ``rref``'s input chunks, the basis
+rows that new pivots touch in ``rref`` and ``merge``, and the spanning rows
+of ``intersect_rowspaces``.  ``_clear`` widens the live polynomial basis
+rows it multiplies ``_CHUNK`` at a time; the partial products add up
+exactly, since together they have the inner dimension of one product.  A
+basis has one dense form, its canonical narrow RREF, in which ``rref``
+grows its basis too; the only other wide array is the rows of one ``rref``
+chunk that survive reduction, which ``_echelon`` eliminates.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
@@ -98,14 +97,13 @@ def narrow(rows, p: int) -> np.ndarray:
 
 
 def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
-    """``a`` mod p in ``dtype``; the reduction is skipped when a min/max
-    check shows every entry already in [0, p), so a narrow block in range
-    goes to ``dtype`` without an int64 copy.  An unsigned block cannot be
-    negative, so only its maximum is checked."""
-    a = np.asarray(a)
+    """A fresh copy of ``a`` mod p in ``dtype``; the reduction is skipped
+    when a min/max check shows every entry already in [0, p), so a narrow
+    block in range goes to ``dtype`` without an int64 copy.  An unsigned
+    block cannot be negative, so only its maximum is checked."""
     if a.size and ((a.dtype.kind != "u" and a.min() < 0) or a.max() >= p):
         a = np.asarray(a, dtype=np.int64) % p
-    return a.astype(dtype, copy=False)
+    return a.astype(dtype)
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -119,8 +117,14 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1) == 1
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    """a^(p-2) mod p for every residue a, by vectorized square-and-multiply."""
+_INV_CACHE: dict[int, np.ndarray] = {}
+
+
+def inverses_mod(p: int) -> np.ndarray:
+    """a^(p-2) mod p for every residue a, by vectorized square-and-multiply,
+    computed once per prime."""
+    if p in _INV_CACHE:
+        return _INV_CACHE[p]
     if p > MAX_PRIME:
         raise ValueError(f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}")
     base = np.arange(p, dtype=np.int64)
@@ -132,25 +136,14 @@ def _inverse_table(p: int) -> np.ndarray:
         base = base * base % p
         e >>= 1
     inv[0] = 0
+    _INV_CACHE[p] = inv
     return inv
 
 
-_INV_CACHE: dict[int, np.ndarray] = {}
-
-
-def inverses_mod(p: int) -> np.ndarray:
-    table = _INV_CACHE.get(p)
-    if table is None:
-        table = _inverse_table(p)
-        _INV_CACHE[p] = table
-    return table
-
-
 def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
-           unit: np.ndarray, p: int, copy: bool = False) -> np.ndarray:
+           unit: np.ndarray, p: int) -> np.ndarray:
     """Subtract from each row its entries at ``cols`` times the basis rows
-    whose unit columns they are.  Returns the cleared rows: ``rows`` changed
-    in place or, with ``copy``, a copy made only when some entry changes.
+    whose unit columns they are.  Returns ``rows``, changed in place.
 
     Basis rows whose column is zero in every row act on nothing.  Of the
     others, those marked in ``unit`` are e_c and only zero their column c;
@@ -161,12 +154,13 @@ def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
     polynomial basis rows vanish on every other column of ``cols``, so the
     two steps commute.
     """
+    # An empty basis, as for rref's first chunk, needs no column scan.
+    if not cols.size:
+        return rows
     # Residues are >= 0, so a column maximum of 0 marks a zero column.
     live = rows.max(axis=0, initial=0)[cols] > 0
     if not live.any():
         return rows
-    if copy:
-        rows = rows.copy()
     poly = np.flatnonzero(live & ~unit)
     if poly.size:
         coeffs = rows[:, cols[poly]]
@@ -256,78 +250,68 @@ def _empty(ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             _read_only(np.zeros(0, dtype=np.int64)))
 
 
-def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-                p: int, unit: np.ndarray | None = None) -> np.ndarray:
-    """Normal form of each row of ``block`` against an RREF basis.
-
-    One pass suffices because ``rows`` is fully reduced: subtracting
-    coeffs @ rows clears every pivot column exactly.  The result is narrow:
-    ``block`` is converted to the work dtype, cleared and written to it
-    ``_CHUNK`` rows at a time, so no wide copy of more rows exists.  A
-    ``block`` already in the work dtype, one of ``rref``'s chunks, is
-    cleared whole and stays in that dtype.  ``unit`` may carry the cached
-    unit-row mask of the basis (see ``unit_rows``); of the basis itself,
-    ``_clear`` converts to the work dtype only the polynomial rows it
-    multiplies.  ``block`` itself is never written.
-    """
+def _reduce(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
+            unit: np.ndarray, p: int) -> np.ndarray:
+    """Normal form of each row of ``block`` against an RREF basis with
+    unit-row mask ``unit``, as a new writable narrow array.  ``block`` is
+    widened, cleared and narrowed ``_CHUNK`` rows at a time."""
     dtype = _work_dtype(p, rows.shape[-1])
-    block = np.asarray(block)
-    if rows.shape[0] and unit is None:
-        unit = unit_rows(rows)
-
-    def cleared(part: np.ndarray) -> np.ndarray:
-        out = _residues(part, p, dtype)
-        if rows.shape[0] and out.shape[0]:
-            out = _clear(out, pivots, rows, unit, p,
-                         copy=np.may_share_memory(out, part))
-        return out
-
-    if block.dtype == dtype:
-        return cleared(block)
     out = np.empty(block.shape, dtype=narrow_dtype(p))
     for start in range(0, block.shape[0], _CHUNK):
-        out[start:start + _CHUNK] = cleared(block[start:start + _CHUNK])
-    return _read_only(out)
+        part = _residues(block[start:start + _CHUNK], p, dtype)
+        out[start:start + _CHUNK] = _clear(part, pivots, rows, unit, p)
+    return out
 
 
-def _touched(rows: np.ndarray, poly: np.ndarray, new_rows: np.ndarray,
-             new_pivots: np.ndarray, new_unit: np.ndarray, p: int):
-    """Yield (indices, cleared rows) for the rows ``poly`` of a narrow basis
-    that hold an entry at one of ``new_pivots``, cleared against the new
-    rows in the work dtype ``_CHUNK`` rows at a time and yielded narrow, so
-    that a part the caller still holds costs no wide buffer.  The other
-    rows do not change."""
-    dtype = _work_dtype(p, rows.shape[1])
+def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
+                p: int, unit: np.ndarray | None = None) -> np.ndarray:
+    """Normal form of each row of ``block`` against an RREF basis, narrow
+    and read-only.
+
+    One pass suffices because ``rows`` is fully reduced: subtracting
+    coeffs @ rows clears every pivot column exactly.  ``block`` is reduced
+    mod p, cleared and narrowed ``_CHUNK`` rows at a time (``_reduce``), and
+    is never written.  ``unit`` may carry the cached unit-row mask of the
+    basis (see ``unit_rows``); of the basis itself, ``_clear`` widens only
+    the polynomial rows it multiplies.
+    """
+    if unit is None:
+        unit = unit_rows(rows)
+    return _read_only(_reduce(np.asarray(block), rows, pivots, unit, p))
+
+
+def _touched(rows: np.ndarray, unit: np.ndarray, new_rows: np.ndarray,
+             new_pivots: np.ndarray, p: int):
+    """(indices, cleared rows): the rows of a narrow basis with unit-row
+    mask ``unit`` that hold an entry at one of ``new_pivots``, and those
+    rows cleared narrow against the new rows by ``_reduce``.  A unit row
+    vanishes on every new pivot column, so only polynomial rows are
+    touched; no other row changes."""
+    poly = np.flatnonzero(~unit)
     poly = poly[rows[np.ix_(poly, new_pivots)].any(axis=1)]
-    for start in range(0, poly.size, _CHUNK):
-        part = poly[start:start + _CHUNK]
-        yield part, _clear(rows[part].astype(dtype), new_pivots, new_rows,
-                           new_unit, p).astype(rows.dtype)
+    return poly, _reduce(rows[poly], new_rows, new_pivots,
+                         unit_rows(new_rows), p)
 
 
 def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
             rows: np.ndarray, p: int) -> int:
     """Add the rowspace of ``rows`` to the RREF held, in order of discovery,
     in the first ``r`` rows of ``basis``, ``pivots`` and ``unit``; returns
-    the new rank.  The chunk's work buffers die with the call."""
-    chunk = reduce_rows(_residues(rows, p, _work_dtype(p, basis.shape[1])),
-                        basis[:r], pivots[:r], p, unit=unit[:r])
+    the new rank.  Only the reduced rows that survive are widened, for
+    ``_echelon``, and the chunk's work buffers die with the call."""
+    chunk = reduce_rows(rows, basis[:r], pivots[:r], p, unit=unit[:r])
     chunk = chunk[np.any(chunk, axis=1)]
     if chunk.shape[0] == 0:
         return r
-    new_rows, new_pivots = _echelon(chunk, p)
-    del chunk
-    new_unit = unit_rows(new_rows)
-    # A unit basis row vanishes on every new pivot column, so only the
-    # polynomial rows can change, and only their masks are recounted.
-    for part, cleared in _touched(basis, np.flatnonzero(~unit[:r]),
-                                  new_rows, new_pivots, new_unit, p):
-        basis[part] = cleared
-        unit[part] = unit_rows(cleared)
+    new_rows, new_pivots = _echelon(
+        chunk.astype(_work_dtype(p, basis.shape[1])), p)
+    part, cleared = _touched(basis[:r], unit[:r], new_rows, new_pivots, p)
+    basis[part] = cleared
+    unit[part] = unit_rows(cleared)
     k = new_pivots.size
     basis[r:r + k] = new_rows
     pivots[r:r + k] = new_pivots
-    unit[r:r + k] = new_unit
+    unit[r:r + k] = unit_rows(new_rows)
     return r + k
 
 
@@ -335,12 +319,12 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical reduced row echelon form.
 
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
-    column.  Processes input in chunks: each chunk is converted to the work
-    dtype and reduced against the accumulated basis in one ``reduce_rows``
-    call before local elimination.  The basis is narrow; of it, only the
-    polynomial rows that a chunk's pivots touch are widened, ``_CHUNK`` rows
-    at a time, to be cleared.  So no wide copy of more than ``_CHUNK`` rows
-    of the input or of the basis exists.
+    column.  Processes input in chunks: each chunk goes to ``reduce_rows``
+    as it is, to be reduced against the accumulated basis, and only its
+    surviving rows are widened for local elimination.  The basis is narrow;
+    the polynomial rows that a chunk's pivots touch are cleared through
+    ``_reduce``.  So no wide copy of more than ``_CHUNK`` rows of the input
+    or of the basis exists.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
@@ -368,10 +352,9 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
     """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
     ``unit`` may carry the cached unit-row mask of ``rows``.  When ``extra``
     adds nothing, ``rows`` and ``pivots`` come back as they are, narrowed.
-    ``extra`` goes to ``reduce_rows`` as it is, which widens it a chunk at a
-    time.  Old and new rows go straight to their sorted places in the
-    output; the old polynomial rows that the new pivots touch pass through
-    the work dtype ``_CHUNK`` rows at a time."""
+    ``extra`` goes to ``reduce_rows`` as it is.  Old and new rows go
+    straight to their sorted places in the output; the old polynomial rows
+    that the new pivots touch are cleared through ``_reduce``."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
@@ -391,10 +374,8 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
     out = np.empty((order.size, rows.shape[1]), dtype=narrow_dtype(p))
     out[place[:rows.shape[0]]] = rows
     out[place[rows.shape[0]:]] = new_rows
-    # As in rref, only the polynomial rows of the old basis can change.
-    for part, cleared in _touched(rows, np.flatnonzero(~unit), new_rows,
-                                  new_pivots, unit_rows(new_rows), p):
-        out[place[part]] = cleared
+    part, cleared = _touched(rows, unit, new_rows, new_pivots, p)
+    out[place[part]] = cleared
     return _read_only(out), _read_only(merged_piv[order])
 
 
@@ -446,10 +427,11 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
 
     Works through the cokernel of the side with fewer non-pivot columns:
     v = c @ A lies in B iff c kills the reduction of A's rows modulo B.
-    A's rows are reduced narrow, and the spanning rows combos @ A are formed
-    ``_CHUNK`` output rows at a time, each from products over ``_CHUNK``
-    rows of A.  A has at most ncols rows, so the partial products add up
-    exactly in the work dtype before the one reduction of each chunk.
+    The spanning rows combos @ A need no product: A is in RREF, so they
+    equal combos on A's pivot columns, and off them they are the normal
+    form against A of the rows holding -combos on those columns, since
+    that reduction adds back exactly combos @ A.  So the span is one
+    ``_reduce`` call and one assignment to the pivot columns.
     """
     ncols = rows_a.shape[1]
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
@@ -461,14 +443,9 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     combos = left_nullspace(residue[:, nonpivots(piv_b, ncols)], p)
     if combos.shape[0] == 0:
         return _empty(ncols, p)
-    dtype = _work_dtype(p, ncols)
-    span = np.empty((combos.shape[0], ncols), dtype=narrow_dtype(p))
-    for start in range(0, combos.shape[0], _CHUNK):
-        part = combos[start:start + _CHUNK]
-        acc = np.zeros((part.shape[0], ncols), dtype=dtype)
-        for inner in range(0, rows_a.shape[0], _CHUNK):
-            stop = inner + _CHUNK
-            acc += (part[:, inner:stop].astype(dtype)
-                    @ rows_a[inner:stop].astype(dtype))
-        span[start:start + _CHUNK] = _mod(acc, p)
+    span = np.zeros((combos.shape[0], ncols), dtype=narrow_dtype(p))
+    # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
+    span[:, piv_a] = (p - combos) % p
+    span = _reduce(span, rows_a, piv_a, unit_rows(rows_a), p)
+    span[:, piv_a] = combos
     return rref(span, p)

@@ -380,13 +380,6 @@ class RingDescriptor:
         targets[overflow] = self.M
         return targets
 
-    def shift_rows(self, rows: np.ndarray, col: int) -> np.ndarray:
-        """Raw product (no normal form) of each row with the basis monomial
-        at ``col``, in the dtype of ``rows``; degree-overflow terms drop."""
-        out = np.zeros((rows.shape[0], self.M + 1), dtype=rows.dtype)
-        out[:, self.monomial_shifts([col])[0]] = rows
-        return out[:, :self.M]
-
     def rows_times(self, rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """Raw product mod p of each row of residues with the coordinate
         vector ``vec``, in ``linalg.narrow_dtype(p)``.
@@ -412,9 +405,13 @@ class RingDescriptor:
         return out
 
     def rows_times_variable(self, rows: np.ndarray, var_idx: int) -> np.ndarray:
-        """Multiply each row by the variable x_{var_idx} (raw scatter)."""
-        return self.shift_rows(rows, self.col_index[
-            tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))])
+        """Raw product (no normal form) of each row with the variable
+        x_{var_idx}, in the dtype of ``rows``; degree-overflow terms drop."""
+        col = self.col_index[
+            tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))]
+        out = np.zeros((rows.shape[0], self.M + 1), dtype=rows.dtype)
+        out[:, self.monomial_shifts([col])[0]] = rows
+        return out[:, :self.M]
 
     def multiples(self, vec: np.ndarray, mus=None) -> np.ndarray:
         """Raw products mod p (no normal form) of ``vec`` with the basis

@@ -288,6 +288,24 @@ def test_koszul_report_at_p_251_matches_oracle():
         assert h2 > 0 and all(report.finite), p
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_koszul_h2_of_an_artinian_ring_reads_its_socle():
+    """F_5[x,y]/(x^5, y^5) contains m^9, so at D = 10 the truncation is the
+    ring itself and H_2 of (x, y) is (0 : m), spanned by the socle x^4 y^4:
+    length 1, as the oracle computes.  That class sits at order 8, so the
+    order profile opens with a run of zeros that is the widest run at both
+    D and D + 2, and H_2 is certified 0 instead."""
+    from oracle import NaiveModel
+    ring = build_ring(5, ("x", "y"), ["x^5", "y^5"], 10)
+    model = NaiveModel(5, 2, 10, [{(5, 0): 1}, {(0, 5): 1}])
+    h2 = (len(model.intersection(model.colon(model.base_span, {(1, 0): 1}),
+                                 model.colon(model.base_span, {(0, 1): 1})))
+          - len(model.base_span))
+    assert h2 == 1
+    report = koszul_report((ring.element("x"), ring.element("y")))
+    assert report.lengths[1].value == h2
+
+
 def test_koszul_leading_zero_plateau_stays_uncertified():
     """At D = 8 the H_2 order profile of the sequence above opens with a
     run of zeros (orders below its lowest class) wider than its run at the

@@ -300,9 +300,9 @@ BLOCK_KINDS = ["narrow", "int64", "uint16", "work"]
 def test_chunked_reduce_rows_matches_reference(p, kind, seed):
     """Blocks of 257-700 rows, so two or more chunks, reduce to the
     pure-int normal forms: narrow residues, int64 entries outside [0, p),
-    uint16 entries up to 65535 (past p = 257), and work-dtype residues,
-    which come back in the work dtype as ``rref``'s chunks need.  Every
-    other result is narrow and read-only, and ``block`` is never written."""
+    uint16 entries up to 65535 (past p = 257), and work-dtype residues.
+    Every result is narrow and read-only, and ``block`` is never written,
+    even when its chunks are already in the work dtype."""
     rng = np.random.default_rng(seed)
     ncols = int(rng.integers(1, 17))
     rows, pivots = linalg.rref(monomial_rows(rng, p, int(rng.integers(1, 12)),
@@ -321,10 +321,7 @@ def test_chunked_reduce_rows_matches_reference(p, kind, seed):
     block.flags.writeable = False
     before = block.copy()
     out = linalg.reduce_rows(block, rows, pivots, p)
-    if kind == "work":
-        assert out.dtype == block.dtype
-    else:
-        assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
+    assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
     assert out.tolist() == ref_normal_forms(block, rows.tolist(),
                                             pivots.tolist(), p)
     assert np.array_equal(block, before)
@@ -533,12 +530,14 @@ def np_rref(mat, p):
     return a[:len(pivots)], pivots
 
 
-@pytest.mark.parametrize("p", [5, 65521])
+@pytest.mark.parametrize("p", [2, 5, 251, 257, 65521])
 def test_bases_past_a_chunk_clear_exactly(p):
     """Dense bases of over two chunks of polynomial rows: ``_clear`` widens
     them a chunk at a time and adds the partial products, in float32 at
-    p = 5 and float64 at p = 65521.  rref, reduce_rows, merge and
-    intersect_rowspaces agree with int64 arithmetic."""
+    p = 2 and 5 and in float64 from p = 251.  rref, reduce_rows, merge and
+    intersect_rowspaces agree with int64 arithmetic, also when the side an
+    intersection's span is reduced against mixes unit and polynomial rows
+    past a chunk."""
     rng = np.random.default_rng(37)
     c = 560
     mat = rng.integers(0, p, (530, c))
@@ -557,6 +556,34 @@ def test_bases_past_a_chunk_clear_exactly(p):
     assert not linalg.reduce_rows(inter, other, other_piv, p).any()
     union = linalg.rank(np.vstack([rows, other]), p)
     assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
+
+    # The smaller side A (60 unit rows, 280 polynomial rows) is the one the
+    # span combos @ A is reduced against; the intersection has over a
+    # chunk of rows.
+    c = 440
+    units = np.zeros((60, c), dtype=np.int64)
+    units[np.arange(60), rng.choice(c, 60, replace=False)] = 1
+    a, a_piv = linalg.rref(np.vstack([units, rng.integers(0, p, (280, c))]), p)
+    unit = linalg.unit_rows(a)
+    assert a.shape[0] > linalg._CHUNK and 0 < unit.sum() < a.shape[0]
+    b, b_piv = linalg.rref(rng.integers(0, p, (400, c)), p)
+    inter, inter_piv = linalg.intersect_rowspaces(a, a_piv, b, b_piv, p)
+    # In RREF, inside both sides, and of dimension rank A + rank B minus
+    # rank(A + B) = rank A + rank(B mod A), all in int64.
+    assert np.all(np.diff(inter_piv) > 0)
+    assert np.array_equal((inter != 0).argmax(axis=1), inter_piv)
+    assert np.array_equal(inter[:, inter_piv], np.eye(inter_piv.size))
+    wide = inter.astype(np.int64)
+    for side, side_piv in ((a, a_piv), (b, b_piv)):
+        normal = (wide - wide[:, side_piv] @ side.astype(np.int64)) % p
+        assert not normal.any()
+    wide = b.astype(np.int64)
+    b_mod_a = (wide - wide[:, a_piv] @ a.astype(np.int64)) % p
+    free = np.setdiff1d(np.arange(c), a_piv)
+    union = a.shape[0] + len(np_rref(b_mod_a[:, free], p)[1])
+    assert inter.shape[0] == a.shape[0] + b.shape[0] - union > linalg._CHUNK
+    swapped = linalg.intersect_rowspaces(b, b_piv, a, a_piv, p)
+    assert np.array_equal(swapped[0], inter)
 
 
 # -- canonical blocks and wide kernels -----------------------------------------
