@@ -9,46 +9,48 @@ arithmetic on an output, the ring's Element vectors, widens it first.
 Reduced row echelon forms are canonical for a fixed column order, so
 rowspace equality is plain array equality.
 
-Inside, residues live in a float work dtype so that every product runs
-through BLAS with delayed reduction.  A product with inner dimension k sums k
-terms of at most (p-1)^2, so it is exact in float32 when
-(p-1) + k(p-1)^2 < 2^23 and in float64 when it is below 2^52; the bit to
-spare keeps the reduction x - p*floor(x/p) exact too.  No inner dimension
-exceeds the column count, so the work dtype follows from p and the column
-count alone, and a pair past the float64 bound raises ValueError.  Primes
-are limited to p <= MAX_PRIME = 65521 (``build_ring`` enforces it), which
-keeps float64 exact below 10^6 columns; p <= 5 stays in float32 far past any
-ring this package can build.
+Residues stay narrow by default and are widened to a float work dtype only
+for a product, which then runs through BLAS with delayed reduction.  A
+product with inner dimension k sums k terms of at most (p-1)^2, so it is
+exact in float32 when (p-1) + k(p-1)^2 < 2^23 and in float64 when it is
+below 2^52; the bit to spare keeps the reduction x - p*floor(x/p) exact
+too.  No inner dimension exceeds the column count, so the work dtype
+follows from p and the column count alone, and a pair past the float64
+bound raises ValueError.  Primes are limited to p <= MAX_PRIME = 65521
+(``build_ring`` enforces it), which keeps float64 exact below 10^6 columns;
+p <= 5 stays in float32 far past any ring this package can build.
 
 The bases of ideal subspaces are mostly monomials.  A *unit row* of a basis
 is a row whose only nonzero entry is its pivot 1; subtracting multiples of
 it from other rows just zeroes its pivot column, which is exact in any
-dtype.  Every clearing step goes through ``_clear``, which applies unit
-rows that way (in ``_echelon`` they also stay out of the triangular
-inversion).  Only the polynomial rows whose pivot column holds an entry
-enter a float product, with just the rows holding one, so the exactness
-bound above concerns those products alone.  ``rref`` tracks the unit mask
-of its growing basis; ``reduce_rows`` and ``merge`` accept a cached one
-(see ``unit_rows``).
+dtype.  ``_reduce`` zeroes all the unit pivot columns of a narrow block
+with one multiply by a 0/1 column mask, and widens only the rows that hold
+an entry on a polynomial pivot, for ``_clear``'s product with just the
+polynomial basis rows whose columns they hold; so the exactness bound above
+concerns those products alone.  ``rref`` tracks the unit mask of its
+growing basis, computed once per chunk; ``reduce_rows`` and ``merge``
+accept a cached one (see ``unit_rows``).
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
-rows of a block or of a basis exists.  Residues are widened for clearing in
-two places only.  ``_reduce`` widens, clears and narrows a block ``_CHUNK``
-rows at a time, for ``reduce_rows``, ``rref``'s input chunks, the basis
-rows that new pivots touch in ``rref`` and ``merge``, and the spanning rows
-of ``intersect_rowspaces``.  ``_clear`` widens the live polynomial basis
-rows it multiplies ``_CHUNK`` at a time; the partial products add up
-exactly, since together they have the inner dimension of one product.  A
-basis has one dense form, its canonical narrow RREF, in which ``rref``
-grows its basis too; the only other wide array is the rows of one ``rref``
-chunk that survive reduction, which ``_echelon`` eliminates.
+rows of a block or of a basis exists.  Residues are widened in three places
+only.  ``_reduce`` widens the rows of a block that hit a polynomial pivot,
+``_CHUNK`` at a time, for ``reduce_rows``, ``rref``'s input chunks, the
+basis rows that new pivots touch in ``rref`` and ``merge`` (cleared in
+place, a chunk at a time), and the spanning rows of
+``intersect_rowspaces``.  ``_clear`` widens the live polynomial basis rows
+it multiplies ``_CHUNK`` at a time; the partial products add up exactly,
+since together they have the inner dimension of one product.  ``_echelon``
+widens the surviving rows of one ``rref`` chunk, unless they are already in
+RREF: such a chunk enters the basis as it is.  A basis has one dense form,
+its canonical narrow RREF, in which ``rref`` grows its basis too.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
 already in RREF (the argument is in its docstring).  ``_echelon`` returns a
-block already in RREF after one check, so re-reducing such a kernel, as
+block already in RREF after one check, and ``rref`` returns a basis found
+in pivot order without sorting it, so re-reducing such a kernel, as
 ``nullspace`` itself and ``colon_subspace`` still do until ROADMAP item 2
-deletes both calls, costs no round.
+deletes both calls, costs no round and no widening.
 """
 
 from __future__ import annotations
@@ -97,13 +99,18 @@ def narrow(rows, p: int) -> np.ndarray:
 
 
 def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
-    """A fresh copy of ``a`` mod p in ``dtype``; the reduction is skipped
-    when a min/max check shows every entry already in [0, p), so a narrow
-    block in range goes to ``dtype`` without an int64 copy.  An unsigned
-    block cannot be negative, so only its maximum is checked."""
-    if a.size and ((a.dtype.kind != "u" and a.min() < 0) or a.max() >= p):
-        a = np.asarray(a, dtype=np.int64) % p
-    return a.astype(dtype)
+    """A fresh copy of ``a`` mod p in ``dtype``.  When a min/max check shows
+    every entry already in [0, p), the block goes to ``dtype`` in one copy;
+    otherwise it is reduced in int64 ``_CHUNK`` rows at a time, so no int64
+    copy of more rows exists.  An unsigned block cannot be negative, so only
+    its maximum is checked."""
+    if not a.size or ((a.dtype.kind == "u" or a.min() >= 0) and a.max() < p):
+        return a.astype(dtype)
+    out = np.empty(a.shape, dtype=dtype)
+    for start in range(0, a.shape[0], _CHUNK):
+        out[start:start + _CHUNK] = np.asarray(
+            a[start:start + _CHUNK], dtype=np.int64) % p
+    return out
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -111,10 +118,16 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     rows of an echelon basis.
 
     Entries lie in [0, p), so a row sums to 1 exactly when it is such a
-    row; the sum is at most (p-1) times the column count, inside the
-    exactness bound of the work dtype.
+    row.  Narrow rows are summed in uint32, exact while the dtype's maximum
+    times the column count stays below 2^32 (65,537 columns in uint16),
+    instead of numpy's default uint64; work-dtype rows sum in their own
+    dtype, inside its exactness bound.
     """
-    return rows.sum(axis=1) == 1
+    acc = None
+    if (rows.dtype.kind == "u"
+            and rows.shape[-1] * np.iinfo(rows.dtype).max < 2 ** 32):
+        acc = np.uint32
+    return rows.sum(axis=1, dtype=acc) == 1
 
 
 _INV_CACHE: dict[int, np.ndarray] = {}
@@ -142,8 +155,9 @@ def inverses_mod(p: int) -> np.ndarray:
 
 def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
            unit: np.ndarray, p: int) -> np.ndarray:
-    """Subtract from each row its entries at ``cols`` times the basis rows
-    whose unit columns they are.  Returns ``rows``, changed in place.
+    """Subtract from each work-dtype row its entries at ``cols`` times the
+    basis rows whose unit columns they are.  Returns ``rows``, changed in
+    place.
 
     Basis rows whose column is zero in every row act on nothing.  Of the
     others, those marked in ``unit`` are e_c and only zero their column c;
@@ -152,7 +166,8 @@ def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
     time.  The partial products together have the inner dimension of one
     product, so they add up exactly before the one reduction.  The
     polynomial basis rows vanish on every other column of ``cols``, so the
-    two steps commute.
+    two steps commute.  ``_reduce`` zeroes unit columns in the narrow dtype
+    before it widens any row, so here only ``_echelon``'s rounds meet them.
     """
     # An empty basis, as for rref's first chunk, needs no column scan.
     if not cols.size:
@@ -186,37 +201,47 @@ def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
 
 
 def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of nonzero residue rows in the work dtype; (rows, pivots) sorted
-    by pivot.
+    """RREF of nonzero residue rows; (rows, pivots) sorted by pivot.
 
-    Works in rounds.  A round takes, for each distinct leading column, the
-    first row leading there and scales it to a leading 1.  Its unit rows
+    A block already in RREF is returned as it is, in its own dtype, after
+    one check: its leading columns strictly increase and each holds the
+    row's leading entry and nothing else.  Leading entries are >= 1 and
+    residues >= 0, so a leading column sums to 1 exactly when it is such a
+    column, and the sums are exact in every dtype the kernel uses.
+    ``rref``'s narrow chunks that reduction left canonical, and the kernels
+    ``nullspace`` builds, are such blocks.
+
+    Any other block is widened to the work dtype and eliminated in rounds.
+    A round takes, for each distinct leading column, the first row leading
+    there, and scales those whose leading entry is not 1.  Its unit rows
     reduce the others by zeroing their columns.  On their leading columns
     the remaining k rows form a unit upper triangular U; with N = I - U
-    nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k squarings reduce the
-    k rows among themselves.  One product then clears the round's columns
-    from every other row.  Rows with distinct leading columns, the common
-    case for the sparse blocks of ideal subspaces, thus cost one round in all.
-
-    A block already in RREF (leading columns strictly increasing, each
-    leading entry 1 and the only nonzero of its column) is returned as it
-    is, after one check instead of a round: the kernel rows ``nullspace``
-    builds, and the kernels ``colon_subspace`` re-reduces, are such blocks.
+    nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k squarings reduce
+    the k rows among themselves.  One product then clears the round's
+    columns from every other row.  When every row leads at a column of its
+    own, the common case for the sparse blocks of ideal subspaces, the
+    first round is the last: no row is left over to clear, and the round's
+    rows, sorted by pivot, are the result.
     """
     lead = (block != 0).argmax(axis=1)
     if (np.all(lead[1:] > lead[:-1])
-            and np.all(block[np.arange(lead.size), lead] == 1)
             and np.all(block[:, lead].sum(axis=0) == 1)):
         return block, lead
     inv = inverses_mod(p)
-    done = block[:0]
-    done_piv = np.zeros(0, dtype=np.int64)
-    rest = block
-    while rest.shape[0]:
-        piv, first = np.unique(lead, return_index=True)
-        sel = rest[first]
-        scale = inv[sel[np.arange(piv.size), piv].astype(np.intp)]
-        sel = _mod(sel * scale.astype(block.dtype)[:, None], p)
+    rest = block.astype(_work_dtype(p, block.shape[1]), copy=False)
+    done = None
+    while True:
+        order = np.argsort(lead, kind="stable")
+        ordered = lead[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        piv = ordered[first]
+        sel = rest[order[first]]
+        leading = sel[np.arange(piv.size), piv]
+        scale = leading != 1
+        if scale.any():
+            factor = inv[leading[scale].astype(np.intp)].astype(sel.dtype)
+            sel[scale] = _mod(sel[scale] * factor[:, None], p)
         unit = unit_rows(sel)
         poly = np.flatnonzero(~unit)
         if poly.size:
@@ -228,13 +253,20 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 sub = _mod(sub + nil @ sub, p)
                 nil = _mod(nil @ nil, p)
             sel[poly] = sub
-        keep = np.ones(rest.shape[0], dtype=bool)
-        keep[first] = False
-        rest = _clear(rest[keep], piv, sel, unit, p)
+        if done is None:
+            done, done_piv = sel, piv
+        else:
+            done = np.vstack([_clear(done, piv, sel, unit, p), sel])
+            done_piv = np.concatenate([done_piv, piv])
+        if first.all():
+            break
+        rest = _clear(rest[order[~first]], piv, sel, unit, p)
         rest = rest[rest.any(axis=1)]
+        if not rest.shape[0]:
+            break
         lead = (rest != 0).argmax(axis=1)
-        done = np.vstack([_clear(done, piv, sel, unit, p), sel])
-        done_piv = np.concatenate([done_piv, piv])
+    if done is sel:  # one round: sorted by pivot already
+        return done, done_piv
     order = np.argsort(done_piv, kind="stable")
     return done[order], done_piv[order]
 
@@ -250,16 +282,34 @@ def _empty(ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             _read_only(np.zeros(0, dtype=np.int64)))
 
 
-def _reduce(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
+def _reduce(out: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
             unit: np.ndarray, p: int) -> np.ndarray:
-    """Normal form of each row of ``block`` against an RREF basis with
-    unit-row mask ``unit``, as a new writable narrow array.  ``block`` is
-    widened, cleared and narrowed ``_CHUNK`` rows at a time."""
+    """Normal form, in place, of each row of the writable narrow residue
+    array ``out`` against an RREF basis with unit-row mask ``unit``;
+    returns ``out``.
+
+    Unit rows take no arithmetic: one in-place multiply by a 0/1 column
+    mask zeroes all their pivot columns in the narrow dtype.  Only the rows
+    holding an entry on a polynomial pivot are widened to the work dtype,
+    at most ``_CHUNK`` at a time, for ``_clear``'s product, and narrowed
+    back.  The polynomial basis rows vanish on the unit pivot columns, so
+    the two steps commute.
+    """
     dtype = _work_dtype(p, rows.shape[-1])
-    out = np.empty(block.shape, dtype=narrow_dtype(p))
-    for start in range(0, block.shape[0], _CHUNK):
-        part = _residues(block[start:start + _CHUNK], p, dtype)
-        out[start:start + _CHUNK] = _clear(part, pivots, rows, unit, p)
+    if not out.size or not pivots.size:
+        return out
+    if unit.any():
+        keep = np.ones(out.shape[1], dtype=out.dtype)
+        keep[pivots[unit]] = 0
+        out *= keep
+    if unit.all():
+        return out
+    poly = pivots[~unit]
+    for start in range(0, out.shape[0], _CHUNK):
+        part = out[start:start + _CHUNK]
+        hit = np.flatnonzero(part[:, poly].any(axis=1))
+        if hit.size:
+            part[hit] = _clear(part[hit].astype(dtype), pivots, rows, unit, p)
     return out
 
 
@@ -269,49 +319,65 @@ def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     and read-only.
 
     One pass suffices because ``rows`` is fully reduced: subtracting
-    coeffs @ rows clears every pivot column exactly.  ``block`` is reduced
-    mod p, cleared and narrowed ``_CHUNK`` rows at a time (``_reduce``), and
-    is never written.  ``unit`` may carry the cached unit-row mask of the
-    basis (see ``unit_rows``); of the basis itself, ``_clear`` widens only
-    the polynomial rows it multiplies.
+    coeffs @ rows clears every pivot column exactly.  ``block`` is copied
+    narrow, reduced mod p ``_CHUNK`` rows at a time where it leaves
+    [0, p), and cleared in that copy (``_reduce``); it is never written.
+    ``unit`` may carry the cached unit-row mask of the basis (see
+    ``unit_rows``); of the basis itself, ``_clear`` widens only the
+    polynomial rows it multiplies.
     """
     if unit is None:
         unit = unit_rows(rows)
-    return _read_only(_reduce(np.asarray(block), rows, pivots, unit, p))
+    block = _residues(np.asarray(block), p, narrow_dtype(p))
+    return _read_only(_reduce(block, rows, pivots, unit, p))
 
 
-def _touched(rows: np.ndarray, unit: np.ndarray, new_rows: np.ndarray,
-             new_pivots: np.ndarray, p: int):
-    """(indices, cleared rows): the rows of a narrow basis with unit-row
-    mask ``unit`` that hold an entry at one of ``new_pivots``, and those
-    rows cleared narrow against the new rows by ``_reduce``.  A unit row
-    vanishes on every new pivot column, so only polynomial rows are
-    touched; no other row changes."""
+def _touched(rows: np.ndarray, unit: np.ndarray,
+             new_pivots: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a narrow basis with unit-row mask ``unit``
+    that hold an entry at one of ``new_pivots``.  New rows are reduced
+    against the basis, so a unit row vanishes on every new pivot column:
+    only polynomial rows can be touched."""
     poly = np.flatnonzero(~unit)
-    poly = poly[rows[np.ix_(poly, new_pivots)].any(axis=1)]
-    return poly, _reduce(rows[poly], new_rows, new_pivots,
-                         unit_rows(new_rows), p)
+    if not poly.size:
+        return poly
+    return poly[rows[np.ix_(poly, new_pivots)].any(axis=1)]
+
+
+def _reduce_at(out: np.ndarray, index: np.ndarray, rows: np.ndarray,
+               pivots: np.ndarray, unit: np.ndarray, p: int) -> np.ndarray:
+    """Clear, in place, the rows ``index`` of the writable narrow array
+    ``out`` against an RREF basis by ``_reduce``, gathering at most
+    ``_CHUNK`` of them at a time; returns their new unit-row mask."""
+    now_unit = np.empty(index.size, dtype=bool)
+    for start in range(0, index.size, _CHUNK):
+        at = index[start:start + _CHUNK]
+        part = _reduce(out[at], rows, pivots, unit, p)
+        out[at] = part
+        now_unit[start:start + _CHUNK] = unit_rows(part)
+    return now_unit
 
 
 def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
             rows: np.ndarray, p: int) -> int:
     """Add the rowspace of ``rows`` to the RREF held, in order of discovery,
     in the first ``r`` rows of ``basis``, ``pivots`` and ``unit``; returns
-    the new rank.  Only the reduced rows that survive are widened, for
-    ``_echelon``, and the chunk's work buffers die with the call."""
+    the new rank.  The reduced chunk goes to ``_echelon`` narrow, which
+    passes it through when it is already in RREF and widens it otherwise;
+    its unit-row mask is computed once, for clearing the touched basis rows
+    and for the basis.  The chunk's work buffers die with the call."""
     chunk = reduce_rows(rows, basis[:r], pivots[:r], p, unit=unit[:r])
     chunk = chunk[np.any(chunk, axis=1)]
     if chunk.shape[0] == 0:
         return r
-    new_rows, new_pivots = _echelon(
-        chunk.astype(_work_dtype(p, basis.shape[1])), p)
-    part, cleared = _touched(basis[:r], unit[:r], new_rows, new_pivots, p)
-    basis[part] = cleared
-    unit[part] = unit_rows(cleared)
+    new_rows, new_pivots = _echelon(chunk, p)
+    new_unit = unit_rows(new_rows)
+    part = _touched(basis[:r], unit[:r], new_pivots)
+    unit[part] = _reduce_at(basis, part, new_rows, new_pivots, new_unit, p)
     k = new_pivots.size
     basis[r:r + k] = new_rows
     pivots[r:r + k] = new_pivots
-    unit[r:r + k] = unit_rows(new_rows)
+    unit[r:r + k] = new_unit
     return r + k
 
 
@@ -320,11 +386,11 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
     column.  Processes input in chunks: each chunk goes to ``reduce_rows``
-    as it is, to be reduced against the accumulated basis, and only its
-    surviving rows are widened for local elimination.  The basis is narrow;
-    the polynomial rows that a chunk's pivots touch are cleared through
-    ``_reduce``.  So no wide copy of more than ``_CHUNK`` rows of the input
-    or of the basis exists.
+    as it is, to be reduced against the accumulated basis, and ``_echelon``
+    widens its surviving rows only when they are not already in RREF.  The
+    basis is narrow; the polynomial rows that a chunk's pivots touch are
+    cleared in place through ``_reduce``.  So no wide copy of more than
+    ``_CHUNK`` rows of the input or of the basis exists.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
@@ -338,6 +404,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     r = 0
     for start in range(0, nrows, _CHUNK):
         r = _extend(basis, pivots, unit, r, mat[start:start + _CHUNK], p)
+    if r == basis.shape[0] and np.all(pivots[1:] > pivots[:-1]):
+        # Every row found, in pivot order, as for a canonical input: the
+        # basis is the output as it stands.
+        return _read_only(basis), _read_only(pivots)
     order = np.argsort(pivots[:r])
     return _read_only(basis[order]), _read_only(pivots[order])
 
@@ -374,8 +444,8 @@ def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
     out = np.empty((order.size, rows.shape[1]), dtype=narrow_dtype(p))
     out[place[:rows.shape[0]]] = rows
     out[place[rows.shape[0]:]] = new_rows
-    part, cleared = _touched(rows, unit, new_rows, new_pivots, p)
-    out[place[part]] = cleared
+    _reduce_at(out, place[_touched(rows, unit, new_pivots)], new_rows,
+               new_pivots, unit_rows(new_rows), p)
     return _read_only(out), _read_only(merged_piv[order])
 
 

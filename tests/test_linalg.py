@@ -693,3 +693,140 @@ def test_wide_nullspace_matches_reference_and_is_canonical(p, data):
     assert kernel.tolist() == ref_nullspace(mat, p, ncols)
     rows, _ = linalg.rref(kernel, p)
     assert np.array_equal(rows, kernel)
+
+
+# -- narrow-first elimination ---------------------------------------------------
+
+NARROW_FIRST_PRIMES = [2, 5, 251, 257, 65521]
+BASIS_KINDS = ["all-unit", "mixed", "all-polynomial"]
+
+
+def canonical_rows(rng, p, nrows, ncols, kind):
+    """A canonical RREF of ``nrows`` rows over ``ncols`` columns, built
+    directly, sorted by pivot, in int64.  The rows of an all-polynomial
+    basis, and about half of a mixed one's, take nonzero entries on every
+    nonpivot column after their pivot; a row with no such column is a unit
+    row whatever the kind."""
+    piv = np.sort(rng.choice(ncols, nrows, replace=False))
+    rows = np.zeros((nrows, ncols), dtype=np.int64)
+    rows[np.arange(nrows), piv] = 1
+    poly = {"all-unit": np.zeros(nrows, dtype=bool),
+            "mixed": rng.random(nrows) < 0.5,
+            "all-polynomial": np.ones(nrows, dtype=bool)}[kind]
+    free = np.ones(ncols, dtype=bool)
+    free[piv] = False
+    tail = (free[None, :] & (np.arange(ncols)[None, :] > piv[:, None])
+            & poly[:, None])
+    rows[tail] = rng.integers(1, p, int(tail.sum()))
+    return rows, piv
+
+
+def out_of_range(rng, block, p, form):
+    """``block`` (residues) as narrow residues, as int64 with negative
+    entries, or as uint16 entries up to 65535, past p."""
+    if form == "narrow":
+        return block.astype(linalg.narrow_dtype(p))
+    if form == "negative":
+        return block - p * rng.integers(0, 4, block.shape)
+    return (block + p * rng.integers(0, (65535 - block) // p + 1)
+            ).astype(np.uint16)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NARROW_FIRST_PRIMES), st.sampled_from(BASIS_KINDS),
+       st.sampled_from(["none", "some", "all"]),
+       st.sampled_from(["narrow", "negative", "past-p"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
+    """reduce_rows, merge and rref against all-unit, mixed and
+    all-polynomial bases, on blocks in which no row, some rows or every row
+    holds an entry on a polynomial pivot, given as narrow residues, as
+    negative int64 or as uint16 past p, equal the pure-int normal forms and
+    RREFs."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(1, 30))
+    rows, piv = canonical_rows(rng, p, int(rng.integers(0, ncols + 1)), ncols,
+                               kind)
+    basis, basis_piv = linalg.rref(rows, p)
+    assert_canonical(basis, basis_piv, rows.tolist(), piv.tolist(), ncols, p)
+    n = int(rng.integers(1, 40))
+    block = rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
+    poly_cols = piv[~linalg.unit_rows(rows)]
+    miss = {"none": np.ones(n, dtype=bool), "all": np.zeros(n, dtype=bool),
+            "some": rng.random(n) < 0.5}[hits]
+    block[np.ix_(np.flatnonzero(miss), poly_cols)] = 0
+    if poly_cols.size and hits == "all":
+        block[np.arange(n), rng.choice(poly_cols, n)] = rng.integers(1, p, n)
+    block = out_of_range(rng, block, p, form)
+
+    normal = linalg.reduce_rows(block, basis, basis_piv, p)
+    assert normal.dtype == linalg.narrow_dtype(p) and not normal.flags.writeable
+    assert normal.tolist() == ref_normal_forms(block, rows.tolist(),
+                                               piv.tolist(), p)
+    merged, merged_piv = linalg.merge(basis, basis_piv, block, p)
+    assert_canonical(merged, merged_piv,
+                     *ref_rref(np.vstack([rows, block.astype(np.int64)]), p),
+                     ncols, p)
+    assert_canonical(*linalg.rref(block, p), *ref_rref(block, p), ncols, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(NARROW_FIRST_PRIMES), st.sampled_from(BASIS_KINDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_canonical_chunks_enter_the_basis_as_they_are(p, kind, seed):
+    """Blocks past one chunk whose chunks are already in RREF in the narrow
+    dtype: a canonical block as it stands, and one whose first chunk has
+    later rows mixed into its rows, so that the second chunk, unchanged by
+    reduction, passes through and clears the basis rows it touches.  rref,
+    and merge onto the first chunk's RREF, give the canonical block."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(300, 400))
+    nrows = int(rng.integers(linalg._CHUNK + 1, ncols))
+    rows, piv = canonical_rows(rng, p, nrows, ncols, kind)
+    expected = rows.tolist(), piv.tolist()
+    dtype = linalg.narrow_dtype(p)
+    assert_canonical(*linalg.rref(rows.astype(dtype), p), *expected, ncols, p)
+
+    head, later = rows[:linalg._CHUNK], rows[linalg._CHUNK:]
+    mix = rng.integers(0, p, (head.shape[0], later.shape[0])) * (
+        rng.random((head.shape[0], later.shape[0])) < 0.1)
+    head = (head + mix @ later) % p
+    block = np.vstack([head, later]).astype(dtype)
+    assert_canonical(*linalg.rref(block, p), *expected, ncols, p)
+    head_rows, head_piv = linalg.rref(head, p)
+    assert head_piv.tolist() == piv[:linalg._CHUNK].tolist()
+    assert_canonical(*linalg.merge(head_rows, head_piv, later.astype(dtype), p),
+                     *expected, ncols, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NARROW_FIRST_PRIMES), st.sampled_from(BASIS_KINDS),
+       st.sampled_from(["lead-not-one", "pivot-column-entry"]),
+       st.sampled_from(["narrow", "negative", "past-p"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_near_canonical_chunks_are_eliminated(p, kind, change, form, seed):
+    """Chunks whose leading columns strictly increase but whose block on
+    them is not the identity (a leading entry other than 1, or an entry on
+    a later row's leading column) sum to more than their row count there,
+    so they are widened and eliminated to the canonical block."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(2, 40))
+    nrows = int(rng.integers(1 if change == "lead-not-one" else 2, ncols + 1))
+    rows, piv = canonical_rows(rng, p, nrows, ncols, kind)
+    block = rows.copy()
+    i, j = np.sort(rng.choice(nrows, 2, replace=False)) if nrows > 1 else (0, 0)
+    if change == "lead-not-one":
+        if p == 2:
+            return
+        block[i] = block[i] * int(rng.integers(2, p)) % p
+    else:
+        block[i] = (block[i] + int(rng.integers(1, p)) * block[j]) % p
+    lead = (block != 0).argmax(axis=1)
+    assert np.all(np.diff(lead) > 0) and block[:, lead].sum() > nrows
+    assert ref_rref(block, p) == (rows.tolist(), piv.tolist())
+    block = out_of_range(rng, block, p, form)
+    assert_canonical(*linalg.rref(block, p), rows.tolist(), piv.tolist(),
+                     ncols, p)
+    first = linalg.rref(block[:1], p)
+    assert_canonical(*linalg.merge(*first, block[1:], p), rows.tolist(),
+                     piv.tolist(), ncols, p)

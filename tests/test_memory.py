@@ -4,8 +4,9 @@ the elimination kernel on a block past several chunks.
 Stored bases, the kernel's growing basis and every elimination output are
 narrow (uint8 at p = 5), the M x M product tables are dropped before each
 elimination, and the kernel widens at most ``_CHUNK`` rows of a block at a
-time; an int64 or full float copy of any of them brought back by a later
-change shows here as a peak over budget.
+time, and only rows that a polynomial pivot or an elimination needs; an
+int64 or full float copy of any of them brought back by a later change, or
+a float chunk where narrow work suffices, shows here as a peak over budget.
 """
 
 from __future__ import annotations
@@ -115,3 +116,41 @@ def test_entry_point_peak_is_narrow_arrays_and_a_few_chunks(entry, blocks):
     budget = out.nbytes + 2 * block.nbytes + 6 * CHUNK_BUFFER
     assert peak < budget, (f"peak {peak / 2 ** 20:.1f} MiB, budget "
                            f"{budget / 2 ** 20:.1f} MiB")
+
+
+def unit_basis(rng):
+    """An RREF basis of NROWS unit rows e_c, as ``Subspace`` stores it."""
+    pivots = np.sort(rng.choice(NCOLS, NROWS, replace=False))
+    rows = np.zeros((NROWS, NCOLS), dtype=np.uint8)
+    rows[np.arange(NROWS), pivots] = 1
+    rows.flags.writeable = False
+    return rows, pivots
+
+
+NARROW_ONLY = {
+    "reduce_rows-unit-basis":
+        lambda block, canonical, units: linalg.reduce_rows(block, *units, P),
+    "rref-canonical-block":
+        lambda block, canonical, units: linalg.rref(canonical, P)[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NARROW_ONLY))
+def test_narrow_first_allocates_no_float_chunk(case, blocks):
+    """Unit rows are cleared, and chunks already in RREF enter the basis,
+    in the narrow dtype: reduce_rows of the 2,000 x 3,000 block against an
+    all-unit basis, and rref of the block's canonical form, each peak below
+    their narrow output plus one chunk buffer, which a float32 chunk of the
+    block alone fills."""
+    block, (canonical, _), _, _ = blocks
+    units = unit_basis(np.random.default_rng(41))
+    tracemalloc.start()
+    try:
+        out = NARROW_ONLY[case](block, canonical, units)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.uint8 and out.shape == (NROWS, NCOLS)
+    budget = out.nbytes + CHUNK_BUFFER
+    assert peak < budget, (f"peak {peak / 2 ** 20:.2f} MiB, budget "
+                           f"{budget / 2 ** 20:.2f} MiB")
