@@ -25,24 +25,26 @@ is a row whose only nonzero entry is its pivot 1; subtracting multiples of
 it from other rows just zeroes its pivot column, which is exact in any
 dtype.  ``_reduce`` zeroes all the unit pivot columns of a narrow block
 with one multiply by a 0/1 column mask, and widens only the rows that hold
-an entry on a polynomial pivot, for ``_clear``'s product with just the
-polynomial basis rows whose columns they hold; so the exactness bound above
-concerns those products alone.  ``rref`` tracks the unit mask of its
-growing basis, computed once per chunk; ``reduce_rows`` and ``merge``
-accept a cached one (see ``unit_rows``).
+an entry on a polynomial pivot, for a product with just the polynomial
+basis rows whose columns they hold; so the exactness bound above concerns
+those products alone.  ``rref`` tracks the unit mask of its growing basis,
+computed once per chunk; ``reduce_rows`` and ``merge`` accept a cached one
+(see ``unit_rows``).
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
-rows of a block or of a basis exists.  Residues are widened in three places
-only.  ``_reduce`` widens the rows of a block that hit a polynomial pivot,
-``_CHUNK`` at a time, for ``reduce_rows``, ``rref``'s input chunks, the
+rows of a block or of a basis exists.  Residues are widened in two places
+only.  ``_reduce``, the one routine that clears rows against a basis,
+widens the rows of a block that hit a polynomial pivot, and the live
+polynomial basis rows it multiplies, ``_CHUNK`` at a time; the partial
+products add up exactly, since together they have the inner dimension of
+one product.  It serves ``reduce_rows``, ``rref``'s input chunks, the
 basis rows that new pivots touch in ``rref`` and ``merge`` (cleared in
-place, a chunk at a time), and the spanning rows of
-``intersect_rowspaces``.  ``_clear`` widens the live polynomial basis rows
-it multiplies ``_CHUNK`` at a time; the partial products add up exactly,
-since together they have the inner dimension of one product.  ``_echelon``
-widens the surviving rows of one ``rref`` chunk, unless they are already in
-RREF: such a chunk enters the basis as it is.  A basis has one dense form,
-its canonical narrow RREF, in which ``rref`` grows its basis too.
+place, a chunk at a time), the spanning rows of ``intersect_rowspaces``
+and the rounds of ``_echelon``.  ``_echelon`` takes and returns narrow
+rows and widens only each round's pivot rows, at most a chunk, to scale
+them and reduce them among themselves; a chunk already in RREF enters the
+basis as it is.  A basis has one dense form, its canonical narrow RREF, in
+which ``rref`` grows its basis too.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
@@ -153,94 +155,49 @@ def inverses_mod(p: int) -> np.ndarray:
     return inv
 
 
-def _clear(rows: np.ndarray, cols: np.ndarray, basis: np.ndarray,
-           unit: np.ndarray, p: int) -> np.ndarray:
-    """Subtract from each work-dtype row its entries at ``cols`` times the
-    basis rows whose unit columns they are.  Returns ``rows``, changed in
-    place.
-
-    Basis rows whose column is zero in every row act on nothing.  Of the
-    others, those marked in ``unit`` are e_c and only zero their column c;
-    the rest enter a product, for the rows with an entry at one of their
-    columns, converted to the dtype of ``rows`` ``_CHUNK`` basis rows at a
-    time.  The partial products together have the inner dimension of one
-    product, so they add up exactly before the one reduction.  The
-    polynomial basis rows vanish on every other column of ``cols``, so the
-    two steps commute.  ``_reduce`` zeroes unit columns in the narrow dtype
-    before it widens any row, so here only ``_echelon``'s rounds meet them.
-    """
-    # An empty basis, as for rref's first chunk, needs no column scan.
-    if not cols.size:
-        return rows
-    # Residues are >= 0, so a column maximum of 0 marks a zero column.
-    live = rows.max(axis=0, initial=0)[cols] > 0
-    if not live.any():
-        return rows
-    poly = np.flatnonzero(live & ~unit)
-    if poly.size:
-        coeffs = rows[:, cols[poly]]
-        hit = coeffs.any(axis=1)
-        every = hit.all()
-        acc = rows if every else rows[hit]
-        if not every:
-            coeffs = coeffs[hit]
-        whole = poly.size == basis.shape[0]
-        for start in range(0, poly.size, _CHUNK):
-            stop = start + _CHUNK
-            sub = basis[start:stop] if whole else basis[poly[start:stop]]
-            acc -= coeffs[:, start:stop] @ sub.astype(rows.dtype, copy=False)
-        _mod(acc, p)
-        if not every:
-            rows[hit] = acc
-    zero = live & unit
-    if zero.any():
-        keep = np.ones(rows.shape[1], dtype=rows.dtype)
-        keep[cols[zero]] = 0
-        rows *= keep
-    return rows
-
-
 def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of nonzero residue rows; (rows, pivots) sorted by pivot.
+    """RREF of nonzero narrow residue rows; (rows, pivots) sorted by pivot,
+    the rows narrow.
 
-    A block already in RREF is returned as it is, in its own dtype, after
-    one check: its leading columns strictly increase and each holds the
-    row's leading entry and nothing else.  Leading entries are >= 1 and
-    residues >= 0, so a leading column sums to 1 exactly when it is such a
-    column, and the sums are exact in every dtype the kernel uses.
-    ``rref``'s narrow chunks that reduction left canonical, and the kernels
-    ``nullspace`` builds, are such blocks.
+    A block already in RREF is returned as it is after one check: its
+    leading columns strictly increase and each holds the row's leading
+    entry and nothing else.  Leading entries are >= 1 and residues >= 0, so
+    a leading column sums to 1 exactly when it is such a column; the column
+    sums are taken in uint32, exact below 65,537 rows.  ``rref``'s chunks
+    that reduction left canonical, and the kernels ``nullspace`` builds,
+    are such blocks.
 
-    Any other block is widened to the work dtype and eliminated in rounds.
-    A round takes, for each distinct leading column, the first row leading
-    there, and scales those whose leading entry is not 1.  Its unit rows
-    reduce the others by zeroing their columns.  On their leading columns
-    the remaining k rows form a unit upper triangular U; with N = I - U
-    nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k squarings reduce
-    the k rows among themselves.  One product then clears the round's
-    columns from every other row.  When every row leads at a column of its
-    own, the common case for the sparse blocks of ideal subspaces, the
-    first round is the last: no row is left over to clear, and the round's
-    rows, sorted by pivot, are the result.
+    Any other block is eliminated in rounds.  A round takes, for each
+    distinct leading column, the first row leading there, widens those
+    pivot rows to the work dtype and scales those whose leading entry is
+    not 1.  Its unit rows reduce the others by zeroing their columns.  On
+    their leading columns the remaining k rows form a unit upper triangular
+    U; with N = I - U nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k
+    squarings reduce the k rows among themselves.  The round's rows go back
+    narrow, and ``_reduce`` clears their columns from every other row.
+    When every row leads at a column of its own, the common case for the
+    sparse blocks of ideal subspaces, the first round is the last: no row
+    is left over to clear, and the round's rows, sorted by pivot, are the
+    result.
     """
     lead = (block != 0).argmax(axis=1)
     if (np.all(lead[1:] > lead[:-1])
-            and np.all(block[:, lead].sum(axis=0) == 1)):
+            and np.all(block.sum(axis=0, dtype=np.uint32)[lead] == 1)):
         return block, lead
     inv = inverses_mod(p)
-    rest = block.astype(_work_dtype(p, block.shape[1]), copy=False)
-    done = None
+    dtype = _work_dtype(p, block.shape[1])
+    rest, done = block, None
     while True:
         order = np.argsort(lead, kind="stable")
         ordered = lead[order]
         first = np.ones(order.size, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         piv = ordered[first]
-        sel = rest[order[first]]
+        sel = rest[order[first]].astype(dtype)
         leading = sel[np.arange(piv.size), piv]
         scale = leading != 1
         if scale.any():
-            factor = inv[leading[scale].astype(np.intp)].astype(sel.dtype)
+            factor = inv[leading[scale].astype(np.intp)].astype(dtype)
             sel[scale] = _mod(sel[scale] * factor[:, None], p)
         unit = unit_rows(sel)
         poly = np.flatnonzero(~unit)
@@ -253,14 +210,15 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 sub = _mod(sub + nil @ sub, p)
                 nil = _mod(nil @ nil, p)
             sel[poly] = sub
+        sel = sel.astype(narrow_dtype(p))
         if done is None:
             done, done_piv = sel, piv
         else:
-            done = np.vstack([_clear(done, piv, sel, unit, p), sel])
+            done = np.vstack([_reduce(done, sel, piv, unit, p), sel])
             done_piv = np.concatenate([done_piv, piv])
         if first.all():
             break
-        rest = _clear(rest[order[~first]], piv, sel, unit, p)
+        rest = _reduce(rest[order[~first]], sel, piv, unit, p)
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
             break
@@ -291,25 +249,35 @@ def _reduce(out: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     Unit rows take no arithmetic: one in-place multiply by a 0/1 column
     mask zeroes all their pivot columns in the narrow dtype.  Only the rows
     holding an entry on a polynomial pivot are widened to the work dtype,
-    at most ``_CHUNK`` at a time, for ``_clear``'s product, and narrowed
-    back.  The polynomial basis rows vanish on the unit pivot columns, so
-    the two steps commute.
+    at most ``_CHUNK`` at a time, and narrowed back after one product with
+    the polynomial basis rows whose pivots they hold, widened ``_CHUNK``
+    basis rows at a time.  The partial products together have the inner
+    dimension of one product, so they add up exactly before the one
+    reduction.  The polynomial basis rows vanish on the unit pivot columns,
+    so the two steps commute.
     """
     dtype = _work_dtype(p, rows.shape[-1])
-    if not out.size or not pivots.size:
-        return out
     if unit.any():
         keep = np.ones(out.shape[1], dtype=out.dtype)
         keep[pivots[unit]] = 0
         out *= keep
-    if unit.all():
+    poly = np.flatnonzero(~unit)
+    if not poly.size:
         return out
-    poly = pivots[~unit]
     for start in range(0, out.shape[0], _CHUNK):
         part = out[start:start + _CHUNK]
-        hit = np.flatnonzero(part[:, poly].any(axis=1))
-        if hit.size:
-            part[hit] = _clear(part[hit].astype(dtype), pivots, rows, unit, p)
+        coeffs = part[:, pivots[poly]]
+        hit = np.flatnonzero(coeffs.any(axis=1))
+        if not hit.size:
+            continue
+        coeffs = coeffs[hit]
+        live = np.flatnonzero(coeffs.any(axis=0))
+        acc = part[hit].astype(dtype)
+        for at in range(0, live.size, _CHUNK):
+            take = live[at:at + _CHUNK]
+            acc -= (coeffs[:, take].astype(dtype)
+                    @ rows[poly[take]].astype(dtype))
+        part[hit] = _mod(acc, p)
     return out
 
 
@@ -323,8 +291,8 @@ def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     narrow, reduced mod p ``_CHUNK`` rows at a time where it leaves
     [0, p), and cleared in that copy (``_reduce``); it is never written.
     ``unit`` may carry the cached unit-row mask of the basis (see
-    ``unit_rows``); of the basis itself, ``_clear`` widens only the
-    polynomial rows it multiplies.
+    ``unit_rows``); of the basis itself, only the polynomial rows a product
+    uses are widened.
     """
     if unit is None:
         unit = unit_rows(rows)
@@ -362,10 +330,10 @@ def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
             rows: np.ndarray, p: int) -> int:
     """Add the rowspace of ``rows`` to the RREF held, in order of discovery,
     in the first ``r`` rows of ``basis``, ``pivots`` and ``unit``; returns
-    the new rank.  The reduced chunk goes to ``_echelon`` narrow, which
-    passes it through when it is already in RREF and widens it otherwise;
-    its unit-row mask is computed once, for clearing the touched basis rows
-    and for the basis.  The chunk's work buffers die with the call."""
+    the new rank.  The reduced chunk goes to ``_echelon`` narrow and comes
+    back narrow, as it is when already in RREF; its unit-row mask is
+    computed once, for clearing the touched basis rows and for the basis.
+    The chunk's work buffers die with the call."""
     chunk = reduce_rows(rows, basis[:r], pivots[:r], p, unit=unit[:r])
     chunk = chunk[np.any(chunk, axis=1)]
     if chunk.shape[0] == 0:
@@ -387,8 +355,8 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
     column.  Processes input in chunks: each chunk goes to ``reduce_rows``
     as it is, to be reduced against the accumulated basis, and ``_echelon``
-    widens its surviving rows only when they are not already in RREF.  The
-    basis is narrow; the polynomial rows that a chunk's pivots touch are
+    eliminates its surviving rows, widening only each round's pivot rows.
+    The basis is narrow; the polynomial rows that a chunk's pivots touch are
     cleared in place through ``_reduce``.  So no wide copy of more than
     ``_CHUNK`` rows of the input or of the basis exists.
     """

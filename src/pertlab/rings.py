@@ -294,6 +294,8 @@ class RingDescriptor:
                     f"generator {poly.serialize()!r} has nonzero constant term")
             polys.append(poly)
         self.base_gen_polys = tuple(polys)
+        # The ring is immutable, so its generators are serialized once.
+        self._gen_text = tuple(g.serialize() for g in polys)
         self.monomials = monomials_below(nvars, D)
         self.M = len(self.monomials)
         self.col_index = {e: i for i, e in enumerate(self.monomials)}
@@ -463,11 +465,10 @@ class RingDescriptor:
 
     def spec_tuple(self) -> tuple:
         """Hashable identity of the underlying data, ignoring D."""
-        return (self.p, self.vars,
-                tuple(sorted(g.serialize() for g in self.base_gen_polys)))
+        return self.p, self.vars, tuple(sorted(self._gen_text))
 
     def __repr__(self) -> str:
-        gens = ", ".join(g.serialize() for g in self.base_gen_polys) or "0"
+        gens = ", ".join(self._gen_text) or "0"
         return (f"RingDescriptor(F_{self.p}[{', '.join(self.vars)}] / "
                 f"({gens}) + m^{self.D}, dim={self.dim})")
 

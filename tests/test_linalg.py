@@ -532,7 +532,7 @@ def np_rref(mat, p):
 
 @pytest.mark.parametrize("p", [2, 5, 251, 257, 65521])
 def test_bases_past_a_chunk_clear_exactly(p):
-    """Dense bases of over two chunks of polynomial rows: ``_clear`` widens
+    """Dense bases of over two chunks of polynomial rows: ``_reduce`` widens
     them a chunk at a time and adds the partial products, in float32 at
     p = 2 and 5 and in float64 from p = 251.  rref, reduce_rows, merge and
     intersect_rowspaces agree with int64 arithmetic, also when the side an
@@ -589,10 +589,10 @@ def test_bases_past_a_chunk_clear_exactly(p):
 # -- canonical blocks and wide kernels -----------------------------------------
 
 def canonical_block(p, mat):
-    """The reference RREF of ``mat`` in the work dtype, with its pivots."""
+    """The reference RREF of ``mat`` in the narrow dtype, with its pivots."""
     rows, pivots = ref_rref(mat, p)
     ncols = mat.shape[1]
-    return (np.array(rows, dtype=linalg._work_dtype(p, ncols)).reshape(-1, ncols),
+    return (np.array(rows, dtype=linalg.narrow_dtype(p)).reshape(-1, ncols),
             pivots)
 
 
@@ -616,8 +616,8 @@ NEAR_CANONICAL = ["lead-not-one", "pivot-column-entry", "shared-lead",
 @given(residue_matrices(), st.sampled_from(NEAR_CANONICAL),
        st.integers(0, 2 ** 32 - 1))
 def test_echelon_reduces_near_canonical_blocks(case, change, seed):
-    """Blocks one step from RREF fail the pass-through check and are
-    reduced to the reference RREF of the same rows."""
+    """Narrow blocks one step from RREF fail the pass-through check and are
+    reduced to the reference RREF of the same rows, narrow."""
     p, mat = case
     block, _ = canonical_block(p, mat)
     k, ncols = block.shape
@@ -626,7 +626,7 @@ def test_echelon_reduces_near_canonical_blocks(case, change, seed):
     if change == "lead-not-one" and p == 2:
         return
     rng = np.random.default_rng(seed)
-    block = block.copy()
+    block = block.astype(np.int64)
     lead = (block != 0).argmax(axis=1)
     i, j = rng.choice(k, 2, replace=False) if k > 1 else (0, 0)
     if change == "lead-not-one":
@@ -648,7 +648,8 @@ def test_echelon_reduces_near_canonical_blocks(case, change, seed):
         rows, piv = linalg.rref(block, p)
         assert_canonical(rows, piv, ref_rows, ref_pivots, ncols, p)
         return
-    rows, piv = linalg._echelon(block, p)
+    rows, piv = linalg._echelon(linalg.narrow(block, p), p)
+    assert rows.dtype == linalg.narrow_dtype(p)
     assert rows.tolist() == ref_rows
     assert piv.tolist() == ref_pivots
 

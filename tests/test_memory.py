@@ -82,33 +82,45 @@ def staircase_block(rng):
     return block
 
 
+def dense_block():
+    """A seeded random uint8 block: its rows share their leading columns,
+    so each chunk takes many rounds of ``_echelon``."""
+    block = np.random.default_rng(43).integers(0, P, (NROWS, NCOLS),
+                                               dtype=np.uint8)
+    block.flags.writeable = False
+    return block
+
+
 @pytest.fixture(scope="module")
 def blocks():
     rng = np.random.default_rng(31)
     block, other = staircase_block(rng), staircase_block(rng)
     return (block, linalg.rref(block, P), linalg.rref(other, P),
-            linalg.rref(other[:linalg._CHUNK], P))
+            linalg.rref(other[:linalg._CHUNK], P), dense_block())
 
 
 ENTRY_POINTS = {
-    "rref": lambda block, a, b, head: linalg.rref(block, P)[0],
-    "reduce_rows": lambda block, a, b, head: linalg.reduce_rows(block, *b, P),
-    "merge": lambda block, a, b, head: linalg.merge(*head, block, P)[0],
-    "intersect_rowspaces":
-        lambda block, a, b, head: linalg.intersect_rowspaces(*a, *b, P)[0],
+    "rref": lambda block, a, b, head, dense: linalg.rref(block, P)[0],
+    "rref-dense": lambda block, a, b, head, dense: linalg.rref(dense, P)[0],
+    "reduce_rows":
+        lambda block, a, b, head, dense: linalg.reduce_rows(block, *b, P),
+    "merge": lambda block, a, b, head, dense: linalg.merge(*head, block, P)[0],
+    "intersect_rowspaces": lambda block, a, b, head, dense:
+        linalg.intersect_rowspaces(*a, *b, P)[0],
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_point_peak_is_narrow_arrays_and_a_few_chunks(entry, blocks):
-    """The peak of each entry point on a 2,000 x 3,000 uint8 block stays
-    below its narrow output, plus two narrow blocks (the basis under
-    construction and, in merge, the reduced rows it eliminates; in
-    intersect_rowspaces, the reduced rows), plus six chunk buffers."""
-    block, a, b, head = blocks
+    """The peak of each entry point on a 2,000 x 3,000 uint8 block, and of
+    rref on a dense one of many ``_echelon`` rounds, stays below its narrow
+    output, plus two narrow blocks (the basis under construction and, in
+    merge, the reduced rows it eliminates; in intersect_rowspaces, the
+    reduced rows), plus six chunk buffers."""
+    block = blocks[0]
     tracemalloc.start()
     try:
-        out = ENTRY_POINTS[entry](block, a, b, head)
+        out = ENTRY_POINTS[entry](*blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -142,7 +154,7 @@ def test_narrow_first_allocates_no_float_chunk(case, blocks):
     all-unit basis, and rref of the block's canonical form, each peak below
     their narrow output plus one chunk buffer, which a float32 chunk of the
     block alone fills."""
-    block, (canonical, _), _, _ = blocks
+    block, (canonical, _), *_ = blocks
     units = unit_basis(np.random.default_rng(41))
     tracemalloc.start()
     try:
