@@ -28,7 +28,7 @@ from .catalog import CATALOG
 from .errors import ManifestError, PertlabError
 from .harness import (ExperimentConfig, ExperimentReport, RingSpec,
                       bound_record, build_workspace, filter_regular_record,
-                      find_min_N, run_experiment, sample_in_power)
+                      find_min_N, run_experiment, sample_records)
 from .invariants import gr_hilbert_function, hs_table, koszul_report
 from .verifiers import (VERIFIED, VerdictRecord, Workspace,
                         bound_N_one_element, check_control_colon,
@@ -57,6 +57,15 @@ MAX_SAMPLES = 1_000
 TASK_INTS = {"n_max": (0, None), "samples": (1, MAX_SAMPLES),
              "seed": (0, None), "delta": (1, None)}
 
+# The keys parse_manifest reads in each section; [ideals] names are free.
+SECTION_KEYS = {
+    "manifest": ("format-version",),
+    "ring": ("p", "vars", "gens", "D"),
+    "ideals": None,
+    "task": ("command", "catalog", "f", "J", "N", "claim", "epsilon",
+             *TASK_INTS),
+}
+
 
 @dataclass(frozen=True)
 class Manifest:
@@ -67,7 +76,6 @@ class Manifest:
     config: ExperimentConfig
     claim: str | None = None
     epsilon: tuple[str, ...] | None = None
-    n_single: int | None = None
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -107,6 +115,15 @@ def parse_manifest(text: str) -> Manifest:
     version = _int("format-version", cp.get("manifest", "format-version"))
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format-version {version}")
+    for section in cp.sections():
+        if section not in SECTION_KEYS:
+            raise ManifestError(f"unknown section [{section}]; known: "
+                                + ", ".join(SECTION_KEYS))
+        known = SECTION_KEYS[section]
+        for key in cp.options(section):
+            if known is not None and key not in known:
+                raise ManifestError(f"unknown key {key!r} in [{section}]; "
+                                    "known: " + ", ".join(known))
 
     ring = None
     if cp.has_section("ring"):
@@ -131,17 +148,13 @@ def parse_manifest(text: str) -> Manifest:
 
     fields = {key: _int(key, task[key], *bounds)
               for key, bounds in TASK_INTS.items() if key in task}
-    n_single = None
-    if "N" in task:
+    if "N" in task:  # a depth range; a single depth a is the range a..a
         raw = task["N"].strip()
         ends = tuple(_int("N", end, 0) for end in raw.split("..", 1))
-        if len(ends) == 1:
-            n_single = ends[0]
-        elif ends[0] > ends[1]:
+        if ends[0] > ends[-1]:
             raise ManifestError(f"N range {raw} is reversed: its low end "
                                 f"exceeds its high end")
-        else:
-            fields["n_range"] = ends
+        fields["n_range"] = (ends[0], ends[-1])
     f = _split_list(task.get("f", ""))
     if f:
         fields["f_exprs"] = f
@@ -173,13 +186,15 @@ def parse_manifest(text: str) -> Manifest:
                             f"D = {config.ring.D}")
     epsilon = task.get("epsilon")
     m = Manifest(command, config, task.get("claim"),
-                 None if epsilon is None else _split_list(epsilon), n_single)
+                 None if epsilon is None else _split_list(epsilon))
     if command == "bound-n" and len(config.f_exprs) != 1:
         raise ManifestError("bound-n needs exactly one element in f")
     if command == "verify" and (m.claim or "main") not in VERIFY_CLAIMS:
         raise ManifestError(f"unknown claim {m.claim!r}; known: "
                             + ", ".join(VERIFY_CLAIMS))
-    if command == "verify" and m.epsilon is None and n_single is None:
+    depths = config.n_range
+    if command == "verify" and (depths[0] != depths[1] if depths
+                                else m.epsilon is None):
         raise ManifestError("verify needs either epsilon = ... or "
                             "a single N for sampling")
     if command == "verify" and m.epsilon is not None \
@@ -247,26 +262,21 @@ def _bound_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
 
 
 def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    cfg = m.config
+    n = m.config.n_range[0] if m.config.n_range else None
     checker = {
         "main": check_main_equality,
         "monotonicity": check_surjection_monotonicity,
         "control-colon": check_control_colon,
         "preservation": check_perturbed_filter_regular,
     }[m.claim or "main"]
-    if m.epsilon is not None:
-        eps = tuple(ws.ring.element(e) for e in m.epsilon)
-        for expr, e in zip(m.epsilon, eps):
-            if m.n_single is not None and e.order() < m.n_single:
-                raise ManifestError(f"perturbation {expr!r} has order "
-                                    f"{e.order()}, below N = {m.n_single}")
-        eps_list = [eps]
-    else:
-        eps_list = [sample_in_power(ws.ring, m.n_single, cfg.seed, len(ws.fs),
-                                    spawn=(m.n_single, s))
-                    for s in range(cfg.samples)]
-    return [checker(ws, eps).with_context(m.n_single, s)
-            for s, eps in enumerate(eps_list)]
+    if m.epsilon is None:
+        return sample_records(ws, m.config, n, (checker,))
+    eps = tuple(ws.ring.element(e) for e in m.epsilon)
+    for expr, e in zip(m.epsilon, eps):
+        if n is not None and e.order() < n:
+            raise ManifestError(f"perturbation {expr!r} has order "
+                                f"{e.order()}, below N = {n}")
+    return [checker(ws, eps).with_context(n, 0)]
 
 
 _DIRECT_COMMANDS = {

@@ -9,6 +9,7 @@ safe to compute in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,19 +78,25 @@ class ExperimentReport:
         return 1 if any(r.outcome == VIOLATED for r in self.records) else 0
 
 
-def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...],
-                 n_max: int) -> RingDescriptor:
+def resolve_ring(spec: RingSpec, j_exprs: tuple[str, ...], n_max: int,
+                 f_exprs: tuple[str, ...] = ()) -> RingDescriptor:
     """Build the ring, resolving D = auto through the default selection rule
-    (probe the primary level of J at a small order first)."""
+    on the primary level t of J, probed at a small order first.  When J has
+    no certificate there, t is the level of (f) + J, which the theorem asks
+    to be m-primary: m^(t(n+1)) lies in (f) + J^(n+1), so every table entry
+    is still certified."""
     if spec.D is not None:
         return build_ring(spec.p, spec.vars, spec.base_gens, spec.D)
     probe = build_ring(spec.p, spec.vars, spec.base_gens, 8)
-    j_probe = IdealHandle(probe, tuple(probe.element(g) for g in j_exprs))
-    t_j = m_primary_level(j_probe).value
-    if t_j is None:
-        raise PertlabError("J is not certified m-primary at the probe level; "
-                           "give D explicitly")
-    d = default_truncation(t_j, n_max)
+    j_gens = tuple(probe.element(g) for g in j_exprs)
+    t = m_primary_level(IdealHandle(probe, j_gens)).value
+    if t is None and f_exprs:
+        t = m_primary_level(IdealHandle(probe, j_gens + tuple(
+            probe.element(f) for f in f_exprs))).value
+    if t is None:
+        raise PertlabError("neither J nor (f) + J is certified m-primary at "
+                           "the probe level; give D explicitly")
+    d = default_truncation(t, n_max)
     if d == probe.D:
         return probe
     return build_ring(spec.p, spec.vars, spec.base_gens, d)
@@ -116,42 +123,22 @@ def sample_in_power(ring: RingDescriptor, n: int, seed: int,
     return tuple(out)
 
 
-def _sweep(ws: Workspace, config: ExperimentConfig
-           ) -> tuple[list[VerdictRecord], dict[tuple[int, int], str]]:
-    """Main equality plus monotonicity for every (N, sample); the two share
-    one perturbed table."""
-    records: list[VerdictRecord] = []
-    main_outcomes: dict[tuple[int, int], str] = {}
-    lo, hi = config.n_range
-    for n in range(lo, hi + 1):
-        for s in range(config.samples):
-            eps = sample_in_power(ws.ring, n, config.seed, len(ws.fs),
-                                  spawn=(n, s))
-            pert = ws.gr_perturbed(eps)
-            main = check_main_equality(ws, eps, pert_table=pert)
-            mono = check_surjection_monotonicity(ws, eps, pert_table=pert)
-            records.append(main.with_context(n, s))
-            records.append(mono.with_context(n, s))
-            main_outcomes[(n, s)] = main.outcome
-    return records, main_outcomes
-
-
-def _minimal_stable_n(main_outcomes: dict[tuple[int, int], str],
-                      config: ExperimentConfig) -> int | None:
-    """Least N in range such that every sample at every N' >= N verified."""
-    lo, hi = config.n_range
-    n_star = None
-    for n in range(hi, lo - 1, -1):
-        if all(main_outcomes[(n, s)] == VERIFIED for s in range(config.samples)):
-            n_star = n
-        else:
-            break
-    return n_star
+def sample_records(ws: Workspace, config: ExperimentConfig, n: int,
+                   checks: tuple[Callable, ...]) -> list[VerdictRecord]:
+    """Each check's record on every sample of the config at depth n, stamped
+    (n, sample); sample s is drawn with spawn key (n, s)."""
+    records = []
+    for s in range(config.samples):
+        eps = sample_in_power(ws.ring, n, config.seed, len(ws.fs),
+                              spawn=(n, s))
+        records.extend(check(ws, eps).with_context(n, s) for check in checks)
+    return records
 
 
 def build_workspace(config: ExperimentConfig) -> Workspace:
     """Resolve the ring and read the sequence and J into a Workspace."""
-    ring = resolve_ring(config.ring, config.j_exprs, config.n_max)
+    ring = resolve_ring(config.ring, config.j_exprs, config.n_max,
+                        config.f_exprs)
     fs = tuple(ring.element(e) for e in config.f_exprs)
     j = IdealHandle(ring, tuple(ring.element(g) for g in config.j_exprs))
     return Workspace(ring, fs, j, config.n_max, config.delta)
@@ -159,22 +146,28 @@ def build_workspace(config: ExperimentConfig) -> Workspace:
 
 def _sweep_to_threshold(ws: Workspace, config: ExperimentConfig
                         ) -> tuple[list[VerdictRecord], int | None]:
-    """The N sweep, its empirical threshold N*, and the auxiliary
-    verifiers at N*: preservation and control colons for every sample, and
-    the Artin-Rees comparison for sample 0."""
-    records, main_outcomes = _sweep(ws, config)
-    n_star = _minimal_stable_n(main_outcomes, config)
+    """The N sweep (main equality and monotonicity on every sample), its
+    empirical threshold N*, the least depth from which every main equality
+    verified, and the auxiliary verifiers at N*: preservation and control
+    colons for every sample, and the Artin-Rees comparison for sample 0."""
+    records: list[VerdictRecord] = []
+    n_star = None
+    lo, hi = config.n_range
+    for n in range(lo, hi + 1):
+        at_n = sample_records(ws, config, n, (check_main_equality,
+                                              check_surjection_monotonicity))
+        records.extend(at_n)
+        if any(r.claim == "main-equality" and r.outcome != VERIFIED
+               for r in at_n):
+            n_star = None
+        elif n_star is None:
+            n_star = n
     if n_star is None:
         return records, None
-    for s in range(config.samples):
-        eps = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
-                              spawn=(n_star, s))
-        records.append(check_perturbed_filter_regular(ws, eps)
-                       .with_context(n_star, s))
-        records.append(check_control_colon(ws, eps).with_context(n_star, s))
-    eps0 = sample_in_power(ws.ring, n_star, config.seed, len(ws.fs),
-                           spawn=(n_star, 0))
-    records.append(report_ar_comparison(ws, eps0).with_context(n_star, 0))
+    records.extend(sample_records(ws, config, n_star, (
+        check_perturbed_filter_regular, check_control_colon)))
+    records.extend(sample_records(ws, replace(config, samples=1), n_star,
+                                  (report_ar_comparison,)))
     return records, n_star
 
 

@@ -207,11 +207,11 @@ def test_criterion_6_negative_control():
     for depth in range(1, 9):
         eps = (ring.element(f"x^{depth}"),)
         pert = ws.gr_perturbed(eps)
-        main = check_main_equality(ws, eps, pert_table=pert)
+        main = check_main_equality(ws, eps)
         # the perturbed quotient is a truncated line of total length depth+1,
         # so the first graded mismatch sits at depth+1
         expected_witness = depth + 1
-        mono = check_surjection_monotonicity(ws, eps, pert_table=pert)
+        mono = check_surjection_monotonicity(ws, eps)
         pointwise = all(p <= o for p, o in zip(pert.values(),
                                                ws.gr_orig.values()))
         step_ok = (main.outcome == VIOLATED

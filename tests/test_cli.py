@@ -13,7 +13,7 @@ from hypothesis import (HealthCheck, event, example, given, settings,
 
 from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_table, main,
                          parse_manifest, run_manifest)
-from pertlab.errors import ManifestError
+from pertlab.errors import ManifestError, PertlabError
 from pertlab.harness import ExperimentConfig, RingSpec
 
 REMARK = """
@@ -68,11 +68,13 @@ def test_parse_manifest_fields():
                        "samples = 4\nclaim = monotonicity\nepsilon = y^3\n")
     fixture = ExperimentConfig.from_catalog("node-branch")
     assert m.config == replace(fixture, ring=replace(fixture.ring, D=9),
-                               j_exprs=("x", "y^2"), samples=4)
-    assert (m.claim, m.epsilon, m.n_single) == ("monotonicity", ("y^3",), 3)
+                               j_exprs=("x", "y^2"), samples=4,
+                               n_range=(3, 3))
+    assert (m.claim, m.epsilon, m.config.n_range) == ("monotonicity",
+                                                      ("y^3",), (3, 3))
     sweep = parse_manifest(_task_manifest(command="find-min-n",
                                           catalog="node-branch", N="1..6"))
-    assert (sweep.config.n_range, sweep.n_single) == ((1, 6), None)
+    assert sweep.config.n_range == (1, 6)
 
 
 def test_manifest_errors():
@@ -429,6 +431,22 @@ REJECTED = {
                                        catalog="regular-line", claim="main",
                                        epsilon="x", N=3),
                         "'x' has order 1, below N = 3"),
+    "verify-N-range": (_task_manifest(command="verify",
+                                      catalog="regular-line", N="1..2"),
+                       "a single N"),
+    # Misspelled keys, once ignored: without gens, f = y on F_5[x,y]
+    # answered "true", and samples kept its default.
+    "ring-key-gen": ("[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                     "vars = x, y\ngen = x*y\nD = 8\n\n[task]\n"
+                     "command = check-filter-regular\nf = y\n",
+                     "unknown key 'gen' in [ring]"),
+    "task-key-sampels": (_task_manifest(command="find-min-n",
+                                        catalog="regular-line", N="1..2",
+                                        sampels=3),
+                         "unknown key 'sampels' in [task]"),
+    "unknown-section": (_task_manifest(command="hilbert",
+                                       catalog="regular-line")
+                        + "\n[rings]\np = 5\n", "unknown section [rings]"),
 }
 
 
@@ -446,6 +464,65 @@ def test_rejected_manifest_exits_two(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and phrase in err
     assert "Traceback" not in err
+
+
+def test_single_depth_is_a_one_depth_sweep():
+    """N = a is the range a..a: experiment and find-min-n sweep that depth
+    as N = a..a does, and verify samples at it."""
+    for command in ("experiment", "find-min-n"):
+        single, ranged = (run_manifest(_task_manifest(
+            command=command, catalog="regular-line", n_max=4, N=n, samples=2))
+            for n in ("2", "2..2"))
+        assert single.config.n_range == (2, 2) and single.n_star == 2
+        assert emit_csv(single) == emit_csv(ranged)
+        assert {r["N"] for r in single.rows()
+                if r["claim"] == "main-equality"} == {2}
+    rows = run_manifest(_task_manifest(command="verify", catalog="regular-line",
+                                       n_max=4, N=2, samples=2)).rows()
+    assert [(r["N"], r["sample"]) for r in rows if r["n"] == 0] == \
+        [(2, 0), (2, 1)]
+
+
+AUTO_D_J_NOT_PRIMARY = """
+[manifest]
+format-version = 1
+
+[ring]
+p = 5
+vars = x, y, z
+gens = x*y, x*z
+D = auto
+
+[ideals]
+J = y, z
+
+[task]
+command = hilbert
+f = x + y, z
+J = J
+n_max = 4
+"""
+
+
+def test_auto_d_takes_the_level_of_f_plus_j():
+    """J = (y, z) is not m-primary on remark 2.4's ring, but (f) + J = m,
+    as the theorem asks: D = auto resolves through the level 1 of (f) + J to
+    D = 8, and every hs entry is exact and equals the oracle's length of
+    R/(f + J^(n+1))."""
+    from oracle import NaiveModel
+    result = run_manifest(AUTO_D_J_NOT_PRIMARY)
+    assert result.exit_code() == 0 and result.resolved_D == 8
+    model = NaiveModel(5, 3, 8, [{(1, 1, 0): 1}, {(1, 0, 1): 1}])
+    f = [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 1}]
+    j = [{(0, 1, 0): 1}, {(0, 0, 1): 1}]
+    hs = [(r["value_orig"], r["certification"]) for r in result.rows()
+          if r["claim"] == "hs-table"]
+    assert hs == [(model.length(model.ideal_span(
+        f + model.ideal_power_gens(j, n + 1))), "exact") for n in range(5)]
+    # J = (y) and (f) + J = (y, z): neither is m-primary.
+    with pytest.raises(PertlabError, match=r"neither J nor \(f\) \+ J"):
+        run_manifest(AUTO_D_J_NOT_PRIMARY.replace("J = y, z", "J = y")
+                     .replace("f = x + y, z", "f = z"))
 
 
 def test_n_max_up_to_explicit_d_is_accepted():

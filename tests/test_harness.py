@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.harness import (ExperimentConfig, RingSpec, find_min_N,
-                             resolve_ring, run_experiment, sample_in_power)
+from pertlab.harness import (ExperimentConfig, RingSpec, build_workspace,
+                             find_min_N, resolve_ring, run_experiment,
+                             sample_in_power)
 from pertlab.ideals import IdealHandle
 from pertlab.rings import build_ring
 from pertlab.verifiers import VIOLATED, Workspace
@@ -47,6 +48,14 @@ def test_resolve_ring_auto_d():
     assert ring.D == 11  # t_J = 1, so 1 * 9 + 2
     ring_small = resolve_ring(spec, ("x", "y"), 2)
     assert ring_small.D == 8  # floor of the selection rule
+
+
+@pytest.mark.parametrize("catalog_id", sorted(CATALOG))
+def test_catalog_filter_regular_expectation(catalog_id):
+    """Each catalog entry's documented filter-regularity is what its
+    workspace finds at the resolved D."""
+    ws = build_workspace(ExperimentConfig.from_catalog(catalog_id))
+    assert ws.sequence_report.passed == CATALOG[catalog_id].filter_regular
 
 
 def test_find_min_n_regular_line():

@@ -6,6 +6,8 @@ import ast
 import re
 from pathlib import Path
 
+from pertlab.cli import parse_manifest
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -29,3 +31,11 @@ def test_readme_quick_tour_results():
     assert shown == [("True", "True"),
                      ("(1, 1, 0, 0, 0, 0, 0)", "(1, 1, 0, 0, 0, 0, 0)"),
                      ("'verified'", "'verified'")]
+
+
+def test_readme_manifest_blocks_parse():
+    """Every ```ini block of the README is a manifest that parses as shown."""
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        parse_manifest(block)
