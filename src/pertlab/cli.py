@@ -145,6 +145,10 @@ def parse_manifest(text: str) -> Manifest:
     if command not in COMMANDS:
         raise ManifestError(f"unknown command {command!r}; known: "
                             + ", ".join(COMMANDS))
+    for key in ("claim", "epsilon"):
+        if key in task and command != "verify":
+            raise ManifestError(f"key {key!r} in [task] applies only to "
+                                f"command = verify, not {command}")
 
     fields = {key: _int(key, task[key], *bounds)
               for key, bounds in TASK_INTS.items() if key in task}

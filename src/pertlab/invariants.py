@@ -157,8 +157,10 @@ def _ar_window(i: IdealHandle, j: IdealHandle, n_max: int,
 def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
     """Subspace of J * (ideal carried by ``base``)."""
     ring = base.ring
-    stacked = np.vstack([ring.rows_times(base.rows, g.vec) for g in j.gens]
+    rows = base.rows
+    stacked = np.vstack([ring.rows_times(rows, g.vec) for g in j.gens]
                         + [ring.base_subspace.rows])
+    del rows
     r, piv = linalg.rref(stacked, ring.p)
     return Subspace(ring, r, piv)
 

@@ -28,8 +28,12 @@ with one multiply by a 0/1 column mask, and widens only the rows that hold
 an entry on a polynomial pivot, for a product with just the polynomial
 basis rows whose columns they hold; so the exactness bound above concerns
 those products alone.  ``rref`` tracks the unit mask of its growing basis,
-computed once per chunk; ``reduce_rows`` and ``merge`` accept a cached one
-(see ``unit_rows``).
+computed once per chunk.  A unit row is known by its pivot, so a basis is
+held whole by its pivots, its unit-row mask and its polynomial rows, which
+is all ``_reduce`` reads: that compact form is a ``Staircase``.
+``reduce_rows``, ``merge`` and ``intersect_rowspaces`` take a basis in
+either form, a ``Staircase`` as it is, and compact a dense one
+(``staircase``).
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
 rows of a block or of a basis exists.  Residues are widened in two places
@@ -43,8 +47,12 @@ place, a chunk at a time), the spanning rows of ``intersect_rowspaces``
 and the rounds of ``_echelon``.  ``_echelon`` takes and returns narrow
 rows and widens only each round's pivot rows, at most a chunk, to scale
 them and reduce them among themselves; a chunk already in RREF enters the
-basis as it is.  A basis has one dense form, its canonical narrow RREF, in
-which ``rref`` grows its basis too.
+basis as it is.  Stored bases (``rings.Subspace``) are staircases, never
+densified inside the kernel, except a compact A side of
+``intersect_rowspaces``, which is a block to reduce too.  Elimination
+outputs are dense canonical narrow RREFs, compacted once where a subspace
+is built; ``rref`` grows its basis in that dense form, and hands
+``_reduce`` its polynomial rows gathered once per chunk.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
@@ -132,6 +140,44 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1, dtype=acc) == 1
 
 
+class Staircase:
+    """An RREF basis in compact form: ``pivots`` ascending, the mask
+    ``unit`` of its unit rows, and ``poly``, its other rows, full width in
+    pivot order.  A unit row is its pivot alone, so the mask stores it.
+    ``shape`` is that of the dense basis, and ``rows`` materializes the
+    dense basis afresh on each read.  The kernel's basis parameters take
+    this form as it is (see ``staircase``)."""
+
+    __slots__ = ("pivots", "unit", "poly", "shape")
+
+    def __init__(self, pivots: np.ndarray, unit: np.ndarray, poly: np.ndarray):
+        self.pivots = pivots
+        self.unit = unit
+        self.poly = poly
+        self.shape = (pivots.size, poly.shape[1])
+
+    @property
+    def rows(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.poly.dtype)
+        at = self.unit.nonzero()[0]
+        out[at, self.pivots[at]] = 1
+        out[~self.unit] = self.poly
+        return _read_only(out)
+
+
+def staircase(rows, pivots: np.ndarray, unit: np.ndarray | None = None
+              ) -> Staircase:
+    """The basis given by its dense RREF ``rows`` and ``pivots`` as a
+    ``Staircase``; ``unit`` may carry its unit-row mask.  A ``Staircase``
+    comes back as it is.  The polynomial rows are gathered into a copy,
+    unless every row is polynomial."""
+    if isinstance(rows, Staircase):
+        return rows
+    if unit is None:
+        unit = unit_rows(rows)
+    return Staircase(pivots, unit, rows[~unit] if unit.any() else rows)
+
+
 _INV_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -211,20 +257,21 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 nil = _mod(nil @ nil, p)
             sel[poly] = sub
         sel = sel.astype(narrow_dtype(p))
+        if done is None and first.all():  # one round: sorted by pivot
+            return sel, piv
+        found = staircase(sel, piv, unit)
         if done is None:
             done, done_piv = sel, piv
         else:
-            done = np.vstack([_reduce(done, sel, piv, unit, p), sel])
+            done = np.vstack([_reduce(done, found, p), sel])
             done_piv = np.concatenate([done_piv, piv])
         if first.all():
             break
-        rest = _reduce(rest[order[~first]], sel, piv, unit, p)
+        rest = _reduce(rest[order[~first]], found, p)
         rest = rest[rest.any(axis=1)]
         if not rest.shape[0]:
             break
         lead = (rest != 0).argmax(axis=1)
-    if done is sel:  # one round: sorted by pivot already
-        return done, done_piv
     order = np.argsort(done_piv, kind="stable")
     return done[order], done_piv[order]
 
@@ -240,11 +287,9 @@ def _empty(ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             _read_only(np.zeros(0, dtype=np.int64)))
 
 
-def _reduce(out: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-            unit: np.ndarray, p: int) -> np.ndarray:
+def _reduce(out: np.ndarray, basis: Staircase, p: int) -> np.ndarray:
     """Normal form, in place, of each row of the writable narrow residue
-    array ``out`` against an RREF basis with unit-row mask ``unit``;
-    returns ``out``.
+    array ``out`` against an RREF ``basis``; returns ``out``.
 
     Unit rows take no arithmetic: one in-place multiply by a 0/1 column
     mask zeroes all their pivot columns in the narrow dtype.  Only the rows
@@ -256,17 +301,18 @@ def _reduce(out: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
     reduction.  The polynomial basis rows vanish on the unit pivot columns,
     so the two steps commute.
     """
-    dtype = _work_dtype(p, rows.shape[-1])
+    dtype = _work_dtype(p, basis.shape[1])
+    unit, poly = basis.unit, basis.poly
     if unit.any():
         keep = np.ones(out.shape[1], dtype=out.dtype)
-        keep[pivots[unit]] = 0
+        keep[basis.pivots[unit]] = 0
         out *= keep
-    poly = np.flatnonzero(~unit)
-    if not poly.size:
+    if not poly.shape[0]:
         return out
+    poly_piv = basis.pivots[~unit]
     for start in range(0, out.shape[0], _CHUNK):
         part = out[start:start + _CHUNK]
-        coeffs = part[:, pivots[poly]]
+        coeffs = part[:, poly_piv]
         hit = np.flatnonzero(coeffs.any(axis=1))
         if not hit.size:
             continue
@@ -275,52 +321,49 @@ def _reduce(out: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
         acc = part[hit].astype(dtype)
         for at in range(0, live.size, _CHUNK):
             take = live[at:at + _CHUNK]
-            acc -= (coeffs[:, take].astype(dtype)
-                    @ rows[poly[take]].astype(dtype))
+            acc -= (coeffs[:, take].astype(dtype) @ poly[take].astype(dtype))
         part[hit] = _mod(acc, p)
     return out
 
 
-def reduce_rows(block: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-                p: int, unit: np.ndarray | None = None) -> np.ndarray:
+def reduce_rows(block: np.ndarray, rows, pivots: np.ndarray,
+                p: int) -> np.ndarray:
     """Normal form of each row of ``block`` against an RREF basis, narrow
     and read-only.
 
-    One pass suffices because ``rows`` is fully reduced: subtracting
-    coeffs @ rows clears every pivot column exactly.  ``block`` is copied
-    narrow, reduced mod p ``_CHUNK`` rows at a time where it leaves
-    [0, p), and cleared in that copy (``_reduce``); it is never written.
-    ``unit`` may carry the cached unit-row mask of the basis (see
-    ``unit_rows``); of the basis itself, only the polynomial rows a product
-    uses are widened.
+    The basis is ``rows`` with pivots ``pivots``: its dense rows, or the
+    basis as a ``Staircase``, taken as it is.  One pass suffices because
+    the basis is fully reduced: subtracting coeffs @ rows clears every
+    pivot column exactly.  ``block`` is copied narrow, reduced mod p
+    ``_CHUNK`` rows at a time where it leaves [0, p), and cleared in that
+    copy (``_reduce``); it is never written.  Of the basis, only the
+    polynomial rows a product uses are widened.
     """
-    if unit is None:
-        unit = unit_rows(rows)
+    basis = staircase(rows, pivots)
     block = _residues(np.asarray(block), p, narrow_dtype(p))
-    return _read_only(_reduce(block, rows, pivots, unit, p))
+    return _read_only(_reduce(block, basis, p))
 
 
-def _touched(rows: np.ndarray, unit: np.ndarray,
-             new_pivots: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a narrow basis with unit-row mask ``unit``
-    that hold an entry at one of ``new_pivots``.  New rows are reduced
-    against the basis, so a unit row vanishes on every new pivot column:
-    only polynomial rows can be touched."""
-    poly = np.flatnonzero(~unit)
+def _touched(basis: Staircase, new_pivots: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``basis`` that hold an entry at one of
+    ``new_pivots``.  New rows are reduced against the basis, so a unit row
+    vanishes on every new pivot column: only polynomial rows can be
+    touched."""
+    poly = np.flatnonzero(~basis.unit)
     if not poly.size:
         return poly
-    return poly[rows[np.ix_(poly, new_pivots)].any(axis=1)]
+    return poly[basis.poly[:, new_pivots].any(axis=1)]
 
 
-def _reduce_at(out: np.ndarray, index: np.ndarray, rows: np.ndarray,
-               pivots: np.ndarray, unit: np.ndarray, p: int) -> np.ndarray:
+def _reduce_at(out: np.ndarray, index: np.ndarray, basis: Staircase,
+               p: int) -> np.ndarray:
     """Clear, in place, the rows ``index`` of the writable narrow array
-    ``out`` against an RREF basis by ``_reduce``, gathering at most
+    ``out`` against an RREF ``basis`` by ``_reduce``, gathering at most
     ``_CHUNK`` of them at a time; returns their new unit-row mask."""
     now_unit = np.empty(index.size, dtype=bool)
     for start in range(0, index.size, _CHUNK):
         at = index[start:start + _CHUNK]
-        part = _reduce(out[at], rows, pivots, unit, p)
+        part = _reduce(out[at], basis, p)
         out[at] = part
         now_unit[start:start + _CHUNK] = unit_rows(part)
     return now_unit
@@ -334,14 +377,18 @@ def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
     back narrow, as it is when already in RREF; its unit-row mask is
     computed once, for clearing the touched basis rows and for the basis.
     The chunk's work buffers die with the call."""
-    chunk = reduce_rows(rows, basis[:r], pivots[:r], p, unit=unit[:r])
+    held = staircase(basis[:r], pivots[:r], unit[:r])
+    chunk = reduce_rows(rows, held, pivots[:r], p)
     chunk = chunk[np.any(chunk, axis=1)]
     if chunk.shape[0] == 0:
         return r
     new_rows, new_pivots = _echelon(chunk, p)
     new_unit = unit_rows(new_rows)
-    part = _touched(basis[:r], unit[:r], new_pivots)
-    unit[part] = _reduce_at(basis, part, new_rows, new_pivots, new_unit, p)
+    part = _touched(held, new_pivots)
+    del held
+    if part.size:
+        unit[part] = _reduce_at(basis, part,
+                                staircase(new_rows, new_pivots, new_unit), p)
     k = new_pivots.size
     basis[r:r + k] = new_rows
     pivots[r:r + k] = new_pivots
@@ -384,37 +431,46 @@ def rank(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[0].shape[0]
 
 
-def merge(rows: np.ndarray, pivots: np.ndarray, extra: np.ndarray,
-          p: int, unit: np.ndarray | None = None
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF;
-    ``unit`` may carry the cached unit-row mask of ``rows``.  When ``extra``
-    adds nothing, ``rows`` and ``pivots`` come back as they are, narrowed.
-    ``extra`` goes to ``reduce_rows`` as it is.  Old and new rows go
-    straight to their sorted places in the output; the old polynomial rows
-    that the new pivots touch are cleared through ``_reduce``."""
+def merge(rows, pivots: np.ndarray, extra: np.ndarray,
+          p: int) -> tuple[np.ndarray, np.ndarray]:
+    """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF
+    ``rows`` with pivots ``pivots``, dense or a ``Staircase`` (see
+    ``reduce_rows``).  When ``extra`` adds nothing, ``rows`` and ``pivots``
+    come back as they are, dense rows narrowed.  ``extra`` goes to
+    ``reduce_rows`` as it is.  Old and new rows go straight to their sorted
+    places in the dense output, the old unit rows set from their pivots;
+    the old polynomial rows that the new pivots touch are cleared through
+    ``_reduce``."""
     if rows.shape[0] == 0:
         return rref(extra, p)
     if extra.shape[0] == 0:
-        return narrow(rows, p), pivots
-    if unit is None:
-        unit = unit_rows(rows)
-    reduced = reduce_rows(extra, rows, pivots, p, unit=unit)
+        return _unchanged(rows, pivots, p)
+    basis = staircase(rows, pivots)
+    reduced = reduce_rows(extra, basis, pivots, p)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
-        return narrow(rows, p), pivots
+        return _unchanged(rows, pivots, p)
     new_rows, new_pivots = rref(reduced, p)
     del reduced
     merged_piv = np.concatenate([pivots, new_pivots])
     order = np.argsort(merged_piv, kind="stable")
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
-    out = np.empty((order.size, rows.shape[1]), dtype=narrow_dtype(p))
-    out[place[:rows.shape[0]]] = rows
-    out[place[rows.shape[0]:]] = new_rows
-    _reduce_at(out, place[_touched(rows, unit, new_pivots)], new_rows,
-               new_pivots, unit_rows(new_rows), p)
+    out = np.zeros((order.size, basis.shape[1]), dtype=narrow_dtype(p))
+    old = place[:pivots.size]
+    out[old[basis.unit], pivots[basis.unit]] = 1
+    out[old[~basis.unit]] = basis.poly
+    out[place[pivots.size:]] = new_rows
+    touched = _touched(basis, new_pivots)
+    if touched.size:
+        _reduce_at(out, old[touched], staircase(new_rows, new_pivots), p)
     return _read_only(out), _read_only(merged_piv[order])
+
+
+def _unchanged(rows, pivots: np.ndarray, p: int):
+    if isinstance(rows, Staircase):
+        return rows, pivots
+    return narrow(rows, p), pivots
 
 
 def nonpivots(pivots: np.ndarray, ncols: int) -> np.ndarray:
@@ -458,10 +514,10 @@ def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return nullspace(np.ascontiguousarray(np.asarray(mat).T), p)
 
 
-def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
-                        rows_b: np.ndarray, piv_b: np.ndarray,
+def intersect_rowspaces(rows_a, piv_a: np.ndarray, rows_b, piv_b: np.ndarray,
                         p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF basis of the intersection of two rowspaces.
+    """RREF basis of the intersection of two rowspaces, each given by its
+    RREF rows and pivots, dense or a ``Staircase`` (see ``reduce_rows``).
 
     Works through the cokernel of the side with fewer non-pivot columns:
     v = c @ A lies in B iff c kills the reduction of A's rows modulo B.
@@ -477,13 +533,15 @@ def intersect_rowspaces(rows_a: np.ndarray, piv_a: np.ndarray,
     # Prefer reducing against the side whose cokernel is smaller.
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
-    residue = reduce_rows(rows_a, rows_b, piv_b, p)
+    # A is the block reduced here, so a compact A is materialized for it.
+    residue = reduce_rows(rows_a.rows if isinstance(rows_a, Staircase)
+                          else rows_a, rows_b, piv_b, p)
     combos = left_nullspace(residue[:, nonpivots(piv_b, ncols)], p)
     if combos.shape[0] == 0:
         return _empty(ncols, p)
     span = np.zeros((combos.shape[0], ncols), dtype=narrow_dtype(p))
     # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
     span[:, piv_a] = (p - combos) % p
-    span = _reduce(span, rows_a, piv_a, unit_rows(rows_a), p)
+    span = _reduce(span, staircase(rows_a, piv_a), p)
     span[:, piv_a] = combos
     return rref(span, p)

@@ -31,15 +31,18 @@ from .errors import RingConstructionError, RingMismatchError, TruncationError
 from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 
-# Largest supported number M of monomials below D.  Each subspace keeps one
-# dense form, its RREF in uint8 (p <= 251) or uint16, and multiplication
-# matrices, ring products, coordinate blocks, the elimination kernel's
-# growing basis and every elimination output are dense and narrow too:
-# arrays of up to M x M residues, 100 MB each at the cap in uint8 and 200 MB
-# in uint16, so larger rings are rejected before any of them is built.  The
-# elimination kernel makes no float (4 or 8 bytes a residue) or int64 copy
-# of more than ``linalg._CHUNK`` rows of such a block, and a ring product
-# widens, to uint16 or uint32, only the one monomial's terms it is adding.
+# Largest supported number M of monomials below D.  A stored subspace keeps
+# its unit rows as a pivot mask and only its polynomial rows, a few percent
+# of the rank of an ideal subspace, in uint8 (p <= 251) or uint16.  What is
+# built for one operation is dense and narrow: multiplication matrices, ring
+# products, coordinate blocks, a subspace's rows materialized as a block to
+# eliminate or multiply, the elimination kernel's growing basis and every
+# elimination output, arrays of up to M x M residues, 100 MB each at the
+# cap in uint8 and 200 MB in uint16, so larger rings are rejected before
+# any of them is built.  The elimination kernel makes no float (4 or 8
+# bytes a residue) or int64 copy of more than ``linalg._CHUNK`` rows of such
+# a block, and a ring product widens, to uint16 or uint32, only the one
+# monomial's terms it is adding.
 MAX_MONOMIALS = 10_000
 
 # Largest supported exponent-key table.  Monomial products are looked up in
@@ -67,45 +70,55 @@ def default_truncation(t_j: int, n_max: int) -> int:
     return max(t_j * (n_max + 1) + 2, 8)
 
 
-class Subspace:
-    """A linear subspace of the ambient coordinate space, in canonical RREF.
+class Subspace(linalg.Staircase):
+    """A linear subspace of the ambient coordinate space, in canonical RREF,
+    stored as a ``linalg.Staircase``: pivots, unit-row mask and polynomial
+    rows.
 
-    Membership testing is reduction to zero; equality of subspaces is plain
-    array equality because the RREF is canonical for the fixed column order.
-    Instances are immutable: ``rows`` is a read-only copy in
-    ``linalg.narrow_dtype(p)`` that owns its data, and any signed arithmetic
-    on it must first promote to int64.
+    Ideal subspaces are almost all monomials, so this is a small fraction
+    of the dense form, and the kernel takes the subspace itself as a basis.
+    ``rows`` materializes the dense RREF, read-only in
+    ``linalg.narrow_dtype(p)``, afresh on each read, for a block that is an
+    input itself: a stacked elimination input or a ring product.
+    Membership testing is reduction to zero; equality of subspaces is
+    equality of the compact fields, because the RREF is canonical for the
+    fixed column order.  Instances are immutable, and signed arithmetic on
+    their rows must first promote to int64.
     """
 
-    __slots__ = ("ring", "rows", "pivots", "_unit")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
         self.ring = ring
-        # A copy of its own, made once the kernel's work buffers are freed:
-        # keeping the kernel's output alive instead fragments the heap.
-        self.rows = np.array(rows, dtype=linalg.narrow_dtype(ring.p))
-        self.rows.flags.writeable = False
-        self.pivots = pivots
-        self._unit: np.ndarray | None = None
+        # In canonical RREF every row holds its pivot, so one nonzero per
+        # row means all unit rows, as for monomial ideals; otherwise a row
+        # is a unit row exactly when it vanishes on every nonpivot column.
+        # Both reads are faster than the row sums of ``linalg.unit_rows``.
+        if np.count_nonzero(rows) == rows.shape[0]:
+            unit = np.ones(rows.shape[0], dtype=bool)
+        else:
+            free = np.ones(rows.shape[1], dtype=bool)
+            free[pivots] = False
+            unit = ~rows[:, free].any(axis=1)
+        # The polynomial rows in a narrow copy of their own, made once the
+        # kernel's work buffers are freed: keeping the kernel's output alive
+        # instead fragments the heap.
+        poly = np.asarray(rows[~unit], dtype=linalg.narrow_dtype(ring.p))
+        for a in (unit, poly):
+            a.flags.writeable = False
+        super().__init__(pivots, unit, poly)
 
     @property
     def rank(self) -> int:
-        return self.rows.shape[0]
-
-    def unit_rows(self) -> np.ndarray:
-        """Mask of the monomial rows (see ``linalg.unit_rows``), computed
-        once per subspace."""
-        if self._unit is None:
-            self._unit = linalg.unit_rows(self.rows)
-        return self._unit
+        return self.pivots.size
 
     def nonpivots(self) -> np.ndarray:
         return linalg.nonpivots(self.pivots, self.ring.M)
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Normal form of each row of ``vectors`` against this subspace."""
-        return linalg.reduce_rows(np.atleast_2d(vectors), self.rows, self.pivots,
-                                  self.ring.p, self.unit_rows())
+        return linalg.reduce_rows(np.atleast_2d(vectors), self, self.pivots,
+                                  self.ring.p)
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -118,10 +131,10 @@ class Subspace:
         return not self.reduce(other.rows).any()
 
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
-        rows, pivots = linalg.merge(self.rows, self.pivots,
-                                    np.atleast_2d(extra), self.ring.p,
-                                    self.unit_rows())
-        return Subspace(self.ring, rows, pivots)
+        rows, pivots = linalg.merge(self, self.pivots, np.atleast_2d(extra),
+                                    self.ring.p)
+        # merge gives a basis it did not extend back as it is.
+        return self if rows is self else Subspace(self.ring, rows, pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ring(other)
@@ -132,7 +145,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ring(other)
         rows, pivots = linalg.intersect_rowspaces(
-            self.rows, self.pivots, other.rows, other.pivots, self.ring.p)
+            self, self.pivots, other, other.pivots, self.ring.p)
         return Subspace(self.ring, rows, pivots)
 
     def prefix_rank(self, cut: int) -> int:
@@ -150,10 +163,13 @@ class Subspace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ring is other.ring and np.array_equal(self.rows, other.rows)
+        return (self.ring is other.ring
+                and np.array_equal(self.pivots, other.pivots)
+                and np.array_equal(self.unit, other.unit)
+                and np.array_equal(self.poly, other.poly))
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.rows.tobytes()))
+        return hash((id(self.ring), self.pivots.tobytes(), self.poly.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(rank={self.rank}, dim_V={self.ring.M})"
@@ -491,9 +507,13 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
         return True
     cut = hi
     keep = subspace.prefix_rank(cut)
-    low_rows = subspace.rows[:keep, :cut]
-    low_piv = subspace.pivots[:keep]
+    # The rows with pivot below cut, on the first cut columns: a view of
+    # the compact form.  A polynomial row may lose its tail there and become
+    # a unit row; clearing by it as a polynomial row is still exact.
+    unit = subspace.unit[:keep]
+    low = linalg.Staircase(subspace.pivots[:keep], unit,
+                           subspace.poly[:np.count_nonzero(~unit), :cut])
     block = np.zeros((hi - lo, cut), dtype=linalg.narrow_dtype(ring.p))
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
-    reduced = linalg.reduce_rows(block, low_rows, low_piv, ring.p)
+    reduced = linalg.reduce_rows(block, low, low.pivots, ring.p)
     return not reduced.any()

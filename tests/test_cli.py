@@ -304,6 +304,11 @@ EXTRA_JUNK = {
 def manifest_texts(draw):
     fields = {key: draw(st.sampled_from(values))
               for key, values in VALID_FIELDS.items()}
+    if fields[("task", "command")] != "verify":
+        # verify-only keys stop any other command at parsing; drawn only as
+        # junk there, so other commands still reach execution.
+        for key in (("task", "claim"), ("task", "epsilon")):
+            del fields[key]
     if draw(st.booleans()):
         fields = {k: v for k, v in fields.items() if k[0] != "ring"}
     else:
@@ -447,6 +452,17 @@ REJECTED = {
     "unknown-section": (_task_manifest(command="hilbert",
                                        catalog="regular-line")
                         + "\n[rings]\np = 5\n", "unknown section [rings]"),
+    # verify-only keys, once ignored elsewhere: this experiment ran its
+    # sampled sweep and exited 0.
+    "experiment-claim-epsilon": (_task_manifest(command="experiment",
+                                                catalog="regular-line",
+                                                N="1..2", samples=1,
+                                                epsilon="x", claim="nope"),
+                                 "'claim' in [task] applies only to "
+                                 "command = verify, not experiment"),
+    "hilbert-claim": (_task_manifest(command="hilbert", catalog="regular-line",
+                                     claim="main"),
+                      "'claim' in [task] applies only to command = verify"),
 }
 
 

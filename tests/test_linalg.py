@@ -770,6 +770,24 @@ def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
                      ncols, p)
     assert_canonical(*linalg.rref(block, p), *ref_rref(block, p), ncols, p)
 
+    # The same basis as a Staircase: unit rows as a mask, polynomial rows
+    # alone, taken by the kernel as it is.
+    compact = linalg.staircase(basis, basis_piv)
+    assert compact.shape == basis.shape and np.array_equal(compact.rows, basis)
+    assert compact.poly.shape[0] == np.count_nonzero(~compact.unit)
+    assert np.array_equal(
+        linalg.reduce_rows(block, compact, basis_piv, p), normal)
+    got, got_piv = linalg.merge(compact, basis_piv, block, p)
+    assert np.array_equal(linalg.staircase(got, got_piv).rows, merged)
+    assert np.array_equal(got_piv, merged_piv)
+    other, other_piv = linalg.rref(block, p)
+    inter = linalg.intersect_rowspaces(basis, basis_piv, other, other_piv, p)
+    for sides in ((compact, basis_piv, other, other_piv),
+                  (other, other_piv, compact, basis_piv)):
+        got, got_piv = linalg.intersect_rowspaces(*sides, p)
+        assert np.array_equal(got, inter[0])
+        assert np.array_equal(got_piv, inter[1])
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(NARROW_FIRST_PRIMES), st.sampled_from(BASIS_KINDS),

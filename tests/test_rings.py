@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,14 +322,14 @@ def test_element_negative_power_raises():
 @pytest.mark.parametrize("gens, D", [(["x*y"], 7), (["x^2 + y*z", "y^3"], 6),
                                      ([], 5)])
 def test_subspace_unit_mask_matches_kernel(gens, D):
-    """Subspace.reduce and sum_rows pass their cached unit mask; the results
-    equal the kernel computing the mask itself."""
+    """Subspace.reduce and sum_rows pass their compact form, unit mask
+    included; the results equal the kernel on the dense rows."""
     ring = build_ring(5, ("x", "y", "z"), gens, D)
     rng = np.random.default_rng(31)
     subspaces = [ring.base_subspace, ring.power_span(2),
                  ring.ideal_subspace([ring.element("x + y^2"), ring.element("z^2")])]
     for sub in subspaces:
-        assert sub.unit_rows().tolist() == [
+        assert sub.unit.tolist() == [
             np.count_nonzero(row) == 1 for row in sub.rows]
         vecs = rng.integers(-5, 10, (40, ring.M))
         assert np.array_equal(sub.reduce(vecs), linalg.reduce_rows(
@@ -342,15 +344,6 @@ def test_subspace_unit_mask_matches_kernel(gens, D):
 # -- narrow storage against the int64 path ---------------------------------------
 
 NARROW_PRIMES = [2, 3, 251, 257, 65521]
-
-
-def _wide(sub):
-    """The subspace with int64 rows, past the narrowing constructor, so that
-    every method runs the int64 path."""
-    wide = Subspace.__new__(Subspace)
-    wide.ring, wide.pivots, wide._unit = sub.ring, sub.pivots, None
-    wide.rows = sub.rows.astype(np.int64)
-    return wide
 
 
 @st.composite
@@ -380,11 +373,13 @@ def rings_with_subspaces(draw):
 @settings(max_examples=60, deadline=None)
 @given(rings_with_subspaces(), st.integers(0, 2 ** 32 - 1))
 def test_narrow_subspaces_match_the_int64_path(case, seed):
-    """Every Subspace method, the Nakayama certificate and the raw product
-    give on narrow rows what they give on int64 copies of them."""
+    """Every method of the compact Subspace, the Nakayama certificate and
+    the raw product give what the dense kernel gives on int64 copies of the
+    materialized rows; Subspace.reduce hands reduce_rows the compact basis,
+    of the dense shape (rank, M)."""
     ring, (a, b) = case
     p = ring.p
-    wa, wb = _wide(a), _wide(b)
+    wa, wb = a.rows.astype(np.int64), b.rows.astype(np.int64)
     for sub in (a, b):
         assert sub.rows.dtype == (np.uint8 if p <= 251 else np.uint16)
         assert not sub.rows.flags.writeable
@@ -393,21 +388,33 @@ def test_narrow_subspaces_match_the_int64_path(case, seed):
     rng = np.random.default_rng(seed)
     vecs = rng.integers(-p, 2 * p, (6, ring.M))
     extra = rng.integers(0, p, (3, ring.M)) * (rng.random((3, ring.M)) < 0.3)
-    assert np.array_equal(a.reduce(vecs), wa.reduce(vecs))
-    assert a.sum_rows(extra) == wa.sum_rows(extra)
-    assert a.sum(b) == wa.sum(wb)
-    assert a.intersect(b) == wa.intersect(wb)
-    assert (a.contains(b), b.contains(a)) == (wa.contains(wb), wb.contains(wa))
-    assert (a == b) == (wa == wb)
-    rebuilt = Subspace(ring, wa.rows, a.pivots)
+    with mock.patch.object(linalg, "reduce_rows",
+                           wraps=linalg.reduce_rows) as spy:
+        normal = a.reduce(vecs)
+    assert spy.call_args.args[1] is a
+    assert spy.call_args.args[1].shape == (a.rank, ring.M)
+    assert np.array_equal(normal, linalg.reduce_rows(vecs, wa, a.pivots, p))
+    assert a.sum_rows(extra) == Subspace(
+        ring, *linalg.merge(wa, a.pivots, extra, p))
+    assert a.sum(b) == Subspace(ring, *linalg.rref(np.vstack([wa, wb]), p))
+    assert a.intersect(b) == Subspace(
+        ring, *linalg.intersect_rowspaces(wa, a.pivots, wb, b.pivots, p))
+    assert (a.contains(b), b.contains(a)) == (
+        not linalg.reduce_rows(wb, wa, a.pivots, p).any(),
+        not linalg.reduce_rows(wa, wb, b.pivots, p).any())
+    assert (a == b) == np.array_equal(wa, wb)
+    rebuilt = Subspace(ring, wa, a.pivots)
     assert rebuilt == a and hash(rebuilt) == hash(a)
     for t in range(1, ring.D):
-        assert (nakayama_contains_power(ring, a, t)
-                == nakayama_contains_power(ring, wa, t))
+        lo, hi = ring.cut(t), ring.cut(t + 1)
+        keep = a.prefix_rank(hi)
+        unit_vectors = np.eye(ring.M, dtype=np.int64)[lo:hi, :hi]
+        assert nakayama_contains_power(ring, a, t) == (not linalg.reduce_rows(
+            unit_vectors, wa[:keep, :hi], a.pivots[:keep], p).any())
     vec = rng.integers(0, p, ring.M)
     vec[rng.integers(0, ring.M, 3)] = p - 1
     assert np.array_equal(ring.rows_times(a.rows, vec),
-                          ring.rows_times(wa.rows, vec))
+                          ring.rows_times(wa, vec))
 
 
 @pytest.mark.parametrize("p", [251, 65521])
@@ -488,8 +495,9 @@ def test_element_arithmetic_at_p_251_matches_oracle():
 
 
 def test_subspace_rows_are_compact_and_own_their_data():
-    """A subspace keeps a compact narrow copy of its rows, also when built
-    from a view of a larger array, so no kernel buffer stays alive."""
+    """A subspace keeps a narrow copy of its polynomial rows alone, also when
+    built from a view of a larger array, so no kernel buffer stays alive;
+    its dense rows are materialized afresh."""
     ring = build_ring(251, ("x", "y"), ["x*y"], 6)
     f = ring.element("200*x + 250*y^2")
     subs = [ring.base_subspace, ring.ideal_subspace([f]), ring.power_span(2),
@@ -498,8 +506,12 @@ def test_subspace_rows_are_compact_and_own_their_data():
     identity = linalg.narrow(np.eye(ring.M), ring.p)
     subs.append(Subspace(ring, identity[:4], np.arange(4)))
     for sub in subs:
+        assert sub.poly.base is None and sub.poly.flags.c_contiguous
+        assert sub.poly.dtype == np.uint8 and not sub.poly.flags.writeable
+        assert sub.poly.shape == (np.count_nonzero(~sub.unit), ring.M)
         assert sub.rows.base is None and sub.rows.flags.c_contiguous
         assert sub.rows.dtype == np.uint8 and not sub.rows.flags.writeable
+        assert sub.rows is not sub.rows
 
 
 def test_rebuild_refuses_a_generator_truncated_below_the_new_order():
