@@ -155,18 +155,23 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     ring = target.ring
     if elem.is_zero():
         # Everything multiplies zero into the target: the unit subspace,
-        # whose RREF is the identity.
-        return Subspace(ring, np.eye(ring.M, dtype=linalg.narrow_dtype(ring.p)),
-                        np.arange(ring.M))
-    # One expression, so the M x M products and their residues are freed
-    # before the nullspace's elimination runs.
+        # every row a unit row.
+        pivots = np.arange(ring.M)
+        unit = np.ones(ring.M, dtype=bool)
+        poly = np.zeros((0, ring.M), dtype=linalg.narrow_dtype(ring.p))
+        for a in (pivots, unit, poly):
+            a.flags.writeable = False
+        return Subspace(ring, linalg.Staircase(pivots, unit, poly), pivots)
+    # One expression: the M x M products are reduced where they stand, and
+    # freed once their columns off the target's pivots are gathered, before
+    # the nullspace's elimination runs.
     kernel = linalg.left_nullspace(
-        target.reduce(mult_matrix(ring, elem))[:, target.nonpivots()], ring.p)
+        target.reduce(mult_matrix(ring, elem), in_place=True)[
+            :, target.nonpivots()], ring.p)
     # The kernel is already in RREF, so this elimination passes it through
     # unchanged.  It stays only because removing it moves the benchmark's
     # exact rref and reduce_rows counters (ROADMAP item 2).
-    rows, piv = linalg.rref(kernel, ring.p)
-    return Subspace(ring, rows, piv)
+    return Subspace(ring, *linalg.rref(kernel, ring.p))
 
 
 def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:

@@ -72,7 +72,8 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
         t = powers.cert_level(n + 1)
         if t is not None:
             # The full reduction dies before the rank's elimination runs.
-            extra = linalg.rank(i_sub.reduce(psub.rows)[:, nonpiv], ring.p)
+            extra = linalg.rank(
+                i_sub.reduce(psub.dense(), in_place=True)[:, nonpiv], ring.p)
             codim = ring.M - i_sub.rank - extra
             entries.append(CertifiedValue(codim, EXACT, (ring.D,),
                                           note=f"m^{t} inside J^{n + 1}"))
@@ -158,11 +159,16 @@ def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
     """Subspace of J * (ideal carried by ``base``)."""
     ring = base.ring
     rows = base.rows
-    stacked = np.vstack([ring.rows_times(rows, g.vec) for g in j.gens]
-                        + [ring.base_subspace.rows])
+    # One narrow block, each product written once into its place, the
+    # base ideal's rows last.
+    k, top = rows.shape[0], rows.shape[0] * len(j.gens)
+    stacked = np.zeros((top + ring.base_subspace.rank, ring.M),
+                       dtype=linalg.narrow_dtype(ring.p))
+    for at, g in enumerate(j.gens):
+        ring.rows_times(rows, g.vec, out=stacked[at * k:(at + 1) * k])
     del rows
-    r, piv = linalg.rref(stacked, ring.p)
-    return Subspace(ring, r, piv)
+    ring.base_subspace.dense(stacked[top:])
+    return Subspace(ring, *linalg.rref(stacked, ring.p))
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +186,50 @@ def order_profile(upper: Subspace, lower: Subspace,
     return [upper.prefix_rank(c) - lower.prefix_rank(c) for c in cuts]
 
 
-def annihilator_profile(start_rows: np.ndarray,
+def annihilator_profile(start: linalg.Staircase,
                         target: Subspace) -> list[int | None]:
-    """Profile w -> least h with m^h * span(start_rows) within
-    target + (order >= w); always finite at the truncated level, so the
-    honest reading is the value on the widest plateau."""
+    """Profile w -> least h with m^h * span(start) within
+    target + (order >= w), for a basis ``start``; always finite at the
+    truncated level, so the honest reading is the value on the widest
+    plateau."""
     ring = target.ring
-    return _annihilator_chain(target, start_rows, ring.cuts,
+    return _annihilator_chain(target, start, ring.cuts,
                               ring.rows_times_variable)
 
 
-def _annihilator_chain(target: Subspace, start_rows: np.ndarray,
+def _annihilator_chain(target: Subspace, start: linalg.Staircase,
                        cuts: np.ndarray, times_var) -> list[int | None]:
-    """Annihilator profile of span(start_rows) modulo ``target``.
+    """Annihilator profile of span(start) modulo ``target``.
 
-    The h-th link of the chain m^h * span(start_rows) lies in
+    The h-th link of the chain m^h * span(start) lies in
     target + (order >= w) for w up to the order of its lowest surviving
     term (D once the chain dies).  ``cuts[w]`` counts the coordinates of
-    order < w and ``times_var(rows, v)`` multiplies rows by the v-th
-    variable, so the same chain serves ring and module coordinates.
+    order < w and ``times_var(rows, v, out)`` writes the rows times the
+    v-th variable into the zeroed narrow block ``out``, so the same chain
+    serves ring and module coordinates.  Each link's products are written
+    once into one block, which is reduced where it stands; the link's
+    elimination is compact, and its dense rows exist only to be
+    multiplied.
     """
     ring = target.ring
+    nvars = len(ring.vars)
     thresholds = []
-    rows, piv = linalg.rref(target.reduce(start_rows), ring.p)
+    basis, piv = linalg.rref(target.reduce(start.dense(), in_place=True),
+                             ring.p)
     for _h in range(ring.D + 1):
         if piv.size == 0:
             break
         # Pivots ascend, so the first is the lowest surviving column.
         w = int(np.searchsorted(cuts, piv[0], side="right")) - 1
         thresholds.append(max(w, 0))
-        nxt = np.vstack([times_var(rows, v) for v in range(len(ring.vars))])
-        rows, piv = linalg.rref(target.reduce(nxt), ring.p)
+        rows = basis.rows
+        k = rows.shape[0]
+        nxt = np.zeros((nvars * k, rows.shape[1]), dtype=rows.dtype)
+        for v in range(nvars):
+            times_var(rows, v, nxt[v * k:(v + 1) * k])
+        del rows, basis
+        basis, piv = linalg.rref(target.reduce(nxt, in_place=True), ring.p)
+        del nxt
     thresholds += [ring.D] * (ring.D + 1 - len(thresholds))
     return [next((h for h, t in enumerate(thresholds) if t >= w), None)
             for w in range(ring.D + 1)]
@@ -233,7 +252,7 @@ def _reduced_mult_matrix(elem) -> np.ndarray:
     coordinates, as narrow residues."""
     ring = elem.ring
     rows = ring.multiples(elem.vec, ring.std_cols)
-    return ring.base_subspace.reduce(rows)[:, ring.std_cols]
+    return ring.base_subspace.reduce(rows, in_place=True)[:, ring.std_cols]
 
 
 def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],
@@ -295,14 +314,14 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
         # annihilation exponent of the homology, module-level chain
         inv_perm = np.argsort(perm)
 
-        def times_var(rows: np.ndarray, v: int) -> np.ndarray:
+        def times_var(rows: np.ndarray, v: int, out: np.ndarray) -> None:
             blocks = rows[:, inv_perm].reshape(rows.shape[0], ncomp, d)
-            out = (blocks.astype(np.float64) @ var_mats[v].astype(np.float64))
-            out = out.astype(np.int64) % ring.p
-            return out.reshape(rows.shape[0], ncomp * d)[:, perm]
+            prod = (blocks.astype(np.float64) @ var_mats[v].astype(np.float64))
+            prod = prod.astype(np.int64) % ring.p
+            out[:] = prod.reshape(rows.shape[0], ncomp * d)[:, perm]
 
         h_val, h_resolved = plateau(
-            _annihilator_chain(lower, u_rows, cuts, times_var))
+            _annihilator_chain(lower, upper, cuts, times_var))
         if h_resolved:
             max_order = max((f.order() for f in fs), default=0)
             finite = h_val + max_order + 1 <= ring.D
@@ -369,7 +388,7 @@ def colon_plateaus(target: Subspace, f) -> tuple[tuple, tuple]:
     the least h with m^h (A : f) inside A, A the ideal of ``target``."""
     colon = colon_subspace(target, f)
     return (plateau(order_profile(colon, target, target.ring.cuts)),
-            plateau(annihilator_profile(colon.rows, target)))
+            plateau(annihilator_profile(colon, target)))
 
 
 def filter_regular_check(i: IdealHandle, f, delta: int = 2

@@ -27,13 +27,12 @@ dtype.  ``_reduce`` zeroes all the unit pivot columns of a narrow block
 with one multiply by a 0/1 column mask, and widens only the rows that hold
 an entry on a polynomial pivot, for a product with just the polynomial
 basis rows whose columns they hold; so the exactness bound above concerns
-those products alone.  ``rref`` tracks the unit mask of its growing basis,
-computed once per chunk.  A unit row is known by its pivot, so a basis is
+those products alone.  A unit row is known by its pivot, so a basis is
 held whole by its pivots, its unit-row mask and its polynomial rows, which
-is all ``_reduce`` reads: that compact form is a ``Staircase``.
-``reduce_rows``, ``merge`` and ``intersect_rowspaces`` take a basis in
-either form, a ``Staircase`` as it is, and compact a dense one
-(``staircase``).
+is all ``_reduce`` reads: that compact form is a ``Staircase``.  ``rref``,
+``merge`` and ``intersect_rowspaces`` return it, and ``reduce_rows``,
+``merge`` and ``intersect_rowspaces`` take a basis in either form, a
+``Staircase`` as it is, and compact a dense one (``staircase``).
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
 rows of a block or of a basis exists.  Residues are widened in two places
@@ -47,12 +46,19 @@ place, a chunk at a time), the spanning rows of ``intersect_rowspaces``
 and the rounds of ``_echelon``.  ``_echelon`` takes and returns narrow
 rows and widens only each round's pivot rows, at most a chunk, to scale
 them and reduce them among themselves; a chunk already in RREF enters the
-basis as it is.  Stored bases (``rings.Subspace``) are staircases, never
-densified inside the kernel, except a compact A side of
-``intersect_rowspaces``, which is a block to reduce too.  Elimination
-outputs are dense canonical narrow RREFs, compacted once where a subspace
-is built; ``rref`` grows its basis in that dense form, and hands
-``_reduce`` its polynomial rows gathered once per chunk.
+basis as it is.
+
+Elimination outputs are compact.  ``rref`` grows its basis as a
+staircase: pivots and unit mask, and only the polynomial rows, in a narrow
+buffer grown in place; a polynomial row that a later chunk's pivots clear
+down to its pivot moves to the mask.  ``merge`` builds its output the same
+way.  Stored bases (``rings.Subspace``) adopt these fields as they are.
+What is still dense is a block that is an input itself, built for one
+operation: a stacked elimination input, a product block, a basis
+materialized (``Staircase.rows`` or ``dense``) to be multiplied or
+reduced, and a kernel that ``nullspace`` returns.  A block built only to
+be reduced goes to ``reduce_rows`` with ``in_place``, which clears it
+where it stands; a caller's array passed without it is never written.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
@@ -60,7 +66,9 @@ already in RREF (the argument is in its docstring).  ``_echelon`` returns a
 block already in RREF after one check, and ``rref`` returns a basis found
 in pivot order without sorting it, so re-reducing such a kernel, as
 ``nullspace`` itself and ``colon_subspace`` still do until ROADMAP item 2
-deletes both calls, costs no round and no widening.
+deletes both calls, costs no round and no widening.  Of the reversed RREF
+only the polynomial rows are read: a unit row is zero on every free
+column.
 """
 
 from __future__ import annotations
@@ -115,7 +123,7 @@ def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
     copy of more rows exists.  An unsigned block cannot be negative, so only
     its maximum is checked."""
     if not a.size or ((a.dtype.kind == "u" or a.min() >= 0) and a.max() < p):
-        return a.astype(dtype)
+        return a.astype(dtype, order="C")
     out = np.empty(a.shape, dtype=dtype)
     for start in range(0, a.shape[0], _CHUNK):
         out[start:start + _CHUNK] = np.asarray(
@@ -144,9 +152,10 @@ class Staircase:
     """An RREF basis in compact form: ``pivots`` ascending, the mask
     ``unit`` of its unit rows, and ``poly``, its other rows, full width in
     pivot order.  A unit row is its pivot alone, so the mask stores it.
-    ``shape`` is that of the dense basis, and ``rows`` materializes the
-    dense basis afresh on each read.  The kernel's basis parameters take
-    this form as it is (see ``staircase``)."""
+    ``shape`` is that of the dense basis; ``dense`` writes the dense basis
+    out, and ``rows`` materializes it read-only, afresh on each read.
+    ``rref`` and ``merge`` return this form, and the kernel's basis
+    parameters take it as it is (see ``staircase``)."""
 
     __slots__ = ("pivots", "unit", "poly", "shape")
 
@@ -156,13 +165,19 @@ class Staircase:
         self.poly = poly
         self.shape = (pivots.size, poly.shape[1])
 
-    @property
-    def rows(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.poly.dtype)
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense RREF, written into ``out`` (zeros of this shape) or
+        into a fresh writable array."""
+        if out is None:
+            out = np.zeros(self.shape, dtype=self.poly.dtype)
         at = self.unit.nonzero()[0]
         out[at, self.pivots[at]] = 1
         out[~self.unit] = self.poly
-        return _read_only(out)
+        return out
+
+    @property
+    def rows(self) -> np.ndarray:
+        return _read_only(self.dense())
 
 
 def staircase(rows, pivots: np.ndarray, unit: np.ndarray | None = None
@@ -281,10 +296,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _empty(ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _empty(ncols: int, p: int) -> tuple[Staircase, np.ndarray]:
     """The RREF of the zero space: no rows, no pivots."""
-    return (_read_only(np.zeros((0, ncols), dtype=narrow_dtype(p))),
-            _read_only(np.zeros(0, dtype=np.int64)))
+    pivots = _read_only(np.zeros(0, dtype=np.int64))
+    return (Staircase(pivots, _read_only(np.zeros(0, dtype=bool)),
+                      _read_only(np.zeros((0, ncols), dtype=narrow_dtype(p)))),
+            pivots)
 
 
 def _reduce(out: np.ndarray, basis: Staircase, p: int) -> np.ndarray:
@@ -326,8 +343,8 @@ def _reduce(out: np.ndarray, basis: Staircase, p: int) -> np.ndarray:
     return out
 
 
-def reduce_rows(block: np.ndarray, rows, pivots: np.ndarray,
-                p: int) -> np.ndarray:
+def reduce_rows(block: np.ndarray, rows, pivots: np.ndarray, p: int, *,
+                in_place: bool = False) -> np.ndarray:
     """Normal form of each row of ``block`` against an RREF basis, narrow
     and read-only.
 
@@ -336,95 +353,134 @@ def reduce_rows(block: np.ndarray, rows, pivots: np.ndarray,
     the basis is fully reduced: subtracting coeffs @ rows clears every
     pivot column exactly.  ``block`` is copied narrow, reduced mod p
     ``_CHUNK`` rows at a time where it leaves [0, p), and cleared in that
-    copy (``_reduce``); it is never written.  Of the basis, only the
-    polynomial rows a product uses are widened.
+    copy (``_reduce``); it is never written.  With ``in_place``, ``block``
+    must be a writable narrow residue array, built only to be reduced: it
+    is cleared where it stands and comes back read-only.  Of the basis,
+    only the polynomial rows a product uses are widened.
     """
     basis = staircase(rows, pivots)
-    block = _residues(np.asarray(block), p, narrow_dtype(p))
+    if not in_place:
+        block = _residues(np.asarray(block), p, narrow_dtype(p))
+    elif block.dtype != narrow_dtype(p) or not block.flags.writeable:
+        raise ValueError("an in-place reduction needs a writable block "
+                         "in narrow_dtype(p)")
     return _read_only(_reduce(block, basis, p))
 
 
 def _touched(basis: Staircase, new_pivots: np.ndarray) -> np.ndarray:
-    """Indices of the rows of ``basis`` that hold an entry at one of
-    ``new_pivots``.  New rows are reduced against the basis, so a unit row
-    vanishes on every new pivot column: only polynomial rows can be
-    touched."""
-    poly = np.flatnonzero(~basis.unit)
-    if not poly.size:
-        return poly
-    return poly[basis.poly[:, new_pivots].any(axis=1)]
+    """Positions, among the polynomial rows of ``basis``, of those holding
+    an entry at one of ``new_pivots``.  New rows are reduced against the
+    basis, so a unit row vanishes on every new pivot column: only
+    polynomial rows can be touched."""
+    return np.flatnonzero(basis.poly[:, new_pivots].any(axis=1))
 
 
 def _reduce_at(out: np.ndarray, index: np.ndarray, basis: Staircase,
                p: int) -> np.ndarray:
     """Clear, in place, the rows ``index`` of the writable narrow array
     ``out`` against an RREF ``basis`` by ``_reduce``, gathering at most
-    ``_CHUNK`` of them at a time; returns their new unit-row mask."""
+    ``_CHUNK`` of them at a time; returns the entries of ``index`` whose
+    rows are now unit rows."""
     now_unit = np.empty(index.size, dtype=bool)
     for start in range(0, index.size, _CHUNK):
         at = index[start:start + _CHUNK]
         part = _reduce(out[at], basis, p)
         out[at] = part
         now_unit[start:start + _CHUNK] = unit_rows(part)
-    return now_unit
+    return index[now_unit]
 
 
-def _extend(basis: np.ndarray, pivots: np.ndarray, unit: np.ndarray, r: int,
-            rows: np.ndarray, p: int) -> int:
-    """Add the rowspace of ``rows`` to the RREF held, in order of discovery,
-    in the first ``r`` rows of ``basis``, ``pivots`` and ``unit``; returns
-    the new rank.  The reduced chunk goes to ``_echelon`` narrow and comes
-    back narrow, as it is when already in RREF; its unit-row mask is
-    computed once, for clearing the touched basis rows and for the basis.
-    The chunk's work buffers die with the call."""
-    held = staircase(basis[:r], pivots[:r], unit[:r])
-    chunk = reduce_rows(rows, held, pivots[:r], p)
-    chunk = chunk[np.any(chunk, axis=1)]
-    if chunk.shape[0] == 0:
-        return r
-    new_rows, new_pivots = _echelon(chunk, p)
-    new_unit = unit_rows(new_rows)
-    part = _touched(held, new_pivots)
-    del held
-    if part.size:
-        unit[part] = _reduce_at(basis, part,
-                                staircase(new_rows, new_pivots, new_unit), p)
-    k = new_pivots.size
-    basis[r:r + k] = new_rows
-    pivots[r:r + k] = new_pivots
-    unit[r:r + k] = new_unit
-    return r + k
+class _Growing:
+    """An RREF basis under construction, compact: ``pivots`` and the
+    unit-row mask ``unit`` in order of discovery, in the first ``r``
+    entries of buffers of the largest possible rank, and the polynomial
+    rows in that order, the first ``npoly`` rows of ``poly``.
+
+    ``poly`` grows in place by the rows each chunk adds (``ndarray.resize``,
+    a realloc), so no second copy of it exists while it grows, and no
+    spare capacity is touched (a doubling buffer, zero-filled as it grows,
+    raises peak RSS).  Resizing is safe because each view of ``poly`` dies
+    within the call that made it.
+    """
+
+    def __init__(self, size: int, ncols: int, p: int):
+        self.pivots = np.empty(size, dtype=np.int64)
+        self.unit = np.empty(size, dtype=bool)
+        self.poly = np.empty((0, ncols), dtype=narrow_dtype(p))
+        self.r = self.npoly = 0
+
+    def extend(self, rows: np.ndarray, p: int) -> None:
+        """Add the rowspace of ``rows``.  The chunk goes to ``reduce_rows``
+        as it is, and ``_echelon`` takes its surviving rows narrow and
+        returns them narrow, as they are when already in RREF.  The
+        polynomial basis rows that the new pivots touch are cleared in
+        place; those left with their pivot alone move to the mask.  The
+        chunk's work buffers die with the call."""
+        r, npoly = self.r, self.npoly
+        # The basis so far, as views, in order of discovery; the order does
+        # not matter to ``_reduce``.
+        held = Staircase(self.pivots[:r], self.unit[:r], self.poly[:npoly])
+        chunk = reduce_rows(rows, held, held.pivots, p)
+        chunk = chunk[np.any(chunk, axis=1)]
+        if chunk.shape[0] == 0:
+            return
+        new = staircase(*_echelon(chunk, p))
+        touched = _touched(held, new.pivots)
+        del held, chunk
+        if touched.size:
+            gone = _reduce_at(self.poly, touched, new, p)
+            if gone.size:
+                self.unit[np.flatnonzero(~self.unit[:r])[gone]] = True
+                keep = np.ones(npoly, dtype=bool)
+                keep[gone] = False
+                self.poly[:npoly - gone.size] = self.poly[:npoly][keep]
+                npoly -= gone.size
+        k, extra = new.pivots.size, new.poly.shape[0]
+        self.pivots[r:r + k] = new.pivots
+        self.unit[r:r + k] = new.unit
+        if extra:
+            if npoly + extra > self.poly.shape[0]:
+                self.poly.resize((npoly + extra, self.poly.shape[1]),
+                                 refcheck=False)
+            self.poly[npoly:npoly + extra] = new.poly
+        self.r, self.npoly = r + k, npoly + extra
+
+    def result(self) -> Staircase:
+        """The basis sorted by pivot, its arrays read-only and tight: rows
+        that moved to the mask leave spare rows at the end of ``poly``."""
+        pivots, unit = self.pivots[:self.r], self.unit[:self.r]
+        poly = self.poly
+        if np.all(pivots[1:] > pivots[:-1]):
+            # Found in pivot order, as for a canonical input.
+            if poly.shape[0] > self.npoly:
+                poly.resize((self.npoly, poly.shape[1]), refcheck=False)
+        else:
+            poly = poly[np.argsort(pivots[~unit])]
+            order = np.argsort(pivots)
+            pivots, unit = pivots[order], unit[order]
+        return Staircase(_read_only(pivots), _read_only(unit),
+                         _read_only(poly))
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical reduced row echelon form.
+def rref(mat: np.ndarray, p: int) -> tuple[Staircase, np.ndarray]:
+    """Canonical reduced row echelon form, as a ``Staircase`` and its
+    pivots: zero rows dropped, rows sorted by pivot column.
 
-    Returns (rows, pivots) with zero rows dropped and rows sorted by pivot
-    column.  Processes input in chunks: each chunk goes to ``reduce_rows``
-    as it is, to be reduced against the accumulated basis, and ``_echelon``
-    eliminates its surviving rows, widening only each round's pivot rows.
-    The basis is narrow; the polynomial rows that a chunk's pivots touch are
-    cleared in place through ``_reduce``.  So no wide copy of more than
-    ``_CHUNK`` rows of the input or of the basis exists.
+    Processes input in chunks of ``_CHUNK`` rows, each reduced against the
+    basis found so far and eliminated by ``_echelon``, widening only each
+    round's pivot rows.  The basis grows compact (``_Growing``): its unit
+    rows are pivots in a mask, and only its polynomial rows are stored, in
+    the narrow dtype.  So no wide copy of more than ``_CHUNK`` rows of the
+    input or of the basis exists, and no dense copy of the basis at all.
     """
     mat = np.atleast_2d(np.asarray(mat))
     nrows, ncols = mat.shape
     _work_dtype(p, ncols)  # raises past the exactness bound, rows or none
-    # Basis rows in order of discovery, with their pivots and unit mask
-    # alongside; the order does not matter to reduce_rows, so they are
-    # sorted once at the end.
-    basis = np.empty((min(nrows, ncols), ncols), dtype=narrow_dtype(p))
-    pivots = np.empty(basis.shape[0], dtype=np.int64)
-    unit = np.empty(basis.shape[0], dtype=bool)
-    r = 0
+    basis = _Growing(min(nrows, ncols), ncols, p)
     for start in range(0, nrows, _CHUNK):
-        r = _extend(basis, pivots, unit, r, mat[start:start + _CHUNK], p)
-    if r == basis.shape[0] and np.all(pivots[1:] > pivots[:-1]):
-        # Every row found, in pivot order, as for a canonical input: the
-        # basis is the output as it stands.
-        return _read_only(basis), _read_only(pivots)
-    order = np.argsort(pivots[:r])
-    return _read_only(basis[order]), _read_only(pivots[order])
+        basis.extend(mat[start:start + _CHUNK], p)
+    out = basis.result()
+    return out, out.pivots
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -432,45 +488,50 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 def merge(rows, pivots: np.ndarray, extra: np.ndarray,
-          p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of rowspace(rows) + rowspace(extra), reusing the existing RREF
-    ``rows`` with pivots ``pivots``, dense or a ``Staircase`` (see
-    ``reduce_rows``).  When ``extra`` adds nothing, ``rows`` and ``pivots``
-    come back as they are, dense rows narrowed.  ``extra`` goes to
-    ``reduce_rows`` as it is.  Old and new rows go straight to their sorted
-    places in the dense output, the old unit rows set from their pivots;
-    the old polynomial rows that the new pivots touch are cleared through
-    ``_reduce``."""
+          p: int) -> tuple[Staircase, np.ndarray]:
+    """RREF of rowspace(rows) + rowspace(extra), as a ``Staircase`` and its
+    pivots, reusing the existing RREF ``rows`` with pivots ``pivots``,
+    dense or a ``Staircase`` (see ``reduce_rows``).  When ``extra`` adds
+    nothing, a ``Staircase`` comes back as it is, and dense rows narrowed
+    and compacted.  ``extra`` goes to ``reduce_rows`` as it is.  Old and
+    new polynomial rows go straight to their sorted places in the output;
+    the old ones that the new pivots touch are cleared through ``_reduce``,
+    and those left with their pivot alone move to the unit mask."""
     if rows.shape[0] == 0:
         return rref(extra, p)
+    basis = staircase(rows if isinstance(rows, Staircase)
+                      else narrow(rows, p), pivots)
     if extra.shape[0] == 0:
-        return _unchanged(rows, pivots, p)
-    basis = staircase(rows, pivots)
+        return basis, pivots
     reduced = reduce_rows(extra, basis, pivots, p)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
-        return _unchanged(rows, pivots, p)
-    new_rows, new_pivots = rref(reduced, p)
+        return basis, pivots
+    new, new_pivots = rref(reduced, p)
     del reduced
-    merged_piv = np.concatenate([pivots, new_pivots])
-    order = np.argsort(merged_piv, kind="stable")
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    out = np.zeros((order.size, basis.shape[1]), dtype=narrow_dtype(p))
-    old = place[:pivots.size]
-    out[old[basis.unit], pivots[basis.unit]] = 1
-    out[old[~basis.unit]] = basis.poly
-    out[place[pivots.size:]] = new_rows
+    merged = np.concatenate([pivots, new_pivots])
+    unit = np.concatenate([basis.unit, new.unit])
+    # The polynomial rows, old then new, and their places by pivot.
+    poly_at = np.flatnonzero(~unit)
+    by_pivot = np.argsort(merged[poly_at])
+    place = np.empty_like(by_pivot)
+    place[by_pivot] = np.arange(by_pivot.size)
+    poly = np.empty((by_pivot.size, basis.shape[1]), dtype=narrow_dtype(p))
+    old = basis.poly.shape[0]
+    poly[place[:old]] = basis.poly
+    poly[place[old:]] = new.poly
     touched = _touched(basis, new_pivots)
     if touched.size:
-        _reduce_at(out, old[touched], staircase(new_rows, new_pivots), p)
-    return _read_only(out), _read_only(merged_piv[order])
-
-
-def _unchanged(rows, pivots: np.ndarray, p: int):
-    if isinstance(rows, Staircase):
-        return rows, pivots
-    return narrow(rows, p), pivots
+        gone = _reduce_at(poly, place[touched], new, p)
+        if gone.size:
+            unit[poly_at[by_pivot[gone]]] = True
+            keep = np.ones(by_pivot.size, dtype=bool)
+            keep[gone] = False
+            poly = poly[keep]
+    order = np.argsort(merged)
+    out = Staircase(_read_only(merged[order]), _read_only(unit[order]),
+                    _read_only(poly))
+    return out, out.pivots
 
 
 def nonpivots(pivots: np.ndarray, ncols: int) -> np.ndarray:
@@ -495,29 +556,35 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """
     mat = np.atleast_2d(np.asarray(mat))
     ncols = mat.shape[1]
-    rows, pivots = rref(mat[:, ::-1], p)
-    rows, ends = rows[:, ::-1], ncols - 1 - pivots
+    rev, pivots = rref(mat[:, ::-1], p)
+    ends = ncols - 1 - pivots
     free = nonpivots(ends, ncols)
     if free.size == 0:
-        return _empty(ncols, p)[0]
+        return _empty(ncols, p)[0].rows
     kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
     kernel[np.arange(free.size), free] = 1
-    if ends.size:
-        # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
-        kernel[:, ends] = (p - rows[:, free].T) % p
+    # A unit r_i is zero off t_i, so on every q outside T: only the
+    # polynomial rows enter, read at the reversed free columns.
+    # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
+    kernel[:, ends[~rev.unit]] = (p - rev.poly[:, ncols - 1 - free].T) % p
+    del rev
     # Already canonical, so this elimination passes each chunk through.
-    return rref(kernel, p)[0]
+    basis = rref(kernel, p)[0]
+    del kernel
+    return basis.rows
 
 
 def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {c : c @ mat = 0} as rows."""
-    return nullspace(np.ascontiguousarray(np.asarray(mat).T), p)
+    """Basis of {c : c @ mat = 0} as rows.  ``nullspace`` takes the
+    transpose as a view: each chunk it eliminates is copied anyway."""
+    return nullspace(np.asarray(mat).T, p)
 
 
 def intersect_rowspaces(rows_a, piv_a: np.ndarray, rows_b, piv_b: np.ndarray,
-                        p: int) -> tuple[np.ndarray, np.ndarray]:
+                        p: int) -> tuple[Staircase, np.ndarray]:
     """RREF basis of the intersection of two rowspaces, each given by its
-    RREF rows and pivots, dense or a ``Staircase`` (see ``reduce_rows``).
+    RREF rows and pivots, dense or a ``Staircase`` (see ``reduce_rows``),
+    as a ``Staircase`` and its pivots.
 
     Works through the cokernel of the side with fewer non-pivot columns:
     v = c @ A lies in B iff c kills the reduction of A's rows modulo B.
@@ -533,10 +600,16 @@ def intersect_rowspaces(rows_a, piv_a: np.ndarray, rows_b, piv_b: np.ndarray,
     # Prefer reducing against the side whose cokernel is smaller.
     if (ncols - piv_b.size) > (ncols - piv_a.size):
         rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
-    # A is the block reduced here, so a compact A is materialized for it.
-    residue = reduce_rows(rows_a.rows if isinstance(rows_a, Staircase)
-                          else rows_a, rows_b, piv_b, p)
-    combos = left_nullspace(residue[:, nonpivots(piv_b, ncols)], p)
+    # A is the block reduced here: a compact A is materialized for it and
+    # cleared where it stands.  Only the residue's columns off B's pivots
+    # stay alive for the nullspace's elimination.
+    if isinstance(rows_a, Staircase):
+        residue = reduce_rows(rows_a.dense(), rows_b, piv_b, p, in_place=True)
+    else:
+        residue = reduce_rows(rows_a, rows_b, piv_b, p)
+    residue = residue[:, nonpivots(piv_b, ncols)]
+    combos = left_nullspace(residue, p)
+    del residue
     if combos.shape[0] == 0:
         return _empty(ncols, p)
     span = np.zeros((combos.shape[0], ncols), dtype=narrow_dtype(p))

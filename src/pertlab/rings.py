@@ -31,18 +31,20 @@ from .errors import RingConstructionError, RingMismatchError, TruncationError
 from .polynomials import TruncPoly, monomials_below, parse_poly, power
 
 
-# Largest supported number M of monomials below D.  A stored subspace keeps
-# its unit rows as a pivot mask and only its polynomial rows, a few percent
-# of the rank of an ideal subspace, in uint8 (p <= 251) or uint16.  What is
-# built for one operation is dense and narrow: multiplication matrices, ring
-# products, coordinate blocks, a subspace's rows materialized as a block to
-# eliminate or multiply, the elimination kernel's growing basis and every
-# elimination output, arrays of up to M x M residues, 100 MB each at the
-# cap in uint8 and 200 MB in uint16, so larger rings are rejected before
-# any of them is built.  The elimination kernel makes no float (4 or 8
-# bytes a residue) or int64 copy of more than ``linalg._CHUNK`` rows of such
-# a block, and a ring product widens, to uint16 or uint32, only the one
-# monomial's terms it is adding.
+# Largest supported number M of monomials below D.  A stored subspace and
+# every elimination output keep their unit rows as a pivot mask and only
+# their polynomial rows, a few percent of the rank of an ideal subspace, in
+# uint8 (p <= 251) or uint16.  What is built for one operation is dense and
+# narrow, and exists once: multiplication matrices and ring products
+# (reduced where they stand), coordinate blocks, a stacked elimination
+# input, a subspace's rows materialized to eliminate or multiply, and a
+# kernel; arrays of up to M x M residues, 100 MB each at the cap in uint8
+# and 200 MB in uint16, so larger rings are rejected before any of them is
+# built.  The elimination kernel makes no float (4 or 8 bytes a residue) or
+# int64 copy of more than ``linalg._CHUNK`` rows of such a block, and a ring
+# product widens, to uint16 or uint32, only the one monomial's terms it is
+# adding.  A hilbert table at M = 8,855 (four variables, D = 20) peaks near
+# 345 MB RSS.
 MAX_MONOMIALS = 10_000
 
 # Largest supported exponent-key table.  Monomial products are looked up in
@@ -77,9 +79,12 @@ class Subspace(linalg.Staircase):
 
     Ideal subspaces are almost all monomials, so this is a small fraction
     of the dense form, and the kernel takes the subspace itself as a basis.
-    ``rows`` materializes the dense RREF, read-only in
-    ``linalg.narrow_dtype(p)``, afresh on each read, for a block that is an
-    input itself: a stacked elimination input or a ring product.
+    It is built from an elimination output, a ``Staircase`` adopted as it
+    is, or from a dense RREF and its pivots.  ``rows`` (read-only) and
+    ``dense`` (writable) materialize the dense RREF in
+    ``linalg.narrow_dtype(p)``, afresh on each call, for a block that is an
+    input itself: a stacked elimination input, a ring product, or a block
+    built only to be reduced.
     Membership testing is reduction to zero; equality of subspaces is
     equality of the compact fields, because the RREF is canonical for the
     fixed column order.  Instances are immutable, and signed arithmetic on
@@ -88,8 +93,13 @@ class Subspace(linalg.Staircase):
 
     __slots__ = ("ring",)
 
-    def __init__(self, ring: "RingDescriptor", rows: np.ndarray, pivots: np.ndarray):
+    def __init__(self, ring: "RingDescriptor", rows, pivots: np.ndarray):
         self.ring = ring
+        if isinstance(rows, linalg.Staircase):
+            # Elimination outputs are compact, their polynomial rows a tight
+            # read-only narrow array of their own: no copy, no unit scan.
+            super().__init__(rows.pivots, rows.unit, rows.poly)
+            return
         # In canonical RREF every row holds its pivot, so one nonzero per
         # row means all unit rows, as for monomial ideals; otherwise a row
         # is a unit row exactly when it vanishes on every nonpivot column.
@@ -100,9 +110,9 @@ class Subspace(linalg.Staircase):
             free = np.ones(rows.shape[1], dtype=bool)
             free[pivots] = False
             unit = ~rows[:, free].any(axis=1)
-        # The polynomial rows in a narrow copy of their own, made once the
-        # kernel's work buffers are freed: keeping the kernel's output alive
-        # instead fragments the heap.
+        # A dense RREF is what a caller holding one passes; its polynomial
+        # rows go to a narrow copy of their own, so the dense rows need not
+        # stay alive.
         poly = np.asarray(rows[~unit], dtype=linalg.narrow_dtype(ring.p))
         for a in (unit, poly):
             a.flags.writeable = False
@@ -115,10 +125,12 @@ class Subspace(linalg.Staircase):
     def nonpivots(self) -> np.ndarray:
         return linalg.nonpivots(self.pivots, self.ring.M)
 
-    def reduce(self, vectors: np.ndarray) -> np.ndarray:
-        """Normal form of each row of ``vectors`` against this subspace."""
+    def reduce(self, vectors: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Normal form of each row of ``vectors`` against this subspace;
+        ``in_place`` clears a writable narrow block built only to be
+        reduced where it stands (see ``linalg.reduce_rows``)."""
         return linalg.reduce_rows(np.atleast_2d(vectors), self, self.pivots,
-                                  self.ring.p)
+                                  self.ring.p, in_place=in_place)
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -128,7 +140,7 @@ class Subspace(linalg.Staircase):
             return True
         if other.rank > self.rank:
             return False
-        return not self.reduce(other.rows).any()
+        return not self.reduce(other.dense(), in_place=True).any()
 
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
         rows, pivots = linalg.merge(self, self.pivots, np.atleast_2d(extra),
@@ -325,16 +337,14 @@ class RingDescriptor:
         self._key_col = np.full(key_table, self.M, dtype=np.int64)
         self._key_col[self._keys] = np.arange(self.M)
 
-        stacked = np.vstack([np.zeros((0, self.M),
-                                      dtype=linalg.narrow_dtype(p))]
-                            + [self.multiples(self.vector_of_poly(g))
-                               for g in polys])
-        rows, pivots = linalg.rref(stacked, p)
-        self.base_subspace = Subspace(self, rows, pivots)
+        stacked = self._stacked_multiples(
+            [self.vector_of_poly(g) for g in polys])
+        basis, pivots = linalg.rref(stacked, p)
+        self.base_subspace = Subspace(self, basis, pivots)
         if pivots.size and pivots[0] == 0:
             raise RingConstructionError("the defining ideal contains a unit; "
                                         "the model would be the zero ring")
-        self.dim = self.M - rows.shape[0]
+        self.dim = self.M - basis.shape[0]
         self.std_cols = self.base_subspace.nonpivots()
 
     # -- construction helpers ------------------------------------------------
@@ -398,9 +408,11 @@ class RingDescriptor:
         targets[overflow] = self.M
         return targets
 
-    def rows_times(self, rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    def rows_times(self, rows: np.ndarray, vec: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """Raw product mod p of each row of residues with the coordinate
-        vector ``vec``, in ``linalg.narrow_dtype(p)``.
+        vector ``vec``, in ``linalg.narrow_dtype(p)``, written into ``out``
+        (zeros of that dtype and of the rows' shape) or a fresh array.
 
         Each monomial of the support scatters once, onto the columns where
         its products survive.  Only those products are widened: a sum of a
@@ -410,7 +422,8 @@ class RingDescriptor:
         p = self.p
         dtype = linalg.narrow_dtype(p)
         wide = np.uint16 if dtype == np.uint8 else np.uint32
-        out = np.zeros((rows.shape[0], self.M), dtype=dtype)
+        if out is None:
+            out = np.zeros((rows.shape[0], self.M), dtype=dtype)
         support = np.nonzero(vec)[0]
         for c, targets in zip(vec[support] % p,
                               self.monomial_shifts(support)):
@@ -422,48 +435,77 @@ class RingDescriptor:
             out[:, cols] = acc
         return out
 
-    def rows_times_variable(self, rows: np.ndarray, var_idx: int) -> np.ndarray:
+    def rows_times_variable(self, rows: np.ndarray, var_idx: int,
+                            out: np.ndarray | None = None) -> np.ndarray:
         """Raw product (no normal form) of each row with the variable
-        x_{var_idx}, in the dtype of ``rows``; degree-overflow terms drop."""
+        x_{var_idx}, in the dtype of ``rows``, written into ``out`` (zeros
+        of the rows' shape) or a fresh array; degree-overflow terms drop.
+        Columns ascend by degree, so the surviving ones are those below
+        degree D - 1, a prefix."""
         col = self.col_index[
             tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))]
-        out = np.zeros((rows.shape[0], self.M + 1), dtype=rows.dtype)
-        out[:, self.monomial_shifts([col])[0]] = rows
-        return out[:, :self.M]
+        if out is None:
+            out = np.zeros(rows.shape, dtype=rows.dtype)
+        keep = self.cut(self.D - 1)
+        out[:, self.monomial_shifts([col])[0, :keep]] = rows[:, :keep]
+        return out
 
-    def multiples(self, vec: np.ndarray, mus=None) -> np.ndarray:
+    def _multipliers(self, vec: np.ndarray) -> np.ndarray:
+        """The columns of the monomials whose product with ``vec`` can
+        survive: those of degree < D - order(vec)."""
+        support = np.nonzero(vec)[0]
+        order = int(self.deg_of_col[support[0]]) if support.size else self.D
+        return np.arange(self.cut(self.D - order))
+
+    def multiples(self, vec: np.ndarray, mus=None,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Raw products mod p (no normal form) of ``vec`` with the basis
-        monomials at columns ``mus``, one row each.
+        monomials at columns ``mus``, one row each, in
+        ``linalg.narrow_dtype(p)``, written into ``out`` (zeros of that
+        dtype, one row per monomial) or a fresh array.
 
         By default ``mus`` holds the monomials whose product with ``vec`` can
-        survive, those of degree < D - order(vec); their rows span the ideal
-        generated by ``vec`` modulo m^D.  Distinct monomials of the support
-        land on distinct columns, so one scatter builds every row.  The rows
-        are a view in ``linalg.narrow_dtype(p)``.
+        survive (``_multipliers``); their rows span the ideal generated by
+        ``vec`` modulo m^D.  Distinct monomials of the support land on
+        distinct columns, so one scatter builds every row.
         """
         support = np.nonzero(vec)[0]
         if mus is None:
-            order = int(self.deg_of_col[support[0]]) if support.size else self.D
-            mus = np.arange(self.cut(self.D - order))
+            mus = self._multipliers(vec)
         cols = self.monomial_shifts(support)[:, mus].T
-        rows = np.zeros((cols.shape[0], self.M + 1),
-                        dtype=linalg.narrow_dtype(self.p))
-        rows[np.arange(cols.shape[0])[:, None], cols] = vec[support] % self.p
-        return rows[:, :self.M]
+        if out is None:
+            out = np.zeros((cols.shape[0], self.M),
+                           dtype=linalg.narrow_dtype(self.p))
+        row, term = np.nonzero(cols < self.M)
+        out[row, cols[row, term]] = (vec[support] % self.p)[term]
+        return out
+
+    def _stacked_multiples(self, vecs: list[np.ndarray],
+                           head: linalg.Staircase | None = None) -> np.ndarray:
+        """One narrow block holding the dense rows of ``head``, if given,
+        then the multiples of each of ``vecs``, each written once into its
+        place."""
+        counts = [self._multipliers(v).size for v in vecs]
+        top = head.shape[0] if head is not None else 0
+        stacked = np.zeros((top + sum(counts), self.M),
+                           dtype=linalg.narrow_dtype(self.p))
+        if head is not None:
+            head.dense(stacked[:top])
+        for vec, k in zip(vecs, counts):
+            self.multiples(vec, out=stacked[top:top + k])
+            top += k
+        return stacked
 
     # -- ideals as subspaces ----------------------------------------------------
 
     def ideal_subspace(self, gens: Iterable[Element]) -> Subspace:
         """Echelon basis of (generated ideal + defining ideal) inside V."""
-        blocks = [self.base_subspace.rows]
-        for g in gens:
-            if g.ring is not self:
-                raise RingMismatchError("generator from a different ring")
-            blocks.append(self.multiples(g.vec))
-        stacked = np.vstack(blocks)
-        del blocks
-        r, piv = linalg.rref(stacked, self.p)
-        return Subspace(self, r, piv)
+        gens = list(gens)
+        if any(g.ring is not self for g in gens):
+            raise RingMismatchError("generator from a different ring")
+        stacked = self._stacked_multiples([g.vec for g in gens],
+                                          self.base_subspace)
+        return Subspace(self, *linalg.rref(stacked, self.p))
 
     def power_span(self, w: int) -> Subspace:
         """Subspace of m^w: every coordinate of degree >= w, plus the base."""
@@ -515,5 +557,5 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
                            subspace.poly[:np.count_nonzero(~unit), :cut])
     block = np.zeros((hi - lo, cut), dtype=linalg.narrow_dtype(ring.p))
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
-    reduced = linalg.reduce_rows(block, low, low.pivots, ring.p)
-    return not reduced.any()
+    return not linalg.reduce_rows(block, low, low.pivots, ring.p,
+                                  in_place=True).any()

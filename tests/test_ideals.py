@@ -194,8 +194,13 @@ def test_colon_by_an_element_that_is_zero_in_the_ring():
     assert f.is_zero()
     colon = colon_subspace(ring.base_subspace, f)
     rows, pivots = linalg.rref(np.eye(ring.M, dtype=np.int64), ring.p)
-    assert np.array_equal(colon.rows, rows)
+    assert np.array_equal(colon.rows, rows.rows)
     assert np.array_equal(colon.pivots, pivots)
+    # Every row a unit row: the mask holds them, and no dense row is kept.
+    assert colon.unit.all() and colon.poly.shape == (0, ring.M)
+    assert colon.poly.dtype == linalg.narrow_dtype(ring.p)
+    assert not (colon.pivots.flags.writeable or colon.unit.flags.writeable
+                or colon.poly.flags.writeable)
     assert colon == ring.power_span(0)
     model = NaiveModel(5, 2, 6, [{(1, 1): 1}])
     assert len(model.colon(model.base_span, {})) == colon.rank == ring.M

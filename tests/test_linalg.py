@@ -19,8 +19,9 @@ def test_rref_idempotent_and_canonical(p):
     for _ in range(20):
         mat = random_matrix(rng, rng.integers(1, 12), rng.integers(1, 10), p)
         rows, pivots = linalg.rref(mat, p)
+        rows = rows.rows
         again, pivots2 = linalg.rref(rows, p)
-        assert np.array_equal(rows, again)
+        assert np.array_equal(rows, again.rows)
         assert np.array_equal(pivots, pivots2)
         # pivot columns are unit columns
         for i, c in enumerate(pivots):
@@ -43,7 +44,7 @@ def test_rref_row_order_invariance():
     mat = random_matrix(rng, 10, 7, 5)
     rows, _ = linalg.rref(mat, 5)
     rows2, _ = linalg.rref(mat[::-1], 5)
-    assert np.array_equal(rows, rows2)
+    assert np.array_equal(rows.rows, rows2.rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -66,7 +67,7 @@ def test_merge_matches_batch_rref():
         rows_a, piv_a = linalg.rref(a, 3)
         merged, piv = linalg.merge(rows_a, piv_a, b, 3)
         direct, piv_direct = linalg.rref(np.vstack([a, b]), 3)
-        assert np.array_equal(merged, direct)
+        assert np.array_equal(merged.rows, direct.rows)
         assert np.array_equal(piv, piv_direct)
 
 
@@ -79,6 +80,7 @@ def test_intersection_against_definition():
         rows_a, piv_a = linalg.rref(a, p)
         rows_b, piv_b = linalg.rref(b, p)
         inter, piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
+        inter = inter.rows
         # every intersection vector lies in both rowspaces
         if inter.shape[0]:
             assert not linalg.reduce_rows(inter, rows_a, piv_a, p).any()
@@ -148,7 +150,15 @@ def ref_intersection(a, b, p, ncols):
     return ref_rref([r[ncols:] for r, c in zip(rows, pivots) if c >= ncols], p)
 
 
-def assert_canonical(rows, pivots, expected_rows, expected_pivots, ncols, p):
+def assert_canonical(basis, pivots, expected_rows, expected_pivots, ncols, p):
+    """An RREF returned as a ``Staircase`` (``basis``) and its pivots: its
+    dense rows, pivots, unit mask and polynomial rows are the expected
+    RREF's."""
+    rows = basis.rows
+    assert np.array_equal(basis.pivots, pivots)
+    assert basis.unit.tolist() == linalg.unit_rows(rows).tolist()
+    assert np.array_equal(basis.poly, rows[~basis.unit])
+    assert basis.poly.dtype == linalg.narrow_dtype(p)
     assert rows.dtype == linalg.narrow_dtype(p) and not rows.flags.writeable
     assert rows.shape == (len(expected_rows), ncols)
     assert rows.tolist() == expected_rows
@@ -256,8 +266,9 @@ def test_merge_and_intersection_match_reference(data):
     ref_rows, ref_pivots = ref_rref(np.vstack([a, b]), p)
     assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
     inter, inter_piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
-    ref_inter, ref_inter_piv = ref_intersection(rows_a.tolist(), rows_b.tolist(),
-                                                p, ncols)
+    ref_inter, ref_inter_piv = ref_intersection(rows_a.rows.tolist(),
+                                                rows_b.rows.tolist(), p, ncols)
+    inter = inter.rows
     assert inter.dtype == linalg.narrow_dtype(p) and not inter.flags.writeable
     assert inter.reshape(-1, ncols).tolist() == ref_inter
     assert inter_piv.tolist() == ref_inter_piv
@@ -276,7 +287,7 @@ def test_reduce_rows_gives_narrow_normal_forms_of_out_of_range_input(p):
     assert not out[:, pivots].any()
     for row, normal in zip(block.tolist(), out.tolist()):
         diff = [a - b for a, b in zip(row, normal)]
-        assert len(ref_rref(rows.tolist() + [diff], p)[0]) == len(rows)
+        assert len(ref_rref(rows.rows.tolist() + [diff], p)[0]) == rows.shape[0]
 
 
 def ref_normal_forms(block, rows, pivots, p):
@@ -322,7 +333,7 @@ def test_chunked_reduce_rows_matches_reference(p, kind, seed):
     before = block.copy()
     out = linalg.reduce_rows(block, rows, pivots, p)
     assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
-    assert out.tolist() == ref_normal_forms(block, rows.tolist(),
+    assert out.tolist() == ref_normal_forms(block, rows.rows.tolist(),
                                             pivots.tolist(), p)
     assert np.array_equal(block, before)
 
@@ -345,9 +356,9 @@ def test_every_entry_point_returns_narrow_residues(p, data):
 
     rows, pivots = linalg.rref(a, p)
     ref_rows, ref_pivots = ref_rref(a, p)
-    narrow_equal(rows, ref_rows, ncols)
+    narrow_equal(rows.rows, ref_rows, ncols)
     merged, _ = linalg.merge(rows, pivots, b, p)
-    narrow_equal(merged, ref_rref(np.vstack([a, b]), p)[0], ncols)
+    narrow_equal(merged.rows, ref_rref(np.vstack([a, b]), p)[0], ncols)
     narrow_equal(linalg.reduce_rows(b, rows, pivots, p),
                  ref_normal_forms(b, ref_rows, ref_pivots, p), ncols)
     narrow_equal(linalg.nullspace(a, p), ref_nullspace(a, p, ncols), ncols)
@@ -356,7 +367,8 @@ def test_every_entry_point_returns_narrow_residues(p, data):
                  ref_nullspace(head.T, p, head.shape[0]), head.shape[0])
     rows_b, piv_b = linalg.rref(b, p)
     inter, _ = linalg.intersect_rowspaces(rows, pivots, rows_b, piv_b, p)
-    narrow_equal(inter, ref_intersection(ref_rows, rows_b.tolist(), p, ncols)[0],
+    narrow_equal(inter.rows,
+                 ref_intersection(ref_rows, rows_b.rows.tolist(), p, ncols)[0],
                  ncols)
 
 
@@ -416,7 +428,7 @@ def test_kernel_never_writes_into_its_arguments(p):
     assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
     other, other_piv = linalg.rref(block, p)
     inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
-    union = linalg.rank(np.vstack([rows, other]), p)
+    union = linalg.rank(np.vstack([rows.rows, other.rows]), p)
     assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
     for original, arg in zip(before, [work, block]):
         assert np.array_equal(original, arg)
@@ -489,19 +501,22 @@ def test_kernel_never_writes_into_narrow_arguments(p, dtype):
     rows, pivots = linalg.rref(mat, p)
     ref_rows, ref_pivots = ref_rref(wide_mat, p)
     assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols, p)
-    narrow = linalg.narrow(rows, p)
+    narrow = linalg.narrow(rows.rows, p)
     assert np.array_equal(linalg.reduce_rows(block, narrow, pivots, p),
                           linalg.reduce_rows(wide_block, rows, pivots, p))
     half, half_piv = linalg.rref(wide_mat[:150], p)
     # A merge that adds nothing hands back its narrow ``rows`` as they are.
-    merged, merged_piv = linalg.merge(linalg.narrow(half, p), half_piv,
+    merged, merged_piv = linalg.merge(linalg.narrow(half.rows, p), half_piv,
                                       mat[150:], p)
-    assert merged.tolist() == ref_rows and merged_piv.tolist() == ref_pivots
+    assert (merged.rows.tolist() == ref_rows
+            and merged_piv.tolist() == ref_pivots)
     other, other_piv = linalg.rref(block, p)
-    inter = linalg.intersect_rowspaces(narrow, pivots, linalg.narrow(other, p),
+    inter = linalg.intersect_rowspaces(narrow, pivots,
+                                       linalg.narrow(other.rows, p),
                                        other_piv, p)
     wide_inter = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
-    assert all(np.array_equal(x, y) for x, y in zip(inter, wide_inter))
+    assert np.array_equal(inter[0].rows, wide_inter[0].rows)
+    assert np.array_equal(inter[1], wide_inter[1])
     assert np.array_equal(linalg.nullspace(block, p),
                           linalg.nullspace(wide_block, p))
     for original, arg in zip(before, [mat, block]):
@@ -542,6 +557,7 @@ def test_bases_past_a_chunk_clear_exactly(p):
     c = 560
     mat = rng.integers(0, p, (530, c))
     rows, pivots = linalg.rref(mat, p)
+    rows = rows.rows
     ref_rows, ref_pivots = np_rref(mat, p)
     assert rows.tolist() == ref_rows.tolist() and pivots.tolist() == ref_pivots
     block = rng.integers(0, p, (40, c))
@@ -549,9 +565,12 @@ def test_bases_past_a_chunk_clear_exactly(p):
     assert np.array_equal(linalg.reduce_rows(block, rows, pivots, p), normal)
     head, head_piv = linalg.rref(mat[:300], p)
     merged, merged_piv = linalg.merge(head, head_piv, mat[300:], p)
-    assert np.array_equal(merged, rows) and np.array_equal(merged_piv, pivots)
+    assert (np.array_equal(merged.rows, rows)
+            and np.array_equal(merged_piv, pivots))
     other, other_piv = linalg.rref(rng.integers(0, p, (300, c)), p)
+    other = other.rows
     inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    inter = inter.rows
     assert not linalg.reduce_rows(inter, rows, pivots, p).any()
     assert not linalg.reduce_rows(inter, other, other_piv, p).any()
     union = linalg.rank(np.vstack([rows, other]), p)
@@ -564,10 +583,13 @@ def test_bases_past_a_chunk_clear_exactly(p):
     units = np.zeros((60, c), dtype=np.int64)
     units[np.arange(60), rng.choice(c, 60, replace=False)] = 1
     a, a_piv = linalg.rref(np.vstack([units, rng.integers(0, p, (280, c))]), p)
+    a = a.rows
     unit = linalg.unit_rows(a)
     assert a.shape[0] > linalg._CHUNK and 0 < unit.sum() < a.shape[0]
     b, b_piv = linalg.rref(rng.integers(0, p, (400, c)), p)
+    b = b.rows
     inter, inter_piv = linalg.intersect_rowspaces(a, a_piv, b, b_piv, p)
+    inter = inter.rows
     # In RREF, inside both sides, and of dimension rank A + rank B minus
     # rank(A + B) = rank A + rank(B mod A), all in int64.
     assert np.all(np.diff(inter_piv) > 0)
@@ -583,7 +605,7 @@ def test_bases_past_a_chunk_clear_exactly(p):
     union = a.shape[0] + len(np_rref(b_mod_a[:, free], p)[1])
     assert inter.shape[0] == a.shape[0] + b.shape[0] - union > linalg._CHUNK
     swapped = linalg.intersect_rowspaces(b, b_piv, a, a_piv, p)
-    assert np.array_equal(swapped[0], inter)
+    assert np.array_equal(swapped[0].rows, inter)
 
 
 # -- canonical blocks and wide kernels -----------------------------------------
@@ -672,7 +694,7 @@ def wide_matrices(draw, p):
     elif kind == "zero":
         mat[:] = 0
     elif kind == "rref":
-        mat = linalg.rref(mat * (rng.random((s, c)) < 0.1), p)[0]
+        mat = linalg.rref(mat * (rng.random((s, c)) < 0.1), p)[0].rows
     elif kind == "colon":
         # Sparse products reduced against an ideal-like basis, restricted
         # to at most 20 of its nonpivot columns and transposed.
@@ -693,7 +715,7 @@ def test_wide_nullspace_matches_reference_and_is_canonical(p, data):
     assert kernel.dtype == linalg.narrow_dtype(p) and not kernel.flags.writeable
     assert kernel.tolist() == ref_nullspace(mat, p, ncols)
     rows, _ = linalg.rref(kernel, p)
-    assert np.array_equal(rows, kernel)
+    assert np.array_equal(rows.rows, kernel)
 
 
 # -- narrow-first elimination ---------------------------------------------------
@@ -750,6 +772,7 @@ def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
                                kind)
     basis, basis_piv = linalg.rref(rows, p)
     assert_canonical(basis, basis_piv, rows.tolist(), piv.tolist(), ncols, p)
+    basis = basis.rows
     n = int(rng.integers(1, 40))
     block = rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
     poly_cols = piv[~linalg.unit_rows(rows)]
@@ -778,14 +801,14 @@ def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
     assert np.array_equal(
         linalg.reduce_rows(block, compact, basis_piv, p), normal)
     got, got_piv = linalg.merge(compact, basis_piv, block, p)
-    assert np.array_equal(linalg.staircase(got, got_piv).rows, merged)
+    assert np.array_equal(linalg.staircase(got, got_piv).rows, merged.rows)
     assert np.array_equal(got_piv, merged_piv)
     other, other_piv = linalg.rref(block, p)
     inter = linalg.intersect_rowspaces(basis, basis_piv, other, other_piv, p)
     for sides in ((compact, basis_piv, other, other_piv),
                   (other, other_piv, compact, basis_piv)):
         got, got_piv = linalg.intersect_rowspaces(*sides, p)
-        assert np.array_equal(got, inter[0])
+        assert np.array_equal(got.rows, inter[0].rows)
         assert np.array_equal(got_piv, inter[1])
 
 
@@ -849,3 +872,116 @@ def test_near_canonical_chunks_are_eliminated(p, kind, change, form, seed):
     first = linalg.rref(block[:1], p)
     assert_canonical(*linalg.merge(*first, block[1:], p), rows.tolist(),
                      piv.tolist(), ncols, p)
+
+
+# -- compact eliminations ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NARROW_FIRST_PRIMES),
+       st.sampled_from(["narrow", "negative", "past-p"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_rref_staircase_matches_reference(p, form, seed):
+    """rref returns a ``Staircase`` whose pivots, unit mask, polynomial rows
+    and dense ``rows`` are the pure-int RREF's.  The first chunk holds
+    multiples of rows e_i + tail_i, the tails on the last columns, and the
+    rows after it span unit vectors there: their pivots clear the earlier
+    polynomial rows, and the row whose tail they cover moves to the mask."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(3, 21))
+    late = int(rng.integers(1, ncols - 1))
+    early = ncols - late
+    heads = np.sort(rng.choice(early, int(rng.integers(1, early + 1)),
+                               replace=False))
+    tails = rng.integers(0, p, (heads.size, late)) * (
+        rng.random((heads.size, late)) < 0.5)
+    covered = np.flatnonzero(rng.random(late) < 0.5)
+    moved = int(rng.integers(0, late)) if not covered.size else covered[0]
+    covered = np.union1d(covered, [moved])
+    tails[0] = 0
+    tails[0, moved] = int(rng.integers(1, p))
+    base = np.zeros((heads.size, ncols), dtype=np.int64)
+    base[np.arange(heads.size), heads] = 1
+    base[:, early:] = tails
+    n = linalg._CHUNK + int(rng.integers(0, 40))
+    pick = rng.integers(0, heads.size, n)
+    pick[0] = 0
+    first = base[pick] * rng.integers(1, p, (n, 1)) % p
+    m = int(rng.integers(1, 60))
+    later = np.zeros((m, ncols), dtype=np.int64)
+    spans = rng.integers(0, p, (m, covered.size))
+    spans[0] = 0
+    spans[0, np.flatnonzero(covered == moved)[0]] = 1
+    later[:, early + covered] = spans
+    mat = np.vstack([first, later])
+    ref_rows, ref_pivots = ref_rref(mat, p)
+    block = out_of_range(rng, mat, p, form)
+
+    head, head_piv = linalg.rref(block[:linalg._CHUNK], p)
+    assert not head.unit[np.searchsorted(head_piv, heads[0])]
+    basis, pivots = linalg.rref(block, p)
+    assert isinstance(basis, linalg.Staircase)
+    assert basis.pivots is pivots and pivots.tolist() == ref_pivots
+    assert basis.shape == (len(ref_rows), ncols)
+    unit = [sum(1 for v in row if v) == 1 for row in ref_rows]
+    assert basis.unit.tolist() == unit
+    assert basis.unit[np.searchsorted(pivots, heads[0])]
+    assert basis.poly.dtype == linalg.narrow_dtype(p)
+    assert basis.poly.shape == (unit.count(False), ncols)
+    assert basis.poly.tolist() == [r for r, u in zip(ref_rows, unit) if not u]
+    for a in (basis.pivots, basis.unit, basis.poly):
+        assert not a.flags.writeable
+    assert basis.rows.tolist() == ref_rows and not basis.rows.flags.writeable
+    dense = basis.dense()
+    assert dense.flags.writeable and dense.tolist() == ref_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NARROW_FIRST_PRIMES), st.sampled_from(BASIS_KINDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_in_place_reduce_rows_equals_the_copying_form(p, kind, seed):
+    """``in_place`` clears a writable narrow block where it stands, past a
+    chunk of rows and against a dense or compact basis, to the normal forms
+    the copying form returns; the block comes back read-only.  Any other
+    block is refused."""
+    rng = np.random.default_rng(seed)
+    ncols = int(rng.integers(1, 30))
+    rows, piv = canonical_rows(rng, p, int(rng.integers(0, ncols + 1)), ncols,
+                               kind)
+    n = int(rng.integers(1, 2 * linalg._CHUNK))
+    block = (rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
+             ).astype(linalg.narrow_dtype(p))
+    for basis in (rows, linalg.staircase(rows, piv)):
+        expected = linalg.reduce_rows(block, basis, piv, p)
+        work = block.copy()
+        out = linalg.reduce_rows(work, basis, piv, p, in_place=True)
+        assert out is work and not work.flags.writeable
+        assert np.array_equal(out, expected)
+    for refused in (block.astype(np.int64), linalg.narrow(block, p)):
+        with pytest.raises(ValueError):
+            linalg.reduce_rows(refused, rows, piv, p, in_place=True)
+
+
+@pytest.mark.parametrize("p", [2, 5, 251, 257, 65521])
+def test_kernel_leaves_writable_arguments_byte_identical(p):
+    """Writable caller arrays, narrow or in the work dtype, past a chunk of
+    rows: rref, reduce_rows and nullspace (and the entry points built on
+    them) leave every byte as it was, since only the in-place form of
+    reduce_rows may write."""
+    rng = np.random.default_rng(47)
+    ncols = 40
+    mat = monomial_rows(rng, p, 0, ncols, tall=True) % p
+    rows, piv = canonical_rows(rng, p, 25, ncols, "mixed")
+    for dtype in (linalg.narrow_dtype(p), linalg._work_dtype(p, ncols)):
+        args = [mat.astype(dtype), rows.astype(dtype),
+                rng.integers(0, p, (linalg._CHUNK + 9, ncols)).astype(dtype)]
+        before = [a.tobytes() for a in args]
+        big, basis = args[0], args[1]
+        linalg.rref(big, p)
+        linalg.reduce_rows(big, basis, piv, p)
+        linalg.reduce_rows(big, linalg.staircase(basis, piv), piv, p)
+        linalg.nullspace(args[2], p)
+        linalg.left_nullspace(args[2][:30], p)
+        linalg.merge(basis, piv, big, p)
+        linalg.intersect_rowspaces(basis, piv, *linalg.rref(args[2], p), p)
+        assert [a.tobytes() for a in args] == before
+        assert all(a.flags.writeable for a in args)

@@ -337,7 +337,7 @@ def test_subspace_unit_mask_matches_kernel(gens, D):
         extra = rng.integers(0, 5, (3, ring.M)) * (rng.random((3, ring.M)) < 0.2)
         merged = sub.sum_rows(extra)
         rows, pivots = linalg.merge(sub.rows, sub.pivots, extra, ring.p)
-        assert np.array_equal(merged.rows, rows)
+        assert np.array_equal(merged.rows, rows.rows)
         assert np.array_equal(merged.pivots, pivots)
 
 
@@ -434,7 +434,7 @@ def test_multiples_keep_top_coefficients_exact(p):
     spanned = np.vstack([ring.base_subspace.rows.astype(np.int64),
                          _polynomial_products(ring, elem.vec, every)])
     assert np.array_equal(ring.ideal_subspace([elem]).rows,
-                          linalg.rref(spanned, p)[0])
+                          linalg.rref(spanned, p)[0].rows)
 
 
 @pytest.mark.parametrize("p", [251, 65521])
