@@ -100,6 +100,34 @@ def _int(key: str, raw: str, lo: int | None = None,
     return value
 
 
+def _ring_spec(section: dict[str, str], fixture: RingSpec | None = None,
+               catalog: str | None = None) -> RingSpec:
+    """The ring of a [ring] section.  Under a catalog task the ring is
+    ``fixture``, the catalog's: the section may set D alone, and a p, vars
+    or gens it gives must be the fixture's, whitespace aside."""
+    d_raw = section.get("D", "auto").strip()
+    d = None if d_raw == "auto" else _int("D", d_raw)
+    given = {key: _int(key, section[key]) if key == "p"
+             else _split_list(section[key])
+             for key in ("p", "vars", "gens") if key in section}
+    if fixture is None:
+        for key in ("p", "vars"):
+            if key not in given:
+                raise ManifestError(f"bad ring section: no {key!r}; only a "
+                                    f"catalog task may leave it out")
+        return RingSpec(given["p"], given["vars"], given.get("gens", ()), d)
+    fixed = {"p": fixture.p, "vars": fixture.vars,
+             "gens": tuple(g.replace(" ", "") for g in fixture.base_gens)}
+    if "gens" in given:
+        given["gens"] = tuple(g.replace(" ", "") for g in given["gens"])
+    for key, value in given.items():
+        if value != fixed[key]:
+            raise ManifestError(
+                f"[ring] {key} = {section[key].strip()} differs from catalog "
+                f"{catalog}; under a catalog, [ring] may set D alone")
+    return replace(fixture, D=d)
+
+
 def parse_manifest(text: str) -> Manifest:
     """Check a manifest in full and resolve its run's configuration."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -125,17 +153,7 @@ def parse_manifest(text: str) -> Manifest:
                 raise ManifestError(f"unknown key {key!r} in [{section}]; "
                                     "known: " + ", ".join(known))
 
-    ring = None
-    if cp.has_section("ring"):
-        try:
-            p = _int("p", cp.get("ring", "p"))
-            vars_ = _split_list(cp.get("ring", "vars"))
-        except configparser.NoOptionError as exc:
-            raise ManifestError(f"bad ring section: {exc}") from exc
-        gens = _split_list(cp.get("ring", "gens", fallback=""))
-        d_raw = cp.get("ring", "D", fallback="auto").strip()
-        ring = RingSpec(p, vars_, gens, None if d_raw == "auto"
-                        else _int("D", d_raw))
+    ring_keys = dict(cp.items("ring")) if cp.has_section("ring") else None
     ideals = dict(cp.items("ideals")) if cp.has_section("ideals") else {}
 
     if not cp.has_section("task") or not cp.has_option("task", "command"):
@@ -172,13 +190,15 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError(f"unknown catalog id {catalog!r}; known: "
                                 + ", ".join(sorted(CATALOG)))
         config = ExperimentConfig.from_catalog(catalog, **fields)
-        if ring is not None and ring.D is not None:
-            config = replace(config, ring=replace(config.ring, D=ring.D))
-    elif ring is None:
+        if ring_keys is not None:
+            config = replace(config, ring=_ring_spec(ring_keys, config.ring,
+                                                     catalog))
+    elif ring_keys is None:
         raise ManifestError("no [ring] section and no catalog reference")
     elif "f_exprs" not in fields:
         raise ManifestError("task needs f = <comma separated expressions>")
     else:
+        ring = _ring_spec(ring_keys)
         config = ExperimentConfig(**{"ring": ring, "j_exprs": ring.vars,
                                      **fields})
     # Once n >= D - 1, J^(n+1) lies in m^D, which vanishes in the model, so

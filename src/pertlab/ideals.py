@@ -161,7 +161,7 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
         poly = np.zeros((0, ring.M), dtype=linalg.narrow_dtype(ring.p))
         for a in (pivots, unit, poly):
             a.flags.writeable = False
-        return Subspace(ring, linalg.Staircase(pivots, unit, poly), pivots)
+        return Subspace(ring, linalg.Staircase(pivots, unit, poly))
     # One expression: the M x M products are reduced where they stand, and
     # freed once their columns off the target's pivots are gathered, before
     # the nullspace's elimination runs.
@@ -171,7 +171,7 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     # The kernel is already in RREF, so this elimination passes it through
     # unchanged.  It stays only because removing it moves the benchmark's
     # exact rref and reduce_rows counters (ROADMAP item 2).
-    return Subspace(ring, *linalg.rref(kernel, ring.p))
+    return Subspace(ring, linalg.rref(kernel, ring.p)[0])
 
 
 def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:

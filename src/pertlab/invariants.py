@@ -168,7 +168,7 @@ def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
         ring.rows_times(rows, g.vec, out=stacked[at * k:(at + 1) * k])
     del rows
     ring.base_subspace.dense(stacked[top:])
-    return Subspace(ring, *linalg.rref(stacked, ring.p))
+    return Subspace(ring, linalg.rref(stacked, ring.p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,8 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     image_rows = _koszul_boundary(ring, mats, i + 1)
     ncomp = comb(len(fs), i)
     perm, cuts = _module_order_structures(ring, ncomp)
-    u_rows, u_piv = linalg.rref(kernel[:, perm], ring.p)
-    s_rows, s_piv = linalg.rref(image_rows[:, perm], ring.p)
-    upper = Subspace(ring, u_rows, u_piv)
-    lower = Subspace(ring, s_rows, s_piv)
+    upper = Subspace(ring, linalg.rref(kernel[:, perm], ring.p)[0])
+    lower = Subspace(ring, linalg.rref(image_rows[:, perm], ring.p)[0])
     value, resolved = plateau(order_profile(upper, lower, cuts))
 
     finite = False

@@ -4,8 +4,8 @@ Inputs are integer arrays; entries outside [0, p) are reduced first.  Outputs
 are narrow residues: read-only arrays in the unsigned dtype of
 ``narrow_dtype(p)`` (uint8 for p <= 251, uint16 up to MAX_PRIME), an eighth
 or a quarter of int64, with entries in [0, p).  Every entry point accepts
-such arrays as they are (see ``narrow``); the one caller that does signed
-arithmetic on an output, the ring's Element vectors, widens it first.
+such arrays as they are; the one caller that does signed arithmetic on an
+output, the ring's Element vectors, widens it first.
 Reduced row echelon forms are canonical for a fixed column order, so
 rowspace equality is plain array equality.
 
@@ -29,10 +29,11 @@ an entry on a polynomial pivot, for a product with just the polynomial
 basis rows whose columns they hold; so the exactness bound above concerns
 those products alone.  A unit row is known by its pivot, so a basis is
 held whole by its pivots, its unit-row mask and its polynomial rows, which
-is all ``_reduce`` reads: that compact form is a ``Staircase``.  ``rref``,
-``merge`` and ``intersect_rowspaces`` return it, and ``reduce_rows``,
-``merge`` and ``intersect_rowspaces`` take a basis in either form, a
-``Staircase`` as it is, and compact a dense one (``staircase``).
+is all ``_reduce`` reads: that compact form is a ``Staircase``, the one
+form of a basis.  ``rref``, ``merge`` and ``intersect_rowspaces`` return
+it, and ``reduce_rows``, ``merge`` and ``intersect_rowspaces`` take it as
+it is; a dense basis is compacted only inside this module, from
+``_echelon``'s output.
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
 rows of a block or of a basis exists.  Residues are widened in two places
@@ -51,8 +52,9 @@ basis as it is.
 Elimination outputs are compact.  ``rref`` grows its basis as a
 staircase: pivots and unit mask, and only the polynomial rows, in a narrow
 buffer grown in place; a polynomial row that a later chunk's pivots clear
-down to its pivot moves to the mask.  ``merge`` builds its output the same
-way.  Stored bases (``rings.Subspace``) adopt these fields as they are.
+down to its pivot moves to the mask.  ``merge`` joins its reduced new
+rows to the basis through the same routine (``_Growing.absorb``).  Stored
+bases (``rings.Subspace``) adopt these fields as they are.
 What is still dense is a block that is an input itself, built for one
 operation: a stacked elimination input, a product block, a basis
 materialized (``Staircase.rows`` or ``dense``) to be multiplied or
@@ -104,18 +106,6 @@ def narrow_dtype(p: int) -> np.dtype:
     return np.dtype(np.uint8 if p <= 256 else np.uint16)
 
 
-def narrow(rows, p: int) -> np.ndarray:
-    """Read-only residue rows in ``narrow_dtype(p)``; entries must already
-    lie in [0, p).  Rows already in that form are returned as they are."""
-    rows = np.asarray(rows)
-    dtype = narrow_dtype(p)
-    if rows.dtype == dtype and not rows.flags.writeable:
-        return rows
-    rows = np.array(rows, dtype=dtype)
-    rows.flags.writeable = False
-    return rows
-
-
 def _residues(a, p: int, dtype: np.dtype) -> np.ndarray:
     """A fresh copy of ``a`` mod p in ``dtype``.  When a min/max check shows
     every entry already in [0, p), the block goes to ``dtype`` in one copy;
@@ -154,8 +144,8 @@ class Staircase:
     pivot order.  A unit row is its pivot alone, so the mask stores it.
     ``shape`` is that of the dense basis; ``dense`` writes the dense basis
     out, and ``rows`` materializes it read-only, afresh on each read.
-    ``rref`` and ``merge`` return this form, and the kernel's basis
-    parameters take it as it is (see ``staircase``)."""
+    Every elimination returns this form, and every basis parameter of the
+    kernel takes it."""
 
     __slots__ = ("pivots", "unit", "poly", "shape")
 
@@ -180,14 +170,11 @@ class Staircase:
         return _read_only(self.dense())
 
 
-def staircase(rows, pivots: np.ndarray, unit: np.ndarray | None = None
-              ) -> Staircase:
-    """The basis given by its dense RREF ``rows`` and ``pivots`` as a
-    ``Staircase``; ``unit`` may carry its unit-row mask.  A ``Staircase``
-    comes back as it is.  The polynomial rows are gathered into a copy,
-    unless every row is polynomial."""
-    if isinstance(rows, Staircase):
-        return rows
+def _compact(rows: np.ndarray, pivots: np.ndarray,
+             unit: np.ndarray | None = None) -> Staircase:
+    """The RREF that ``_echelon`` found, dense ``rows`` and ``pivots``, as a
+    ``Staircase``; ``unit`` may carry its unit-row mask.  The polynomial
+    rows are gathered into a copy, unless every row is polynomial."""
     if unit is None:
         unit = unit_rows(rows)
     return Staircase(pivots, unit, rows[~unit] if unit.any() else rows)
@@ -274,7 +261,7 @@ def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         sel = sel.astype(narrow_dtype(p))
         if done is None and first.all():  # one round: sorted by pivot
             return sel, piv
-        found = staircase(sel, piv, unit)
+        found = _compact(sel, piv, unit)
         if done is None:
             done, done_piv = sel, piv
         else:
@@ -343,36 +330,26 @@ def _reduce(out: np.ndarray, basis: Staircase, p: int) -> np.ndarray:
     return out
 
 
-def reduce_rows(block: np.ndarray, rows, pivots: np.ndarray, p: int, *,
+def reduce_rows(block: np.ndarray, basis: Staircase, p: int, *,
                 in_place: bool = False) -> np.ndarray:
-    """Normal form of each row of ``block`` against an RREF basis, narrow
-    and read-only.
+    """Normal form of each row of ``block`` against the RREF ``basis``,
+    narrow and read-only.
 
-    The basis is ``rows`` with pivots ``pivots``: its dense rows, or the
-    basis as a ``Staircase``, taken as it is.  One pass suffices because
-    the basis is fully reduced: subtracting coeffs @ rows clears every
-    pivot column exactly.  ``block`` is copied narrow, reduced mod p
-    ``_CHUNK`` rows at a time where it leaves [0, p), and cleared in that
-    copy (``_reduce``); it is never written.  With ``in_place``, ``block``
-    must be a writable narrow residue array, built only to be reduced: it
-    is cleared where it stands and comes back read-only.  Of the basis,
-    only the polynomial rows a product uses are widened.
+    One pass suffices because the basis is fully reduced: subtracting
+    coeffs @ rows clears every pivot column exactly.  ``block`` is copied
+    narrow, reduced mod p ``_CHUNK`` rows at a time where it leaves [0, p),
+    and cleared in that copy (``_reduce``); it is never written.  With
+    ``in_place``, ``block`` must be a writable narrow residue array, built
+    only to be reduced: it is cleared where it stands and comes back
+    read-only.  Of the basis, only the polynomial rows a product uses are
+    widened.
     """
-    basis = staircase(rows, pivots)
     if not in_place:
         block = _residues(np.asarray(block), p, narrow_dtype(p))
     elif block.dtype != narrow_dtype(p) or not block.flags.writeable:
         raise ValueError("an in-place reduction needs a writable block "
                          "in narrow_dtype(p)")
     return _read_only(_reduce(block, basis, p))
-
-
-def _touched(basis: Staircase, new_pivots: np.ndarray) -> np.ndarray:
-    """Positions, among the polynomial rows of ``basis``, of those holding
-    an entry at one of ``new_pivots``.  New rows are reduced against the
-    basis, so a unit row vanishes on every new pivot column: only
-    polynomial rows can be touched."""
-    return np.flatnonzero(basis.poly[:, new_pivots].any(axis=1))
 
 
 def _reduce_at(out: np.ndarray, index: np.ndarray, basis: Staircase,
@@ -412,21 +389,26 @@ class _Growing:
     def extend(self, rows: np.ndarray, p: int) -> None:
         """Add the rowspace of ``rows``.  The chunk goes to ``reduce_rows``
         as it is, and ``_echelon`` takes its surviving rows narrow and
-        returns them narrow, as they are when already in RREF.  The
-        polynomial basis rows that the new pivots touch are cleared in
-        place; those left with their pivot alone move to the mask.  The
-        chunk's work buffers die with the call."""
-        r, npoly = self.r, self.npoly
+        returns them narrow, as they are when already in RREF; ``absorb``
+        joins them.  The chunk's work buffers die with the call."""
         # The basis so far, as views, in order of discovery; the order does
         # not matter to ``_reduce``.
-        held = Staircase(self.pivots[:r], self.unit[:r], self.poly[:npoly])
-        chunk = reduce_rows(rows, held, held.pivots, p)
+        held = Staircase(self.pivots[:self.r], self.unit[:self.r],
+                         self.poly[:self.npoly])
+        chunk = reduce_rows(rows, held, p)
+        del held
         chunk = chunk[np.any(chunk, axis=1)]
-        if chunk.shape[0] == 0:
-            return
-        new = staircase(*_echelon(chunk, p))
-        touched = _touched(held, new.pivots)
-        del held, chunk
+        if chunk.shape[0]:
+            self.absorb(_compact(*_echelon(chunk, p)), p)
+
+    def absorb(self, new: Staircase, p: int) -> None:
+        """Add the RREF basis ``new``, whose rows vanish on every pivot
+        held.  So a unit row held vanishes on every new pivot column, and
+        only the polynomial rows that the new pivots touch are cleared, in
+        place; those left with their pivot alone move to the mask."""
+        r, npoly = self.r, self.npoly
+        touched = np.flatnonzero(
+            self.poly[:npoly][:, new.pivots].any(axis=1))
         if touched.size:
             gone = _reduce_at(self.poly, touched, new, p)
             if gone.size:
@@ -487,50 +469,28 @@ def rank(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[0].shape[0]
 
 
-def merge(rows, pivots: np.ndarray, extra: np.ndarray,
+def merge(basis: Staircase, extra: np.ndarray,
           p: int) -> tuple[Staircase, np.ndarray]:
-    """RREF of rowspace(rows) + rowspace(extra), as a ``Staircase`` and its
-    pivots, reusing the existing RREF ``rows`` with pivots ``pivots``,
-    dense or a ``Staircase`` (see ``reduce_rows``).  When ``extra`` adds
-    nothing, a ``Staircase`` comes back as it is, and dense rows narrowed
-    and compacted.  ``extra`` goes to ``reduce_rows`` as it is.  Old and
-    new polynomial rows go straight to their sorted places in the output;
-    the old ones that the new pivots touch are cleared through ``_reduce``,
-    and those left with their pivot alone move to the unit mask."""
-    if rows.shape[0] == 0:
+    """RREF of rowspace(basis) + rowspace(extra), as a ``Staircase`` and its
+    pivots, reusing the RREF ``basis``; when ``extra`` adds nothing,
+    ``basis`` itself comes back.  ``extra`` goes to ``reduce_rows`` as it
+    is, and the RREF of what survives joins the basis the way ``rref``
+    joins a chunk's (``_Growing.absorb``)."""
+    if basis.shape[0] == 0:
         return rref(extra, p)
-    basis = staircase(rows if isinstance(rows, Staircase)
-                      else narrow(rows, p), pivots)
     if extra.shape[0] == 0:
-        return basis, pivots
-    reduced = reduce_rows(extra, basis, pivots, p)
+        return basis, basis.pivots
+    reduced = reduce_rows(extra, basis, p)
     reduced = reduced[np.any(reduced, axis=1)]
     if reduced.shape[0] == 0:
-        return basis, pivots
-    new, new_pivots = rref(reduced, p)
+        return basis, basis.pivots
+    new = rref(reduced, p)[0]
     del reduced
-    merged = np.concatenate([pivots, new_pivots])
-    unit = np.concatenate([basis.unit, new.unit])
-    # The polynomial rows, old then new, and their places by pivot.
-    poly_at = np.flatnonzero(~unit)
-    by_pivot = np.argsort(merged[poly_at])
-    place = np.empty_like(by_pivot)
-    place[by_pivot] = np.arange(by_pivot.size)
-    poly = np.empty((by_pivot.size, basis.shape[1]), dtype=narrow_dtype(p))
-    old = basis.poly.shape[0]
-    poly[place[:old]] = basis.poly
-    poly[place[old:]] = new.poly
-    touched = _touched(basis, new_pivots)
-    if touched.size:
-        gone = _reduce_at(poly, place[touched], new, p)
-        if gone.size:
-            unit[poly_at[by_pivot[gone]]] = True
-            keep = np.ones(by_pivot.size, dtype=bool)
-            keep[gone] = False
-            poly = poly[keep]
-    order = np.argsort(merged)
-    out = Staircase(_read_only(merged[order]), _read_only(unit[order]),
-                    _read_only(poly))
+    grown = _Growing(basis.shape[0] + new.shape[0], basis.shape[1], p)
+    grown.absorb(basis, p)
+    grown.absorb(new, p)
+    del new
+    out = grown.result()
     return out, out.pivots
 
 
@@ -580,11 +540,10 @@ def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return nullspace(np.asarray(mat).T, p)
 
 
-def intersect_rowspaces(rows_a, piv_a: np.ndarray, rows_b, piv_b: np.ndarray,
+def intersect_rowspaces(a: Staircase, b: Staircase,
                         p: int) -> tuple[Staircase, np.ndarray]:
-    """RREF basis of the intersection of two rowspaces, each given by its
-    RREF rows and pivots, dense or a ``Staircase`` (see ``reduce_rows``),
-    as a ``Staircase`` and its pivots.
+    """RREF basis of the intersection of the rowspaces of the RREF bases
+    ``a`` and ``b``, as a ``Staircase`` and its pivots.
 
     Works through the cokernel of the side with fewer non-pivot columns:
     v = c @ A lies in B iff c kills the reduction of A's rows modulo B.
@@ -594,27 +553,24 @@ def intersect_rowspaces(rows_a, piv_a: np.ndarray, rows_b, piv_b: np.ndarray,
     that reduction adds back exactly combos @ A.  So the span is one
     ``_reduce`` call and one assignment to the pivot columns.
     """
-    ncols = rows_a.shape[1]
-    if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
+    ncols = a.shape[1]
+    if a.shape[0] == 0 or b.shape[0] == 0:
         return _empty(ncols, p)
     # Prefer reducing against the side whose cokernel is smaller.
-    if (ncols - piv_b.size) > (ncols - piv_a.size):
-        rows_a, piv_a, rows_b, piv_b = rows_b, piv_b, rows_a, piv_a
-    # A is the block reduced here: a compact A is materialized for it and
-    # cleared where it stands.  Only the residue's columns off B's pivots
-    # stay alive for the nullspace's elimination.
-    if isinstance(rows_a, Staircase):
-        residue = reduce_rows(rows_a.dense(), rows_b, piv_b, p, in_place=True)
-    else:
-        residue = reduce_rows(rows_a, rows_b, piv_b, p)
-    residue = residue[:, nonpivots(piv_b, ncols)]
+    if b.shape[0] < a.shape[0]:
+        a, b = b, a
+    # A is the block reduced here: it is materialized and cleared where it
+    # stands.  Only the residue's columns off B's pivots stay alive for the
+    # nullspace's elimination.
+    residue = reduce_rows(a.dense(), b, p, in_place=True)
+    residue = residue[:, nonpivots(b.pivots, ncols)]
     combos = left_nullspace(residue, p)
     del residue
     if combos.shape[0] == 0:
         return _empty(ncols, p)
     span = np.zeros((combos.shape[0], ncols), dtype=narrow_dtype(p))
     # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.
-    span[:, piv_a] = (p - combos) % p
-    span = _reduce(span, staircase(rows_a, piv_a), p)
-    span[:, piv_a] = combos
+    span[:, a.pivots] = (p - combos) % p
+    span = _reduce(span, a, p)
+    span[:, a.pivots] = combos
     return rref(span, p)

@@ -205,7 +205,11 @@ class TruncPoly:
 #
 # `^` requires a nonnegative integer literal exponent.
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
+# A NAME token; ``RingDescriptor`` accepts only variable names it matches
+# whole, so every variable parses back as itself.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^()]))")
 
 # Deepest accepted parenthesis nesting: the parser recurses at every level,
 # so deeper input could exhaust the interpreter's stack.

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
-from .polynomials import TruncPoly, monomials_below, parse_poly, power
+from .polynomials import _NAME, TruncPoly, monomials_below, parse_poly, power
 
 
 # Largest supported number M of monomials below D.  A stored subspace and
@@ -79,8 +79,8 @@ class Subspace(linalg.Staircase):
 
     Ideal subspaces are almost all monomials, so this is a small fraction
     of the dense form, and the kernel takes the subspace itself as a basis.
-    It is built from an elimination output, a ``Staircase`` adopted as it
-    is, or from a dense RREF and its pivots.  ``rows`` (read-only) and
+    It is built from an elimination output, a ``Staircase`` whose fields it
+    adopts as they are: no copy, no unit scan.  ``rows`` (read-only) and
     ``dense`` (writable) materialize the dense RREF in
     ``linalg.narrow_dtype(p)``, afresh on each call, for a block that is an
     input itself: a stacked elimination input, a ring product, or a block
@@ -93,30 +93,11 @@ class Subspace(linalg.Staircase):
 
     __slots__ = ("ring",)
 
-    def __init__(self, ring: "RingDescriptor", rows, pivots: np.ndarray):
+    def __init__(self, ring: "RingDescriptor", basis: linalg.Staircase):
         self.ring = ring
-        if isinstance(rows, linalg.Staircase):
-            # Elimination outputs are compact, their polynomial rows a tight
-            # read-only narrow array of their own: no copy, no unit scan.
-            super().__init__(rows.pivots, rows.unit, rows.poly)
-            return
-        # In canonical RREF every row holds its pivot, so one nonzero per
-        # row means all unit rows, as for monomial ideals; otherwise a row
-        # is a unit row exactly when it vanishes on every nonpivot column.
-        # Both reads are faster than the row sums of ``linalg.unit_rows``.
-        if np.count_nonzero(rows) == rows.shape[0]:
-            unit = np.ones(rows.shape[0], dtype=bool)
-        else:
-            free = np.ones(rows.shape[1], dtype=bool)
-            free[pivots] = False
-            unit = ~rows[:, free].any(axis=1)
-        # A dense RREF is what a caller holding one passes; its polynomial
-        # rows go to a narrow copy of their own, so the dense rows need not
-        # stay alive.
-        poly = np.asarray(rows[~unit], dtype=linalg.narrow_dtype(ring.p))
-        for a in (unit, poly):
-            a.flags.writeable = False
-        super().__init__(pivots, unit, poly)
+        # Elimination outputs' polynomial rows are a tight read-only narrow
+        # array of their own.
+        super().__init__(basis.pivots, basis.unit, basis.poly)
 
     @property
     def rank(self) -> int:
@@ -129,8 +110,8 @@ class Subspace(linalg.Staircase):
         """Normal form of each row of ``vectors`` against this subspace;
         ``in_place`` clears a writable narrow block built only to be
         reduced where it stands (see ``linalg.reduce_rows``)."""
-        return linalg.reduce_rows(np.atleast_2d(vectors), self, self.pivots,
-                                  self.ring.p, in_place=in_place)
+        return linalg.reduce_rows(np.atleast_2d(vectors), self, self.ring.p,
+                                  in_place=in_place)
 
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -143,10 +124,9 @@ class Subspace(linalg.Staircase):
         return not self.reduce(other.dense(), in_place=True).any()
 
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
-        rows, pivots = linalg.merge(self, self.pivots, np.atleast_2d(extra),
-                                    self.ring.p)
+        basis, _ = linalg.merge(self, np.atleast_2d(extra), self.ring.p)
         # merge gives a basis it did not extend back as it is.
-        return self if rows is self else Subspace(self.ring, rows, pivots)
+        return self if basis is self else Subspace(self.ring, basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ring(other)
@@ -156,9 +136,8 @@ class Subspace(linalg.Staircase):
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ring(other)
-        rows, pivots = linalg.intersect_rowspaces(
-            self, self.pivots, other, other.pivots, self.ring.p)
-        return Subspace(self.ring, rows, pivots)
+        return Subspace(self.ring, linalg.intersect_rowspaces(
+            self, other, self.ring.p)[0])
 
     def prefix_rank(self, cut: int) -> int:
         """Rank of the subspace projected to the first ``cut`` coordinates.
@@ -273,7 +252,8 @@ class RingDescriptor:
     (see ``TruncPoly.at``).  Before any monomial is enumerated it raises
     ``RingConstructionError`` on a p that is not prime or exceeds
     ``linalg.MAX_PRIME`` (past it float64 elimination is inexact), D < 2, an
-    empty or repeated variable list, more than ``MAX_MONOMIALS`` monomials, a
+    empty or repeated variable list, a variable name that the expression
+    parser would not read as one name, more than ``MAX_MONOMIALS`` monomials, a
     key table past ``MAX_KEY_TABLE`` entries, or a generator over another
     ring or with a constant term.
 
@@ -298,6 +278,11 @@ class RingDescriptor:
             raise RingConstructionError("truncation order must be at least 2")
         if nvars == 0:
             raise RingConstructionError("the ring needs at least one variable")
+        for v in self.vars:
+            if not (isinstance(v, str) and _NAME.fullmatch(v)):
+                raise RingConstructionError(
+                    f"variable name {v!r} is not an identifier (a letter or "
+                    f"_, then letters, digits or _)")
         if len(set(self.vars)) != nvars:
             raise RingConstructionError("duplicate variable names")
         if comb(nvars + D - 1, nvars) > MAX_MONOMIALS:
@@ -340,7 +325,7 @@ class RingDescriptor:
         stacked = self._stacked_multiples(
             [self.vector_of_poly(g) for g in polys])
         basis, pivots = linalg.rref(stacked, p)
-        self.base_subspace = Subspace(self, basis, pivots)
+        self.base_subspace = Subspace(self, basis)
         if pivots.size and pivots[0] == 0:
             raise RingConstructionError("the defining ideal contains a unit; "
                                         "the model would be the zero ring")
@@ -505,7 +490,7 @@ class RingDescriptor:
             raise RingMismatchError("generator from a different ring")
         stacked = self._stacked_multiples([g.vec for g in gens],
                                           self.base_subspace)
-        return Subspace(self, *linalg.rref(stacked, self.p))
+        return Subspace(self, linalg.rref(stacked, self.p)[0])
 
     def power_span(self, w: int) -> Subspace:
         """Subspace of m^w: every coordinate of degree >= w, plus the base."""
@@ -557,5 +542,4 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
                            subspace.poly[:np.count_nonzero(~unit), :cut])
     block = np.zeros((hi - lo, cut), dtype=linalg.narrow_dtype(ring.p))
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
-    return not linalg.reduce_rows(block, low, low.pivots, ring.p,
-                                  in_place=True).any()
+    return not linalg.reduce_rows(block, low, ring.p, in_place=True).any()

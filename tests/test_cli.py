@@ -463,6 +463,26 @@ REJECTED = {
     "hilbert-claim": (_task_manifest(command="hilbert", catalog="regular-line",
                                      claim="main"),
                       "'claim' in [task] applies only to command = verify"),
+    # Variable names the expression parser cannot read: J = vars once read
+    # (x, 2), the unit ideal, and printed every entry 0 with exit 0.
+    **{f"vars-{tag}": ("[manifest]\nformat-version = 1\n\n[ring]\np = 5\n"
+                       f"vars = x, {name}\n\n[task]\ncommand = hilbert\n"
+                       "f = x\n", f"variable name {name!r}")
+       for tag, name in (("digit", "2"), ("power", "x^2"))},
+    # A catalog's [ring] p, vars and gens were once ignored: this ran
+    # F_5[x,y,z]/(xy, xz) at D = 10 and exited 0.
+    "catalog-ring-contradicted": (
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 7\nvars = a, b\n"
+        "gens = a\nD = 10\n\n" + _task_manifest(command="hilbert",
+                                               catalog="remark-2-4")
+        .split("\n\n", 1)[1], "[ring] p = 7 differs from catalog remark-2-4"),
+    "catalog-ring-gens": (
+        "[manifest]\nformat-version = 1\n\n[ring]\ngens = x*y\n\n"
+        + _task_manifest(command="hilbert", catalog="remark-2-4")
+        .split("\n\n", 1)[1], "[ring] gens = x*y differs from catalog"),
+    "ring-without-p": ("[manifest]\nformat-version = 1\n\n[ring]\n"
+                       "vars = x, y\n\n[task]\ncommand = hilbert\nf = x\n",
+                       "no 'p'"),
 }
 
 
@@ -479,7 +499,21 @@ def test_rejected_manifest_exits_two(name, tmp_path, capsys):
     assert main([str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and phrase in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_catalog_ring_section_may_set_d_alone():
+    """Under a catalog, [ring] may give D alone, or with a p, vars and gens
+    that are the fixture's, whitespace aside."""
+    task = _task_manifest(command="hilbert", catalog="remark-2-4", n_max=3)
+    task = task.split("\n\n", 1)[1]
+    fixture = ExperimentConfig.from_catalog("remark-2-4", n_max=3)
+    expected = replace(fixture, ring=replace(fixture.ring, D=10))
+    for ring in ("D = 10", "p = 5\nvars = x,y, z\ngens = x * y, x*z\nD = 10"):
+        manifest = ("[manifest]\nformat-version = 1\n\n[ring]\n" + ring
+                    + "\n\n" + task)
+        assert parse_manifest(manifest).config == expected
+        assert run_manifest(manifest).resolved_D == 10
 
 
 def test_single_depth_is_a_one_depth_sweep():

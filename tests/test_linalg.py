@@ -36,7 +36,7 @@ def test_rref_preserves_rowspace(p):
         mat = random_matrix(rng, 8, 6, p)
         rows, pivots = linalg.rref(mat, p)
         # every original row reduces to zero against the RREF
-        assert not linalg.reduce_rows(mat, rows, pivots, p).any()
+        assert not linalg.reduce_rows(mat, rows, p).any()
 
 
 def test_rref_row_order_invariance():
@@ -65,7 +65,7 @@ def test_merge_matches_batch_rref():
         a = random_matrix(rng, 5, 8, 3)
         b = random_matrix(rng, 4, 8, 3)
         rows_a, piv_a = linalg.rref(a, 3)
-        merged, piv = linalg.merge(rows_a, piv_a, b, 3)
+        merged, piv = linalg.merge(rows_a, b, 3)
         direct, piv_direct = linalg.rref(np.vstack([a, b]), 3)
         assert np.array_equal(merged.rows, direct.rows)
         assert np.array_equal(piv, piv_direct)
@@ -79,12 +79,12 @@ def test_intersection_against_definition():
         b = random_matrix(rng, 4, 7, p)
         rows_a, piv_a = linalg.rref(a, p)
         rows_b, piv_b = linalg.rref(b, p)
-        inter, piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
+        inter, piv = linalg.intersect_rowspaces(rows_a, rows_b, p)
         inter = inter.rows
         # every intersection vector lies in both rowspaces
         if inter.shape[0]:
-            assert not linalg.reduce_rows(inter, rows_a, piv_a, p).any()
-            assert not linalg.reduce_rows(inter, rows_b, piv_b, p).any()
+            assert not linalg.reduce_rows(inter, rows_a, p).any()
+            assert not linalg.reduce_rows(inter, rows_b, p).any()
         # dimension formula: dim(A) + dim(B) = dim(A+B) + dim(A&B)
         union_rank = linalg.rank(np.vstack([a, b]), p)
         assert inter.shape[0] == rows_a.shape[0] + rows_b.shape[0] - union_rank
@@ -262,10 +262,10 @@ def test_merge_and_intersection_match_reference(data):
     _, b = data.draw(residue_matrices(p=p, cols=ncols))
     rows_a, piv_a = linalg.rref(a, p)
     rows_b, piv_b = linalg.rref(b, p)
-    merged, merged_piv = linalg.merge(rows_a, piv_a, b, p)
+    merged, merged_piv = linalg.merge(rows_a, b, p)
     ref_rows, ref_pivots = ref_rref(np.vstack([a, b]), p)
     assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
-    inter, inter_piv = linalg.intersect_rowspaces(rows_a, piv_a, rows_b, piv_b, p)
+    inter, inter_piv = linalg.intersect_rowspaces(rows_a, rows_b, p)
     ref_inter, ref_inter_piv = ref_intersection(rows_a.rows.tolist(),
                                                 rows_b.rows.tolist(), p, ncols)
     inter = inter.rows
@@ -279,7 +279,7 @@ def test_reduce_rows_gives_narrow_normal_forms_of_out_of_range_input(p):
     rng = np.random.default_rng(17)
     rows, pivots = linalg.rref(rng.integers(0, p, (5, 9)), p)
     block = rng.integers(-5 * p, 5 * p, (7, 9))
-    out = linalg.reduce_rows(block, rows, pivots, p)
+    out = linalg.reduce_rows(block, rows, p)
     assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
     assert out.min() >= 0 and out.max() < p
     # A normal form vanishes on the pivots and differs from its row by an
@@ -331,7 +331,7 @@ def test_chunked_reduce_rows_matches_reference(p, kind, seed):
         block = residues.astype(linalg._work_dtype(p, ncols))
     block.flags.writeable = False
     before = block.copy()
-    out = linalg.reduce_rows(block, rows, pivots, p)
+    out = linalg.reduce_rows(block, rows, p)
     assert out.dtype == linalg.narrow_dtype(p) and not out.flags.writeable
     assert out.tolist() == ref_normal_forms(block, rows.rows.tolist(),
                                             pivots.tolist(), p)
@@ -357,16 +357,16 @@ def test_every_entry_point_returns_narrow_residues(p, data):
     rows, pivots = linalg.rref(a, p)
     ref_rows, ref_pivots = ref_rref(a, p)
     narrow_equal(rows.rows, ref_rows, ncols)
-    merged, _ = linalg.merge(rows, pivots, b, p)
+    merged, _ = linalg.merge(rows, b, p)
     narrow_equal(merged.rows, ref_rref(np.vstack([a, b]), p)[0], ncols)
-    narrow_equal(linalg.reduce_rows(b, rows, pivots, p),
+    narrow_equal(linalg.reduce_rows(b, rows, p),
                  ref_normal_forms(b, ref_rows, ref_pivots, p), ncols)
     narrow_equal(linalg.nullspace(a, p), ref_nullspace(a, p, ncols), ncols)
     head = a[:24]   # the reference is slow on the tall kinds' cokernels
     narrow_equal(linalg.left_nullspace(head, p),
                  ref_nullspace(head.T, p, head.shape[0]), head.shape[0])
     rows_b, piv_b = linalg.rref(b, p)
-    inter, _ = linalg.intersect_rowspaces(rows, pivots, rows_b, piv_b, p)
+    inter, _ = linalg.intersect_rowspaces(rows, rows_b, p)
     narrow_equal(inter.rows,
                  ref_intersection(ref_rows, rows_b.rows.tolist(), p, ncols)[0],
                  ncols)
@@ -413,21 +413,21 @@ def test_kernel_never_writes_into_its_arguments(p):
     ncols = 12
     dtype = linalg._work_dtype(p, ncols)
     mat = monomial_rows(rng, p, 0, ncols, tall=True) % p
-    rows, pivots = linalg.rref(mat, p)
+    rows, _ = linalg.rref(mat, p)
     ref_rows, ref_pivots = ref_rref(mat, p)
     work = _read_only(mat.astype(dtype))
     block = _read_only(rng.integers(0, p, (9, ncols)).astype(dtype))
     before = [work.copy(), block.copy()]
 
     assert_canonical(*linalg.rref(work, p), ref_rows, ref_pivots, ncols, p)
-    reduced = linalg.reduce_rows(block, rows, pivots, p)
+    reduced = linalg.reduce_rows(block, rows, p)
     assert np.array_equal(reduced, linalg.reduce_rows(block.astype(np.int64),
-                                                      rows, pivots, p))
-    half, half_piv = linalg.rref(mat[:150], p)
-    merged, merged_piv = linalg.merge(half, half_piv, work[150:], p)
+                                                      rows, p))
+    half, _ = linalg.rref(mat[:150], p)
+    merged, merged_piv = linalg.merge(half, work[150:], p)
     assert_canonical(merged, merged_piv, ref_rows, ref_pivots, ncols, p)
-    other, other_piv = linalg.rref(block, p)
-    inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    other, _ = linalg.rref(block, p)
+    inter, _ = linalg.intersect_rowspaces(rows, other, p)
     union = linalg.rank(np.vstack([rows.rows, other.rows]), p)
     assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
     for original, arg in zip(before, [work, block]):
@@ -444,10 +444,10 @@ def test_narrow_dtype_holds_every_residue(p):
     dtype = linalg.narrow_dtype(p)
     assert dtype == (np.uint8 if p <= 251 else np.uint16)
     assert np.iinfo(dtype).max >= p - 1
-    rows = linalg.narrow(np.array([[0, p - 1], [1, 0]]), p)
+    empty, _ = linalg.rref(np.zeros((0, 2), dtype=np.int64), p)
+    rows = linalg.reduce_rows(np.array([[0, p - 1], [1, 0]]), empty, p)
     assert rows.dtype == dtype and not rows.flags.writeable
     assert rows.tolist() == [[0, p - 1], [1, 0]]
-    assert linalg.narrow(rows, p) is rows
 
 
 def test_residues_reduce_a_uint16_block_past_p():
@@ -486,9 +486,9 @@ def test_unsigned_input_matches_int64_input(p, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("p", [2, 251, 257, 65521])
 def test_kernel_never_writes_into_narrow_arguments(p, dtype):
-    """Read-only unsigned blocks, with entries up to the dtype's maximum, and
-    read-only narrow bases, the form ``Subspace`` stores, give every entry
-    point what int64 copies give, and stay as they were."""
+    """Read-only unsigned blocks, with entries up to the dtype's maximum,
+    give every entry point what int64 copies give, and stay as they
+    were."""
     rng = np.random.default_rng(29)
     ncols = 12
     top = np.iinfo(dtype).max
@@ -501,20 +501,15 @@ def test_kernel_never_writes_into_narrow_arguments(p, dtype):
     rows, pivots = linalg.rref(mat, p)
     ref_rows, ref_pivots = ref_rref(wide_mat, p)
     assert_canonical(rows, pivots, ref_rows, ref_pivots, ncols, p)
-    narrow = linalg.narrow(rows.rows, p)
-    assert np.array_equal(linalg.reduce_rows(block, narrow, pivots, p),
-                          linalg.reduce_rows(wide_block, rows, pivots, p))
-    half, half_piv = linalg.rref(wide_mat[:150], p)
-    # A merge that adds nothing hands back its narrow ``rows`` as they are.
-    merged, merged_piv = linalg.merge(linalg.narrow(half.rows, p), half_piv,
-                                      mat[150:], p)
+    assert np.array_equal(linalg.reduce_rows(block, rows, p),
+                          linalg.reduce_rows(wide_block, rows, p))
+    half, _ = linalg.rref(wide_mat[:150], p)
+    merged, merged_piv = linalg.merge(half, mat[150:], p)
     assert (merged.rows.tolist() == ref_rows
             and merged_piv.tolist() == ref_pivots)
-    other, other_piv = linalg.rref(block, p)
-    inter = linalg.intersect_rowspaces(narrow, pivots,
-                                       linalg.narrow(other.rows, p),
-                                       other_piv, p)
-    wide_inter = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    inter = linalg.intersect_rowspaces(rows, linalg.rref(block, p)[0], p)
+    wide_inter = linalg.intersect_rowspaces(
+        linalg.rref(wide_mat, p)[0], linalg.rref(wide_block, p)[0], p)
     assert np.array_equal(inter[0].rows, wide_inter[0].rows)
     assert np.array_equal(inter[1], wide_inter[1])
     assert np.array_equal(linalg.nullspace(block, p),
@@ -556,23 +551,23 @@ def test_bases_past_a_chunk_clear_exactly(p):
     rng = np.random.default_rng(37)
     c = 560
     mat = rng.integers(0, p, (530, c))
-    rows, pivots = linalg.rref(mat, p)
-    rows = rows.rows
+    basis, pivots = linalg.rref(mat, p)
+    rows = basis.rows
     ref_rows, ref_pivots = np_rref(mat, p)
     assert rows.tolist() == ref_rows.tolist() and pivots.tolist() == ref_pivots
     block = rng.integers(0, p, (40, c))
     normal = (block - block[:, pivots] @ rows.astype(np.int64)) % p
-    assert np.array_equal(linalg.reduce_rows(block, rows, pivots, p), normal)
-    head, head_piv = linalg.rref(mat[:300], p)
-    merged, merged_piv = linalg.merge(head, head_piv, mat[300:], p)
+    assert np.array_equal(linalg.reduce_rows(block, basis, p), normal)
+    head, _ = linalg.rref(mat[:300], p)
+    merged, merged_piv = linalg.merge(head, mat[300:], p)
     assert (np.array_equal(merged.rows, rows)
             and np.array_equal(merged_piv, pivots))
-    other, other_piv = linalg.rref(rng.integers(0, p, (300, c)), p)
-    other = other.rows
-    inter, _ = linalg.intersect_rowspaces(rows, pivots, other, other_piv, p)
+    other, _ = linalg.rref(rng.integers(0, p, (300, c)), p)
+    inter, _ = linalg.intersect_rowspaces(basis, other, p)
     inter = inter.rows
-    assert not linalg.reduce_rows(inter, rows, pivots, p).any()
-    assert not linalg.reduce_rows(inter, other, other_piv, p).any()
+    assert not linalg.reduce_rows(inter, basis, p).any()
+    assert not linalg.reduce_rows(inter, other, p).any()
+    other = other.rows
     union = linalg.rank(np.vstack([rows, other]), p)
     assert inter.shape[0] == rows.shape[0] + other.shape[0] - union
 
@@ -582,13 +577,14 @@ def test_bases_past_a_chunk_clear_exactly(p):
     c = 440
     units = np.zeros((60, c), dtype=np.int64)
     units[np.arange(60), rng.choice(c, 60, replace=False)] = 1
-    a, a_piv = linalg.rref(np.vstack([units, rng.integers(0, p, (280, c))]), p)
-    a = a.rows
+    basis_a, a_piv = linalg.rref(
+        np.vstack([units, rng.integers(0, p, (280, c))]), p)
+    a = basis_a.rows
     unit = linalg.unit_rows(a)
     assert a.shape[0] > linalg._CHUNK and 0 < unit.sum() < a.shape[0]
-    b, b_piv = linalg.rref(rng.integers(0, p, (400, c)), p)
-    b = b.rows
-    inter, inter_piv = linalg.intersect_rowspaces(a, a_piv, b, b_piv, p)
+    basis_b, b_piv = linalg.rref(rng.integers(0, p, (400, c)), p)
+    b = basis_b.rows
+    inter, inter_piv = linalg.intersect_rowspaces(basis_a, basis_b, p)
     inter = inter.rows
     # In RREF, inside both sides, and of dimension rank A + rank B minus
     # rank(A + B) = rank A + rank(B mod A), all in int64.
@@ -604,7 +600,7 @@ def test_bases_past_a_chunk_clear_exactly(p):
     free = np.setdiff1d(np.arange(c), a_piv)
     union = a.shape[0] + len(np_rref(b_mod_a[:, free], p)[1])
     assert inter.shape[0] == a.shape[0] + b.shape[0] - union > linalg._CHUNK
-    swapped = linalg.intersect_rowspaces(b, b_piv, a, a_piv, p)
+    swapped = linalg.intersect_rowspaces(basis_b, basis_a, p)
     assert np.array_equal(swapped[0].rows, inter)
 
 
@@ -670,7 +666,7 @@ def test_echelon_reduces_near_canonical_blocks(case, change, seed):
         rows, piv = linalg.rref(block, p)
         assert_canonical(rows, piv, ref_rows, ref_pivots, ncols, p)
         return
-    rows, piv = linalg._echelon(linalg.narrow(block, p), p)
+    rows, piv = linalg._echelon(block.astype(linalg.narrow_dtype(p)), p)
     assert rows.dtype == linalg.narrow_dtype(p)
     assert rows.tolist() == ref_rows
     assert piv.tolist() == ref_pivots
@@ -701,7 +697,7 @@ def wide_matrices(draw, p):
         basis, piv = linalg.rref(monomial_rows(rng, p, c, c), p)
         nonpiv = np.setdiff1d(np.arange(c), piv)[:20]
         products = rng.integers(0, p, (c, c)) * (rng.random((c, c)) < 0.02)
-        mat = linalg.reduce_rows(products, basis, piv, p)[:, nonpiv].T
+        mat = linalg.reduce_rows(products, basis, p)[:, nonpiv].T
     return np.asarray(mat, dtype=np.int64).reshape(-1, c)
 
 
@@ -772,7 +768,6 @@ def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
                                kind)
     basis, basis_piv = linalg.rref(rows, p)
     assert_canonical(basis, basis_piv, rows.tolist(), piv.tolist(), ncols, p)
-    basis = basis.rows
     n = int(rng.integers(1, 40))
     block = rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
     poly_cols = piv[~linalg.unit_rows(rows)]
@@ -783,33 +778,40 @@ def test_narrow_first_kernel_matches_reference(p, kind, hits, form, seed):
         block[np.arange(n), rng.choice(poly_cols, n)] = rng.integers(1, p, n)
     block = out_of_range(rng, block, p, form)
 
-    normal = linalg.reduce_rows(block, basis, basis_piv, p)
+    normal = linalg.reduce_rows(block, basis, p)
     assert normal.dtype == linalg.narrow_dtype(p) and not normal.flags.writeable
     assert normal.tolist() == ref_normal_forms(block, rows.tolist(),
                                                piv.tolist(), p)
-    merged, merged_piv = linalg.merge(basis, basis_piv, block, p)
+    merged, merged_piv = linalg.merge(basis, block, p)
     assert_canonical(merged, merged_piv,
                      *ref_rref(np.vstack([rows, block.astype(np.int64)]), p),
                      ncols, p)
     assert_canonical(*linalg.rref(block, p), *ref_rref(block, p), ncols, p)
-
-    # The same basis as a Staircase: unit rows as a mask, polynomial rows
-    # alone, taken by the kernel as it is.
-    compact = linalg.staircase(basis, basis_piv)
-    assert compact.shape == basis.shape and np.array_equal(compact.rows, basis)
-    assert compact.poly.shape[0] == np.count_nonzero(~compact.unit)
-    assert np.array_equal(
-        linalg.reduce_rows(block, compact, basis_piv, p), normal)
-    got, got_piv = linalg.merge(compact, basis_piv, block, p)
-    assert np.array_equal(linalg.staircase(got, got_piv).rows, merged.rows)
-    assert np.array_equal(got_piv, merged_piv)
-    other, other_piv = linalg.rref(block, p)
-    inter = linalg.intersect_rowspaces(basis, basis_piv, other, other_piv, p)
-    for sides in ((compact, basis_piv, other, other_piv),
-                  (other, other_piv, compact, basis_piv)):
+    other, _ = linalg.rref(block, p)
+    ref_inter, ref_inter_piv = ref_intersection(rows.tolist(),
+                                                other.rows.tolist(), p, ncols)
+    for sides in ((basis, other), (other, basis)):
         got, got_piv = linalg.intersect_rowspaces(*sides, p)
-        assert np.array_equal(got.rows, inter[0].rows)
-        assert np.array_equal(got_piv, inter[1])
+        assert got.rows.tolist() == ref_inter
+        assert got_piv.tolist() == ref_inter_piv
+
+
+@pytest.mark.parametrize("extra", ["no-rows", "zero-rows", "in-span"])
+def test_merge_that_adds_nothing_returns_the_basis_itself(extra):
+    """A merge whose extra rows are none, only zero rows, or rows already
+    in the span, past a chunk of them and outside [0, p), gives back
+    ``basis`` itself and its pivots, not an equal copy: ``Subspace.sum_rows``
+    relies on it."""
+    p, ncols = 5, 12
+    rng = np.random.default_rng(53)
+    rows, _ = canonical_rows(rng, p, 7, ncols, "mixed")
+    basis, pivots = linalg.rref(rows, p)
+    assert 0 < np.count_nonzero(basis.unit) < basis.shape[0]
+    block = {"no-rows": np.zeros((0, ncols), dtype=np.int64),
+             "zero-rows": np.zeros((3, ncols), dtype=np.int64),
+             "in-span": rng.integers(0, p, (300, 7)) @ rows}[extra]
+    merged, merged_piv = linalg.merge(basis, block, p)
+    assert merged is basis and merged_piv is pivots
 
 
 @settings(max_examples=20, deadline=None)
@@ -837,7 +839,7 @@ def test_canonical_chunks_enter_the_basis_as_they_are(p, kind, seed):
     assert_canonical(*linalg.rref(block, p), *expected, ncols, p)
     head_rows, head_piv = linalg.rref(head, p)
     assert head_piv.tolist() == piv[:linalg._CHUNK].tolist()
-    assert_canonical(*linalg.merge(head_rows, head_piv, later.astype(dtype), p),
+    assert_canonical(*linalg.merge(head_rows, later.astype(dtype), p),
                      *expected, ncols, p)
 
 
@@ -869,8 +871,8 @@ def test_near_canonical_chunks_are_eliminated(p, kind, change, form, seed):
     block = out_of_range(rng, block, p, form)
     assert_canonical(*linalg.rref(block, p), rows.tolist(), piv.tolist(),
                      ncols, p)
-    first = linalg.rref(block[:1], p)
-    assert_canonical(*linalg.merge(*first, block[1:], p), rows.tolist(),
+    first, _ = linalg.rref(block[:1], p)
+    assert_canonical(*linalg.merge(first, block[1:], p), rows.tolist(),
                      piv.tolist(), ncols, p)
 
 
@@ -940,25 +942,24 @@ def test_rref_staircase_matches_reference(p, form, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_in_place_reduce_rows_equals_the_copying_form(p, kind, seed):
     """``in_place`` clears a writable narrow block where it stands, past a
-    chunk of rows and against a dense or compact basis, to the normal forms
-    the copying form returns; the block comes back read-only.  Any other
-    block is refused."""
+    chunk of rows, to the normal forms the copying form returns; the block
+    comes back read-only.  Any other block is refused."""
     rng = np.random.default_rng(seed)
     ncols = int(rng.integers(1, 30))
-    rows, piv = canonical_rows(rng, p, int(rng.integers(0, ncols + 1)), ncols,
-                               kind)
+    rows, _ = canonical_rows(rng, p, int(rng.integers(0, ncols + 1)), ncols,
+                             kind)
     n = int(rng.integers(1, 2 * linalg._CHUNK))
     block = (rng.integers(0, p, (n, ncols)) * (rng.random((n, ncols)) < 0.5)
              ).astype(linalg.narrow_dtype(p))
-    for basis in (rows, linalg.staircase(rows, piv)):
-        expected = linalg.reduce_rows(block, basis, piv, p)
-        work = block.copy()
-        out = linalg.reduce_rows(work, basis, piv, p, in_place=True)
-        assert out is work and not work.flags.writeable
-        assert np.array_equal(out, expected)
-    for refused in (block.astype(np.int64), linalg.narrow(block, p)):
+    basis, _ = linalg.rref(rows, p)
+    expected = linalg.reduce_rows(block, basis, p)
+    work = block.copy()
+    out = linalg.reduce_rows(work, basis, p, in_place=True)
+    assert out is work and not work.flags.writeable
+    assert np.array_equal(out, expected)
+    for refused in (block.astype(np.int64), _read_only(block)):
         with pytest.raises(ValueError):
-            linalg.reduce_rows(refused, rows, piv, p, in_place=True)
+            linalg.reduce_rows(refused, basis, p, in_place=True)
 
 
 @pytest.mark.parametrize("p", [2, 5, 251, 257, 65521])
@@ -970,18 +971,18 @@ def test_kernel_leaves_writable_arguments_byte_identical(p):
     rng = np.random.default_rng(47)
     ncols = 40
     mat = monomial_rows(rng, p, 0, ncols, tall=True) % p
-    rows, piv = canonical_rows(rng, p, 25, ncols, "mixed")
+    rows, _ = canonical_rows(rng, p, 25, ncols, "mixed")
     for dtype in (linalg.narrow_dtype(p), linalg._work_dtype(p, ncols)):
         args = [mat.astype(dtype), rows.astype(dtype),
                 rng.integers(0, p, (linalg._CHUNK + 9, ncols)).astype(dtype)]
         before = [a.tobytes() for a in args]
-        big, basis = args[0], args[1]
+        big = args[0]
         linalg.rref(big, p)
-        linalg.reduce_rows(big, basis, piv, p)
-        linalg.reduce_rows(big, linalg.staircase(basis, piv), piv, p)
+        basis, _ = linalg.rref(args[1], p)
+        linalg.reduce_rows(big, basis, p)
         linalg.nullspace(args[2], p)
         linalg.left_nullspace(args[2][:30], p)
-        linalg.merge(basis, piv, big, p)
-        linalg.intersect_rowspaces(basis, piv, *linalg.rref(args[2], p), p)
+        linalg.merge(basis, big, p)
+        linalg.intersect_rowspaces(basis, linalg.rref(args[2], p)[0], p)
         assert [a.tobytes() for a in args] == before
         assert all(a.flags.writeable for a in args)

@@ -112,11 +112,11 @@ ENTRY_POINTS = {
     "rref-dense":
         lambda block, a, b, head, dense: linalg.rref(dense, P)[0].rows,
     "reduce_rows":
-        lambda block, a, b, head, dense: linalg.reduce_rows(block, *b, P),
-    "merge":
-        lambda block, a, b, head, dense: linalg.merge(*head, block, P)[0].rows,
+        lambda block, a, b, head, dense: linalg.reduce_rows(block, b[0], P),
+    "merge": lambda block, a, b, head, dense:
+        linalg.merge(head[0], block, P)[0].rows,
     "intersect_rowspaces": lambda block, a, b, head, dense:
-        linalg.intersect_rowspaces(*a, *b, P)[0].rows,
+        linalg.intersect_rowspaces(a[0], b[0], P)[0].rows,
 }
 
 
@@ -141,17 +141,17 @@ def test_entry_point_peak_is_narrow_arrays_and_a_few_chunks(entry, blocks):
 
 
 def unit_basis(rng):
-    """An RREF basis of NROWS unit rows e_c, as ``Subspace`` stores it."""
+    """An RREF basis of NROWS unit rows e_c, as ``Subspace`` stores it: a
+    ``Staircase`` of pivots and unit mask alone."""
     pivots = np.sort(rng.choice(NCOLS, NROWS, replace=False))
     rows = np.zeros((NROWS, NCOLS), dtype=np.uint8)
     rows[np.arange(NROWS), pivots] = 1
-    rows.flags.writeable = False
-    return rows, pivots
+    return linalg.rref(rows, P)[0]
 
 
 NARROW_ONLY = {
     "reduce_rows-unit-basis":
-        lambda block, canonical, units: linalg.reduce_rows(block, *units, P),
+        lambda block, canonical, units: linalg.reduce_rows(block, units, P),
     "rref-canonical-block":
         lambda block, canonical, units: linalg.rref(canonical, P)[0],
 }

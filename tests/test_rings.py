@@ -65,6 +65,17 @@ def test_build_ring_rejects_an_empty_variable_list():
         build_ring(2, (), [], 4)
 
 
+@pytest.mark.parametrize("name", ["2", "x^2", "x y", " y", "", "y-1", "1y"])
+def test_build_ring_rejects_names_the_parser_cannot_read(name):
+    """A variable must parse back as itself: "x^2" once named a variable
+    whose serialization read back as x squared, and "2" made J = vars the
+    unit ideal."""
+    with pytest.raises(RingConstructionError) as err:
+        build_ring(5, ("x", name), [], 4)
+    assert f"variable name {name!r}" in str(err.value)
+    assert build_ring(5, ("x", "_y1"), [], 4).variable(1).serialize() == "_y1"
+
+
 @pytest.mark.parametrize("nvars", [20, 41])
 def test_build_ring_rejects_key_tables_past_the_cap(nvars):
     """M = nvars + 1 at D = 2, far below MAX_MONOMIALS, but the exponent-key
@@ -323,7 +334,8 @@ def test_element_negative_power_raises():
                                      ([], 5)])
 def test_subspace_unit_mask_matches_kernel(gens, D):
     """Subspace.reduce and sum_rows pass their compact form, unit mask
-    included; the results equal the kernel on the dense rows."""
+    included; the results equal the kernel on the basis it eliminates from
+    the dense rows."""
     ring = build_ring(5, ("x", "y", "z"), gens, D)
     rng = np.random.default_rng(31)
     subspaces = [ring.base_subspace, ring.power_span(2),
@@ -332,13 +344,28 @@ def test_subspace_unit_mask_matches_kernel(gens, D):
         assert sub.unit.tolist() == [
             np.count_nonzero(row) == 1 for row in sub.rows]
         vecs = rng.integers(-5, 10, (40, ring.M))
+        basis, _ = linalg.rref(sub.rows, ring.p)
         assert np.array_equal(sub.reduce(vecs), linalg.reduce_rows(
-            vecs, sub.rows, sub.pivots, ring.p))
+            vecs, basis, ring.p))
         extra = rng.integers(0, 5, (3, ring.M)) * (rng.random((3, ring.M)) < 0.2)
         merged = sub.sum_rows(extra)
-        rows, pivots = linalg.merge(sub.rows, sub.pivots, extra, ring.p)
+        rows, pivots = linalg.merge(basis, extra, ring.p)
         assert np.array_equal(merged.rows, rows.rows)
         assert np.array_equal(merged.pivots, pivots)
+
+
+def test_sum_that_adds_nothing_returns_self():
+    """sum_rows of no rows, of zero rows or of rows already in the span, and
+    the sum with a subspace inside, give back the subspace itself: merge
+    hands back the basis it did not extend."""
+    ring = build_ring(5, ("x", "y", "z"), ["x^2 + y*z"], 6)
+    sub = ring.ideal_subspace([ring.element("x + y^2")])
+    assert 0 < np.count_nonzero(sub.unit) < sub.rank
+    inside = 3 * sub.rows[::2].astype(np.int64) + sub.rows[1::2][0]
+    for extra in (np.zeros((0, ring.M)), np.zeros((2, ring.M)), inside):
+        assert sub.sum_rows(extra) is sub
+    assert sub.sum(ring.base_subspace) is sub
+    assert ring.base_subspace.sum(sub) is sub
 
 
 # -- narrow storage against the int64 path ---------------------------------------
@@ -374,12 +401,13 @@ def rings_with_subspaces(draw):
 @given(rings_with_subspaces(), st.integers(0, 2 ** 32 - 1))
 def test_narrow_subspaces_match_the_int64_path(case, seed):
     """Every method of the compact Subspace, the Nakayama certificate and
-    the raw product give what the dense kernel gives on int64 copies of the
-    materialized rows; Subspace.reduce hands reduce_rows the compact basis,
-    of the dense shape (rank, M)."""
+    the raw product give what the kernel gives on the bases it eliminates
+    from int64 copies of the materialized rows; Subspace.reduce hands
+    reduce_rows the compact basis, of the dense shape (rank, M)."""
     ring, (a, b) = case
     p = ring.p
     wa, wb = a.rows.astype(np.int64), b.rows.astype(np.int64)
+    sa, sb = linalg.rref(wa, p)[0], linalg.rref(wb, p)[0]
     for sub in (a, b):
         assert sub.rows.dtype == (np.uint8 if p <= 251 else np.uint16)
         assert not sub.rows.flags.writeable
@@ -393,24 +421,23 @@ def test_narrow_subspaces_match_the_int64_path(case, seed):
         normal = a.reduce(vecs)
     assert spy.call_args.args[1] is a
     assert spy.call_args.args[1].shape == (a.rank, ring.M)
-    assert np.array_equal(normal, linalg.reduce_rows(vecs, wa, a.pivots, p))
-    assert a.sum_rows(extra) == Subspace(
-        ring, *linalg.merge(wa, a.pivots, extra, p))
-    assert a.sum(b) == Subspace(ring, *linalg.rref(np.vstack([wa, wb]), p))
+    assert np.array_equal(normal, linalg.reduce_rows(vecs, sa, p))
+    assert a.sum_rows(extra) == Subspace(ring, linalg.merge(sa, extra, p)[0])
+    assert a.sum(b) == Subspace(ring, linalg.rref(np.vstack([wa, wb]), p)[0])
     assert a.intersect(b) == Subspace(
-        ring, *linalg.intersect_rowspaces(wa, a.pivots, wb, b.pivots, p))
+        ring, linalg.intersect_rowspaces(sa, sb, p)[0])
     assert (a.contains(b), b.contains(a)) == (
-        not linalg.reduce_rows(wb, wa, a.pivots, p).any(),
-        not linalg.reduce_rows(wa, wb, b.pivots, p).any())
+        not linalg.reduce_rows(wb, sa, p).any(),
+        not linalg.reduce_rows(wa, sb, p).any())
     assert (a == b) == np.array_equal(wa, wb)
-    rebuilt = Subspace(ring, wa, a.pivots)
+    rebuilt = Subspace(ring, sa)
     assert rebuilt == a and hash(rebuilt) == hash(a)
     for t in range(1, ring.D):
         lo, hi = ring.cut(t), ring.cut(t + 1)
         keep = a.prefix_rank(hi)
         unit_vectors = np.eye(ring.M, dtype=np.int64)[lo:hi, :hi]
         assert nakayama_contains_power(ring, a, t) == (not linalg.reduce_rows(
-            unit_vectors, wa[:keep, :hi], a.pivots[:keep], p).any())
+            unit_vectors, linalg.rref(wa[:keep, :hi], p)[0], p).any())
     vec = rng.integers(0, p, ring.M)
     vec[rng.integers(0, ring.M, 3)] = p - 1
     assert np.array_equal(ring.rows_times(a.rows, vec),
@@ -496,15 +523,18 @@ def test_element_arithmetic_at_p_251_matches_oracle():
 
 def test_subspace_rows_are_compact_and_own_their_data():
     """A subspace keeps a narrow copy of its polynomial rows alone, also when
-    built from a view of a larger array, so no kernel buffer stays alive;
-    its dense rows are materialized afresh."""
+    eliminated from a view of a larger array, so no kernel buffer stays
+    alive; its dense rows are materialized afresh."""
     ring = build_ring(251, ("x", "y"), ["x*y"], 6)
     f = ring.element("200*x + 250*y^2")
     subs = [ring.base_subspace, ring.ideal_subspace([f]), ring.power_span(2),
             ring.ideal_subspace([f]).sum(ring.power_span(3)),
             ring.ideal_subspace([f]).intersect(ring.power_span(2))]
-    identity = linalg.narrow(np.eye(ring.M), ring.p)
-    subs.append(Subspace(ring, identity[:4], np.arange(4)))
+    # Four rows of a larger array, each with a tail on the last column.
+    rows = np.eye(ring.M, dtype=np.uint8)
+    rows[:, -1] = 7
+    subs.append(Subspace(ring, linalg.rref(rows[:4], ring.p)[0]))
+    assert subs[-1].poly.shape[0] == 4
     for sub in subs:
         assert sub.poly.base is None and sub.poly.flags.c_contiguous
         assert sub.poly.dtype == np.uint8 and not sub.poly.flags.writeable
