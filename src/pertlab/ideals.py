@@ -154,14 +154,9 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     """
     ring = target.ring
     if elem.is_zero():
-        # Everything multiplies zero into the target: the unit subspace,
-        # every row a unit row.
-        pivots = np.arange(ring.M)
-        unit = np.ones(ring.M, dtype=bool)
-        poly = np.zeros((0, ring.M), dtype=linalg.narrow_dtype(ring.p))
-        for a in (pivots, unit, poly):
-            a.flags.writeable = False
-        return Subspace(ring, linalg.Staircase(pivots, unit, poly))
+        # Everything multiplies zero into the target.
+        return Subspace(ring, linalg.unit_basis(np.arange(ring.M), ring.M,
+                                                ring.p))
     # One expression: the M x M products are reduced where they stand, and
     # freed once their columns off the target's pivots are gathered, before
     # the nullspace's elimination runs.

@@ -314,8 +314,7 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
 
         def times_var(rows: np.ndarray, v: int, out: np.ndarray) -> None:
             blocks = rows[:, inv_perm].reshape(rows.shape[0], ncomp, d)
-            prod = (blocks.astype(np.float64) @ var_mats[v].astype(np.float64))
-            prod = prod.astype(np.int64) % ring.p
+            prod = linalg.matmul_mod(blocks, var_mats[v], ring.p)
             out[:] = prod.reshape(rows.shape[0], ncomp * d)[:, perm]
 
         h_val, h_resolved = plateau(

@@ -30,10 +30,9 @@ basis rows whose columns they hold; so the exactness bound above concerns
 those products alone.  A unit row is known by its pivot, so a basis is
 held whole by its pivots, its unit-row mask and its polynomial rows, which
 is all ``_reduce`` reads: that compact form is a ``Staircase``, the one
-form of a basis.  ``rref``, ``merge`` and ``intersect_rowspaces`` return
-it, and ``reduce_rows``, ``merge`` and ``intersect_rowspaces`` take it as
-it is; a dense basis is compacted only inside this module, from
-``_echelon``'s output.
+form of a basis.  ``rref``, ``merge``, ``intersect_rowspaces`` and
+``_echelon`` return it, and ``reduce_rows``, ``merge`` and
+``intersect_rowspaces`` take it as it is; no dense basis is compacted.
 
 Work buffers are bounded: no float or int64 copy of more than ``_CHUNK``
 rows of a block or of a basis exists.  Residues are widened in two places
@@ -44,17 +43,18 @@ products add up exactly, since together they have the inner dimension of
 one product.  It serves ``reduce_rows``, ``rref``'s input chunks, the
 basis rows that new pivots touch in ``rref`` and ``merge`` (cleared in
 place, a chunk at a time), the spanning rows of ``intersect_rowspaces``
-and the rounds of ``_echelon``.  ``_echelon`` takes and returns narrow
-rows and widens only each round's pivot rows, at most a chunk, to scale
+and the rounds of ``_echelon``.  ``_echelon`` takes narrow rows and
+widens only each round's polynomial pivot rows, at most a chunk, to scale
 them and reduce them among themselves; a chunk already in RREF enters the
 basis as it is.
 
 Elimination outputs are compact.  ``rref`` grows its basis as a
 staircase: pivots and unit mask, and only the polynomial rows, in a narrow
-buffer grown in place; a polynomial row that a later chunk's pivots clear
-down to its pivot moves to the mask.  ``merge`` joins its reduced new
-rows to the basis through the same routine (``_Growing.absorb``).  Stored
-bases (``rings.Subspace``) adopt these fields as they are.
+buffer grown in place; a polynomial row that later pivots clear down to
+its pivot moves to the mask.  One routine (``_Growing.absorb``) joins new
+rows to a basis: a chunk's to ``rref``'s, a round's to its chunk's in
+``_echelon``, and ``merge``'s reduced new rows to its basis.  Stored bases
+(``rings.Subspace``) adopt these fields as they are.
 What is still dense is a block that is an input itself, built for one
 operation: a stacked elimination input, a product block, a basis
 materialized (``Staircase.rows`` or ``dense``) to be multiplied or
@@ -64,13 +64,13 @@ where it stands; a caller's array passed without it is never written.
 
 Kernels take one elimination.  ``nullspace`` eliminates the matrix with
 its columns reversed; read forwards, that RREF gives the kernel rows
-already in RREF (the argument is in its docstring).  ``_echelon`` returns a
-block already in RREF after one check, and ``rref`` returns a basis found
-in pivot order without sorting it, so re-reducing such a kernel, as
-``nullspace`` itself and ``colon_subspace`` still do until ROADMAP item 2
-deletes both calls, costs no round and no widening.  Of the reversed RREF
-only the polynomial rows are read: a unit row is zero on every free
-column.
+already in RREF (the argument is in its docstring).  ``_echelon`` passes a
+block already in RREF after one check, sharing its rows, and ``rref``
+returns a basis found in pivot order without sorting it, so re-reducing
+such a kernel, as ``nullspace`` itself and ``colon_subspace`` still do
+until ROADMAP item 2 deletes both calls, costs no round and no widening.
+Of the reversed RREF only the polynomial rows are read: a unit row is
+zero on every free column.
 """
 
 from __future__ import annotations
@@ -169,15 +169,15 @@ class Staircase:
     def rows(self) -> np.ndarray:
         return _read_only(self.dense())
 
-
-def _compact(rows: np.ndarray, pivots: np.ndarray,
-             unit: np.ndarray | None = None) -> Staircase:
-    """The RREF that ``_echelon`` found, dense ``rows`` and ``pivots``, as a
-    ``Staircase``; ``unit`` may carry its unit-row mask.  The polynomial
-    rows are gathered into a copy, unless every row is polynomial."""
-    if unit is None:
-        unit = unit_rows(rows)
-    return Staircase(pivots, unit, rows[~unit] if unit.any() else rows)
+    def prefix(self, cut: int) -> "Staircase":
+        """The rows with pivot below ``cut``, on the first ``cut`` columns,
+        as views: a basis to reduce by.  A polynomial row may lose its tail
+        there and become a unit row; clearing by it as a polynomial row is
+        still exact."""
+        keep = int(np.searchsorted(self.pivots, cut))
+        unit = self.unit[:keep]
+        return Staircase(self.pivots[:keep], unit,
+                         self.poly[:np.count_nonzero(~unit), :cut])
 
 
 _INV_CACHE: dict[int, np.ndarray] = {}
@@ -203,79 +203,74 @@ def inverses_mod(p: int) -> np.ndarray:
     return inv
 
 
-def _echelon(block: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """RREF of nonzero narrow residue rows; (rows, pivots) sorted by pivot,
-    the rows narrow.
+def _echelon(block: np.ndarray, p: int) -> Staircase:
+    """RREF of nonzero narrow residue rows, as a ``Staircase`` with narrow
+    polynomial rows.
 
-    A block already in RREF is returned as it is after one check: its
-    leading columns strictly increase and each holds the row's leading
-    entry and nothing else.  Leading entries are >= 1 and residues >= 0, so
-    a leading column sums to 1 exactly when it is such a column; the column
-    sums are taken in uint32, exact below 65,537 rows.  ``rref``'s chunks
-    that reduction left canonical, and the kernels ``nullspace`` builds,
-    are such blocks.
+    A block already in RREF passes after one check, its rows shared (with
+    no unit rows, the block is the polynomial rows): its leading columns
+    strictly increase and each holds the row's leading entry and nothing
+    else.  Leading entries are >= 1 and residues >= 0, so a leading column
+    sums to 1 exactly when it is such a column; the column sums are taken
+    in uint32, exact below 65,537 rows.  ``rref``'s chunks that reduction
+    left canonical, and the kernels ``nullspace`` builds, are such blocks.
 
     Any other block is eliminated in rounds.  A round takes, for each
-    distinct leading column, the first row leading there, widens those
-    pivot rows to the work dtype and scales those whose leading entry is
-    not 1.  Its unit rows reduce the others by zeroing their columns.  On
-    their leading columns the remaining k rows form a unit upper triangular
-    U; with N = I - U nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k
-    squarings reduce the k rows among themselves.  The round's rows go back
-    narrow, and ``_reduce`` clears their columns from every other row.
-    When every row leads at a column of its own, the common case for the
-    sparse blocks of ideal subspaces, the first round is the last: no row
-    is left over to clear, and the round's rows, sorted by pivot, are the
-    result.
+    distinct leading column, the first row leading there.  Those with one
+    nonzero entry become unit rows in the narrow dtype; only the other k
+    are widened, scaled and cleared on the unit rows' columns.  On their
+    leading columns they form a unit upper triangular U; with N = I - U
+    nilpotent, U^-1 = (I+N)(I+N^2)(I+N^4)..., so log2 k squarings reduce
+    them among themselves.  The round's rows, narrow again, join the
+    block's basis (``_Growing.absorb``), and ``_reduce`` clears their
+    columns from the rows left over.  When every row leads at a column of
+    its own, the common case for the sparse blocks of ideal subspaces, the
+    first round is the last.
     """
     lead = (block != 0).argmax(axis=1)
     if (np.all(lead[1:] > lead[:-1])
             and np.all(block.sum(axis=0, dtype=np.uint32)[lead] == 1)):
-        return block, lead
+        unit = unit_rows(block)
+        return Staircase(lead, unit, block[~unit] if unit.any() else block)
     inv = inverses_mod(p)
     dtype = _work_dtype(p, block.shape[1])
-    rest, done = block, None
-    while True:
+    found = _Growing(block.shape[0], block.shape[1], p)
+    rest = block
+    while rest.shape[0]:
         order = np.argsort(lead, kind="stable")
         ordered = lead[order]
         first = np.ones(order.size, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         piv = ordered[first]
-        sel = rest[order[first]].astype(dtype)
-        leading = sel[np.arange(piv.size), piv]
-        scale = leading != 1
-        if scale.any():
-            factor = inv[leading[scale].astype(np.intp)].astype(dtype)
-            sel[scale] = _mod(sel[scale] * factor[:, None], p)
-        unit = unit_rows(sel)
-        poly = np.flatnonzero(~unit)
+        sel = rest[order[first]]
+        single = np.count_nonzero(sel, axis=1) == 1
+        sel[single, piv[single]] = 1
+        poly = np.flatnonzero(~single)
         if poly.size:
-            sub = sel[poly]
-            sub[:, piv[unit]] = 0
+            sub = sel[poly].astype(dtype)
+            leading = sub[np.arange(poly.size), piv[poly]]
+            scale = leading != 1
+            if scale.any():
+                factor = inv[leading[scale].astype(np.intp)].astype(dtype)
+                sub[scale] = _mod(sub[scale] * factor[:, None], p)
+            sub[:, piv[single]] = 0
             nil = _mod(-sub[:, piv[poly]], p)
             np.fill_diagonal(nil, 0)
             while nil.any():
                 sub = _mod(sub + nil @ sub, p)
                 nil = _mod(nil @ nil, p)
             sel[poly] = sub
-        sel = sel.astype(narrow_dtype(p))
-        if done is None and first.all():  # one round: sorted by pivot
-            return sel, piv
-        found = _compact(sel, piv, unit)
-        if done is None:
-            done, done_piv = sel, piv
-        else:
-            done = np.vstack([_reduce(done, found, p), sel])
-            done_piv = np.concatenate([done_piv, piv])
+        # Taken after the solve, which can leave a row its pivot alone: a
+        # stale mask would make equal subspaces compare unequal.
+        unit = unit_rows(sel)
+        new = Staircase(piv, unit, sel[~unit])
+        found.absorb(new, p)
         if first.all():
             break
-        rest = _reduce(rest[order[~first]], found, p)
+        rest = _reduce(rest[order[~first]], new, p)
         rest = rest[rest.any(axis=1)]
-        if not rest.shape[0]:
-            break
         lead = (rest != 0).argmax(axis=1)
-    order = np.argsort(done_piv, kind="stable")
-    return done[order], done_piv[order]
+    return found.result()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -283,12 +278,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def unit_basis(pivots: np.ndarray, ncols: int, p: int) -> Staircase:
+    """The RREF whose rows are the unit rows at ``pivots`` (ascending, and
+    made read-only): with no pivots the zero space, with every column the
+    whole space."""
+    return Staircase(_read_only(pivots),
+                     _read_only(np.ones(pivots.size, dtype=bool)),
+                     _read_only(np.zeros((0, ncols), dtype=narrow_dtype(p))))
+
+
 def _empty(ncols: int, p: int) -> tuple[Staircase, np.ndarray]:
-    """The RREF of the zero space: no rows, no pivots."""
-    pivots = _read_only(np.zeros(0, dtype=np.int64))
-    return (Staircase(pivots, _read_only(np.zeros(0, dtype=bool)),
-                      _read_only(np.zeros((0, ncols), dtype=narrow_dtype(p)))),
-            pivots)
+    """The RREF of the zero space and its pivots."""
+    basis = unit_basis(np.zeros(0, dtype=np.int64), ncols, p)
+    return basis, basis.pivots
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, with numpy's broadcasting, exact in
+    the work dtype of the inner dimension; the result is narrow."""
+    dtype = _work_dtype(p, a.shape[-1])
+    return _mod(a.astype(dtype) @ b.astype(dtype), p).astype(narrow_dtype(p))
 
 
 def _reduce(out: np.ndarray, basis: Staircase, p: int) -> np.ndarray:
@@ -354,17 +363,13 @@ def reduce_rows(block: np.ndarray, basis: Staircase, p: int, *,
 
 def _reduce_at(out: np.ndarray, index: np.ndarray, basis: Staircase,
                p: int) -> np.ndarray:
-    """Clear, in place, the rows ``index`` of the writable narrow array
-    ``out`` against an RREF ``basis`` by ``_reduce``, gathering at most
-    ``_CHUNK`` of them at a time; returns the entries of ``index`` whose
-    rows are now unit rows."""
-    now_unit = np.empty(index.size, dtype=bool)
-    for start in range(0, index.size, _CHUNK):
-        at = index[start:start + _CHUNK]
-        part = _reduce(out[at], basis, p)
-        out[at] = part
-        now_unit[start:start + _CHUNK] = unit_rows(part)
-    return index[now_unit]
+    """Clear, in place, the rows ``index`` (ascending) of the writable
+    narrow array ``out`` against an RREF ``basis`` by ``_reduce``; returns
+    the entries of ``index`` whose rows are now unit rows.  The other rows
+    must vanish on the basis's pivots, so the run of rows from the first
+    index to the last is cleared where it stands."""
+    run = _reduce(out[index[0]:index[-1] + 1], basis, p)
+    return index[unit_rows(run)[index - index[0]]]
 
 
 class _Growing:
@@ -373,11 +378,11 @@ class _Growing:
     entries of buffers of the largest possible rank, and the polynomial
     rows in that order, the first ``npoly`` rows of ``poly``.
 
-    ``poly`` grows in place by the rows each chunk adds (``ndarray.resize``,
-    a realloc), so no second copy of it exists while it grows, and no
-    spare capacity is touched (a doubling buffer, zero-filled as it grows,
-    raises peak RSS).  Resizing is safe because each view of ``poly`` dies
-    within the call that made it.
+    ``poly`` grows in place by the rows each chunk or round adds
+    (``ndarray.resize``, a realloc), so no second copy of it exists while
+    it grows, and no spare capacity is touched (a doubling buffer,
+    zero-filled as it grows, raises peak RSS).  Resizing is safe because
+    each view of ``poly`` dies within the call that made it.
     """
 
     def __init__(self, size: int, ncols: int, p: int):
@@ -387,10 +392,10 @@ class _Growing:
         self.r = self.npoly = 0
 
     def extend(self, rows: np.ndarray, p: int) -> None:
-        """Add the rowspace of ``rows``.  The chunk goes to ``reduce_rows``
-        as it is, and ``_echelon`` takes its surviving rows narrow and
-        returns them narrow, as they are when already in RREF; ``absorb``
-        joins them.  The chunk's work buffers die with the call."""
+        """Add the rowspace of ``rows``: the chunk goes to ``reduce_rows``
+        as it is, ``_echelon`` gives the staircase of its surviving rows,
+        and ``absorb`` joins it.  The chunk's work buffers die with the
+        call."""
         # The basis so far, as views, in order of discovery; the order does
         # not matter to ``_reduce``.
         held = Staircase(self.pivots[:self.r], self.unit[:self.r],
@@ -399,7 +404,7 @@ class _Growing:
         del held
         chunk = chunk[np.any(chunk, axis=1)]
         if chunk.shape[0]:
-            self.absorb(_compact(*_echelon(chunk, p)), p)
+            self.absorb(_echelon(chunk, p), p)
 
     def absorb(self, new: Staircase, p: int) -> None:
         """Add the RREF basis ``new``, whose rows vanish on every pivot

@@ -532,14 +532,9 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
     lo, hi = ring.cut(t), ring.cut(t + 1)
     if lo == hi:
         return True
-    cut = hi
-    keep = subspace.prefix_rank(cut)
-    # The rows with pivot below cut, on the first cut columns: a view of
-    # the compact form.  A polynomial row may lose its tail there and become
-    # a unit row; clearing by it as a polynomial row is still exact.
-    unit = subspace.unit[:keep]
-    low = linalg.Staircase(subspace.pivots[:keep], unit,
-                           subspace.poly[:np.count_nonzero(~unit), :cut])
-    block = np.zeros((hi - lo, cut), dtype=linalg.narrow_dtype(ring.p))
+    # Modulo m^(t+1) only the first hi coordinates count: reduce by the
+    # subspace's prefix there.
+    block = np.zeros((hi - lo, hi), dtype=linalg.narrow_dtype(ring.p))
     block[np.arange(hi - lo), np.arange(lo, hi)] = 1
-    return not linalg.reduce_rows(block, low, ring.p, in_place=True).any()
+    return not linalg.reduce_rows(block, subspace.prefix(hi), ring.p,
+                                  in_place=True).any()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -621,9 +623,15 @@ def test_echelon_passes_canonical_blocks_through(case):
     block, pivots = canonical_block(p, mat)
     if block.shape[0] == 0:
         return
-    rows, piv = linalg._echelon(block, p)
-    assert rows is block
-    assert piv.tolist() == pivots
+    # No round runs: only the rounds build a ``_Growing``.
+    with mock.patch.object(linalg, "_Growing", side_effect=AssertionError):
+        basis = linalg._echelon(block, p)
+    assert basis.pivots.tolist() == pivots
+    unit = [np.count_nonzero(row) == 1 for row in block]
+    assert basis.unit.tolist() == unit
+    if not any(unit):
+        assert basis.poly is block
+    assert basis.poly.tolist() == block[~np.array(unit)].tolist()
 
 
 NEAR_CANONICAL = ["lead-not-one", "pivot-column-entry", "shared-lead",
@@ -666,10 +674,13 @@ def test_echelon_reduces_near_canonical_blocks(case, change, seed):
         rows, piv = linalg.rref(block, p)
         assert_canonical(rows, piv, ref_rows, ref_pivots, ncols, p)
         return
-    rows, piv = linalg._echelon(block.astype(linalg.narrow_dtype(p)), p)
-    assert rows.dtype == linalg.narrow_dtype(p)
-    assert rows.tolist() == ref_rows
-    assert piv.tolist() == ref_pivots
+    basis = linalg._echelon(block.astype(linalg.narrow_dtype(p)), p)
+    unit = [sum(1 for v in row if v) == 1 for row in ref_rows]
+    assert basis.poly.dtype == linalg.narrow_dtype(p)
+    assert basis.pivots.tolist() == ref_pivots
+    assert basis.unit.tolist() == unit
+    assert basis.poly.tolist() == [row for row, u in zip(ref_rows, unit)
+                                   if not u]
 
 
 @st.composite
