@@ -119,7 +119,7 @@ def sample_in_power(ring: RingDescriptor, n: int, seed: int,
     for _ in range(count):
         vec = np.zeros(ring.M, dtype=np.int64)
         vec[lo:] = rng.integers(0, ring.p, ring.M - lo)
-        out.append(ring.element(ring.poly_of_vector(vec)))
+        out.append(ring.element(vec))
     return tuple(out)
 
 

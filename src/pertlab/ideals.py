@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 from .certify import EXACT, UNCERTIFIED, CertifiedValue
 from .errors import RingMismatchError
-from .polynomials import TruncPoly
 from .rings import Element, RingDescriptor, Subspace, nakayama_contains_power
 
 
@@ -134,9 +133,7 @@ def ideal_intersection(a: IdealHandle, b: IdealHandle) -> IdealHandle:
 def _handle_of(sub: Subspace) -> IdealHandle:
     # A vector-space basis of (A + m^D)/m^D generates the ideal A + m^D.
     ring = sub.ring
-    handle = IdealHandle(ring, [Element(ring, ring._normal_form(row.copy()),
-                                        ring.poly_of_vector(row))
-                                for row in sub.rows])
+    handle = IdealHandle(ring, [ring.element(row) for row in sub.rows])
     handle._subspace = sub
     return handle
 
@@ -249,11 +246,10 @@ class IdealPowers:
             e = self.top + 1
             if self._is_maximal:
                 ring = self.ring
-                gens = [ring.element(TruncPoly(ring.p, ring.vars, ring.D,
-                                               {ring.monomials[c]: 1}))
-                        for c in range(ring.cut(e), ring.cut(e + 1))]
-                handle = IdealHandle(self.ring, _dedupe(gens))
-                handle._subspace = self.ring.power_span(e)
+                handle = IdealHandle(ring, _dedupe(
+                    ring.monomial(c)
+                    for c in range(ring.cut(e), ring.cut(e + 1))))
+                handle._subspace = ring.power_span(e)
             else:
                 handle = ideal_product(self.handles[-1], self.j)
             self.handles.append(handle)

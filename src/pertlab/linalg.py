@@ -132,8 +132,8 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     dtype, inside its exactness bound.
     """
     acc = None
-    if (rows.dtype.kind == "u"
-            and rows.shape[-1] * np.iinfo(rows.dtype).max < 2 ** 32):
+    top = (1 << 8 * rows.dtype.itemsize) - 1  # an unsigned dtype's maximum
+    if rows.dtype.kind == "u" and rows.shape[-1] * top < 2 ** 32:
         acc = np.uint32
     return rows.sum(axis=1, dtype=acc) == 1
 

@@ -1,18 +1,19 @@
-"""Sparse multivariate polynomial arithmetic over a prime field, truncated at a
-fixed total degree.
+"""Sparse polynomials over a prime field, truncated at a fixed total
+degree, and the expression parser that reads them.
 
 A :class:`TruncPoly` stores finitely many (exponent tuple, coefficient) pairs
 with all total degrees below the truncation order ``D``; sums and products
 drop every term of degree >= D and record a lower bound on the degrees they
-dropped, so that no re-reading at a higher order misses a term.  This is the
-user-facing term representation; dense coordinate vectors for linear algebra
-live in :mod:`pertlab.rings`.
+dropped, so that no re-reading at a higher order misses a term.  It is the
+parser's value type and the type of a ring's generators, which are read
+before the ring's monomial table exists; ring elements are vectors over that
+table (:mod:`pertlab.rings`) and share the term text and lift guard here.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import PolyParseError, RingMismatchError, TruncationError
 
@@ -46,6 +47,28 @@ def _normalized(terms: Mapping[Exponents, int], p: int, trunc: int
     return out, dropped
 
 
+def check_lift(text: Callable[[], str], dropped: int | None, trunc: int,
+               new_trunc: int) -> None:
+    """TruncationError when a value, named by ``text()``, dropped a term of
+    degree >= ``dropped`` at ``trunc`` that could lie below ``new_trunc``."""
+    if dropped is not None and dropped < new_trunc:
+        raise TruncationError(
+            f"{text()!r} dropped a term of degree >= {dropped} at D = "
+            f"{trunc}, so it cannot be read at D = {new_trunc}; give a D "
+            f"above every input term's degree")
+
+
+def format_terms(vars: tuple[str, ...], terms) -> str:
+    """Canonical text of (exponents, coefficient) pairs given in descending
+    graded-lex order: least nonnegative residues, `^` for powers."""
+    parts = []
+    for exps, c in terms:
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e]
+        parts.append("*".join(factors if c == 1 and factors
+                              else [str(c)] + factors))
+    return " + ".join(parts) or "0"
+
+
 def power(base, n: int, one):
     """base ** n by square-and-multiply, ``one`` being the identity of
     base's ring; ValueError for n < 0."""
@@ -57,7 +80,7 @@ def power(base, n: int, one):
             result = result * base
         n >>= 1
         if n:  # a square past the last bit is unused, and its dropped terms
-            base = base * base  # would mark a TruncPoly result as lossy
+            base = base * base  # would mark the result as lossy
     return result
 
 
@@ -84,10 +107,6 @@ class TruncPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int, vars: tuple[str, ...], trunc: int) -> "TruncPoly":
-        return cls(p, vars, trunc, {})
-
-    @classmethod
     def constant(cls, c: int, p: int, vars: tuple[str, ...], trunc: int) -> "TruncPoly":
         return cls(p, vars, trunc, {(0,) * len(vars): c})
 
@@ -108,11 +127,7 @@ class TruncPoly:
     def at(self, trunc: int) -> "TruncPoly":
         """The same polynomial truncated at ``trunc``; TruncationError when
         it dropped a term that could lie below ``trunc``."""
-        if self.dropped is not None and self.dropped < trunc:
-            raise TruncationError(
-                f"{self.serialize()!r} dropped a term of degree >= "
-                f"{self.dropped} at D = {self.trunc}, so it cannot be read at "
-                f"D = {trunc}; give a D above every input term's degree")
+        check_lift(self.serialize, self.dropped, self.trunc, trunc)
         return TruncPoly(self.p, self.vars, trunc, self.terms, self.dropped)
 
     def _check_context(self, other: "TruncPoly") -> None:
@@ -170,26 +185,10 @@ class TruncPoly:
     # -- serialization ------------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text: terms in descending graded-lex order, least
-        nonnegative residue coefficients, `^` for powers."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[exps]
-            factors = []
-            for name, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+        """Canonical text, terms in descending graded-lex order."""
+        return format_terms(self.vars, (
+            (exps, self.terms[exps])
+            for exps in sorted(self.terms, key=grlex_key, reverse=True)))
 
     def __repr__(self) -> str:
         return f"TruncPoly({self.serialize()!r})"

@@ -4,7 +4,8 @@ A local ring R = k[[x_1..x_n]]/I_0 is modeled by its truncation
 R_bar = F_p[x_1..x_n]/(I_0 + m^D), a finite-dimensional F_p-algebra.  The
 ambient coordinate space V is spanned by the monomials of total degree < D
 in ascending graded-lex order; the defining ideal contributes an echelon
-subspace B of V, and ring elements are stored as normal forms modulo B.
+subspace B of V, and a ring element is stored as its normal form modulo B
+and its defining vector.
 
 Because columns are sorted by ascending degree and echelon pivots sit on the
 leftmost nonzero entry, the pivot of every basis row is its lowest-order
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
-from .polynomials import _NAME, TruncPoly, monomials_below, parse_poly, power
+from .polynomials import (_NAME, TruncPoly, _lowest, check_lift, format_terms,
+                          monomials_below, parse_poly, power)
 
 
 # Largest supported number M of monomials below D.  A stored subspace and
@@ -167,25 +169,26 @@ class Subspace(linalg.Staircase):
 
 
 class Element:
-    """A ring element: a normal-form coordinate vector plus the defining
-    polynomial it came from.
+    """A ring element: its normal form ``vec`` (int64) and its defining
+    vector ``raw`` before reduction modulo the defining ideal (narrow), over
+    the monomials below D, and ``dropped``, the least degree of a term that
+    truncation removed from it or from its operands (None if none was).
 
-    The polynomial is kept so the element can be re-interpreted exactly in a
-    rebuild of the ring at a higher truncation order.  That lift is faithful
-    for elements defined by polynomials of degree < D; one whose polynomial
-    dropped a term below the new order, such as a product or an input with a
-    term of degree >= D, raises TruncationError instead of reading another
+    A rebuild of the ring re-reads the element from ``raw``; one that
+    dropped a term below the new order, such as a product or an input with
+    a term of degree >= D, raises TruncationError instead of reading another
     element.  An element is immutable, so its text is derived once.
     """
 
-    __slots__ = ("ring", "vec", "poly", "_text")
+    __slots__ = ("ring", "vec", "raw", "dropped", "_text")
 
-    def __init__(self, ring: "RingDescriptor", vec: np.ndarray, poly: TruncPoly):
+    def __init__(self, ring: "RingDescriptor", raw: np.ndarray,
+                 dropped: int | None = None):
+        raw.flags.writeable = False
         self.ring = ring
-        if vec.flags.writeable:
-            vec.flags.writeable = False
-        self.vec = vec
-        self.poly = poly
+        self.raw = raw
+        self.dropped = dropped
+        self.vec = ring._normal_form(raw)
         self._text: str | None = None
 
     def is_zero(self) -> bool:
@@ -207,17 +210,21 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_ring(other)
-        return Element(self.ring, self.ring._normal_form(self.vec + other.vec),
-                       self.poly + other.poly)
+        raw = (self.raw.astype(np.int64) + other.raw) % self.ring.p
+        return Element(self.ring, raw.astype(self.raw.dtype),
+                       _lowest(self.dropped, other.dropped))
 
     def __mul__(self, other: "Element") -> "Element":
         self._check_ring(other)
         ring = self.ring
-        a, b = self.vec, other.vec
+        a, b = self.raw, other.raw
         if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
-        acc = ring.rows_times(b[None, :], a)[0]
-        return Element(ring, ring._normal_form(acc), self.poly * other.poly)
+        # The truncation drops every product of terms of degree sum >= D.
+        sums = np.add.outer(*(np.unique(ring.deg_of_col[np.nonzero(v)[0]])
+                              for v in (a, b)))
+        return Element(ring, ring.rows_times(b[None, :], a)[0], _lowest(
+            self.dropped, other.dropped, *sums[sums >= ring.D].tolist()))
 
     def __pow__(self, n: int) -> "Element":
         return power(self, n, self.ring.one())
@@ -230,13 +237,9 @@ class Element:
     def __hash__(self) -> int:
         return hash((id(self.ring), self.vec.tobytes()))
 
-    def to_poly(self) -> TruncPoly:
-        """The normal form as a sparse polynomial."""
-        return self.ring.poly_of_vector(self.vec)
-
     def serialize(self) -> str:
         if self._text is None:
-            self._text = self.to_poly().serialize()
+            self._text = self.ring._format(self.vec)
         return self._text
 
     def __repr__(self) -> str:
@@ -341,45 +344,65 @@ class RingDescriptor:
     # -- vectors and normal forms ---------------------------------------------
 
     def vector_of_poly(self, poly: TruncPoly) -> np.ndarray:
-        vec = np.zeros(self.M, dtype=np.int64)
+        vec = np.zeros(self.M, dtype=linalg.narrow_dtype(self.p))
         for exps, c in poly.terms.items():
             vec[self.col_index[exps]] = c
         return vec
 
-    def poly_of_vector(self, vec: np.ndarray) -> TruncPoly:
-        """The sparse polynomial with coordinate vector ``vec``."""
-        return TruncPoly(self.p, self.vars, self.D,
-                         {self.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]})
+    def _format(self, vec: np.ndarray) -> str:
+        """Text of the polynomial with coordinate vector ``vec``, read from
+        its last column: columns ascend in graded-lex order."""
+        return format_terms(self.vars, ((self.monomials[c], int(vec[c]))
+                                        for c in np.nonzero(vec)[0][::-1]))
 
     def _normal_form(self, vec: np.ndarray) -> np.ndarray:
-        # Element vectors are added, so they are widened from the narrow
-        # normal form: a sum of two uint8 residues wraps at p = 251.
+        # int64, so that signed arithmetic on ``vec`` cannot wrap at p = 251.
         out = self.base_subspace.reduce(vec)[0].astype(np.int64)
         out.flags.writeable = False
         return out
 
-    def element(self, source: "str | TruncPoly | Element") -> Element:
+    def element(self, source: "str | np.ndarray | Element") -> Element:
+        """The element read from an expression, from a coordinate vector
+        over the monomials below D, or from an element of a rebuild of this
+        ring at another order.  The monomials below D are a prefix of those
+        below any higher order, so that lift zero-pads the defining vector,
+        or cuts it to its prefix, counting cut-off terms as dropped; it
+        raises TruncationError when a dropped term could lie below D."""
         if isinstance(source, Element):
-            if source.ring is self:
+            old = source.ring
+            if old is self:
                 return source
-            return self.element(source.poly)  # lift via the defining polynomial
+            if (old.p, old.vars) != (self.p, self.vars):
+                raise RingMismatchError("polynomial context does not match the ring")
+            check_lift(lambda: old._format(source.raw), source.dropped, old.D,
+                       self.D)
+            raw = np.pad(source.raw[:self.M], (0, max(self.M - old.M, 0)))
+            cut = old.deg_of_col[self.M:][source.raw[self.M:] != 0]
+            return Element(self, raw, _lowest(source.dropped, *cut[:1].tolist()))
         if isinstance(source, str):
-            source = parse_poly(source, self)
-        if (source.p, source.vars) != (self.p, self.vars):
-            raise RingMismatchError("polynomial context does not match the ring")
-        if source.trunc != self.D:
-            source = source.at(self.D)
-        vec = self._normal_form(self.vector_of_poly(source))
-        return Element(self, vec, source)
+            poly = parse_poly(source, self)
+            return Element(self, self.vector_of_poly(poly), poly.dropped)
+        if np.shape(source) != (self.M,):
+            raise RingMismatchError(f"a coordinate vector at D = {self.D} "
+                                    f"has {self.M} entries")
+        return Element(self, (np.asarray(source) % self.p).astype(
+            linalg.narrow_dtype(self.p)))
+
+    def monomial(self, col: int) -> Element:
+        """The basis monomial at column ``col``; column 0 holds 1."""
+        raw = np.zeros(self.M, dtype=linalg.narrow_dtype(self.p))
+        raw[col] = 1
+        return Element(self, raw)
 
     def zero(self) -> Element:
-        return self.element(TruncPoly.zero(self.p, self.vars, self.D))
+        return Element(self, np.zeros(self.M, dtype=linalg.narrow_dtype(self.p)))
 
     def one(self) -> Element:
-        return self.element(TruncPoly.constant(1, self.p, self.vars, self.D))
+        return self.monomial(0)
 
     def variable(self, i: int) -> Element:
-        return self.element(TruncPoly.variable(self.vars[i], self.p, self.vars, self.D))
+        return self.monomial(self.col_index[
+            tuple(1 if j == i else 0 for j in range(len(self.vars)))])
 
     # -- fast scatter products -------------------------------------------------
 

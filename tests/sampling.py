@@ -20,5 +20,5 @@ def sample_in_ideal_power(ws, power: int, seed: int, count: int) -> tuple:
         vec = sum((coeffs[s:s + 256] @ rows[s:s + 256]
                    for s in range(0, sub.rank, 256)),
                   np.zeros(ws.ring.M, dtype=np.int64)) % ws.ring.p
-        out.append(ws.ring.element(ws.ring.poly_of_vector(vec)))
+        out.append(ws.ring.element(vec))
     return tuple(out)

@@ -55,7 +55,8 @@ def _random_poly_text(rng, nvars: int, trunc: int, p: int) -> str:
 
 
 def _as_dict(elem) -> dict:
-    return {exps: int(c) for exps, c in elem.to_poly().terms.items()}
+    return {elem.ring.monomials[c]: int(elem.vec[c])
+            for c in np.nonzero(elem.vec)[0]}
 
 
 def _spans_match(model: NaiveModel, span, subspace) -> bool:

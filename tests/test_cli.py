@@ -606,21 +606,32 @@ def _filter_regular_manifest(gens: str, f: str, D: int) -> str:
             f"command = check-filter-regular\nf = {f}\n")
 
 
-@pytest.mark.parametrize("gens, f", [("x*y - y^9", "x"), ("x*y", "x + y^9")],
-                         ids=["in-generator", "in-f"])
+_UNLIFTABLE_VERIFY = (
+    "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\nD = 8\n\n"
+    "[task]\ncommand = verify\nclaim = control-colon\nf = x + y\n"
+    "epsilon = x^3 + y^9\n")
+
+
+@pytest.mark.parametrize("manifest", [
+    _filter_regular_manifest("x*y - y^9", "x", 8),
+    _filter_regular_manifest("x*y", "x + y^9", 8),
+    _UNLIFTABLE_VERIFY], ids=["in-generator", "in-f", "in-epsilon"])
 def test_input_term_at_d_is_not_certified_from_a_truncated_lift(
-        gens, f, tmp_path, capsys):
+        manifest, tmp_path, capsys):
     # y^9 lies between D = 8 and the D + delta = 10 rebuild.  Reading it as
     # zero at both levels once certified f as not filter-regular; x is a
-    # nonzerodivisor on y(x - y^8) = 0.  The run now stops at the lift.
+    # nonzerodivisor on y(x - y^8) = 0.  The run now stops at the lift.  In
+    # f + epsilon the sum carries the drop: x^3 + x + y keeps no y^9 term.
     path = tmp_path / "lossy.cfg"
-    path.write_text(_filter_regular_manifest(gens, f, 8))
+    path.write_text(manifest)
     assert main([str(path), "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
     assert "degree >= 8 at D = 8" in captured.err
     assert "cannot be read at D = 10" in captured.err
+    if manifest is _UNLIFTABLE_VERIFY:
+        assert captured.err.startswith("error: 'x^3 + x + y' dropped")
 
 
 def test_input_term_below_d_certifies_filter_regular(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from pertlab.catalog import CATALOG
-from pertlab.certify import TWO_LEVEL, UNCERTIFIED
+from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_length, ideal_product, ideal_sum,
                             maximal_ideal, unit_ideal, zero_ideal)
@@ -304,6 +304,38 @@ def test_koszul_h2_of_an_artinian_ring_reads_its_socle():
     assert h2 == 1
     report = koszul_report((ring.element("x"), ring.element("y")))
     assert report.lengths[1].value == h2
+
+
+def _euler_characteristic(fs: tuple) -> tuple[int, set]:
+    """chi = sum over i of (-1)^i l(H_i(f; R)), with H_0 = R/(f), from the
+    readings pertlab certifies, and the statuses of those readings."""
+    readings = ((ideal_length(IdealHandle(fs[0].ring, fs)),)
+                + koszul_report(fs).lengths)
+    return (sum((-1) ** i * c.value for i, c in enumerate(readings)),
+            {c.status for c in readings})
+
+
+@pytest.mark.parametrize("catalog_id, multiplicity", [
+    ("regular-pair", 1), ("remark-2-4", 1), ("node-diagonal", 2)])
+def test_euler_characteristic_is_the_multiplicity(catalog_id, multiplicity):
+    """Where (f) + B is m-primary and r = dim R, the Euler characteristic
+    of the Koszul complex is the multiplicity e((f); R) (Serre), an
+    identity between readings taken at D = 11 and in its D + 2 lift."""
+    entry = CATALOG[catalog_id]
+    ring = build_ring(entry.p, entry.vars, entry.base_gens, 11)
+    chi, statuses = _euler_characteristic(
+        tuple(ring.element(e) for e in entry.f_exprs))
+    assert statuses <= {EXACT, TWO_LEVEL}
+    assert chi == multiplicity
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_euler_characteristic_of_an_artinian_ring_is_zero():
+    """R = F_5[x,y]/(x^5, y^5) is Artinian, so chi = 0 for (x, y).  The
+    readings give 1 - 2 + 0 = -1 at D = 10: H_2 reads 0 for the reason
+    given in test_koszul_h2_of_an_artinian_ring_reads_its_socle."""
+    ring = build_ring(5, ("x", "y"), ["x^5", "y^5"], 10)
+    assert _euler_characteristic((ring.element("x"), ring.element("y")))[0] == 0
 
 
 def test_koszul_leading_zero_plateau_stays_uncertified():

@@ -12,10 +12,9 @@ from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
-from pertlab.polynomials import TruncPoly
-from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, Element,
-                           RingDescriptor, Subspace, build_ring,
-                           nakayama_contains_power)
+from pertlab.polynomials import TruncPoly, parse_poly
+from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, RingDescriptor,
+                           Subspace, build_ring, nakayama_contains_power)
 
 
 def test_build_ring_dimensions():
@@ -198,7 +197,7 @@ def small_ideal_subspaces(draw):
                                      min_size=1, max_size=3))
         vec = np.zeros(ring.M, dtype=np.int64)
         vec[list(terms)] = list(terms.values())
-        return ring.element(ring.poly_of_vector(vec))
+        return ring.element(vec)
 
     return ring, ring.ideal_subspace(
         [element() for _ in range(draw(st.integers(1, 3)))])
@@ -283,10 +282,16 @@ def rings_with_vectors(draw):
     return ring, vec
 
 
+def _poly_of(ring, vec) -> TruncPoly:
+    """The sparse polynomial with coordinate vector ``vec``."""
+    return TruncPoly(ring.p, ring.vars, ring.D,
+                     {ring.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]})
+
+
 def _polynomial_products(ring, vec, mus):
     """Coordinate rows of poly(vec) * mu through the dict-based TruncPoly
     product, which shares nothing with RingDescriptor.multiples."""
-    poly = ring.poly_of_vector(vec)
+    poly = _poly_of(ring, vec)
     out = np.zeros((len(mus), ring.M), dtype=np.int64)
     for k, mu in enumerate(mus):
         monomial = TruncPoly(ring.p, ring.vars, ring.D, {ring.monomials[mu]: 1})
@@ -309,7 +314,7 @@ def test_multiples_match_polynomial_products(case):
                       (ring.std_cols, ring.multiples(vec, ring.std_cols)),
                       (range(ring.M), ring.multiples(vec, np.arange(ring.M)))):
         assert np.array_equal(rows, _polynomial_products(ring, vec, mus))
-    table = mult_matrix(ring, Element(ring, vec, ring.poly_of_vector(vec)))
+    table = mult_matrix(ring, ring.element(vec))
     assert not table[default:].any()
 
 
@@ -317,7 +322,7 @@ def test_element_lift_between_levels():
     ring = build_ring(5, ("x", "y"), ["x*y"], 5)
     e = ring.element("x + 2*y^3")
     hi = ring.rebuild(8)
-    lifted = hi.element(e.poly)
+    lifted = hi.element(e)
     assert lifted.serialize() == e.serialize()
     assert lifted.ring.D == 8
 
@@ -391,7 +396,7 @@ def rings_with_subspaces(draw):
                                      min_size=2, max_size=4))
         vec = np.zeros(ring.M, dtype=np.int64)
         vec[list(terms)] = list(terms.values())
-        return ring.element(ring.poly_of_vector(vec))
+        return ring.element(vec)
 
     return ring, [ring.ideal_subspace([element() for _ in range(count)])
                   for count in (draw(st.integers(1, 2)), draw(st.integers(0, 2)))]
@@ -452,7 +457,7 @@ def test_multiples_keep_top_coefficients_exact(p):
     ring = build_ring(p, ("x", "y", "z"), ["x*y"], 5)
     vec = np.zeros(ring.M, dtype=np.int64)
     vec[[1, 3, 5, 9]] = [p - 1, p - 1, 2, p - 2]
-    elem = ring.element(ring.poly_of_vector(vec))
+    elem = ring.element(vec)
     every = np.arange(ring.M)
     for mus, rows in ((ring.std_cols, ring.multiples(elem.vec, ring.std_cols)),
                       (every, mult_matrix(ring, elem))):
@@ -479,27 +484,29 @@ def test_ring_products_keep_top_coefficients_exact(p):
     vec[[0, 1, 3, 5, 9]] = [p - 1, p - 1, p - 1, 2, p - 2]
 
     def products(factor):
-        return np.array([ring.vector_of_poly(ring.poly_of_vector(row) * factor)
+        return np.array([ring.vector_of_poly(_poly_of(ring, row) * factor)
                          for row in rows.astype(np.int64)])
 
     times = ring.rows_times(rows, vec)
     assert times.dtype == linalg.narrow_dtype(p)
-    assert np.array_equal(times, products(ring.poly_of_vector(vec)))
+    assert np.array_equal(times, products(_poly_of(ring, vec)))
     for v, name in enumerate(ring.vars):
         shifted = ring.rows_times_variable(rows, v)
         assert shifted.dtype == linalg.narrow_dtype(p)
         assert np.array_equal(shifted, products(
             TruncPoly.variable(name, p, ring.vars, ring.D)))
-    a = ring.element(ring.poly_of_vector(vec))
-    b = ring.element(ring.poly_of_vector(rows[0]))
-    assert np.array_equal((a * b).vec, ring.element(a.poly * b.poly).vec)
-    assert np.array_equal((a * a).vec, ring.element(a.poly * a.poly).vec)
+    a, b = ring.element(vec), ring.element(rows[0])
+    pa, pb = _poly_of(ring, vec), _poly_of(ring, rows[0])
+    assert np.array_equal((a * b).vec,
+                          ring.element(ring.vector_of_poly(pa * pb)).vec)
+    assert np.array_equal((a * a).vec,
+                          ring.element(ring.vector_of_poly(pa * pa)).vec)
 
 
 # -- narrow kernel outputs at the top of uint8 --------------------------------------
 
 def _oracle_dict(elem) -> dict:
-    return {exps: int(c) for exps, c in elem.to_poly().terms.items()}
+    return _poly_of(elem.ring, elem.vec).terms
 
 
 def test_element_arithmetic_at_p_251_matches_oracle():
@@ -567,3 +574,70 @@ def test_element_lift_refuses_a_dropped_input_term():
     with pytest.raises(TruncationError, match="degree >= 8"):
         high.element(low.element("x^4") * low.element("y^4"))
     assert high.element(low.element("x + y^7")) == high.element("x + y^7")
+
+
+@st.composite
+def elements_with_references(draw):
+    """Elements at D on a 2- or 3-variable ring, each beside its TruncPoly
+    reference: parsed strings, with terms up to a few degrees past D, then
+    sums, products and powers of earlier ones, built alike on both sides."""
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    D = draw(st.integers(4, 7))
+    ring = build_ring(p, names, draw(st.lists(
+        st.sampled_from(["x*y", f"{names[-1]}^2"]), max_size=1)), D)
+    top = (D + 3) // len(names) + 1
+
+    def text():
+        terms = draw(st.lists(st.tuples(
+            st.integers(1, p - 1),
+            st.lists(st.integers(0, top), min_size=len(names),
+                     max_size=len(names))), min_size=1, max_size=3))
+        return " + ".join("*".join([str(c)] + [f"{v}^{e}" for v, e
+                                               in zip(names, exps)])
+                          for c, exps in terms)
+
+    pairs = []
+    for source in draw(st.lists(st.sampled_from("s+*^"), min_size=1,
+                                max_size=6)):
+        if source == "s" or not pairs:
+            t = text()
+            pairs.append((ring.element(t), parse_poly(t, ring)))
+            continue
+        (a, ra), (b, rb) = (pairs[draw(st.integers(0, len(pairs) - 1))]
+                            for _ in range(2))
+        if source == "+":
+            pairs.append((a + b, ra + rb))
+        elif source == "*":
+            pairs.append((a * b, ra * rb))
+        else:
+            n = draw(st.integers(0, 3))
+            pairs.append((a ** n, ra ** n))
+    return ring, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements_with_references())
+def test_element_lift_matches_the_polynomial_reference(case):
+    """Lifting to every order D - 2..D + 3 gives the element the reference
+    reads there, with the same defining vector and dropped degree, and
+    raises, with the reference's message, exactly when the reference's
+    .at raises."""
+    ring, pairs = case
+    for elem, ref in pairs:
+        assert np.array_equal(elem.raw, ring.vector_of_poly(ref))
+        assert elem.dropped == ref.dropped
+    for new_d in range(ring.D - 2, ring.D + 4):
+        other = ring.rebuild(new_d)
+        for elem, ref in pairs:
+            try:
+                want = ref.at(new_d)
+            except TruncationError as refused:
+                with pytest.raises(TruncationError) as raised:
+                    other.element(elem)
+                assert str(raised.value) == str(refused)
+                continue
+            lifted = other.element(elem)
+            assert lifted == other.element(other.vector_of_poly(want))
+            assert np.array_equal(lifted.raw, other.vector_of_poly(want))
+            assert lifted.dropped == want.dropped
