@@ -22,6 +22,7 @@ import csv
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .catalog import CATALOG
@@ -225,6 +226,12 @@ def parse_manifest(text: str) -> Manifest:
             and len(m.epsilon) != len(config.f_exprs):
         raise ManifestError(f"epsilon lists {len(m.epsilon)} perturbations "
                             f"but f lists {len(config.f_exprs)}")
+    # Sampled perturbations of order N live below D.
+    if (depths and m.epsilon is None and config.ring.D is not None
+            and command in ("experiment", "find-min-n", "verify")
+            and depths[1] >= config.ring.D):
+        raise ManifestError(f"sampling depth N = {depths[1]} reaches the "
+                            f"explicit D = {config.ring.D}")
     return m
 
 
@@ -351,29 +358,23 @@ def emit_csv(result: ExperimentReport) -> str:
 def emit_table(result: ExperimentReport, elapsed_s: float) -> str:
     """Aligned rows and a footer: command, resolved D, outcomes, thresholds
     and ``elapsed_s``, the run's wall time."""
-    rows = result.rows()
-    widths = {c: len(c) for c in CSV_COLUMNS}
-    rendered = []
-    for row in rows:
-        r = {c: str(row.get(c, "")) for c in CSV_COLUMNS}
-        rendered.append(r)
-        for c in CSV_COLUMNS:
-            widths[c] = max(widths[c], len(r[c]))
-    lines = ["  ".join(c.ljust(widths[c]) for c in CSV_COLUMNS)]
-    lines.append("  ".join("-" * widths[c] for c in CSV_COLUMNS))
-    for r in rendered:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in CSV_COLUMNS))
-    lines.append("")
-    lines.append(f"command: {result.command}   resolved D: {result.resolved_D}")
-    outcomes: dict[str, int] = {}
-    for rec in result.records:
-        outcomes[rec.outcome] = outcomes.get(rec.outcome, 0) + 1
-    lines.append("outcomes: " + ", ".join(f"{k}={v}"
-                                          for k, v in sorted(outcomes.items())))
+    rendered = [{c: str(row.get(c, "")) for c in CSV_COLUMNS}
+                for row in result.rows()]
+    widths = {c: max([len(c)] + [len(r[c]) for r in rendered])
+              for c in CSV_COLUMNS}
+    lines = ["  ".join(c.ljust(widths[c]) for c in CSV_COLUMNS),
+             "  ".join("-" * widths[c] for c in CSV_COLUMNS)]
+    lines += ["  ".join(r[c].ljust(widths[c]) for c in CSV_COLUMNS)
+              for r in rendered]
+    lines += ["", f"command: {result.command}   resolved D: {result.resolved_D}"]
+    outcomes = sorted(Counter(rec.outcome for rec in result.records).items())
+    lines.append("outcomes: " + ", ".join(f"{k}={v}" for k, v in outcomes))
     if result.n_star is not None:
         lines.append(f"empirical N* = {result.n_star}")
     if result.theoretical is not None:
-        lines.append(f"theoretical N = {result.theoretical.n_bound.value}")
+        held = result.bound_consistent  # None without a sweep to compare
+        lines.append(f"theoretical N = {result.theoretical.n_bound.value}   "
+                     f"bound consistent: {'n/a' if held is None else held}")
     lines.append(f"elapsed: {elapsed_s:.2f}s")
     return "\n".join(lines) + "\n"
 

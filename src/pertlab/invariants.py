@@ -191,10 +191,14 @@ def annihilator_profile(start: linalg.Staircase,
     """Profile w -> least h with m^h * span(start) within
     target + (order >= w), for a basis ``start``; always finite at the
     truncated level, so the honest reading is the value on the widest
-    plateau."""
+    plateau.  Each link is multiplied by the variables' coordinate vectors
+    (unit rows) through ``rows_times``: no element, so no normal form."""
     ring = target.ring
-    return _annihilator_chain(target, start, ring.cuts,
-                              ring.rows_times_variable)
+    variables = linalg.unit_basis(np.sort(ring.var_cols), ring.M,
+                                  ring.p).dense()
+    return _annihilator_chain(
+        target, start, ring.cuts,
+        lambda rows, v, out: ring.rows_times(rows, variables[v], out))
 
 
 def _annihilator_chain(target: Subspace, start: linalg.Staircase,

@@ -526,8 +526,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     free = nonpivots(ends, ncols)
     if free.size == 0:
         return _empty(ncols, p)[0].rows
-    kernel = np.zeros((free.size, ncols), dtype=narrow_dtype(p))
-    kernel[np.arange(free.size), free] = 1
+    kernel = unit_basis(free, ncols, p).dense()
     # A unit r_i is zero off t_i, so on every q outside T: only the
     # polynomial rows enter, read at the reversed free columns.
     # -x mod p, kept unsigned: p - x lies in [1, p] for a residue x.

@@ -324,6 +324,8 @@ class RingDescriptor:
         self._keys = exps @ (D + 1) ** np.arange(exps.shape[1], dtype=np.int64)
         self._key_col = np.full(key_table, self.M, dtype=np.int64)
         self._key_col[self._keys] = np.arange(self.M)
+        # The column of each variable x_i, whose key is (D + 1)^i.
+        self.var_cols = self._key_col[(D + 1) ** np.arange(nvars)]
 
         stacked = self._stacked_multiples(
             [self.vector_of_poly(g) for g in polys])
@@ -401,8 +403,7 @@ class RingDescriptor:
         return self.monomial(0)
 
     def variable(self, i: int) -> Element:
-        return self.monomial(self.col_index[
-            tuple(1 if j == i else 0 for j in range(len(self.vars)))])
+        return self.monomial(int(self.var_cols[i]))
 
     # -- fast scatter products -------------------------------------------------
 
@@ -423,9 +424,11 @@ class RingDescriptor:
         (zeros of that dtype and of the rows' shape) or a fresh array.
 
         Each monomial of the support scatters once, onto the columns where
-        its products survive.  Only those products are widened: a sum of a
-        residue and a product of two, below p^2, fits uint16 for p <= 251
-        and uint32 up to ``linalg.MAX_PRIME``.
+        its products survive.  ``out`` starts as zeros, so a leading term
+        with coefficient 1, such as a variable's, is a plain copy.  Every
+        other product is widened: a sum of a residue and a product of two,
+        below p^2, fits uint16 for p <= 251 and uint32 up to
+        ``linalg.MAX_PRIME``.
         """
         p = self.p
         dtype = linalg.narrow_dtype(p)
@@ -433,29 +436,17 @@ class RingDescriptor:
         if out is None:
             out = np.zeros((rows.shape[0], self.M), dtype=dtype)
         support = np.nonzero(vec)[0]
-        for c, targets in zip(vec[support] % p,
-                              self.monomial_shifts(support)):
+        for k, (c, targets) in enumerate(zip(vec[support] % p,
+                                             self.monomial_shifts(support))):
             keep = targets < self.M
             cols = targets[keep]
+            if k == 0 and c == 1:
+                out[:, cols] = rows[:, keep]
+                continue
             acc = rows[:, keep].astype(wide) * wide(c)
             acc += out[:, cols]
             acc %= p
             out[:, cols] = acc
-        return out
-
-    def rows_times_variable(self, rows: np.ndarray, var_idx: int,
-                            out: np.ndarray | None = None) -> np.ndarray:
-        """Raw product (no normal form) of each row with the variable
-        x_{var_idx}, in the dtype of ``rows``, written into ``out`` (zeros
-        of the rows' shape) or a fresh array; degree-overflow terms drop.
-        Columns ascend by degree, so the surviving ones are those below
-        degree D - 1, a prefix."""
-        col = self.col_index[
-            tuple(1 if j == var_idx else 0 for j in range(len(self.vars)))]
-        if out is None:
-            out = np.zeros(rows.shape, dtype=rows.dtype)
-        keep = self.cut(self.D - 1)
-        out[:, self.monomial_shifts([col])[0, :keep]] = rows[:, :keep]
         return out
 
     def _multipliers(self, vec: np.ndarray) -> np.ndarray:
@@ -520,10 +511,8 @@ class RingDescriptor:
         cut = self.cut(w)
         if cut == self.M:
             return self.base_subspace
-        coords = np.zeros((self.M - cut, self.M),
-                          dtype=linalg.narrow_dtype(self.p))
-        coords[np.arange(self.M - cut), np.arange(cut, self.M)] = 1
-        return self.base_subspace.sum_rows(coords)
+        return self.base_subspace.sum_rows(linalg.unit_basis(
+            np.arange(cut, self.M), self.M, self.p).dense())
 
     def rebuild(self, new_D: int) -> "RingDescriptor":
         """The same ring data at a different truncation order."""
@@ -552,12 +541,9 @@ def nakayama_contains_power(ring: RingDescriptor, subspace: Subspace,
     """
     if t + 1 > ring.D:
         raise TruncationError(f"certificate needs t+1 <= D, got t={t}, D={ring.D}")
-    lo, hi = ring.cut(t), ring.cut(t + 1)
-    if lo == hi:
-        return True
-    # Modulo m^(t+1) only the first hi coordinates count: reduce by the
-    # subspace's prefix there.
-    block = np.zeros((hi - lo, hi), dtype=linalg.narrow_dtype(ring.p))
-    block[np.arange(hi - lo), np.arange(lo, hi)] = 1
+    hi = ring.cut(t + 1)
+    # Modulo m^(t+1) only the first hi coordinates count: reduce the
+    # degree-t monomials by the subspace's prefix there.
+    block = linalg.unit_basis(np.arange(ring.cut(t), hi), hi, ring.p).dense()
     return not linalg.reduce_rows(block, subspace.prefix(hi), ring.p,
                                   in_place=True).any()

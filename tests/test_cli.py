@@ -412,6 +412,15 @@ REJECTED = {
         "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
         "D = 6\n\n[ideals]\nJ = x, y\n\n[task]\ncommand = hilbert\nf = x\n"
         "J = J\nn_max = " + HUGE + "\n", "explicit D = 6"),
+    # This one ran its sweep at N = 5 before failing to sample at N = 6.
+    "N-past-explicit-D": (
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
+        "D = 6\n\n[task]\ncommand = find-min-n\nf = x\nn_max = 4\n"
+        "N = 5..7\nsamples = 2\n", "N = 7 reaches the explicit D = 6"),
+    # Raised by find_min_N itself, before its workspace is built.
+    "find-min-n-without-N": (_task_manifest(command="find-min-n",
+                                            catalog="regular-line"),
+                             "find-min-n needs an N range"),
     "N-negative": (_task_manifest(command="verify", catalog="regular-line",
                                   N=-1, samples=2), "non-negative"),
     "N-range-negative": (_task_manifest(command="find-min-n",
@@ -596,7 +605,7 @@ def test_table_footer_shows_thresholds(tmp_path, capsys):
     assert "command: find-min-n   resolved D: " in out
     assert "outcomes: " in out
     assert "empirical N* = 1" in out
-    assert "theoretical N = 2" in out
+    assert "theoretical N = 2   bound consistent: True" in out
     assert re.search(r"^elapsed: \d+\.\d\ds$", out, re.MULTILINE)
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from pertlab import catalog
 from pertlab.catalog import CATALOG
+from pertlab.errors import PertlabError
 from pertlab.harness import (ExperimentConfig, RingSpec, build_workspace,
                              find_min_N, resolve_ring, run_experiment,
                              sample_in_power)
@@ -40,6 +42,18 @@ def test_sampling_spawn_keys_independent(plane):
     a = sample_in_power(plane, 2, seed=9, count=1, spawn=(2, 0))
     b = sample_in_power(plane, 2, seed=9, count=1, spawn=(2, 1))
     assert a[0].serialize() != b[0].serialize()
+
+
+def test_find_min_n_needs_an_n_range():
+    config = ExperimentConfig.from_catalog("regular-line", samples=1)
+    with pytest.raises(PertlabError, match="find-min-n needs an N range"):
+        find_min_N(config)
+
+
+def test_catalog_get_names_the_known_ids():
+    with pytest.raises(KeyError, match="unknown catalog id 'nope'; known: "
+                                       + ", ".join(sorted(CATALOG))):
+        catalog.get("nope")
 
 
 def test_resolve_ring_auto_d():

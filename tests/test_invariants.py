@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pertlab import linalg
 from pertlab.catalog import CATALOG
 from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED
 from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
@@ -14,6 +19,7 @@ from pertlab.invariants import (ar_number, filter_regular_check,
                                 gr_hilbert_function, hs_table,
                                 koszul_homology_length, koszul_report)
 from pertlab.rings import build_ring
+from pertlab.verifiers import Workspace
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +354,94 @@ def test_koszul_leading_zero_plateau_stays_uncertified():
     cert = koszul_homology_length(fs, 2)
     assert (cert.value, cert.status, cert.note) == (
         0, UNCERTIFIED, "levels 8/10 gave 0/2")
+
+
+# -- invariance under a linear change of coordinates ----------------------------
+
+def _substitute(exprs: tuple, names: tuple, sigma: np.ndarray) -> tuple:
+    """Each expression with x_i replaced by sum_j sigma[i, j] x_j."""
+    images = {v: "(" + " + ".join(f"{c}*{w}" for c, w in zip(row, names) if c)
+              + ")" for v, row in zip(names, sigma.tolist())}
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
+    return tuple(pattern.sub(lambda m: images[m.group(1)], e) for e in exprs)
+
+
+def _readings(p, names, gens, fs, js, D, n_max=3) -> tuple:
+    """Every reading with its status: the hs and gr tables of R/(f) along
+    J, the Koszul lengths of f with their finiteness flags, the Artin-Rees
+    number and the filter-regularity steps of f."""
+    ring = build_ring(p, names, gens, D)
+    ws = Workspace(ring, tuple(map(ring.element, fs)),
+                   IdealHandle(ring, tuple(map(ring.element, js))), n_max)
+    koszul = koszul_report(ws.fs)
+
+    def read(c):
+        return c.value, c.status
+
+    return (tuple(map(read, hs_table(ws.i_handle, ws.j, n_max,
+                                     ws.powers).entries)),
+            tuple(map(read, ws.gr_orig.entries)),
+            tuple(map(read, koszul.lengths)), koszul.finite, read(ws.ar_value),
+            tuple((s.passed, *read(s.exponent))
+                  for s in ws.sequence_report.steps))
+
+
+def _invertible(draw, p: int, n: int) -> np.ndarray:
+    """A random sigma in GL_n(F_p), drawn as P L U: a permutation, a unit
+    lower triangular matrix and an upper triangular one with a nonzero
+    diagonal (every invertible matrix has this form)."""
+    def entries(lo, k):
+        return np.array(draw(st.lists(st.integers(lo, p - 1), min_size=k,
+                                      max_size=k)), dtype=np.int64)
+
+    perm = np.eye(n, dtype=np.int64)[draw(st.permutations(range(n)))]
+    lower = np.tril(entries(0, n * n).reshape(n, n), -1) + np.eye(n, dtype=int)
+    upper = np.triu(entries(0, n * n).reshape(n, n), 1) + np.diag(entries(1, n))
+    sigma = perm @ lower @ upper % p
+    assert linalg.rank(sigma, p) == n
+    return sigma
+
+
+def _assert_coordinate_free(p, names, gens, fs, js, D, sigma) -> None:
+    """sigma maps the defining ideal B, f and J to sigma(B), sigma(f) and
+    sigma(J), and m^D to itself, so it keeps every reading as it is."""
+    twisted = (_substitute(exprs, names, sigma) for exprs in (gens, fs, js))
+    assert _readings(p, names, *twisted, D) == _readings(p, names, gens, fs,
+                                                          js, D)
+
+
+@pytest.mark.parametrize("catalog_id", sorted(CATALOG))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data(), D=st.integers(6, 12))
+def test_catalog_readings_survive_a_change_of_coordinates(catalog_id, data, D):
+    entry = CATALOG[catalog_id]
+    sigma = _invertible(data.draw, entry.p, len(entry.vars))
+    _assert_coordinate_free(entry.p, entry.vars, entry.base_gens,
+                            entry.f_exprs, entry.j_exprs, D, sigma)
+
+
+@st.composite
+def _small_rings(draw):
+    """F_p[x, y(, z)] with up to two generators of degree 2-3, one or two
+    elements f and an ideal J (m or one of degree 1-2), as expressions."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+
+    def polys(lo, hi, least, most):
+        term = st.builds(lambda c, mono: f"{c}*" + "*".join(mono),
+                         st.integers(1, p - 1),
+                         st.lists(st.sampled_from(names), min_size=lo,
+                                  max_size=hi))
+        return tuple(draw(st.lists(st.lists(term, min_size=1, max_size=2).map(
+            " + ".join), min_size=least, max_size=most)))
+
+    js = names if draw(st.booleans()) else polys(1, 2, 1, 3)
+    return p, names, polys(2, 3, 0, 2), polys(1, 2, 1, 2), js
+
+
+@settings(max_examples=12, deadline=None)
+@given(ring=_small_rings(), data=st.data(), D=st.integers(6, 12))
+def test_random_ring_readings_survive_a_change_of_coordinates(ring, data, D):
+    p, names, gens, fs, js = ring
+    _assert_coordinate_free(p, names, gens, fs, js, D,
+                            _invertible(data.draw, p, len(names)))

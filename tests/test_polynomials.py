@@ -26,6 +26,11 @@ def test_parse_two_term():
     assert poly.terms == {(2, 1, 0): 1, (0, 0, 1): 3}
 
 
+def test_parse_leading_unary_minus():
+    """A leading minus negates the first term only."""
+    assert parse_poly("-x + y", F5XY).terms == {(1, 0): 4, (0, 1): 1}
+
+
 def test_parse_binomial_square():
     poly = parse_poly("(x+y)^2", F5XY)
     assert poly.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}

@@ -471,7 +471,7 @@ def test_multiples_keep_top_coefficients_exact(p):
 
 @pytest.mark.parametrize("p", [251, 65521])
 def test_ring_products_keep_top_coefficients_exact(p):
-    """rows_times, rows_times_variable and Element.__mul__ on narrow rows
+    """rows_times (by each variable too) and Element.__mul__ on narrow rows
     and coefficients of p - 1: at p = 251 a product such as 250 * 250, or a
     sum of two residues, wraps in uint8, so a narrow scatter that does not
     widen what it multiplies differs from the int64 polynomial products."""
@@ -491,7 +491,7 @@ def test_ring_products_keep_top_coefficients_exact(p):
     assert times.dtype == linalg.narrow_dtype(p)
     assert np.array_equal(times, products(_poly_of(ring, vec)))
     for v, name in enumerate(ring.vars):
-        shifted = ring.rows_times_variable(rows, v)
+        shifted = ring.rows_times(rows, ring.variable(v).raw)
         assert shifted.dtype == linalg.narrow_dtype(p)
         assert np.array_equal(shifted, products(
             TruncPoly.variable(name, p, ring.vars, ring.D)))

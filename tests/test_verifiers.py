@@ -36,6 +36,11 @@ def branched_ws():
                      maximal_ideal(ring), 8)
 
 
+def test_perturbed_needs_one_perturbation_per_element(branched_ws):
+    with pytest.raises(PertlabError, match="length differs from the sequence"):
+        branched_ws.perturbed((branched_ws.ring.element("x^3"),))
+
+
 def test_bound_regular_line(plane_ws):
     report = bound_N_one_element(plane_ws.fs[0], plane_ws.j)
     assert (report.t.value, report.k.value, report.h.value) == (1, 1, 1)
