@@ -16,8 +16,8 @@ from .invariants import (HilbertTable, KoszulReport, SequenceReport, ar_number,
                          filter_regular_check, filter_regular_sequence_check,
                          gr_hilbert_function, hs_table,
                          koszul_homology_length, koszul_report)
-from .polynomials import TruncPoly, parse_poly
-from .rings import (Element, RingDescriptor, Subspace, build_ring,
+from .polynomials import parse_poly
+from .rings import (Element, Poly, RingDescriptor, Subspace, build_ring,
                     default_truncation, nakayama_contains_power)
 from .verifiers import (BoundReport, VerdictRecord, Workspace,
                         bound_N_one_element, check_control_colon,
@@ -31,8 +31,8 @@ __all__ = [
     "PertlabError", "PolyParseError", "RingMismatchError",
     "RingConstructionError", "TruncationError", "FilterRegularityError",
     "ManifestError",
-    "TruncPoly", "parse_poly",
-    "RingDescriptor", "Element", "Subspace", "build_ring",
+    "parse_poly",
+    "RingDescriptor", "Poly", "Element", "Subspace", "build_ring",
     "default_truncation", "nakayama_contains_power",
     "IdealHandle", "IdealPowers", "ideal", "ideal_colon",
     "ideal_intersection", "ideal_length", "ideal_power",

@@ -329,17 +329,22 @@ def execute(m: Manifest) -> ExperimentReport:
     return ExperimentReport(m.command, m.config, ws.ring.D, records)
 
 
+def _read_manifest(path: str) -> str:
+    """The text of the manifest file at ``path``; ManifestError if it is
+    not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def run_manifest(source: str) -> ExperimentReport:
-    """Execute a manifest given as text or a file path."""
-    text = source
+    """Execute a manifest given as text or a file path: a one-line source
+    that does not open with ``[`` is a path."""
     if "\n" not in source and not source.lstrip().startswith("["):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ManifestError(f"{source} is not UTF-8 text: {exc}") \
-                    from None
-    return execute(parse_manifest(text))
+        source = _read_manifest(source)
+    return execute(parse_manifest(source))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         started = time.monotonic()
-        result = run_manifest(args.manifest)
+        result = execute(parse_manifest(_read_manifest(args.manifest)))
         text = (emit_csv(result) if args.format == "csv"
                 else emit_table(result, time.monotonic() - started))
         if args.out:

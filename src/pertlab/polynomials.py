@@ -1,50 +1,26 @@
-"""Sparse polynomials over a prime field, truncated at a fixed total
-degree, and the expression parser that reads them.
+"""The expression parser, the text of a polynomial's terms, the lift guard
+and the monomials below a truncation order.
 
-A :class:`TruncPoly` stores finitely many (exponent tuple, coefficient) pairs
-with all total degrees below the truncation order ``D``; sums and products
-drop every term of degree >= D and record a lower bound on the degrees they
-dropped, so that no re-reading at a higher order misses a term.  It is the
-parser's value type and the type of a ring's generators, which are read
-before the ring's monomial table exists; ring elements are vectors over that
-table (:mod:`pertlab.rings`) and share the term text and lift guard here.
+The parser evaluates an expression in a ring's own polynomial arithmetic
+(:class:`pertlab.rings.Poly`, vectors over the monomials below ``D``): each
+integer literal and variable is a unit term of the ring, and sums, products
+and powers are the ring's, which record the least degree that truncation
+dropped so that no re-reading at a higher order misses a term.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping
+from typing import Callable
 
-from .errors import PolyParseError, RingMismatchError, TruncationError
+from .errors import PolyParseError, TruncationError
 
 Exponents = tuple[int, ...]
-
-
-def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    """Sort key realizing the graded lexicographic order (x1 > x2 > ...)."""
-    return (sum(exps), exps)
 
 
 def _lowest(*degrees: int | None) -> int | None:
     """The least of the degrees that are not None; None if there is none."""
     return min((d for d in degrees if d is not None), default=None)
-
-
-def _normalized(terms: Mapping[Exponents, int], p: int, trunc: int
-                ) -> tuple[dict[Exponents, int], int | None]:
-    """The nonzero terms below ``trunc``, and the least degree dropped."""
-    out: dict[Exponents, int] = {}
-    dropped = None
-    for exps, c in terms.items():
-        c %= p
-        if not c:
-            continue
-        d = sum(exps)
-        if d < trunc:
-            out[exps] = c
-        elif dropped is None or d < dropped:
-            dropped = d
-    return out, dropped
 
 
 def check_lift(text: Callable[[], str], dropped: int | None, trunc: int,
@@ -82,116 +58,6 @@ def power(base, n: int, one):
         if n:  # a square past the last bit is unused, and its dropped terms
             base = base * base  # would mark the result as lossy
     return result
-
-
-class TruncPoly:
-    """A polynomial over F_p with every term of total degree < D.
-
-    Instances are immutable; arithmetic returns new objects.  The context
-    (p, vars, D) travels with the polynomial so that mixed-context operands
-    are rejected.  ``dropped`` is a lower bound on the degree of every term
-    that truncation removed from it or from its operands (None if none was),
-    given as the ``dropped`` argument or found among ``terms``.
-    """
-
-    __slots__ = ("p", "vars", "trunc", "terms", "dropped")
-
-    def __init__(self, p: int, vars: tuple[str, ...], trunc: int,
-                 terms: Mapping[Exponents, int], dropped: int | None = None):
-        self.p = p
-        self.vars = tuple(vars)
-        self.trunc = trunc
-        self.terms, lost = _normalized(terms, p, trunc)
-        self.dropped = _lowest(dropped, lost)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: int, p: int, vars: tuple[str, ...], trunc: int) -> "TruncPoly":
-        return cls(p, vars, trunc, {(0,) * len(vars): c})
-
-    @classmethod
-    def variable(cls, name: str, p: int, vars: tuple[str, ...], trunc: int) -> "TruncPoly":
-        i = vars.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(p, vars, trunc, {exps: 1})
-
-    # -- basic queries ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.vars), 0)
-
-    def at(self, trunc: int) -> "TruncPoly":
-        """The same polynomial truncated at ``trunc``; TruncationError when
-        it dropped a term that could lie below ``trunc``."""
-        check_lift(self.serialize, self.dropped, self.trunc, trunc)
-        return TruncPoly(self.p, self.vars, trunc, self.terms, self.dropped)
-
-    def _check_context(self, other: "TruncPoly") -> None:
-        if (self.p, self.vars, self.trunc) != (other.p, other.vars, other.trunc):
-            raise RingMismatchError(
-                f"mixed polynomial contexts: F_{self.p}{self.vars}@{self.trunc} "
-                f"vs F_{other.p}{other.vars}@{other.trunc}")
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check_context(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return TruncPoly(self.p, self.vars, self.trunc, terms,
-                         _lowest(self.dropped, other.dropped))
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(self.p, self.vars, self.trunc,
-                         {e: -c for e, c in self.terms.items()}, self.dropped)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check_context(other)
-        terms: dict[Exponents, int] = {}
-        dropped = _lowest(self.dropped, other.dropped)
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                d = d1 + sum(e2)
-                if d >= self.trunc:
-                    if dropped is None or d < dropped:
-                        dropped = d
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return TruncPoly(self.p, self.vars, self.trunc, terms, dropped)
-
-    def __pow__(self, n: int) -> "TruncPoly":
-        return power(self, n, TruncPoly.constant(1, self.p, self.vars,
-                                                 self.trunc))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return (self.p, self.vars, self.trunc, self.terms) == \
-               (other.p, other.vars, other.trunc, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.vars, self.trunc, frozenset(self.terms.items())))
-
-    # -- serialization ------------------------------------------------------
-
-    def serialize(self) -> str:
-        """Canonical text, terms in descending graded-lex order."""
-        return format_terms(self.vars, (
-            (exps, self.terms[exps])
-            for exps in sorted(self.terms, key=grlex_key, reverse=True)))
-
-    def __repr__(self) -> str:
-        return f"TruncPoly({self.serialize()!r})"
 
 
 # -- expression parser -------------------------------------------------------
@@ -239,13 +105,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], p: int,
-                 vars: tuple[str, ...], trunc: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], ring):
         self.tokens = tokens
         self.i = 0
-        self.p = p
-        self.vars = vars
-        self.trunc = trunc
+        self.ring = ring
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -255,7 +118,7 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> TruncPoly:
+    def expr(self):
         kind, value, _ = self.peek()
         negate = False
         if kind == "op" and value == "-":
@@ -273,7 +136,7 @@ class _Parser:
             else:
                 return result
 
-    def term(self) -> TruncPoly:
+    def term(self):
         result = self.factor()
         while True:
             kind, value, _ = self.peek()
@@ -283,7 +146,7 @@ class _Parser:
             else:
                 return result
 
-    def factor(self) -> TruncPoly:
+    def factor(self):
         base = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -295,14 +158,15 @@ class _Parser:
             return base ** int(value)
         return base
 
-    def atom(self) -> TruncPoly:
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return TruncPoly.constant(int(value), self.p, self.vars, self.trunc)
+            return self.ring.term(0, int(value))
         if kind == "name":
-            if value not in self.vars:
+            if value not in self.ring.vars:
                 raise PolyParseError(f"unknown variable '{value}'", pos)
-            return TruncPoly.variable(value, self.p, self.vars, self.trunc)
+            return self.ring.term(
+                int(self.ring.var_cols[self.ring.vars.index(value)]))
         if kind == "op" and value == "(":
             inner = self.expr()
             kind, value, pos = self.advance()
@@ -312,14 +176,11 @@ class _Parser:
         raise PolyParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse_poly(text: str, ring) -> TruncPoly:
-    """Parse an expression string into a TruncPoly over ``ring``.
-
-    ``ring`` is any object with attributes ``p``, ``vars`` and ``D`` (a
-    RingDescriptor works); the result is reduced mod p and truncated at D.
-    """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, ring.p, tuple(ring.vars), ring.D)
+def parse_poly(text: str, ring):
+    """Parse an expression string into a ``rings.Poly`` over ``ring``, a
+    ``RingDescriptor`` whose monomial tables exist: reduced mod p and
+    truncated at D, with no normal form taken."""
+    parser = _Parser(_tokenize(text), ring)
     result = parser.expr()
     kind, value, pos = parser.peek()
     if kind != "end":

@@ -4,8 +4,10 @@ A local ring R = k[[x_1..x_n]]/I_0 is modeled by its truncation
 R_bar = F_p[x_1..x_n]/(I_0 + m^D), a finite-dimensional F_p-algebra.  The
 ambient coordinate space V is spanned by the monomials of total degree < D
 in ascending graded-lex order; the defining ideal contributes an echelon
-subspace B of V, and a ring element is stored as its normal form modulo B
-and its defining vector.
+subspace B of V.  A polynomial (:class:`Poly`: a parsed expression or a
+stored generator) is its defining vector in V, and a ring element
+(:class:`Element`) adds its normal form modulo B.  A rebuild at another
+order reads both through one lift, ``RingDescriptor._read``.
 
 Because columns are sorted by ascending degree and echelon pivots sit on the
 leftmost nonzero entry, the pivot of every basis row is its lowest-order
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
-from .polynomials import (_NAME, TruncPoly, _lowest, check_lift, format_terms,
+from .polynomials import (_NAME, _lowest, check_lift, format_terms,
                           monomials_below, parse_poly, power)
 
 
@@ -168,19 +170,19 @@ class Subspace(linalg.Staircase):
         return f"Subspace(rank={self.rank}, dim_V={self.ring.M})"
 
 
-class Element:
-    """A ring element: its normal form ``vec`` (int64) and its defining
-    vector ``raw`` before reduction modulo the defining ideal (narrow), over
-    the monomials below D, and ``dropped``, the least degree of a term that
-    truncation removed from it or from its operands (None if none was).
+class Poly:
+    """A polynomial over the monomials below the ring's D: its defining
+    vector ``raw`` (narrow, read-only) and ``dropped``, the least degree of
+    a term that truncation removed from it or from its operands (None if
+    none was).
 
-    A rebuild of the ring re-reads the element from ``raw``; one that
-    dropped a term below the new order, such as a product or an input with
-    a term of degree >= D, raises TruncationError instead of reading another
-    element.  An element is immutable, so its text is derived once.
+    This is the package's one polynomial arithmetic: the parser evaluates
+    in it, a ring keeps its generators in it, and :class:`Element` inherits
+    it.  A result has its operands' class, so an element's sum or product
+    takes one normal form and a parsed polynomial none.
     """
 
-    __slots__ = ("ring", "vec", "raw", "dropped", "_text")
+    __slots__ = ("ring", "raw", "dropped")
 
     def __init__(self, ring: "RingDescriptor", raw: np.ndarray,
                  dropped: int | None = None):
@@ -188,6 +190,64 @@ class Element:
         self.ring = ring
         self.raw = raw
         self.dropped = dropped
+
+    def _check_ring(self, other: "Poly") -> None:
+        if other.ring is not self.ring:
+            raise RingMismatchError("elements live over different rings")
+
+    def __add__(self, other: "Poly") -> "Poly":
+        self._check_ring(other)
+        raw = (self.raw.astype(np.int64) + other.raw) % self.ring.p
+        return type(self)(self.ring, raw.astype(self.raw.dtype),
+                          _lowest(self.dropped, other.dropped))
+
+    def __neg__(self) -> "Poly":
+        raw = -self.raw.astype(np.int64) % self.ring.p
+        return type(self)(self.ring, raw.astype(self.raw.dtype), self.dropped)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + -other
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        self._check_ring(other)
+        ring = self.ring
+        a, b = self.raw, other.raw
+        if np.count_nonzero(a) > np.count_nonzero(b):
+            a, b = b, a
+        # The truncation drops every product of terms of degree sum >= D;
+        # the degrees present in each factor, as a mask over 0..D-1.
+        present = np.zeros((2, ring.D), dtype=bool)
+        for mask, v in zip(present, (a, b)):
+            mask[ring.deg_of_col[np.nonzero(v)[0]]] = True
+        sums = np.add.outer(*map(np.flatnonzero, present))
+        return type(self)(ring, ring.rows_times(b[None, :], a)[0], _lowest(
+            self.dropped, other.dropped, *sums[sums >= ring.D].tolist()))
+
+    def __pow__(self, n: int) -> "Poly":
+        return power(self, n, type(self)(self.ring, self.ring.term(0).raw))
+
+    def serialize(self) -> str:
+        return self.ring._format(self.raw)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.serialize()!r})"
+
+
+class Element(Poly):
+    """A ring element: a :class:`Poly` with its normal form ``vec`` modulo
+    the defining ideal (int64, read-only), by which elements compare.
+
+    A rebuild of the ring re-reads the element from ``raw``; one that
+    dropped a term below the new order, such as a product or an input with
+    a term of degree >= D, raises TruncationError instead of reading another
+    element.  An element is immutable, so its text is derived once.
+    """
+
+    __slots__ = ("vec", "_text")
+
+    def __init__(self, ring: "RingDescriptor", raw: np.ndarray,
+                 dropped: int | None = None):
+        super().__init__(ring, raw, dropped)
         self.vec = ring._normal_form(raw)
         self._text: str | None = None
 
@@ -204,31 +264,6 @@ class Element:
     def is_unit(self) -> bool:
         return self.vec[0] != 0
 
-    def _check_ring(self, other: "Element") -> None:
-        if other.ring is not self.ring:
-            raise RingMismatchError("elements live over different rings")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_ring(other)
-        raw = (self.raw.astype(np.int64) + other.raw) % self.ring.p
-        return Element(self.ring, raw.astype(self.raw.dtype),
-                       _lowest(self.dropped, other.dropped))
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check_ring(other)
-        ring = self.ring
-        a, b = self.raw, other.raw
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        # The truncation drops every product of terms of degree sum >= D.
-        sums = np.add.outer(*(np.unique(ring.deg_of_col[np.nonzero(v)[0]])
-                              for v in (a, b)))
-        return Element(ring, ring.rows_times(b[None, :], a)[0], _lowest(
-            self.dropped, other.dropped, *sums[sums >= ring.D].tolist()))
-
-    def __pow__(self, n: int) -> "Element":
-        return power(self, n, self.ring.one())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
@@ -242,23 +277,22 @@ class Element:
             self._text = self.ring._format(self.vec)
         return self._text
 
-    def __repr__(self) -> str:
-        return f"Element({self.serialize()!r})"
-
 
 class RingDescriptor:
     """The truncated model F_p[x_1..x_n]/(I_0 + m^D).
 
     The one ring constructor (``build_ring`` names it; ``rebuild`` calls
-    it).  String generators are parsed, and ``TruncPoly`` ones re-read, at
-    D; one that dropped a term of degree below D raises ``TruncationError``
-    (see ``TruncPoly.at``).  Before any monomial is enumerated it raises
+    it).  Before any monomial is enumerated it raises
     ``RingConstructionError`` on a p that is not prime or exceeds
     ``linalg.MAX_PRIME`` (past it float64 elimination is inexact), D < 2, an
     empty or repeated variable list, a variable name that the expression
-    parser would not read as one name, more than ``MAX_MONOMIALS`` monomials, a
-    key table past ``MAX_KEY_TABLE`` entries, or a generator over another
-    ring or with a constant term.
+    parser would not read as one name, more than ``MAX_MONOMIALS``
+    monomials, or a key table past ``MAX_KEY_TABLE`` entries.  Then, over
+    the enumerated monomials, string generators are parsed at D and
+    ``Poly`` ones (a rebuild's) read through the element lift, ``_read``,
+    which raises ``TruncationError`` for one that dropped a term of degree
+    below D; a generator over another ring or with a constant term raises
+    ``RingConstructionError``.
 
     Immutable after construction; all derived structures (exponent keys,
     echelon base subspace) are built eagerly.  Monomial products are looked
@@ -266,7 +300,7 @@ class RingDescriptor:
     """
 
     def __init__(self, p: int, vars: Sequence[str],
-                 base_gens: Sequence[str | TruncPoly], D: int):
+                 base_gens: Sequence[str | Poly], D: int):
         self.p = p
         self.vars = tuple(vars)
         self.D = D
@@ -297,24 +331,8 @@ class RingDescriptor:
             raise RingConstructionError(
                 f"{nvars} variables at D = {D} need an exponent-key table of "
                 f"{key_table} entries, more than MAX_KEY_TABLE = {MAX_KEY_TABLE}")
-        polys = []
-        for g in base_gens:
-            if isinstance(g, str):
-                g = parse_poly(g, self)
-            elif (g.p, g.vars) != (p, self.vars):
-                raise RingConstructionError(
-                    f"generator {g.serialize()!r} lives over F_{g.p}{g.vars}")
-            poly = g.at(D)
-            if poly.constant_term():
-                raise RingConstructionError(
-                    f"generator {poly.serialize()!r} has nonzero constant term")
-            polys.append(poly)
-        self.base_gen_polys = tuple(polys)
-        # The ring is immutable, so its generators are serialized once.
-        self._gen_text = tuple(g.serialize() for g in polys)
         self.monomials = monomials_below(nvars, D)
         self.M = len(self.monomials)
-        self.col_index = {e: i for i, e in enumerate(self.monomials)}
         self.deg_of_col = np.array([sum(e) for e in self.monomials], dtype=np.int64)
         # cuts[w] = cut(w), the number of columns of degree < w, for w = 0..D.
         self.cuts = np.searchsorted(self.deg_of_col, np.arange(D + 1))
@@ -327,8 +345,23 @@ class RingDescriptor:
         # The column of each variable x_i, whose key is (D + 1)^i.
         self.var_cols = self._key_col[(D + 1) ** np.arange(nvars)]
 
-        stacked = self._stacked_multiples(
-            [self.vector_of_poly(g) for g in polys])
+        gens = []
+        for g in base_gens:
+            if isinstance(g, str):
+                g = parse_poly(g, self)
+            elif (g.ring.p, g.ring.vars) != (p, self.vars):
+                raise RingConstructionError(
+                    f"generator {g.serialize()!r} lives over "
+                    f"F_{g.ring.p}{g.ring.vars}")
+            g = Poly(self, *self._read(g))
+            if g.raw[0]:
+                raise RingConstructionError(
+                    f"generator {g.serialize()!r} has nonzero constant term")
+            gens.append(g)
+        self.base_gens = tuple(gens)
+        # The ring is immutable, so its generators are serialized once.
+        self._gen_text = tuple(g.serialize() for g in gens)
+        stacked = self._stacked_multiples([g.raw for g in gens])
         basis, pivots = linalg.rref(stacked, p)
         self.base_subspace = Subspace(self, basis)
         if pivots.size and pivots[0] == 0:
@@ -345,12 +378,6 @@ class RingDescriptor:
 
     # -- vectors and normal forms ---------------------------------------------
 
-    def vector_of_poly(self, poly: TruncPoly) -> np.ndarray:
-        vec = np.zeros(self.M, dtype=linalg.narrow_dtype(self.p))
-        for exps, c in poly.terms.items():
-            vec[self.col_index[exps]] = c
-        return vec
-
     def _format(self, vec: np.ndarray) -> str:
         """Text of the polynomial with coordinate vector ``vec``, read from
         its last column: columns ascend in graded-lex order."""
@@ -363,41 +390,52 @@ class RingDescriptor:
         out.flags.writeable = False
         return out
 
-    def element(self, source: "str | np.ndarray | Element") -> Element:
+    def element(self, source: "str | np.ndarray | Poly") -> Element:
         """The element read from an expression, from a coordinate vector
-        over the monomials below D, or from an element of a rebuild of this
-        ring at another order.  The monomials below D are a prefix of those
-        below any higher order, so that lift zero-pads the defining vector,
-        or cuts it to its prefix, counting cut-off terms as dropped; it
-        raises TruncationError when a dropped term could lie below D."""
-        if isinstance(source, Element):
-            old = source.ring
-            if old is self:
-                return source
-            if (old.p, old.vars) != (self.p, self.vars):
-                raise RingMismatchError("polynomial context does not match the ring")
-            check_lift(lambda: old._format(source.raw), source.dropped, old.D,
-                       self.D)
-            raw = np.pad(source.raw[:self.M], (0, max(self.M - old.M, 0)))
-            cut = old.deg_of_col[self.M:][source.raw[self.M:] != 0]
-            return Element(self, raw, _lowest(source.dropped, *cut[:1].tolist()))
+        over the monomials below D, or from a polynomial of this ring or of
+        a rebuild of it at another order (see ``_read``)."""
         if isinstance(source, str):
-            poly = parse_poly(source, self)
-            return Element(self, self.vector_of_poly(poly), poly.dropped)
+            source = parse_poly(source, self)
+        if isinstance(source, Poly):
+            if isinstance(source, Element) and source.ring is self:
+                return source
+            return Element(self, *self._read(source))
         if np.shape(source) != (self.M,):
             raise RingMismatchError(f"a coordinate vector at D = {self.D} "
                                     f"has {self.M} entries")
         return Element(self, (np.asarray(source) % self.p).astype(
             linalg.narrow_dtype(self.p)))
 
+    def _read(self, poly: Poly) -> tuple[np.ndarray, int | None]:
+        """The defining vector and dropped degree of ``poly`` at this D, the
+        lift of an element and of a stored generator alike.  The monomials
+        below D are a prefix of those below any higher order, so a
+        polynomial of another order is zero-padded, or cut to its prefix,
+        counting cut-off terms as dropped; TruncationError when a dropped
+        term could lie below D."""
+        old = poly.ring
+        if old is self:
+            return poly.raw, poly.dropped
+        if (old.p, old.vars) != (self.p, self.vars):
+            raise RingMismatchError("polynomial context does not match the ring")
+        check_lift(lambda: old._format(poly.raw), poly.dropped, old.D, self.D)
+        raw = np.pad(poly.raw[:self.M], (0, max(self.M - old.M, 0)))
+        cut = old.deg_of_col[self.M:][poly.raw[self.M:] != 0]
+        return raw, _lowest(poly.dropped, *cut[:1].tolist())
+
+    def term(self, col: int, c: int = 1) -> Poly:
+        """The polynomial c times the basis monomial at column ``col``;
+        column 0 holds 1."""
+        raw = np.zeros(self.M, dtype=linalg.narrow_dtype(self.p))
+        raw[col] = c % self.p
+        return Poly(self, raw)
+
     def monomial(self, col: int) -> Element:
         """The basis monomial at column ``col``; column 0 holds 1."""
-        raw = np.zeros(self.M, dtype=linalg.narrow_dtype(self.p))
-        raw[col] = 1
-        return Element(self, raw)
+        return self.element(self.term(col))
 
     def zero(self) -> Element:
-        return Element(self, np.zeros(self.M, dtype=linalg.narrow_dtype(self.p)))
+        return self.element(self.term(0, 0))
 
     def one(self) -> Element:
         return self.monomial(0)
@@ -516,7 +554,7 @@ class RingDescriptor:
 
     def rebuild(self, new_D: int) -> "RingDescriptor":
         """The same ring data at a different truncation order."""
-        return RingDescriptor(self.p, self.vars, self.base_gen_polys, new_D)
+        return RingDescriptor(self.p, self.vars, self.base_gens, new_D)
 
     def spec_tuple(self) -> tuple:
         """Hashable identity of the underlying data, ignoring D."""

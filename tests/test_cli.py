@@ -179,6 +179,18 @@ def test_main_csv_out_file(tmp_path):
     assert content.startswith("claim,N,sample,n,")
 
 
+def test_main_reads_a_path_that_opens_with_a_bracket(tmp_path, monkeypatch):
+    """main's argument is always a path, even a relative one that opens
+    with "[" the way a manifest's text does."""
+    monkeypatch.chdir(tmp_path)
+    csvs = []
+    for name in ("bound.cfg", "[run].cfg"):
+        (tmp_path / name).write_text(BOUND)
+        assert main([name, "--format", "csv", "--out", f"{name}.csv"]) == 0
+        csvs.append((tmp_path / f"{name}.csv").read_text())
+    assert csvs[0] == csvs[1]
+
+
 def test_non_utf8_manifest_exits_two(tmp_path, capsys):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(BOUND.replace("seed = 7", "seed = 7 ; caf\xe9")

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pertlab import linalg
 from pertlab.catalog import CATALOG
@@ -342,6 +342,77 @@ def test_euler_characteristic_of_an_artinian_ring_is_zero():
     given in test_koszul_h2_of_an_artinian_ring_reads_its_socle."""
     ring = build_ring(5, ("x", "y"), ["x^5", "y^5"], 10)
     assert _euler_characteristic((ring.element("x"), ring.element("y")))[0] == 0
+
+
+# -- Koszul identities on Artinian rings ----------------------------------------
+
+@st.composite
+def _artinian_sequences(draw):
+    """F_p[x, y(, z)]/(x_i^a_i) at D = t or t + 1, where t = sum(a_i - 1) + 1
+    is the least t with m^t in the base ideal, so the model is the ring
+    itself, and r = 1..n elements of m, every term of degree below D."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    exps = draw(st.lists(st.integers(2, 5 if len(names) == 2 else 3),
+                         min_size=len(names), max_size=len(names)))
+    D = sum(a - 1 for a in exps) + 1 + draw(st.integers(0, 1))
+    term = st.builds(lambda c, mono: f"{c}*" + "*".join(mono),
+                     st.integers(1, p - 1),
+                     st.lists(st.sampled_from(names), min_size=1,
+                              max_size=min(3, D - 1)))
+    fs = draw(st.lists(st.lists(term, min_size=1, max_size=2).map(" + ".join),
+                       min_size=1, max_size=len(names)))
+    return p, names, tuple(f"{v}^{a}" for v, a in zip(names, exps)), D, fs
+
+
+# (x, y) on F_5[x,y]/(x^5, y^5) at D = 10, whose H_2 reads 0
+# (test_koszul_h2_of_an_artinian_ring_reads_its_socle).
+_SOCLE_CASE = (5, ("x", "y"), ("x^5", "y^5"), 10, ["x", "y"])
+
+
+def _artinian_readings(case) -> list:
+    """The readings of l(H_i(f; R)) for i = 0..r, H_0 = R/(f), each with
+    its index, that are certified (exact or two-level-stable)."""
+    p, names, gens, D, fs = case
+    ring = build_ring(p, names, gens, D)
+    elems = tuple(map(ring.element, fs))
+    readings = ((ideal_length(IdealHandle(ring, elems)),)
+                + koszul_report(elems).lengths)
+    return [(i, c.value) for i, c in enumerate(readings)
+            if c.status in (EXACT, TWO_LEVEL)]
+
+
+@settings(max_examples=25, deadline=None)
+@example(case=_SOCLE_CASE)
+@given(case=_artinian_sequences())
+def test_koszul_rigidity_on_artinian_rings(case):
+    """Rigidity: H_i = 0 implies H_j = 0 for every j >= i."""
+    readings = _artinian_readings(case)
+    zeros = [i for i, value in readings if value == 0]
+    assert all(value == 0 for i, value in readings if zeros and i >= zeros[0])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@settings(max_examples=25, deadline=None)
+@example(case=_SOCLE_CASE)
+@given(case=_artinian_sequences())
+def test_koszul_euler_characteristic_of_artinian_rings_is_zero(case):
+    """R is Artinian and r >= 1, so chi = sum of (-1)^i l(H_i) = 0 where
+    every length is certified; H_r certified 0 breaks it."""
+    readings = _artinian_readings(case)
+    if len(readings) == len(case[4]) + 1:
+        assert sum((-1) ** i * value for i, value in readings) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@settings(max_examples=25, deadline=None)
+@example(case=_SOCLE_CASE)
+@given(case=_artinian_sequences())
+def test_koszul_top_homology_of_artinian_rings_is_nonzero(case):
+    """R is Artinian, so H_r = (0 : (f)) contains the socle and is not 0."""
+    readings = _artinian_readings(case)
+    r = len(case[4])
+    assert all(value != 0 for i, value in readings if i == r)
 
 
 def test_koszul_leading_zero_plateau_stays_uncertified():

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import NaiveModel
 from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
 from pertlab.errors import RingConstructionError, TruncationError
 from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
-from pertlab.polynomials import TruncPoly, parse_poly
+from pertlab.polynomials import parse_poly
 from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, RingDescriptor,
                            Subspace, build_ring, nakayama_contains_power)
 
@@ -87,7 +88,7 @@ def test_build_ring_rejects_key_tables_past_the_cap(nvars):
 
 def test_ring_descriptor_checks_every_input():
     """RingDescriptor is build_ring: a composite modulus, repeated variables
-    and a generator over another ring are rejected, and a TruncPoly
+    and a generator over another ring are rejected, and a polynomial
     generator of another truncation is re-read at D."""
     with pytest.raises(RingConstructionError, match="not prime"):
         RingDescriptor(4, ("x", "y"), [], 5)
@@ -95,10 +96,11 @@ def test_ring_descriptor_checks_every_input():
         RingDescriptor(5, ("x", "x"), [], 5)
     with pytest.raises(RingConstructionError, match="lives over"):
         RingDescriptor(5, ("x", "y"),
-                       [TruncPoly(7, ("x", "y"), 5, {(1, 1): 1})], 5)
-    gen = TruncPoly(5, ("x", "y"), 20, {(9, 0): 1, (1, 1): 1})
+                       [parse_poly("x*y", build_ring(7, ("x", "y"), [], 5))], 5)
+    gen = parse_poly("x^9 + x*y", build_ring(5, ("x", "y"), [], 20))
     ring = build_ring(5, ("x", "y"), [gen], 6)
-    assert ring.base_gen_polys == (TruncPoly(5, ("x", "y"), 6, {(1, 1): 1}),)
+    (read,) = ring.base_gens
+    assert read.ring is ring and read.serialize() == "x*y" and read.dropped == 9
     assert ring.element("x*y").is_zero() and not ring.element("x^5").is_zero()
     assert ring.dim == build_ring(5, ("x", "y"), ["x*y"], 6).dim == 11
 
@@ -263,7 +265,7 @@ def test_monomial_shifts_match_exponent_addition(nvars, gens, D):
         for b in cols:
             prod = tuple(u + v for u, v in zip(ring.monomials[a],
                                                ring.monomials[b]))
-            want = ring.col_index[prod] if sum(prod) < D else ring.M
+            want = ring.monomials.index(prod) if sum(prod) < D else ring.M
             assert shifts[a, b] == want
 
 
@@ -282,20 +284,32 @@ def rings_with_vectors(draw):
     return ring, vec
 
 
-def _poly_of(ring, vec) -> TruncPoly:
-    """The sparse polynomial with coordinate vector ``vec``."""
-    return TruncPoly(ring.p, ring.vars, ring.D,
-                     {ring.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]})
+def _poly_of(ring, vec) -> dict:
+    """The oracle's sparse polynomial with coordinate vector ``vec``."""
+    return {ring.monomials[c]: int(vec[c]) for c in np.nonzero(vec)[0]}
+
+
+def _vector_of(ring, poly: dict) -> np.ndarray:
+    """The coordinate vector of an oracle polynomial with terms below D."""
+    vec = np.zeros(ring.M, dtype=np.int64)
+    for exps, c in poly.items():
+        vec[ring.monomials.index(exps)] = c
+    return vec
+
+
+def _oracle_product(ring, a: dict, b: dict) -> np.ndarray:
+    """The coordinate vector of a * b through the oracle's dict product,
+    which shares nothing with the ring's arithmetic."""
+    return _vector_of(ring, NaiveModel(ring.p, len(ring.vars), ring.D,
+                                       []).mul(a, b))
 
 
 def _polynomial_products(ring, vec, mus):
-    """Coordinate rows of poly(vec) * mu through the dict-based TruncPoly
-    product, which shares nothing with RingDescriptor.multiples."""
+    """Coordinate rows of poly(vec) * mu through the oracle's product."""
     poly = _poly_of(ring, vec)
     out = np.zeros((len(mus), ring.M), dtype=np.int64)
     for k, mu in enumerate(mus):
-        monomial = TruncPoly(ring.p, ring.vars, ring.D, {ring.monomials[mu]: 1})
-        out[k] = ring.vector_of_poly(poly * monomial)
+        out[k] = _oracle_product(ring, poly, {ring.monomials[mu]: 1})
     return out
 
 
@@ -328,7 +342,7 @@ def test_element_lift_between_levels():
 
 
 def test_element_negative_power_raises():
-    """Like TruncPoly, a ring element has no negative powers."""
+    """Like a parsed polynomial, a ring element has no negative powers."""
     x = build_ring(5, ("x", "y"), [], 5).element("x")
     assert x ** 2 == x * x
     with pytest.raises(ValueError, match="negative exponent"):
@@ -484,7 +498,7 @@ def test_ring_products_keep_top_coefficients_exact(p):
     vec[[0, 1, 3, 5, 9]] = [p - 1, p - 1, p - 1, 2, p - 2]
 
     def products(factor):
-        return np.array([ring.vector_of_poly(_poly_of(ring, row) * factor)
+        return np.array([_oracle_product(ring, _poly_of(ring, row), factor)
                          for row in rows.astype(np.int64)])
 
     times = ring.rows_times(rows, vec)
@@ -494,25 +508,24 @@ def test_ring_products_keep_top_coefficients_exact(p):
         shifted = ring.rows_times(rows, ring.variable(v).raw)
         assert shifted.dtype == linalg.narrow_dtype(p)
         assert np.array_equal(shifted, products(
-            TruncPoly.variable(name, p, ring.vars, ring.D)))
+            {tuple(int(w == name) for w in ring.vars): 1}))
     a, b = ring.element(vec), ring.element(rows[0])
     pa, pb = _poly_of(ring, vec), _poly_of(ring, rows[0])
     assert np.array_equal((a * b).vec,
-                          ring.element(ring.vector_of_poly(pa * pb)).vec)
+                          ring.element(_oracle_product(ring, pa, pb)).vec)
     assert np.array_equal((a * a).vec,
-                          ring.element(ring.vector_of_poly(pa * pa)).vec)
+                          ring.element(_oracle_product(ring, pa, pa)).vec)
 
 
 # -- narrow kernel outputs at the top of uint8 --------------------------------------
 
 def _oracle_dict(elem) -> dict:
-    return _poly_of(elem.ring, elem.vec).terms
+    return _poly_of(elem.ring, elem.vec)
 
 
 def test_element_arithmetic_at_p_251_matches_oracle():
     """Coefficients whose sums and products pass 255: Element vectors are
     widened from the narrow normal forms, so nothing wraps in uint8."""
-    from oracle import NaiveModel
     p = 251
     ring = build_ring(p, ("x", "y"), ["x^3", "y^3"], 7)
     model = NaiveModel(p, 2, 7, [{(3, 0): 1}, {(0, 3): 1}])
@@ -525,7 +538,7 @@ def test_element_arithmetic_at_p_251_matches_oracle():
         assert got.vec.min() >= 0 and got.vec.max() < p
         diff = model.add(_oracle_dict(got), model.scale(want, -1))
         assert model.contains(model.base_span, diff)
-    assert (a + b).vec[ring.col_index[(1, 0)]] == (200 + 150) % p
+    assert (a + b).vec[ring.monomials.index((1, 0))] == (200 + 150) % p
 
 
 def test_subspace_rows_are_compact_and_own_their_data():
@@ -554,13 +567,15 @@ def test_subspace_rows_are_compact_and_own_their_data():
 def test_rebuild_refuses_a_generator_truncated_below_the_new_order():
     # x^9 drops at D = 8; reading the stored x*y at D = 10 would model
     # (x*y) + m^10 instead of (x*y - x^9) + m^10.
-    assert build_ring(5, ("x", "y"), ["x*y - x^9"], 10).base_gen_polys[0] \
+    assert build_ring(5, ("x", "y"), ["x*y - x^9"], 10).base_gens[0] \
         .serialize() == "4*x^9 + x*y"
     low = build_ring(5, ("x", "y"), ["x*y - x^9"], 8)
     with pytest.raises(TruncationError, match="degree >= 8 at D = 8"):
         low.rebuild(10)
-    assert low.rebuild(7).base_gen_polys == \
-        build_ring(5, ("x", "y"), ["x*y - x^9"], 7).base_gen_polys
+    (cut,), (parsed,) = (low.rebuild(7).base_gens, build_ring(
+        5, ("x", "y"), ["x*y - x^9"], 7).base_gens)
+    assert np.array_equal(cut.raw, parsed.raw)
+    assert cut.dropped == parsed.dropped == 8
     exact = build_ring(5, ("x", "y"), ["x*y - x^7"], 8).rebuild(10)
     assert exact.base_subspace.rows.tobytes() == build_ring(
         5, ("x", "y"), ["x*y - x^7"], 10).base_subspace.rows.tobytes()
@@ -578,14 +593,16 @@ def test_element_lift_refuses_a_dropped_input_term():
 
 @st.composite
 def elements_with_references(draw):
-    """Elements at D on a 2- or 3-variable ring, each beside its TruncPoly
-    reference: parsed strings, with terms up to a few degrees past D, then
-    sums, products and powers of earlier ones, built alike on both sides."""
+    """Elements at D on a 2- or 3-variable ring, each beside its exact
+    value mod m^(D + 4) in the oracle: parsed strings, with terms up to a
+    few degrees past D, then sums, products and powers of earlier ones,
+    built alike on both sides."""
     p = draw(st.sampled_from([2, 3, 5, 251]))
     names = ("x", "y", "z")[:draw(st.integers(2, 3))]
     D = draw(st.integers(4, 7))
     ring = build_ring(p, names, draw(st.lists(
         st.sampled_from(["x*y", f"{names[-1]}^2"]), max_size=1)), D)
+    model = NaiveModel(p, len(names), D + 4, [])
     top = (D + 3) // len(names) + 1
 
     def text():
@@ -593,51 +610,52 @@ def elements_with_references(draw):
             st.integers(1, p - 1),
             st.lists(st.integers(0, top), min_size=len(names),
                      max_size=len(names))), min_size=1, max_size=3))
+        value = {}
+        for c, exps in terms:
+            value = model.add(value, {tuple(exps): c})
         return " + ".join("*".join([str(c)] + [f"{v}^{e}" for v, e
                                                in zip(names, exps)])
-                          for c, exps in terms)
+                          for c, exps in terms), value
 
     pairs = []
     for source in draw(st.lists(st.sampled_from("s+*^"), min_size=1,
                                 max_size=6)):
         if source == "s" or not pairs:
-            t = text()
-            pairs.append((ring.element(t), parse_poly(t, ring)))
+            t, value = text()
+            pairs.append((ring.element(t), value))
             continue
-        (a, ra), (b, rb) = (pairs[draw(st.integers(0, len(pairs) - 1))]
+        (a, va), (b, vb) = (pairs[draw(st.integers(0, len(pairs) - 1))]
                             for _ in range(2))
         if source == "+":
-            pairs.append((a + b, ra + rb))
+            pairs.append((a + b, model.add(va, vb)))
         elif source == "*":
-            pairs.append((a * b, ra * rb))
+            pairs.append((a * b, model.mul(va, vb)))
         else:
             n = draw(st.integers(0, 3))
-            pairs.append((a ** n, ra ** n))
+            value = model.clean({(0,) * len(names): 1})
+            for _ in range(n):
+                value = model.mul(value, va)
+            pairs.append((a ** n, value))
     return ring, pairs
 
 
 @settings(max_examples=60, deadline=None)
 @given(elements_with_references())
 def test_element_lift_matches_the_polynomial_reference(case):
-    """Lifting to every order D - 2..D + 3 gives the element the reference
-    reads there, with the same defining vector and dropped degree, and
-    raises, with the reference's message, exactly when the reference's
-    .at raises."""
+    """Lifting to every order D - 2..D + 3 either gives the element whose
+    defining vector is the oracle's exact value cut to that order, or
+    raises TruncationError, which it may only do when a term dropped at D
+    could lie below that order."""
     ring, pairs = case
-    for elem, ref in pairs:
-        assert np.array_equal(elem.raw, ring.vector_of_poly(ref))
-        assert elem.dropped == ref.dropped
     for new_d in range(ring.D - 2, ring.D + 4):
         other = ring.rebuild(new_d)
-        for elem, ref in pairs:
+        for elem, exact in pairs:
+            want = _vector_of(other, {e: c for e, c in exact.items()
+                                      if sum(e) < new_d})
             try:
-                want = ref.at(new_d)
-            except TruncationError as refused:
-                with pytest.raises(TruncationError) as raised:
-                    other.element(elem)
-                assert str(raised.value) == str(refused)
+                lifted = other.element(elem)
+            except TruncationError:
+                assert elem.dropped is not None and elem.dropped < new_d
                 continue
-            lifted = other.element(elem)
-            assert lifted == other.element(other.vector_of_poly(want))
-            assert np.array_equal(lifted.raw, other.vector_of_poly(want))
-            assert lifted.dropped == want.dropped
+            assert np.array_equal(lifted.raw, want)
+            assert lifted == other.element(want)
