@@ -24,8 +24,9 @@ over two readings ``(value, resolved)`` that its caller takes at D and at
 D + delta: if both resolve and agree, the result is ``two-level-stable`` with
 the value at D; otherwise it is ``uncertified``, carrying the value at D when
 that reading resolved and None when it did not.  delta must be at least 1,
-since a value read at one level only certifies nothing; every caller runs
-:func:`check_delta`, which raises ValueError, before its first reading.
+since a value read at one level only certifies nothing; every caller builds
+its D + delta model through ``RingDescriptor.above``, which raises
+ValueError, before its first reading.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ def plateau(profile: Sequence[int | None]) -> tuple[int | None, bool]:
             best_val, best_len = seq[i], j - i
         i = j
     return best_val, best_val is not None and best_len >= PLATEAU_MIN_WIDTH
-
-
-def check_delta(delta: int) -> None:
-    """Reject a level gap below 1 before any shortcut can certify a value."""
-    if delta < 1:
-        raise ValueError(f"delta must be at least 1, got {delta}")
 
 
 def two_level_value(lo: tuple[object, bool], hi: tuple[object, bool],

@@ -126,7 +126,10 @@ def sample_in_power(ring: RingDescriptor, n: int, seed: int,
 def sample_records(ws: Workspace, config: ExperimentConfig, n: int,
                    checks: tuple[Callable, ...]) -> list[VerdictRecord]:
     """Each check's record on every sample of the config at depth n, stamped
-    (n, sample); sample s is drawn with spawn key (n, s)."""
+    (n, sample); sample s is drawn with spawn key (n, s).  No draw verifies
+    nothing, so a config with fewer than one sample is refused."""
+    if config.samples < 1:
+        raise PertlabError(f"samples must be at least 1, got {config.samples}")
     records = []
     for s in range(config.samples):
         eps = sample_in_power(ws.ring, n, config.seed, len(ws.fs),

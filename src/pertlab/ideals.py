@@ -150,10 +150,6 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     which makes the solution space an ideal subspace as well.
     """
     ring = target.ring
-    if elem.is_zero():
-        # Everything multiplies zero into the target.
-        return Subspace(ring, linalg.unit_basis(np.arange(ring.M), ring.M,
-                                                ring.p))
     # One expression: the M x M products are reduced where they stand, and
     # freed once their columns off the target's pivots are gathered, before
     # the nullspace's elimination runs.

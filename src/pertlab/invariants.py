@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
-                      check_delta, plateau, two_level_value, weakest)
+                      plateau, two_level_value, weakest)
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
 from .rings import RingDescriptor, Subspace
@@ -120,13 +120,11 @@ def ar_number(i: IdealHandle, j: IdealHandle, n_max: int,
     Nakayama-quotient inclusion certificate, and the headline value is
     cross-checked at truncation D + delta.
     """
-    check_delta(delta)
-    ring = i.ring
+    ring_hi = i.ring.above(delta)
     value, witness = _ar_window(i, j, n_max, powers)
-    ring_hi = ring.rebuild(ring.D + delta)
     value_hi, _ = _ar_window(i.lift(ring_hi), j.lift(ring_hi), n_max, None)
     cert = two_level_value((value, True), (value_hi, True),
-                           (ring.D, ring_hi.D))
+                           (i.ring.D, ring_hi.D))
     note = "; ".join(filter(None, (witness, cert.note)))
     if cert.value is None:
         note = f"no s <= {n_max} over the window; " + note
@@ -329,13 +327,6 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     return (value, resolved), finite
 
 
-def _lift(fs: tuple, delta: int) -> tuple:
-    """The sequence re-read in the D + delta rebuild of its ring."""
-    check_delta(delta)
-    ring_hi = fs[0].ring.rebuild(fs[0].ring.D + delta)
-    return tuple(ring_hi.element(f) for f in fs)
-
-
 def _koszul_length(fs: tuple, fs_hi: tuple, i: int
                    ) -> tuple[CertifiedValue, bool]:
     """H_i length certified across the levels of ``fs`` and of its lift
@@ -355,12 +346,13 @@ def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
     order-filtration plateau and certified across two truncation levels."""
     if not (1 <= i <= len(fs)):
         raise ValueError(f"homology index {i} out of range 1..{len(fs)}")
-    return _koszul_length(fs, _lift(fs, delta), i)[0]
+    return _koszul_length(fs, tuple(map(fs[0].ring.above(delta).element, fs)),
+                          i)[0]
 
 
 def koszul_report(fs: tuple, delta: int = 2) -> KoszulReport:
     """All homology lengths H_1..H_r, rebuilding the D + delta ring once."""
-    fs_hi = _lift(fs, delta)
+    fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
     results = [_koszul_length(fs, fs_hi, i) for i in range(1, len(fs) + 1)]
     return KoszulReport(tuple(c for c, _ in results),
                         tuple(f for _, f in results))
@@ -400,16 +392,15 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
     At each level the exponent is the plateau value of
     :func:`colon_plateaus`, or None when the plateau does not resolve it;
     f passes when the two-level result carries a value.  Degenerate inputs:
-    a unit f is vacuously regular (flagged); h is clamped to be positive.
+    a unit f is vacuously regular (flagged), once its D + delta model is
+    built like any other f's; h is clamped to be positive.
     """
-    ring = i.ring
-    check_delta(delta)
-    levels = (ring.D, ring.D + delta)
+    ring_hi = i.ring.above(delta)
+    levels = (i.ring.D, ring_hi.D)
     if f.is_unit():
         return True, CertifiedValue(1, TWO_LEVEL, levels,
                                     note="degenerate: unit element")
     lo = colon_plateaus(i.subspace, f)[1]
-    ring_hi = ring.rebuild(ring.D + delta)
     hi = colon_plateaus(i.lift(ring_hi).subspace, ring_hi.element(f))[1]
     cert = two_level_value(*[(value if resolved else None, True)
                              for value, resolved in (lo, hi)], levels)

@@ -1,19 +1,19 @@
-"""The expression parser, the text of a polynomial's terms, the lift guard
-and the monomials below a truncation order.
+"""The expression parser and the monomials below a truncation order.
 
 The parser evaluates an expression in a ring's own polynomial arithmetic
 (:class:`pertlab.rings.Poly`, vectors over the monomials below ``D``): each
 integer literal and variable is a unit term of the ring, and sums, products
 and powers are the ring's, which record the least degree that truncation
-dropped so that no re-reading at a higher order misses a term.
+dropped so that no re-reading at a higher order misses a term.  A
+polynomial's text and its lift to another order are the ring's
+(``RingDescriptor._format`` and ``RingDescriptor._read``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
-from .errors import PolyParseError, TruncationError
+from .errors import PolyParseError
 
 Exponents = tuple[int, ...]
 
@@ -21,43 +21,6 @@ Exponents = tuple[int, ...]
 def _lowest(*degrees: int | None) -> int | None:
     """The least of the degrees that are not None; None if there is none."""
     return min((d for d in degrees if d is not None), default=None)
-
-
-def check_lift(text: Callable[[], str], dropped: int | None, trunc: int,
-               new_trunc: int) -> None:
-    """TruncationError when a value, named by ``text()``, dropped a term of
-    degree >= ``dropped`` at ``trunc`` that could lie below ``new_trunc``."""
-    if dropped is not None and dropped < new_trunc:
-        raise TruncationError(
-            f"{text()!r} dropped a term of degree >= {dropped} at D = "
-            f"{trunc}, so it cannot be read at D = {new_trunc}; give a D "
-            f"above every input term's degree")
-
-
-def format_terms(vars: tuple[str, ...], terms) -> str:
-    """Canonical text of (exponents, coefficient) pairs given in descending
-    graded-lex order: least nonnegative residues, `^` for powers."""
-    parts = []
-    for exps, c in terms:
-        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e]
-        parts.append("*".join(factors if c == 1 and factors
-                              else [str(c)] + factors))
-    return " + ".join(parts) or "0"
-
-
-def power(base, n: int, one):
-    """base ** n by square-and-multiply, ``one`` being the identity of
-    base's ring; ValueError for n < 0."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:  # a square past the last bit is unused, and its dropped terms
-            base = base * base  # would mark the result as lossy
-    return result
 
 
 # -- expression parser -------------------------------------------------------

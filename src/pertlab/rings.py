@@ -7,7 +7,10 @@ in ascending graded-lex order; the defining ideal contributes an echelon
 subspace B of V.  A polynomial (:class:`Poly`: a parsed expression or a
 stored generator) is its defining vector in V, and a ring element
 (:class:`Element`) adds its normal form modulo B.  A rebuild at another
-order reads both through one lift, ``RingDescriptor._read``.
+order reads both through one lift, ``RingDescriptor._read``, which refuses
+a polynomial that dropped a term below the new order.  The D + delta model
+that certifies a reading at D (``pertlab.certify``) is built only by
+``RingDescriptor.above``, which rejects delta < 1.
 
 Because columns are sorted by ascending degree and echelon pivots sit on the
 leftmost nonzero entry, the pivot of every basis row is its lowest-order
@@ -31,8 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingConstructionError, RingMismatchError, TruncationError
-from .polynomials import (_NAME, _lowest, check_lift, format_terms,
-                          monomials_below, parse_poly, power)
+from .polynomials import _NAME, _lowest, monomials_below, parse_poly
 
 
 # Largest supported number M of monomials below D.  A stored subspace and
@@ -121,10 +123,6 @@ class Subspace(linalg.Staircase):
         return not self.reduce(vec).any()
 
     def contains(self, other: "Subspace") -> bool:
-        if other.rank == 0:
-            return True
-        if other.rank > self.rank:
-            return False
         return not self.reduce(other.dense(), in_place=True).any()
 
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
@@ -224,7 +222,17 @@ class Poly:
             self.dropped, other.dropped, *sums[sums >= ring.D].tolist()))
 
     def __pow__(self, n: int) -> "Poly":
-        return power(self, n, type(self)(self.ring, self.ring.term(0).raw))
+        """Square-and-multiply; ValueError for n < 0."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        result, base = type(self)(self.ring, self.ring.term(0).raw), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:  # a square past the last bit is unused, and its dropped terms
+                base = base * base  # would mark the result as lossy
+        return result
 
     def serialize(self) -> str:
         return self.ring._format(self.raw)
@@ -379,10 +387,17 @@ class RingDescriptor:
     # -- vectors and normal forms ---------------------------------------------
 
     def _format(self, vec: np.ndarray) -> str:
-        """Text of the polynomial with coordinate vector ``vec``, read from
-        its last column: columns ascend in graded-lex order."""
-        return format_terms(self.vars, ((self.monomials[c], int(vec[c]))
-                                        for c in np.nonzero(vec)[0][::-1]))
+        """Canonical text of the polynomial with coordinate vector ``vec``,
+        read from its last column (columns ascend in graded-lex order):
+        least nonnegative residues, `^` for powers."""
+        parts = []
+        for col in np.nonzero(vec)[0][::-1]:
+            c = int(vec[col])
+            factors = [v if e == 1 else f"{v}^{e}"
+                       for v, e in zip(self.vars, self.monomials[col]) if e]
+            parts.append("*".join(factors if c == 1 and factors
+                                  else [str(c)] + factors))
+        return " + ".join(parts) or "0"
 
     def _normal_form(self, vec: np.ndarray) -> np.ndarray:
         # int64, so that signed arithmetic on ``vec`` cannot wrap at p = 251.
@@ -418,7 +433,11 @@ class RingDescriptor:
             return poly.raw, poly.dropped
         if (old.p, old.vars) != (self.p, self.vars):
             raise RingMismatchError("polynomial context does not match the ring")
-        check_lift(lambda: old._format(poly.raw), poly.dropped, old.D, self.D)
+        if poly.dropped is not None and poly.dropped < self.D:
+            raise TruncationError(
+                f"{old._format(poly.raw)!r} dropped a term of degree >= "
+                f"{poly.dropped} at D = {old.D}, so it cannot be read at D = "
+                f"{self.D}; give a D above every input term's degree")
         raw = np.pad(poly.raw[:self.M], (0, max(self.M - old.M, 0)))
         cut = old.deg_of_col[self.M:][poly.raw[self.M:] != 0]
         return raw, _lowest(poly.dropped, *cut[:1].tolist())
@@ -546,15 +565,19 @@ class RingDescriptor:
 
     def power_span(self, w: int) -> Subspace:
         """Subspace of m^w: every coordinate of degree >= w, plus the base."""
-        cut = self.cut(w)
-        if cut == self.M:
-            return self.base_subspace
         return self.base_subspace.sum_rows(linalg.unit_basis(
-            np.arange(cut, self.M), self.M, self.p).dense())
+            np.arange(self.cut(w), self.M), self.M, self.p).dense())
 
     def rebuild(self, new_D: int) -> "RingDescriptor":
         """The same ring data at a different truncation order."""
         return RingDescriptor(self.p, self.vars, self.base_gens, new_D)
+
+    def above(self, delta: int) -> "RingDescriptor":
+        """The D + delta model that certifies a reading at D, the one way up
+        a level; ValueError for delta < 1, which would certify nothing."""
+        if delta < 1:
+            raise ValueError(f"delta must be at least 1, got {delta}")
+        return self.rebuild(self.D + delta)
 
     def spec_tuple(self) -> tuple:
         """Hashable identity of the underlying data, ignoring D."""

@@ -170,7 +170,7 @@ class Workspace:
 
     @cached_property
     def ring_hi(self) -> RingDescriptor:
-        return self.ring.rebuild(self.ring.D + self.delta)
+        return self.ring.above(self.delta)
 
     def perturbed(self, eps: tuple[Element, ...]) -> tuple[Element, ...]:
         if len(eps) != len(self.fs):

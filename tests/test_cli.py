@@ -504,6 +504,13 @@ REJECTED = {
     "ring-without-p": ("[manifest]\nformat-version = 1\n\n[ring]\n"
                        "vars = x, y\n\n[task]\ncommand = hilbert\nf = x\n",
                        "no 'p'"),
+    # A unit f once skipped its D + 2 model: this answered true for levels
+    # 140/142, though that model is past MAX_MONOMIALS, and exited 0.
+    "unit-f-past-the-cap": (
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y\n"
+        "D = 140\n\n[task]\ncommand = check-filter-regular\nf = 1 + x\n",
+        "error: D = 142 gives more than MAX_MONOMIALS = 10000 monomials in "
+        "2 variables\n"),
 }
 
 

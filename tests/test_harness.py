@@ -50,6 +50,16 @@ def test_find_min_n_needs_an_n_range():
         find_min_N(config)
 
 
+@pytest.mark.parametrize("run", [find_min_N, run_experiment])
+def test_a_sampled_run_refuses_zero_samples(run):
+    """With no draw a sweep once verified every depth, and regular-line
+    reported N* = 1 where its threshold is 2."""
+    config = ExperimentConfig.from_catalog("regular-line", n_range=(1, 3),
+                                           samples=0, n_max=4)
+    with pytest.raises(PertlabError, match="samples must be at least 1, got 0"):
+        run(config)
+
+
 def test_catalog_get_names_the_known_ids():
     with pytest.raises(KeyError, match="unknown catalog id 'nope'; known: "
                                        + ", ".join(sorted(CATALOG))):

@@ -18,8 +18,8 @@ from pertlab.invariants import (ar_number, filter_regular_check,
                                 filter_regular_sequence_check,
                                 gr_hilbert_function, hs_table,
                                 koszul_homology_length, koszul_report)
-from pertlab.rings import build_ring
-from pertlab.verifiers import Workspace
+from pertlab.rings import RingDescriptor, build_ring
+from pertlab.verifiers import Workspace, bound_N_one_element
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +247,15 @@ def test_delta_below_one_rejected_and_levels_are_d_and_d_plus_delta(catalog_id):
         "koszul_homology_length": lambda d: [koszul_homology_length(
             fs, 1, delta=d)],
         "koszul_report": lambda d: list(koszul_report(fs, delta=d).lengths),
+        # The verifiers' D + delta model itself.
+        "Workspace.ring_hi": lambda d: [Workspace(ring, fs, j, 3,
+                                                  delta=d).ring_hi],
     }
+    if filter_regular_check(IdealHandle(ring, ()), fs[0])[0]:
+        # Only a filter-regular f has an explicit threshold.
+        runs["bound_N_one_element"] = lambda d: [
+            getattr(bound_N_one_element(fs[0], j, delta=d), name)
+            for name in ("k", "h", "n_bound")]
     stable = 0
     for name, run in runs.items():
         for bad in (0, -1):
@@ -255,6 +263,9 @@ def test_delta_below_one_rejected_and_levels_are_d_and_d_plus_delta(catalog_id):
                 run(bad)
         for delta in (1, 2, 3):
             for cert in run(delta):
+                if isinstance(cert, RingDescriptor):
+                    assert cert.D == ring.D + delta, (name, delta)
+                    continue
                 assert cert.levels == (ring.D, ring.D + delta), (name, delta)
                 stable += cert.status == TWO_LEVEL
     assert stable

@@ -131,6 +131,10 @@ def test_order_and_power_membership():
     power2 = ring.power_span(2)
     assert power2.contains_vector(y.vec)
     assert not ring.power_span(3).contains_vector(y.vec)
+    # From w = D on no coordinate is left, with generators or without.
+    for r in (ring, build_ring(5, ("x", "y"), [], 8)):
+        for w in (r.D, r.D + 1):
+            assert r.power_span(w) == r.base_subspace
 
 
 def test_subspace_invariance_under_generators():
