@@ -10,8 +10,8 @@ byte-identical CSV output.
 
 Exit codes: 0 clean, 1 at least one violated verdict, 2 operational error
 (a malformed manifest, a file that cannot be read as UTF-8, an unwritable
-``--out``).  A computed falsehood (e.g. ``check-filter-regular`` answering
-"false") is a result, not a violation.
+``--out``, an allocation that fails).  A computed falsehood (e.g.
+``check-filter-regular`` answering "false") is a result, not a violation.
 """
 
 from __future__ import annotations
@@ -329,22 +329,10 @@ def execute(m: Manifest) -> ExperimentReport:
     return ExperimentReport(m.command, m.config, ws.ring.D, records)
 
 
-def _read_manifest(path: str) -> str:
-    """The text of the manifest file at ``path``; ManifestError if it is
-    not UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ManifestError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def run_manifest(source: str) -> ExperimentReport:
-    """Execute a manifest given as text or a file path: a one-line source
-    that does not open with ``[`` is a path."""
-    if "\n" not in source and not source.lstrip().startswith("["):
-        source = _read_manifest(source)
-    return execute(parse_manifest(source))
+def run_manifest(text: str) -> ExperimentReport:
+    """Execute a manifest given as its text; reading a file is ``main``'s
+    job."""
+    return execute(parse_manifest(text))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +383,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         started = time.monotonic()
-        result = execute(parse_manifest(_read_manifest(args.manifest)))
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            try:
+                source = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ManifestError(f"{args.manifest} is not UTF-8 text: "
+                                    f"{exc}") from None
+        result = run_manifest(source)
         text = (emit_csv(result) if args.format == "csv"
                 else emit_table(result, time.monotonic() - started))
         if args.out:
@@ -403,8 +397,8 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             print(text, end="")
-    except (PertlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PertlabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return result.exit_code()
 

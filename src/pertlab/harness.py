@@ -236,31 +236,22 @@ def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
               else f"fails at index {report.first_failure}"))
 
 
-def _catalog_checks(ws: Workspace, config: ExperimentConfig
-                    ) -> list[VerdictRecord]:
-    """Filter-regularity status rows for the configured sequence and any
-    extra sequences attached to the catalog entry."""
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Filter-regularity rows for the configured sequence and each extra
+    sequence of its catalog entry, the N sweep with all verifiers, and the
+    threshold search, aggregated into one report that is a pure function
+    of the config."""
+    ws = build_workspace(config)
+    extra = (catalog_get(config.catalog_id).extra_sequences
+             if config.catalog_id else ())
+    sequences = [("base", ws.fs)] + [
+        (label, tuple(map(ws.ring.element, exprs))) for label, exprs in extra]
     records = []
-    sequences: list[tuple[str, tuple[Element, ...]]] = [
-        ("base", ws.fs)]
-    if config.catalog_id:
-        entry = catalog_get(config.catalog_id)
-        for label, exprs in entry.extra_sequences:
-            sequences.append((label, tuple(ws.ring.element(e) for e in exprs)))
     for label, seq in sequences:
         report = (ws.sequence_report if label == "base"
                   else filter_regular_sequence_check(seq, delta=config.delta))
         record = filter_regular_record(ws.ring, seq, report, label)
         records.append(replace(record, note=f"sequence {label}: {record.note}"))
-    return records
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Catalog checks, the N sweep with all verifiers, and the threshold
-    search, aggregated into one report that is a pure function of the
-    config."""
-    ws = build_workspace(config)
-    records = _catalog_checks(ws, config)
     n_star = None
     if config.n_range is not None:
         sweep_records, n_star = _sweep_to_threshold(ws, config)

@@ -29,9 +29,10 @@ import numpy as np
 from . import linalg
 from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
                       plateau, two_level_value, weakest)
+from .errors import PertlabError
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
-from .rings import RingDescriptor, Subspace
+from .rings import MAX_MONOMIALS, RingDescriptor, Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +342,32 @@ def _koszul_length(fs: tuple, fs_hi: tuple, i: int
     return cert, finite
 
 
+def _lift_for_boundaries(fs: tuple, delta: int, ks) -> tuple:
+    """``fs`` read at D + delta, once each Koszul boundary d_k (k in ``ks``)
+    fits there: d_k is a dense (C(r,k) dim) x (C(r,k-1) dim) block, and one
+    past MAX_MONOMIALS^2 entries, the M x M rule, raises PertlabError."""
+    fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
+    r, ring = len(fs), fs_hi[0].ring
+    for k in ks:
+        rows, cols = comb(r, k) * ring.dim, comb(r, k - 1) * ring.dim
+        if rows * cols > MAX_MONOMIALS ** 2:
+            raise PertlabError(f"Koszul boundary d_{k} at D = {ring.D} is "
+                               f"{rows} x {cols}, past MAX_MONOMIALS^2 entries")
+    return fs_hi
+
+
 def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
     """Length of the i-th Koszul homology of the sequence, junk-shed by the
     order-filtration plateau and certified across two truncation levels."""
     if not (1 <= i <= len(fs)):
         raise ValueError(f"homology index {i} out of range 1..{len(fs)}")
-    return _koszul_length(fs, tuple(map(fs[0].ring.above(delta).element, fs)),
+    return _koszul_length(fs, _lift_for_boundaries(fs, delta, (i, i + 1)),
                           i)[0]
 
 
 def koszul_report(fs: tuple, delta: int = 2) -> KoszulReport:
     """All homology lengths H_1..H_r, rebuilding the D + delta ring once."""
-    fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
+    fs_hi = _lift_for_boundaries(fs, delta, range(1, len(fs) + 1))
     results = [_koszul_length(fs, fs_hi, i) for i in range(1, len(fs) + 1)]
     return KoszulReport(tuple(c for c, _ in results),
                         tuple(f for _, f in results))

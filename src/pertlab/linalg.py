@@ -361,17 +361,6 @@ def reduce_rows(block: np.ndarray, basis: Staircase, p: int, *,
     return _read_only(_reduce(block, basis, p))
 
 
-def _reduce_at(out: np.ndarray, index: np.ndarray, basis: Staircase,
-               p: int) -> np.ndarray:
-    """Clear, in place, the rows ``index`` (ascending) of the writable
-    narrow array ``out`` against an RREF ``basis`` by ``_reduce``; returns
-    the entries of ``index`` whose rows are now unit rows.  The other rows
-    must vanish on the basis's pivots, so the run of rows from the first
-    index to the last is cleared where it stands."""
-    run = _reduce(out[index[0]:index[-1] + 1], basis, p)
-    return index[unit_rows(run)[index - index[0]]]
-
-
 class _Growing:
     """An RREF basis under construction, compact: ``pivots`` and the
     unit-row mask ``unit`` in order of discovery, in the first ``r``
@@ -409,13 +398,16 @@ class _Growing:
     def absorb(self, new: Staircase, p: int) -> None:
         """Add the RREF basis ``new``, whose rows vanish on every pivot
         held.  So a unit row held vanishes on every new pivot column, and
-        only the polynomial rows that the new pivots touch are cleared, in
-        place; those left with their pivot alone move to the mask."""
+        only the polynomial rows that the new pivots touch need clearing:
+        ``_reduce`` clears the run from the first to the last in place (a
+        row between them that the new pivots miss stays as it is), and
+        those left with their pivot alone move to the mask."""
         r, npoly = self.r, self.npoly
         touched = np.flatnonzero(
             self.poly[:npoly][:, new.pivots].any(axis=1))
         if touched.size:
-            gone = _reduce_at(self.poly, touched, new, p)
+            run = _reduce(self.poly[touched[0]:touched[-1] + 1], new, p)
+            gone = touched[unit_rows(run)[touched - touched[0]]]
             if gone.size:
                 self.unit[np.flatnonzero(~self.unit[:r])[gone]] = True
                 keep = np.ones(npoly, dtype=bool)

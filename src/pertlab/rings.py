@@ -27,7 +27,7 @@ it checks every input, so each ring it returns computes in exact GF(p).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,17 +59,6 @@ MAX_MONOMIALS = 10_000
 # int64 at the cap, reached by many variables at a small D.  The cap also
 # keeps every key and every sum of two keys far inside int64.
 MAX_KEY_TABLE = 2 ** 24
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def default_truncation(t_j: int, n_max: int) -> int:
@@ -248,16 +237,15 @@ class Element(Poly):
     A rebuild of the ring re-reads the element from ``raw``; one that
     dropped a term below the new order, such as a product or an input with
     a term of degree >= D, raises TruncationError instead of reading another
-    element.  An element is immutable, so its text is derived once.
+    element.  ``serialize`` formats its text from ``vec`` on each call.
     """
 
-    __slots__ = ("vec", "_text")
+    __slots__ = ("vec",)
 
     def __init__(self, ring: "RingDescriptor", raw: np.ndarray,
                  dropped: int | None = None):
         super().__init__(ring, raw, dropped)
         self.vec = ring._normal_form(raw)
-        self._text: str | None = None
 
     def is_zero(self) -> bool:
         return not self.vec.any()
@@ -281,9 +269,7 @@ class Element(Poly):
         return hash((id(self.ring), self.vec.tobytes()))
 
     def serialize(self) -> str:
-        if self._text is None:
-            self._text = self.ring._format(self.vec)
-        return self._text
+        return self.ring._format(self.vec)
 
 
 class RingDescriptor:
@@ -317,7 +303,7 @@ class RingDescriptor:
         if p > linalg.MAX_PRIME:
             raise RingConstructionError(
                 f"p = {p} exceeds the largest supported prime {linalg.MAX_PRIME}")
-        if not is_prime(p):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise RingConstructionError(f"{p} is not prime")
         if D < 2:
             raise RingConstructionError("truncation order must be at least 2")

@@ -122,13 +122,14 @@ def sequence_rows(claim: str, report: SequenceReport,
 def inputs_digest(ring: RingDescriptor, fs: tuple[Element, ...],
                   eps: tuple[Element, ...] | None,
                   j: IdealHandle | None, extra: str = "") -> str:
-    blob = "|".join((
-        repr(ring),
-        ";".join(f.serialize() for f in fs),
-        ";".join(e.serialize() for e in eps) if eps else "",
-        ";".join(g.serialize() for g in j.gens) if j else "",
-        extra)).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """A record's input key: ``repr(ring)``, the tag ``extra``, the group
+    sizes, then the little-endian normal-form vector of each element of
+    ``fs``, ``eps`` and J's generators."""
+    groups = (fs, eps or (), j.gens if j else ())
+    h = hashlib.sha256(repr((ring, extra, *map(len, groups))).encode())
+    for e in (e for group in groups for e in group):
+        h.update(e.vec.astype("<i8").tobytes())
+    return h.hexdigest()[:16]
 
 
 class Workspace:

@@ -6,11 +6,13 @@ import csv
 import io
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
+from pertlab import cli
 from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_table, main,
                          parse_manifest, run_manifest)
 from pertlab.errors import ManifestError, PertlabError
@@ -189,6 +191,31 @@ def test_main_reads_a_path_that_opens_with_a_bracket(tmp_path, monkeypatch):
         assert main([name, "--format", "csv", "--out", f"{name}.csv"]) == 0
         csvs.append((tmp_path / f"{name}.csv").read_text())
     assert csvs[0] == csvs[1]
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    """An allocation that fails is an operational error (exit 2, one error
+    line), not a traceback with exit 1, the code of a violated verdict."""
+    def exhausted(m):
+        raise MemoryError("Unable to allocate 469. MiB for an array")
+
+    monkeypatch.setattr(cli, "execute", exhausted)
+    path = tmp_path / "bound.cfg"
+    path.write_text(BOUND)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 469. MiB for an array\n"
+
+
+def test_run_manifest_takes_text_not_a_path():
+    """Reading a file is main's job: a path handed to run_manifest is
+    parsed as manifest text."""
+    path = Path(__file__).resolve().parents[1] / "manifests" / "bound-n.cfg"
+    assert path.is_file()
+    with pytest.raises(ManifestError,
+                       match="manifest parse error: File contains no section "
+                             "headers"):
+        run_manifest(str(path))
 
 
 def test_non_utf8_manifest_exits_two(tmp_path, capsys):
@@ -511,6 +538,15 @@ REJECTED = {
         "D = 140\n\n[task]\ncommand = check-filter-regular\nf = 1 + x\n",
         "error: D = 142 gives more than MAX_MONOMIALS = 10000 monomials in "
         "2 variables\n"),
+    # Eight linear forms on F_5[x,y,z] at D = 12: the D + 2 boundary d_3 is
+    # 31,360 x 15,680, though M = 364.  This once allocated its way to a
+    # MemoryError traceback (exit 1).
+    "koszul-boundary-past-the-cap": (
+        "[manifest]\nformat-version = 1\n\n[ring]\np = 5\nvars = x, y, z\n"
+        "D = 12\n\n[task]\ncommand = koszul\nf = x, y, z, x + y, y + z, "
+        "x + z, x + 2*y, y + 2*z\n",
+        "Koszul boundary d_3 at D = 14 is 31360 x 15680, past "
+        "MAX_MONOMIALS^2 entries"),
 }
 
 

@@ -6,15 +6,16 @@ import pytest
 
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, CertifiedValue
 from pertlab.errors import FilterRegularityError, PertlabError
-from pertlab.harness import ExperimentConfig, build_workspace
+from pertlab.harness import (ExperimentConfig, build_workspace,
+                             sample_in_power)
 from pertlab.ideals import ideal, maximal_ideal
 from pertlab.rings import build_ring
 from pertlab.verifiers import (VERIFIED, VIOLATED, INCONCLUSIVE, Workspace,
                                bound_N_one_element, check_control_colon,
                                check_main_equality,
                                check_perturbed_filter_regular,
-                               check_surjection_monotonicity, judge,
-                               report_ar_comparison)
+                               check_surjection_monotonicity, inputs_digest,
+                               judge, report_ar_comparison)
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +249,28 @@ def test_bound_without_primary_certificate():
     ring = build_ring(5, ("x", "y"), [], 8)
     with pytest.raises(PertlabError, match="no m-primary certificate"):
         bound_N_one_element(ring.element("x"), ideal(ring, ("x",)))
+
+
+def _fresh_plane_ws():
+    ring = build_ring(5, ("x", "y"), [], 8)
+    return Workspace(ring, (ring.element("x"),), maximal_ideal(ring), 4)
+
+
+def test_digest_is_the_same_for_the_same_inputs_in_fresh_workspaces():
+    """Two workspaces built apart, each with its own ring, give one digest
+    for the same (ring, f, eps, J, tag)."""
+    digests = set()
+    for ws in (_fresh_plane_ws(), _fresh_plane_ws()):
+        eps = sample_in_power(ws.ring, 2, seed=3, count=1, spawn=(2, 0))
+        digests.add((inputs_digest(ws.ring, ws.fs, eps, ws.j, "tag"),
+                     check_main_equality(ws, eps).digest))
+    assert len(digests) == 1
+
+
+def test_different_sampled_perturbations_give_different_digests():
+    ws = _fresh_plane_ws()
+    eps = [sample_in_power(ws.ring, 2, seed=3, count=1, spawn=(2, s))
+           for s in (0, 1)]
+    assert eps[0] != eps[1]
+    assert (check_main_equality(ws, eps[0]).digest
+            != check_main_equality(ws, eps[1]).digest)
