@@ -278,19 +278,6 @@ def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],
     return out
 
 
-def _module_order_structures(ring: RingDescriptor, ncomp: int):
-    """Column permutation sorting module coordinates by (order, component)
-    and the induced cuts; prefix ranks then read the order filtration."""
-    d = ring.dim
-    degs = ring.deg_of_col[ring.std_cols]
-    comp = np.repeat(np.arange(ncomp), d)
-    deg_full = np.tile(degs, ncomp)
-    idx_full = np.tile(np.arange(d), ncomp)
-    perm = np.lexsort((idx_full, comp, deg_full))
-    cuts = np.searchsorted(deg_full[perm], np.arange(ring.D + 1))
-    return perm, cuts
-
-
 def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     """Reading (plateau length, resolved) of H_i at the truncation level of
     ``fs``, and a finiteness flag from the annihilation exponent of the
@@ -305,7 +292,12 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     # K_(r+1) = 0, so at i = r the image boundary has no rows.
     image_rows = _koszul_boundary(ring, mats, i + 1)
     ncomp = comb(len(fs), i)
-    perm, cuts = _module_order_structures(ring, ncomp)
+    # Module coordinates sorted by (order, component, index): prefix ranks
+    # then read the order filtration through the induced cuts.
+    degs = np.tile(ring.deg_of_col[ring.std_cols], ncomp)
+    perm = np.lexsort((np.tile(np.arange(d), ncomp),
+                       np.repeat(np.arange(ncomp), d), degs))
+    cuts = np.searchsorted(degs[perm], np.arange(ring.D + 1))
     upper = Subspace(ring, linalg.rref(kernel[:, perm], ring.p)[0])
     lower = Subspace(ring, linalg.rref(image_rows[:, perm], ring.p)[0])
     value, resolved = plateau(order_profile(upper, lower, cuts))
@@ -328,32 +320,31 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     return (value, resolved), finite
 
 
-def _koszul_length(fs: tuple, fs_hi: tuple, i: int
-                   ) -> tuple[CertifiedValue, bool]:
-    """H_i length certified across the levels of ``fs`` and of its lift
-    ``fs_hi``, plus whether both levels flag it finite."""
-    lo, finite_lo = _homology_level(fs, i)
-    hi, finite_hi = _homology_level(fs_hi, i)
-    cert = two_level_value(lo, hi, (fs[0].ring.D, fs_hi[0].ring.D))
-    finite = finite_lo and finite_hi
-    if cert.is_certified() and not finite:
-        cert = replace(cert, note=(cert.note + "; " if cert.note else "")
-                       + "finiteness flag not established")
-    return cert, finite
-
-
-def _lift_for_boundaries(fs: tuple, delta: int, ks) -> tuple:
-    """``fs`` read at D + delta, once each Koszul boundary d_k (k in ``ks``)
-    fits there: d_k is a dense (C(r,k) dim) x (C(r,k-1) dim) block, and one
-    past MAX_MONOMIALS^2 entries, the M x M rule, raises PertlabError."""
+def _koszul_lengths(fs: tuple, delta: int, indices) -> KoszulReport:
+    """H_i for i in ``indices``, read at the level of ``fs`` and at its
+    D + delta lift and certified across the two, finite when both levels
+    flag it so.  Before any elimination each boundary d_k, k in {i, i + 1},
+    is sized at D + delta in ascending k: a dense (C(r,k) dim) x
+    (C(r,k-1) dim) block past MAX_MONOMIALS^2 entries, the M x M rule,
+    raises PertlabError."""
     fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
     r, ring = len(fs), fs_hi[0].ring
-    for k in ks:
+    for k in sorted({k for i in indices for k in (i, i + 1)}):
         rows, cols = comb(r, k) * ring.dim, comb(r, k - 1) * ring.dim
         if rows * cols > MAX_MONOMIALS ** 2:
             raise PertlabError(f"Koszul boundary d_{k} at D = {ring.D} is "
                                f"{rows} x {cols}, past MAX_MONOMIALS^2 entries")
-    return fs_hi
+    results = []
+    for i in indices:
+        lo, finite_lo = _homology_level(fs, i)
+        hi, finite_hi = _homology_level(fs_hi, i)
+        cert = two_level_value(lo, hi, (fs[0].ring.D, ring.D))
+        finite = finite_lo and finite_hi
+        if cert.is_certified() and not finite:
+            cert = replace(cert, note=(cert.note + "; " if cert.note else "")
+                           + "finiteness flag not established")
+        results.append((cert, finite))
+    return KoszulReport(*zip(*results))
 
 
 def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
@@ -361,16 +352,12 @@ def koszul_homology_length(fs: tuple, i: int, delta: int = 2) -> CertifiedValue:
     order-filtration plateau and certified across two truncation levels."""
     if not (1 <= i <= len(fs)):
         raise ValueError(f"homology index {i} out of range 1..{len(fs)}")
-    return _koszul_length(fs, _lift_for_boundaries(fs, delta, (i, i + 1)),
-                          i)[0]
+    return _koszul_lengths(fs, delta, (i,)).lengths[0]
 
 
 def koszul_report(fs: tuple, delta: int = 2) -> KoszulReport:
     """All homology lengths H_1..H_r, rebuilding the D + delta ring once."""
-    fs_hi = _lift_for_boundaries(fs, delta, range(1, len(fs) + 1))
-    results = [_koszul_length(fs, fs_hi, i) for i in range(1, len(fs) + 1)]
-    return KoszulReport(tuple(c for c, _ in results),
-                        tuple(f for _, f in results))
+    return _koszul_lengths(fs, delta, range(1, len(fs) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -247,18 +247,11 @@ def check_surjection_monotonicity(ws: Workspace,
                            rests_on=(k.status,))
 
 
-def _colon_reading(pert: tuple[Element, ...], i: int) -> tuple[tuple, bool]:
-    """Reading ((colon length, annihilation exponent), resolved) of
-    (A : f)/A for f = pert[i] and A the ideal of the other elements, at the
-    truncation level of ``pert``."""
-    omit = IdealHandle(pert[i].ring, pert[:i] + pert[i + 1:]).subspace
-    (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
-    return (l_val, h_val), l_ok and h_ok
-
-
 def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecord:
     """Colon quotients of the perturbed sequence stay bounded by the first
-    Koszul homology length h of the base sequence, and are killed by m^h."""
+    Koszul homology length h of the base sequence, and are killed by m^h.
+    Each (A : f)/A, f the i-th element and A the ideal of the others, is
+    read at D and in the sequence's one D + delta lift."""
     digest = inputs_digest(ws.ring, ws.fs, eps, None, "control-colon")
     h = ws.h1
     if not h.is_certified():
@@ -270,9 +263,13 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
     levels = (ws.ring.D, ws.ring_hi.D)
     rows = []
     for i in range(len(pert_lo)):
-        lo = _colon_reading(pert_lo, i)
-        cert = two_level_value(lo, _colon_reading(pert_hi, i), levels)
-        (l_lo, h_lo), resolved = lo[0], cert.status == TWO_LEVEL
+        readings = []
+        for pert in (pert_lo, pert_hi):
+            omit = IdealHandle(pert[i].ring, pert[:i] + pert[i + 1:]).subspace
+            (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
+            readings.append(((l_val, h_val), l_ok and h_ok))
+        cert = two_level_value(*readings, levels)
+        (l_lo, h_lo), resolved = readings[0][0], cert.status == TWO_LEVEL
         ok = resolved and l_lo <= h.value and h_lo <= h.value
         status = "ok" if ok else ("exceeds" if resolved else "unresolved")
         rows.append(row("control-colon", n=i + 1, value_orig=l_lo,
