@@ -14,8 +14,10 @@ picks up boundary junk near w = D, where the classes created by the
 truncation live.  The widest run is read as the value, so a leading run of
 zeros wider than the true plateau gives a wrong reading at that level.  The
 zero run does not move with D, so two-level agreement catches such a
-reading only when the other level's true plateau is the wider.  With
-ascending-degree echelon bases the whole profile is a pivot count.
+reading only when the other level's true plateau is the wider.  That hazard
+is left only on a model that is not the ring: an Artinian ring's model is
+the ring from some D on, and there the raw last entry is read instead.
+With ascending-degree echelon bases the whole profile is a pivot count.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
-                      plateau, two_level_value, weakest)
+from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue, read,
+                      two_level_value, weakest)
 from .errors import PertlabError
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
@@ -300,7 +302,7 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     cuts = np.searchsorted(degs[perm], np.arange(ring.D + 1))
     upper = Subspace(ring, linalg.rref(kernel[:, perm], ring.p)[0])
     lower = Subspace(ring, linalg.rref(image_rows[:, perm], ring.p)[0])
-    value, resolved = plateau(order_profile(upper, lower, cuts))
+    value, resolved = read(order_profile(upper, lower, cuts), ring.is_exact)
 
     finite = False
     if resolved:
@@ -312,18 +314,17 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
             prod = linalg.matmul_mod(blocks, var_mats[v], ring.p)
             out[:] = prod.reshape(rows.shape[0], ncomp * d)[:, perm]
 
-        h_val, h_resolved = plateau(
-            _annihilator_chain(lower, upper, cuts, times_var))
+        h_val, h_resolved = read(_annihilator_chain(
+            lower, upper, cuts, times_var), ring.is_exact)
         if h_resolved:
-            max_order = max((f.order() for f in fs), default=0)
-            finite = h_val + max_order + 1 <= ring.D
+            finite = h_val + max(f.order() for f in fs) + 1 <= ring.D
     return (value, resolved), finite
 
 
 def _koszul_lengths(fs: tuple, delta: int, indices) -> KoszulReport:
     """H_i for i in ``indices``, read at the level of ``fs`` and at its
     D + delta lift and certified across the two, finite when both levels
-    flag it so.  Before any elimination each boundary d_k, k in {i, i + 1},
+    flag it so or when it is exact.  Before any elimination each boundary d_k, k in {i, i + 1},
     is sized at D + delta in ascending k: a dense (C(r,k) dim) x
     (C(r,k-1) dim) block past MAX_MONOMIALS^2 entries, the M x M rule,
     raises PertlabError."""
@@ -339,7 +340,7 @@ def _koszul_lengths(fs: tuple, delta: int, indices) -> KoszulReport:
         lo, finite_lo = _homology_level(fs, i)
         hi, finite_hi = _homology_level(fs_hi, i)
         cert = two_level_value(lo, hi, (fs[0].ring.D, ring.D))
-        finite = finite_lo and finite_hi
+        finite = finite_lo and finite_hi or cert.status == EXACT
         if cert.is_certified() and not finite:
             cert = replace(cert, note=(cert.note + "; " if cert.note else "")
                            + "finiteness flag not established")
@@ -379,11 +380,11 @@ class SequenceReport:
 
 
 def colon_plateaus(target: Subspace, f) -> tuple[tuple, tuple]:
-    """Plateau readings (value, resolved) of the length of (A : f)/A and of
-    the least h with m^h (A : f) inside A, A the ideal of ``target``."""
-    colon = colon_subspace(target, f)
-    return (plateau(order_profile(colon, target, target.ring.cuts)),
-            plateau(annihilator_profile(colon, target)))
+    """Readings (value, resolved) of the length of (A : f)/A and of the
+    least h with m^h (A : f) inside A, A the ideal of ``target``."""
+    colon, exact = colon_subspace(target, f), target.ring.is_exact
+    return (read(order_profile(colon, target, target.ring.cuts), exact),
+            read(annihilator_profile(colon, target), exact))
 
 
 def filter_regular_check(i: IdealHandle, f, delta: int = 2
@@ -391,9 +392,9 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
     """Is f filter-regular on R/I?  True when some power of m multiplies the
     colon (I : f) back into I; also returns the least such exponent h.
 
-    At each level the exponent is the plateau value of
-    :func:`colon_plateaus`, or None when the plateau does not resolve it;
-    f passes when the two-level result carries a value.  Degenerate inputs:
+    At each level the exponent is the reading of :func:`colon_plateaus`,
+    None when it does not resolve, resolved as EXACT when it is; f passes
+    when the two-level result carries a value.  Degenerate inputs:
     a unit f is vacuously regular (flagged), once its D + delta model is
     built like any other f's; h is clamped to be positive.
     """
@@ -404,7 +405,7 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
                                     note="degenerate: unit element")
     lo = colon_plateaus(i.subspace, f)[1]
     hi = colon_plateaus(i.lift(ring_hi).subspace, ring_hi.element(f))[1]
-    cert = two_level_value(*[(value if resolved else None, True)
+    cert = two_level_value(*[(value if resolved else None, resolved or True)
                              for value, resolved in (lo, hi)], levels)
     if cert.value is None:
         return False, replace(cert, note=cert.note

@@ -363,6 +363,9 @@ class RingDescriptor:
                                         "the model would be the zero ring")
         self.dim = self.M - basis.shape[0]
         self.std_cols = self.base_subspace.nonpivots()
+        # No standard monomial of degree D - 1 (Nakayama's certificate at
+        # D - 1 as a pivot count): m^D lies in I_0, the model is the ring.
+        self.is_exact = not (self.deg_of_col[self.std_cols] == D - 1).any()
 
     # -- construction helpers ------------------------------------------------
 

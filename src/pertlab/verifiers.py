@@ -24,8 +24,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .certify import (TWO_LEVEL, UNCERTIFIED, CertifiedValue,
-                      two_level_value, weakest)
+from .certify import UNCERTIFIED, CertifiedValue, two_level_value, weakest
 from .errors import FilterRegularityError, PertlabError
 from .ideals import (IdealHandle, IdealPowers, ideal_sum, m_primary_level,
                      zero_ideal)
@@ -251,7 +250,8 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
     """Colon quotients of the perturbed sequence stay bounded by the first
     Koszul homology length h of the base sequence, and are killed by m^h.
     Each (A : f)/A, f the i-th element and A the ideal of the others, is
-    read at D and in the sequence's one D + delta lift."""
+    read at D and in the sequence's one D + delta lift; a row whose reading
+    is not uncertified is resolved, its values the certified ones."""
     digest = inputs_digest(ws.ring, ws.fs, eps, None, "control-colon")
     h = ws.h1
     if not h.is_certified():
@@ -269,11 +269,12 @@ def check_control_colon(ws: Workspace, eps: tuple[Element, ...]) -> VerdictRecor
             (l_val, l_ok), (h_val, h_ok) = colon_plateaus(omit, pert[i])
             readings.append(((l_val, h_val), l_ok and h_ok))
         cert = two_level_value(*readings, levels)
-        (l_lo, h_lo), resolved = readings[0][0], cert.status == TWO_LEVEL
-        ok = resolved and l_lo <= h.value and h_lo <= h.value
+        resolved = cert.status != UNCERTIFIED
+        l_val, h_val = cert.value if resolved else readings[0][0]
+        ok = resolved and l_val <= h.value and h_val <= h.value
         status = "ok" if ok else ("exceeds" if resolved else "unresolved")
-        rows.append(row("control-colon", n=i + 1, value_orig=l_lo,
-                        value_pert=h_lo, status=status,
+        rows.append(row("control-colon", n=i + 1, value_orig=l_val,
+                        value_pert=h_val, status=status,
                         certification=cert.status))
     outcome, witness = judge((r["status"] != "unresolved" for r in rows),
                              (r["n"] for r in rows if r["status"] == "exceeds"))

@@ -6,12 +6,14 @@ naive row-at-a-time with pivots on the *largest* monomial in descending
 graded-lex order (the package pivots on the smallest), spans are built by
 multiplying generators with every monomial one at a time, and membership is
 monomial-by-monomial reduction.  Intersections and colons run through a
-hand-rolled Zassenhaus construction on tagged coordinates.
+hand-rolled Zassenhaus construction on tagged coordinates, and Koszul
+homology lengths through the ranks of boundary images on tagged
+coordinates.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 Vec = dict  # exponent tuple -> nonzero coefficient
 
@@ -188,3 +190,42 @@ class NaiveModel:
                 continue
             self.insert({te[1]: c for te, c in row.items()}, out)
         return out
+
+    # -- Koszul homology ---------------------------------------------------------
+
+    def koszul_length(self, fs: list[Vec], i: int) -> int:
+        """Length of H_i of the Koszul complex of ``fs`` over the model:
+        dim K_i - rank d_i - rank d_(i+1), K_i the free module of rank
+        C(r, i)."""
+        free = len(list(combinations(range(len(fs)), i)))
+        return (free * self.length(self.base_span)
+                - self._boundary_rank(fs, i) - self._boundary_rank(fs, i + 1))
+
+    def _boundary_rank(self, fs: list[Vec], i: int) -> int:
+        """Rank of d_i: e_S -> sum over t of (-1)^t f_(s_t) e_(S - s_t),
+        spanned by the images of every (subset, monomial) pair, each
+        component reduced modulo the base span; d_0 = 0 and K_(r+1) = 0."""
+        if not 1 <= i <= len(fs):
+            return 0
+        cod = {s: k for k, s in enumerate(combinations(range(len(fs)), i - 1))}
+        basis: list[dict] = []
+        for subset in combinations(range(len(fs)), i):
+            for mu in self.monomials:
+                image = {}
+                for t, j in enumerate(subset):
+                    part = self.reduce(self.mul(fs[j], {mu: (-1) ** t}),
+                                       self.base_span)
+                    tag = cod[subset[:t] + subset[t + 1:]]
+                    image.update({(tag, e): c for e, c in part.items()})
+                self._tag_insert(image, basis)
+        return len(basis)
+
+    def annihilator_exponent(self, span_a: list[Vec], span_b: list[Vec]) -> int:
+        """Least h with every degree-h monomial times every vector of
+        ``span_b`` inside ``span_a``."""
+        h = 0
+        while not all(self.contains(span_a, self.mul(b, {mu: 1}))
+                      for b in span_b for mu in self.monomials
+                      if sum(mu) == h):
+            h += 1
+        return h

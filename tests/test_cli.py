@@ -307,7 +307,8 @@ VALID_FIELDS = {
     ("manifest", "format-version"): ["1"],
     ("ring", "p"): ["2", "3", "5", "7"],
     ("ring", "vars"): ["x, y"],
-    ("ring", "gens"): ["", "x*y", "x^2", "y^3"],
+    # Artinian bases too, so that every command reads exact models.
+    ("ring", "gens"): ["", "x*y", "x^2", "y^3", "x^2, y^3", "x^3, x*y, y^2"],
     ("ring", "D"): ["3", "4", "6", "auto"],
     ("ideals", "J"): ["x, y"],
     ("task", "command"): list(COMMANDS),
@@ -704,3 +705,73 @@ def test_input_term_below_d_certifies_filter_regular(tmp_path, capsys):
     assert main([str(path), "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == \
         "filter-regular,,,1,1,,true,two-level-stable,0"
+
+
+# -- metamorphic twins -------------------------------------------------------------
+
+# (p, vars, base gens, D, f, J, epsilon): three catalog rings, then two
+# Artinian ones, of which F_3[x,y]/(x^3, y^2) at D = 4 shows its
+# certificate only in the D + 2 lift.
+TWIN_RINGS = {
+    "remark-2-4": (5, ("x", "y", "z"), ("x*y", "x*z"), 8, ("x + y", "z"),
+                   ("x", "y", "z"), ("x^3", "z^3")),
+    "node-diagonal": (5, ("x", "y"), ("x*y",), 8, ("x + y",), ("x", "y"),
+                      ("y^3",)),
+    "fat-line": (5, ("x", "y"), ("x^2",), 8, ("x",), ("x", "y"), ("x*y",)),
+    "artinian-2-3": (7, ("x", "y"), ("x^2", "y^3"), 5, ("x + y^2", "x*y"),
+                     ("x", "y"), ("y^2", "x*y")),
+    "artinian-3-2": (3, ("x", "y"), ("x^3", "y^2"), 4, ("x", "y"),
+                     ("x", "y"), ("x^2", "x*y")),
+}
+TWIN_TASKS = {"hilbert": "command = hilbert",
+              "koszul": "command = koszul",
+              "check-filter-regular": "command = check-filter-regular",
+              "ar-number": "command = ar-number",
+              "control-colon": "command = verify\nclaim = control-colon",
+              "preservation": "command = verify\nclaim = preservation"}
+
+
+def _renamed(exprs: tuple, names: dict) -> tuple:
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
+    return tuple(pattern.sub(lambda m: names[m.group(1)], e) for e in exprs)
+
+
+def _twin_manifest(task: str, p, names, gens, D, f, j, eps) -> str:
+    return ("[manifest]\nformat-version = 1\n\n[ring]\n"
+            f"p = {p}\nvars = {', '.join(names)}\ngens = {', '.join(gens)}\n"
+            f"D = {D}\n\n[ideals]\nJ = {', '.join(j)}\n\n[task]\n{task}\n"
+            f"f = {', '.join(f)}\nJ = J\nn_max = 3\n"
+            + (f"epsilon = {', '.join(eps)}\n" if "verify" in task else ""))
+
+
+@pytest.mark.parametrize("task", sorted(TWIN_TASKS))
+@pytest.mark.parametrize("ring", sorted(TWIN_RINGS))
+def test_twin_presentations_give_the_same_report(ring, task, tmp_path,
+                                                 capsys):
+    """A report depends on the ring and the ideals, not on how they are
+    written: renaming the variables (so that their names sort the other
+    way), reversing, duplicating or scaling by a unit the base generators,
+    or reversing J's generators leaves the exit code and the CSV byte for
+    byte as they were."""
+    p, names, gens, D, f, j, eps = TWIN_RINGS[ring]
+    rename = dict(zip(names, ("v", "u", "t")))
+    twins = {
+        "original": (names, gens, f, j, eps),
+        "renamed": tuple(_renamed(part, rename)
+                         for part in (names, gens, f, j, eps)),
+        "gens-reversed": (names, gens[::-1], f, j, eps),
+        "gens-duplicated": (names, gens + gens, f, j, eps),
+        "gens-scaled": (names, tuple(f"{p - 1}*({g})" for g in gens), f, j,
+                        eps),
+        "J-reversed": (names, gens, f, j[::-1], eps),
+    }
+    reports = {}
+    for name, (names_, gens_, f_, j_, eps_) in twins.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_twin_manifest(TWIN_TASKS[task], p, names_, gens_, D,
+                                       f_, j_, eps_))
+        code = main([str(path), "--format", "csv"])
+        reports[name] = code, capsys.readouterr().out
+    assert reports["original"][0] in (0, 1) and reports["original"][1]
+    for name, report in reports.items():
+        assert report == reports["original"], name

@@ -11,15 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from pertlab import linalg
 from pertlab.catalog import CATALOG
 from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED
-from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
-                            ideal_length, ideal_product, ideal_sum,
-                            maximal_ideal, unit_ideal, zero_ideal)
+from pertlab.ideals import (IdealHandle, IdealPowers, certificate_level,
+                            ideal, ideal_colon, ideal_length, ideal_product,
+                            ideal_sum, maximal_ideal, unit_ideal, zero_ideal)
 from pertlab.invariants import (ar_number, filter_regular_check,
                                 filter_regular_sequence_check,
                                 gr_hilbert_function, hs_table,
                                 koszul_homology_length, koszul_report)
 from pertlab.rings import RingDescriptor, build_ring
-from pertlab.verifiers import Workspace, bound_N_one_element
+from pertlab.verifiers import (Workspace, bound_N_one_element,
+                               check_control_colon)
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +302,10 @@ def test_koszul_report_at_p_251_matches_oracle():
                                      model.colon(base, F[1])))
               - len(base))
         assert [(c.value, c.status) for c in report.lengths] == [
-            (h0 + h2, TWO_LEVEL), (h2, TWO_LEVEL)], p
+            (h0 + h2, EXACT), (h2, EXACT)], p
         assert h2 > 0 and all(report.finite), p
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_koszul_h2_of_an_artinian_ring_reads_its_socle():
     """F_5[x,y]/(x^5, y^5) contains m^9, so at D = 10 the truncation is the
     ring itself and H_2 of (x, y) is (0 : m), spanned by the socle x^4 y^4:
@@ -346,7 +346,6 @@ def test_euler_characteristic_is_the_multiplicity(catalog_id, multiplicity):
     assert chi == multiplicity
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_euler_characteristic_of_an_artinian_ring_is_zero():
     """R = F_5[x,y]/(x^5, y^5) is Artinian, so chi = 0 for (x, y).  The
     readings give 1 - 2 + 0 = -1 at D = 10: H_2 reads 0 for the reason
@@ -403,7 +402,6 @@ def test_koszul_rigidity_on_artinian_rings(case):
     assert all(value == 0 for i, value in readings if zeros and i >= zeros[0])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @settings(max_examples=25, deadline=None)
 @example(case=_SOCLE_CASE)
 @given(case=_artinian_sequences())
@@ -415,7 +413,6 @@ def test_koszul_euler_characteristic_of_artinian_rings_is_zero(case):
         assert sum((-1) ** i * value for i, value in readings) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @settings(max_examples=25, deadline=None)
 @example(case=_SOCLE_CASE)
 @given(case=_artinian_sequences())
@@ -426,16 +423,105 @@ def test_koszul_top_homology_of_artinian_rings_is_nonzero(case):
     assert all(value != 0 for i, value in readings if i == r)
 
 
-def test_koszul_leading_zero_plateau_stays_uncertified():
+def _terms(poly) -> dict:
+    """The nonzero terms of a polynomial's defining vector, by exponents."""
+    return {poly.ring.monomials[c]: int(poly.raw[c])
+            for c in np.nonzero(poly.raw)[0]}
+
+
+@settings(max_examples=25, deadline=None)
+@example(case=_SOCLE_CASE, extra=0, scale=0)
+@given(case=_artinian_sequences(), extra=st.integers(0, 1),
+       scale=st.integers(0, 3))
+def test_artinian_readings_match_the_oracle(case, extra, scale):
+    """Audit of every reading on an Artinian ring, D from t to t + 2: each
+    certified Koszul length, filter-regularity exponent (clamped to 1) and
+    control-colon length and exponent equals the brute-force oracle's, and
+    each is exact, since the model is the ring itself.  The control colon
+    perturbs the i-th element by scale * x_i^2."""
+    from oracle import NaiveModel
+    p, names, gens, D, fs = case
+    D += extra
+    ring = build_ring(p, names, gens, D)
+    elems = tuple(map(ring.element, fs))
+    model = NaiveModel(p, len(names), D, [_terms(g) for g in ring.base_gens])
+    F = [_terms(e) for e in elems]
+
+    report = koszul_report(elems)
+    for i, cert in enumerate(report.lengths, start=1):
+        if cert.is_certified():
+            assert cert.value == model.koszul_length(F, i), ("H", i)
+    assert {c.status for c in report.lengths} == {EXACT}
+    assert all(report.finite)
+
+    for step in filter_regular_sequence_check(elems).steps:
+        span = model.ideal_span(F[:step.index - 1])
+        colon = model.colon(span, F[step.index - 1])
+        assert step.passed and step.exponent.status == EXACT
+        assert step.exponent.value == max(
+            model.annihilator_exponent(span, colon), 1), step.index
+
+    eps = tuple(ring.element(f"{scale}*{names[k % len(names)]}^2")
+                for k in range(len(elems)))
+    record = check_control_colon(Workspace(ring, elems, maximal_ideal(ring),
+                                           2), eps)
+    pert = [_terms(f + e) for f, e in zip(elems, eps)]
+    assert len(record.rows) == len(pert)
+    for k, got in enumerate(record.rows):
+        span = model.ideal_span(pert[:k] + pert[k + 1:])
+        colon = model.colon(span, pert[k])
+        assert (got["value_orig"], got["value_pert"], got["certification"]) \
+            == (len(colon) - len(span),
+                model.annihilator_exponent(span, colon), EXACT), k
+
+    # At D = t the model is the ring but shows no certificate yet; its
+    # D + 2 lift does.
+    for d in range(2, D + 3):
+        other = build_ring(p, names, gens, d)
+        assert other.is_exact == (
+            certificate_level(other.base_subspace) is not None), d
+    assert other.is_exact
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 5, 251]), nvars=st.integers(2, 3),
+       D=st.integers(2, 9), data=st.data())
+def test_a_model_is_exact_only_with_a_base_certificate(p, nvars, D, data):
+    """``is_exact`` is the base subspace's Nakayama certificate, read as a
+    pivot count: never on a ring whose base ideal lies in (x), such as
+    every catalog ring but the plane's, and never on the catalog at
+    D = 6..12."""
+    names = ("x", "y", "z")[:nvars]
+    monomial = st.lists(st.sampled_from(names), max_size=3).map(
+        lambda m: "*".join(("x",) + tuple(m)))
+    gens = data.draw(st.lists(monomial, max_size=3))
+    ring = build_ring(p, names, gens, D)
+    assert not ring.is_exact
+    assert certificate_level(ring.base_subspace) is None
+    for entry in CATALOG.values():
+        for d in range(6, 13):
+            assert not build_ring(entry.p, entry.vars, entry.base_gens,
+                                  d).is_exact, (entry, d)
+
+
+def test_koszul_leading_zero_plateau_is_read_exactly():
     """At D = 8 the H_2 order profile of the sequence above opens with a
     run of zeros (orders below its lowest class) wider than its run at the
-    true length 2, so D reads 0 while D + 2 reads 2.  The two readings
-    disagree, so the value stays uncertified rather than certified 0."""
+    true length 2, so its plateau reads 0 at D and 2 at D + 2.  No standard
+    monomial of F_251[x,y]/(x^3, y^3) has degree 7, so the model is the
+    ring itself and its raw length, 2 as the oracle gives, is exact."""
+    from oracle import NaiveModel
     ring = build_ring(251, ("x", "y"), ["x^3", "y^3"], 8)
+    assert ring.is_exact
     fs = (ring.element("200*x + 250*y^2"), ring.element("150*x + 230*x*y"))
+    model = NaiveModel(251, 2, 8, [{(3, 0): 1}, {(0, 3): 1}])
+    h2 = (len(model.intersection(
+        model.colon(model.base_span, {(1, 0): 200, (0, 2): 250}),
+        model.colon(model.base_span, {(1, 0): 150, (1, 1): 230})))
+        - len(model.base_span))
     cert = koszul_homology_length(fs, 2)
-    assert (cert.value, cert.status, cert.note) == (
-        0, UNCERTIFIED, "levels 8/10 gave 0/2")
+    assert (cert.value, cert.status, cert.note) == (h2, EXACT, "") == (
+        2, EXACT, "")
 
 
 # -- invariance under a linear change of coordinates ----------------------------
