@@ -29,8 +29,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue, read,
-                      two_level_value, weakest)
+from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
+                      plateau, read, two_level_value, weakest)
 from .errors import PertlabError
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
@@ -305,8 +305,9 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     value, resolved = read(order_profile(upper, lower, cuts), ring.is_exact)
 
     finite = False
-    if resolved:
-        # annihilation exponent of the homology, module-level chain
+    if resolved and not ring.is_exact:
+        # annihilation exponent of the homology, module-level chain (a length
+        # read on a model that is the ring is finite: _koszul_lengths)
         inv_perm = np.argsort(perm)
 
         def times_var(rows: np.ndarray, v: int, out: np.ndarray) -> None:
@@ -314,8 +315,8 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
             prod = linalg.matmul_mod(blocks, var_mats[v], ring.p)
             out[:] = prod.reshape(rows.shape[0], ncomp * d)[:, perm]
 
-        h_val, h_resolved = read(_annihilator_chain(
-            lower, upper, cuts, times_var), ring.is_exact)
+        h_val, h_resolved = plateau(
+            _annihilator_chain(lower, upper, cuts, times_var))
         if h_resolved:
             finite = h_val + max(f.order() for f in fs) + 1 <= ring.D
     return (value, resolved), finite
