@@ -281,7 +281,7 @@ def _koszul_boundary(ring: RingDescriptor, mats: list[np.ndarray],
 
 
 def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
-    """Reading (plateau length, resolved) of H_i at the truncation level of
+    """Reading (length, resolved) of H_i (``certify.read``) at the level of
     ``fs``, and a finiteness flag from the annihilation exponent of the
     homology subquotient."""
     ring = fs[0].ring
@@ -324,11 +324,11 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
 
 def _koszul_lengths(fs: tuple, delta: int, indices) -> KoszulReport:
     """H_i for i in ``indices``, read at the level of ``fs`` and at its
-    D + delta lift and certified across the two, finite when both levels
-    flag it so or when it is exact.  Before any elimination each boundary d_k, k in {i, i + 1},
-    is sized at D + delta in ascending k: a dense (C(r,k) dim) x
-    (C(r,k-1) dim) block past MAX_MONOMIALS^2 entries, the M x M rule,
-    raises PertlabError."""
+    D + delta lift and certified across the two, finite when it is exact or
+    both levels flag it so.  Before any elimination each boundary d_k,
+    k in {i, i + 1}, is sized at D + delta in ascending k: a dense
+    (C(r,k) dim) x (C(r,k-1) dim) block past MAX_MONOMIALS^2 entries, the
+    M x M rule, raises PertlabError."""
     fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
     r, ring = len(fs), fs_hi[0].ring
     for k in sorted({k for i in indices for k in (i, i + 1)}):
