@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pertlab import linalg
 from pertlab.catalog import CATALOG
-from pertlab.certify import EXACT, TWO_LEVEL, UNCERTIFIED
+from pertlab.certify import EXACT, TWO_LEVEL
 from pertlab.ideals import (IdealHandle, IdealPowers, certificate_level,
                             ideal, ideal_colon, ideal_length, ideal_product,
                             ideal_sum, maximal_ideal, unit_ideal, zero_ideal)
@@ -311,7 +311,8 @@ def test_koszul_h2_of_an_artinian_ring_reads_its_socle():
     ring itself and H_2 of (x, y) is (0 : m), spanned by the socle x^4 y^4:
     length 1, as the oracle computes.  That class sits at order 8, so the
     order profile opens with a run of zeros that is the widest run at both
-    D and D + 2, and H_2 is certified 0 instead."""
+    D and D + 2; the widest plateau certified 0, and the raw reading of a
+    model that is the ring gives 1."""
     from oracle import NaiveModel
     ring = build_ring(5, ("x", "y"), ["x^5", "y^5"], 10)
     model = NaiveModel(5, 2, 10, [{(5, 0): 1}, {(0, 5): 1}])
@@ -348,8 +349,8 @@ def test_euler_characteristic_is_the_multiplicity(catalog_id, multiplicity):
 
 def test_euler_characteristic_of_an_artinian_ring_is_zero():
     """R = F_5[x,y]/(x^5, y^5) is Artinian, so chi = 0 for (x, y).  The
-    readings give 1 - 2 + 0 = -1 at D = 10: H_2 reads 0 for the reason
-    given in test_koszul_h2_of_an_artinian_ring_reads_its_socle."""
+    plateau readings gave 1 - 2 + 0 = -1 at D = 10, for the reason given in
+    test_koszul_h2_of_an_artinian_ring_reads_its_socle."""
     ring = build_ring(5, ("x", "y"), ["x^5", "y^5"], 10)
     assert _euler_characteristic((ring.element("x"), ring.element("y")))[0] == 0
 
@@ -375,8 +376,8 @@ def _artinian_sequences(draw):
     return p, names, tuple(f"{v}^{a}" for v, a in zip(names, exps)), D, fs
 
 
-# (x, y) on F_5[x,y]/(x^5, y^5) at D = 10, whose H_2 reads 0
-# (test_koszul_h2_of_an_artinian_ring_reads_its_socle).
+# (x, y) on F_5[x,y]/(x^5, y^5) at D = 10, whose H_2 the widest plateau
+# read as 0 (test_koszul_h2_of_an_artinian_ring_reads_its_socle).
 _SOCLE_CASE = (5, ("x", "y"), ("x^5", "y^5"), 10, ["x", "y"])
 
 
@@ -488,9 +489,8 @@ def test_artinian_readings_match_the_oracle(case, extra, scale):
        D=st.integers(2, 9), data=st.data())
 def test_a_model_is_exact_only_with_a_base_certificate(p, nvars, D, data):
     """``is_exact`` is the base subspace's Nakayama certificate, read as a
-    pivot count: never on a ring whose base ideal lies in (x), such as
-    every catalog ring but the plane's, and never on the catalog at
-    D = 6..12."""
+    pivot count: never on a ring whose base ideal lies in (x), as every
+    catalog ring's does, and never on the catalog at D = 6..12."""
     names = ("x", "y", "z")[:nvars]
     monomial = st.lists(st.sampled_from(names), max_size=3).map(
         lambda m: "*".join(("x",) + tuple(m)))
