@@ -28,22 +28,29 @@ from dataclasses import dataclass, replace
 from .catalog import CATALOG
 from .errors import ManifestError, PertlabError
 from .harness import (ExperimentConfig, ExperimentReport, RingSpec,
-                      bound_record, build_workspace, filter_regular_record,
-                      find_min_N, run_experiment, sample_records)
-from .invariants import gr_hilbert_function, hs_table, koszul_report
-from .verifiers import (VERIFIED, VerdictRecord, Workspace,
-                        bound_N_one_element, check_control_colon,
-                        check_main_equality, check_perturbed_filter_regular,
-                        check_surjection_monotonicity, inputs_digest, row,
-                        verdict)
+                      build_workspace, find_min_N, run_experiment,
+                      sample_records)
+from .verifiers import (VerdictRecord, Workspace, ar_records, bound_records,
+                        check_control_colon, check_main_equality,
+                        check_perturbed_filter_regular,
+                        check_surjection_monotonicity, filter_regular_records,
+                        koszul_records, table_records)
 
 FORMAT_VERSION = 1
 
 CSV_COLUMNS = ("claim", "N", "sample", "n", "value_orig", "value_pert",
                "status", "certification", "seed")
 
-COMMANDS = ("check-filter-regular", "hilbert", "ar-number", "koszul",
-            "bound-n", "verify", "find-min-n", "experiment")
+# The report builder of each direct command, all in ``verifiers``.
+_REPORTS = {
+    "check-filter-regular": filter_regular_records,
+    "hilbert": table_records,
+    "ar-number": ar_records,
+    "koszul": koszul_records,
+    "bound-n": bound_records,
+}
+
+COMMANDS = (*_REPORTS, "verify", "find-min-n", "experiment")
 
 VERIFY_CLAIMS = ("main", "monotonicity", "control-colon", "preservation")
 
@@ -244,55 +251,8 @@ def _resolve_config(m: Manifest) -> ExperimentConfig:
     return m.config
 
 
-# Direct commands: handler(ws, manifest) -> records; the report stamps the
-# seed.
-# Handlers name the invariants and verifiers they call inside their bodies,
-# so those module globals are looked up at call time.
-
-def _filter_regular_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    return [filter_regular_record(ws.ring, ws.fs, ws.sequence_report, "cli")]
-
-
-def _table_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    i_handle = ws.i_handle
-    hs = hs_table(i_handle, ws.j, m.config.n_max, ws.powers)
-    gr = gr_hilbert_function(i_handle, ws.j, m.config.n_max, ws.powers)
-    return [verdict(claim, VERIFIED,
-                    inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
-                    [row(claim, n=n, value_orig=e.value, status="ok",
-                         certification=e.status)
-                     for n, e in enumerate(table.entries)],
-                    note=f"convention {table.convention}")
-            for claim, table in (("hs-table", hs), ("gr-table", gr))]
-
-
-def _ar_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    value = ws.ar_value
-    rows = [row("ar-number", n=0, value_orig=value.value,
-                status="ok" if value.value is not None else "not found",
-                certification=value.status)]
-    return [verdict("ar-number", VERIFIED,
-                    inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"), rows,
-                    note=value.note)]
-
-
-def _koszul_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    report = koszul_report(ws.fs, delta=m.config.delta)
-    rows = [row("koszul", n=i, value_orig=cv.value,
-                status="finite" if fin else "unflagged",
-                certification=cv.status)
-            for i, (cv, fin) in enumerate(zip(report.lengths, report.finite),
-                                          start=1)]
-    return [verdict("koszul", VERIFIED,
-                    inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)]
-
-
-def _bound_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
-    report = bound_N_one_element(ws.fs[0], ws.j, delta=m.config.delta)
-    return [bound_record(ws, report)]
-
-
 def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
+    # The dict is built per call, so each check's module global is read then.
     n = m.config.n_range[0] if m.config.n_range else None
     checker = {
         "main": check_main_equality,
@@ -310,23 +270,14 @@ def _verify_records(ws: Workspace, m: Manifest) -> list[VerdictRecord]:
     return [checker(ws, eps).with_context(n, 0)]
 
 
-_DIRECT_COMMANDS = {
-    "check-filter-regular": _filter_regular_records,
-    "hilbert": _table_records,
-    "ar-number": _ar_records,
-    "koszul": _koszul_records,
-    "bound-n": _bound_records,
-    "verify": _verify_records,
-}
-
-
 def execute(m: Manifest) -> ExperimentReport:
-    if m.command not in _DIRECT_COMMANDS:
+    if m.command in ("experiment", "find-min-n"):
         return (run_experiment if m.command == "experiment"
                 else find_min_N)(m.config)
     ws = build_workspace(m.config)
-    records = tuple(_DIRECT_COMMANDS[m.command](ws, m))
-    return ExperimentReport(m.command, m.config, ws.ring.D, records)
+    records = (_verify_records(ws, m) if m.command == "verify"
+               else _REPORTS[m.command](ws))
+    return ExperimentReport(m.command, m.config, ws.ring.D, tuple(records))
 
 
 def run_manifest(text: str) -> ExperimentReport:

@@ -20,11 +20,11 @@ from .ideals import IdealHandle, m_primary_level
 from .invariants import filter_regular_sequence_check
 from .rings import Element, RingDescriptor, build_ring, default_truncation
 from .verifiers import (BoundReport, VerdictRecord, Workspace, INCONCLUSIVE,
-                        VERIFIED, VIOLATED, bound_N_one_element,
+                        VERIFIED, VIOLATED, bound_N_one_element, bound_record,
                         check_control_colon, check_main_equality,
                         check_perturbed_filter_regular,
-                        check_surjection_monotonicity, inputs_digest,
-                        report_ar_comparison, row, sequence_rows, verdict)
+                        check_surjection_monotonicity, filter_regular_record,
+                        inputs_digest, report_ar_comparison, row, verdict)
 
 
 @dataclass(frozen=True)
@@ -216,24 +216,6 @@ def find_min_N(config: ExperimentConfig) -> ExperimentReport:
         rests_on=[r.certification for r in records]))
     return ExperimentReport("find-min-n", config, ws.ring.D, tuple(records),
                             n_star, *bound)
-
-
-def bound_record(ws: Workspace, theoretical: BoundReport) -> VerdictRecord:
-    """The explicit one-element threshold with its ingredients t, k, h."""
-    return verdict("bound-n", VERIFIED,
-                   inputs_digest(ws.ring, ws.fs, None, ws.j, "bound"),
-                   theoretical.rows(), note="explicit one-element threshold")
-
-
-def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
-                          report, tag: str) -> VerdictRecord:
-    """One row per checked step of a filter-regularity report; ``tag``
-    keys the digest."""
-    return verdict(
-        "filter-regular", VERIFIED, inputs_digest(ring, seq, None, None, tag),
-        sequence_rows("filter-regular", report, ("true", "false")),
-        note=("filter-regular" if report.passed
-              else f"fails at index {report.first_failure}"))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -8,10 +8,11 @@ with no witness, when some index is unresolved, so no truncation artifact
 passes for a counterexample; otherwise violated, its witness the first
 failing index; otherwise verified.
 
-:func:`verdict` is the only record builder, here and in the harness and the
-command line.  A record's certification is the weakest of its rows'
-certifications and of the statuses it rests on, so no record is certified
-better than the numbers behind it.
+Every report record is built here (the checks, and a builder per direct
+command of the Workspace alone) or in the harness, by :func:`verdict`.  A
+record's certification is the weakest of its rows' certifications and of
+the statuses it rests on, so no record is certified better than the numbers
+behind it.
 
 A :class:`Workspace` shares the expensive per-configuration structures
 (ideal powers, the unperturbed tables, Artin-Rees numbers, Koszul lengths,
@@ -31,7 +32,7 @@ from .ideals import (IdealHandle, IdealPowers, ideal_sum, m_primary_level,
 from .invariants import (HilbertTable, SequenceReport, ar_number,
                          colon_plateaus, filter_regular_check,
                          filter_regular_sequence_check, gr_hilbert_function,
-                         koszul_homology_length)
+                         hs_table, koszul_homology_length, koszul_report)
 from .rings import Element, RingDescriptor
 
 VERIFIED = "verified"
@@ -68,12 +69,6 @@ class BoundReport:
     k: CertifiedValue
     h: CertifiedValue
     n_bound: CertifiedValue
-
-    def rows(self) -> tuple[dict, ...]:
-        return tuple(row("bound-n", n=name, value_orig=cv.value, status="ok",
-                         certification=cv.status)
-                     for name, cv in (("t", self.t), ("k", self.k),
-                                      ("h", self.h), ("N", self.n_bound)))
 
 
 def row(claim: str, n="", value_orig="", value_pert="", status="",
@@ -345,3 +340,66 @@ def bound_N_one_element(f: Element, j: IdealHandle,
                             (ring.D, ring.D + delta),
                             note="max(t(k+1), h)")
     return BoundReport(t, k, h, n_cert)
+
+
+def bound_record(ws: Workspace, bound: BoundReport) -> VerdictRecord:
+    """The explicit one-element threshold with its ingredients t, k, h."""
+    return verdict("bound-n", VERIFIED,
+                   inputs_digest(ws.ring, ws.fs, None, ws.j, "bound"),
+                   [row("bound-n", n=name, value_orig=cv.value, status="ok",
+                        certification=cv.status)
+                    for name, cv in zip("tkhN", (bound.t, bound.k, bound.h,
+                                                 bound.n_bound))],
+                   note="explicit one-element threshold")
+
+
+def filter_regular_record(ring: RingDescriptor, seq: tuple[Element, ...],
+                          report: SequenceReport, tag: str) -> VerdictRecord:
+    """A row per step of a filter-regularity check; ``tag`` keys the digest."""
+    return verdict(
+        "filter-regular", VERIFIED, inputs_digest(ring, seq, None, None, tag),
+        sequence_rows("filter-regular", report, ("true", "false")),
+        note=("filter-regular" if report.passed
+              else f"fails at index {report.first_failure}"))
+
+
+# A direct command's report: each builder names its invariant in its body, so
+# the module global is looked up at call time.
+
+def filter_regular_records(ws: Workspace) -> list[VerdictRecord]:
+    return [filter_regular_record(ws.ring, ws.fs, ws.sequence_report, "cli")]
+
+
+def table_records(ws: Workspace) -> list[VerdictRecord]:
+    hs = hs_table(ws.i_handle, ws.j, ws.n_max, ws.powers)
+    gr = gr_hilbert_function(ws.i_handle, ws.j, ws.n_max, ws.powers)
+    return [verdict(claim, VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, ws.j, claim),
+                    [row(claim, n=n, value_orig=e.value, status="ok",
+                         certification=e.status)
+                     for n, e in enumerate(table.entries)],
+                    note=f"convention {table.convention}")
+            for claim, table in (("hs-table", hs), ("gr-table", gr))]
+
+
+def ar_records(ws: Workspace) -> list[VerdictRecord]:
+    k = ws.ar_value
+    return [verdict("ar-number", VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, ws.j, "ar"),
+                    [row("ar-number", n=0, value_orig=k.value,
+                         status="not found" if k.value is None else "ok",
+                         certification=k.status)], note=k.note)]
+
+
+def koszul_records(ws: Workspace) -> list[VerdictRecord]:
+    report = koszul_report(ws.fs, delta=ws.delta)
+    rows = [row("koszul", n=i, value_orig=cv.value, certification=cv.status,
+                status="finite" if fin else "unflagged")
+            for i, (cv, fin) in enumerate(zip(report.lengths, report.finite), 1)]
+    return [verdict("koszul", VERIFIED,
+                    inputs_digest(ws.ring, ws.fs, None, None, "koszul"), rows)]
+
+
+def bound_records(ws: Workspace) -> list[VerdictRecord]:
+    return [bound_record(ws, bound_N_one_element(ws.fs[0], ws.j,
+                                                 delta=ws.delta))]
