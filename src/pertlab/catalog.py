@@ -1,8 +1,8 @@
 """Built-in example rings and sequences.
 
 The entries cover the behaviors the verifiers need to see: a regular ring
-with a regular sequence, a reducible reduced curve, a non-reduced line, and
-two negative controls whose sequences fail filter-regularity.  Extra
+with a regular sequence, a reducible reduced curve, a non-reduced line, an
+Artinian ring, and two negative controls failing filter-regularity.  Extra
 sequences attached to an entry are recorded by the experiment runner (e.g.
 the permuted sequence on remark-2-4, which fails at its first step).
 """
@@ -83,6 +83,14 @@ _register(CatalogEntry(
     f_exprs=("x",), j_exprs=("x", "y"),
     filter_regular=False,
     description="negative control: x is nilpotent-adjacent on the double line",
+))
+
+_register(CatalogEntry(
+    id="artinian-pair",
+    p=5, vars=("x", "y"), base_gens=("x^3", "y^3"),
+    f_exprs=("x", "y"), j_exprs=("x", "y"),
+    filter_regular=True,
+    description="Artinian ring, nilpotency 5: read exactly from D = 6 on",
 ))
 
 

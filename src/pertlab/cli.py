@@ -1,4 +1,5 @@
-"""Manifest-driven command line front end.
+"""Manifest-driven command line front end: it parses, dispatches to a report
+builder in ``verifiers`` or a sweep in ``harness``, and renders.
 
 A manifest is a flat, sectioned key-value file (``configparser`` syntax)
 that fully determines a run: the ring, named ideals, and one task.
@@ -9,9 +10,10 @@ reports are artifacts of record: re-running a manifest reproduces
 byte-identical CSV output.
 
 Exit codes: 0 clean, 1 at least one violated verdict, 2 operational error
-(a malformed manifest, a file that cannot be read as UTF-8, an unwritable
-``--out``, an allocation that fails).  A computed falsehood (e.g.
-``check-filter-regular`` answering "false") is a result, not a violation.
+with a one-line message (a malformed manifest, a file that cannot be read as
+UTF-8, an unwritable ``--out``, an allocation that fails).  A computed
+falsehood (e.g. ``check-filter-regular`` answering "false") is a result, not
+a violation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ FORMAT_VERSION = 1
 CSV_COLUMNS = ("claim", "N", "sample", "n", "value_orig", "value_pert",
                "status", "certification", "seed")
 
-# The report builder of each direct command, all in ``verifiers``.
 _REPORTS = {
     "check-filter-regular": filter_regular_records,
     "hilbert": table_records,
@@ -349,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(text, end="")
     except (PertlabError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print("error: " + (" ".join(str(exc).split()) or type(exc).__name__),
+              file=sys.stderr)
         return 2
     return result.exit_code()
 

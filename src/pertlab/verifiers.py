@@ -8,11 +8,10 @@ with no witness, when some index is unresolved, so no truncation artifact
 passes for a counterexample; otherwise violated, its witness the first
 failing index; otherwise verified.
 
-Every report record is built here (the checks, and a builder per direct
-command of the Workspace alone) or in the harness, by :func:`verdict`.  A
-record's certification is the weakest of its rows' certifications and of
-the statuses it rests on, so no record is certified better than the numbers
-behind it.
+Every report record is built here (each check, and a builder per direct
+command) or in the harness, by :func:`verdict`: its certification is the
+weakest of its rows' and of the statuses it rests on, so no record is
+certified better than the numbers behind it.
 
 A :class:`Workspace` shares the expensive per-configuration structures
 (ideal powers, the unperturbed tables, Artin-Rees numbers, Koszul lengths,

@@ -129,6 +129,26 @@ class NaiveModel:
             out = self.ideal_product_gens(out, gens)
         return out
 
+    def ar_window(self, i_gens: list[Vec], j_gens: list[Vec],
+                  n_max: int) -> int | None:
+        """Least s <= n_max with I meet J^n = J^(n-s) (J^s meet I) for every
+        n from s to n_max, None when there is none.  Each J^(n-s) (J^s meet
+        I) is J times the one before it, spanned by the products of J's
+        generators with a basis of that ideal."""
+        i_span = self.ideal_span(i_gens)
+        meets = [self.intersection(i_span, self.ideal_span(self.span_rank(
+            self.ideal_power_gens(j_gens, n)))) for n in range(n_max + 1)]
+        for s in range(n_max + 1):
+            current = meets[s]
+            for n in range(s + 1, n_max + 1):
+                current = self.span_rank(
+                    self.ideal_product_gens(j_gens, current) + self.base_span)
+                if not self.spans_equal(meets[n], current):
+                    break
+            else:
+                return s
+        return None
+
     # -- Zassenhaus-style constructions on tagged coordinates --------------------
 
     @staticmethod

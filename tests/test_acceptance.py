@@ -178,7 +178,7 @@ def test_criterion_4_main_theorem_desk_scale():
 def test_criterion_5_monotonicity_never_violated():
     trials = 0
     violations = 0
-    per_entry = 34  # 6 catalog entries x 34 = 204 >= 200 trials
+    per_entry = 34  # 7 catalog entries x 34 = 238 >= 200 trials
     for cid in sorted(CATALOG):
         entry = CATALOG[cid]
         ring = build_ring(entry.p, entry.vars, list(entry.base_gens), 9)

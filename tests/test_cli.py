@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
 from pertlab import cli
+from pertlab.catalog import CATALOG
 from pertlab.cli import (COMMANDS, VERIFY_CLAIMS, emit_csv, emit_table, main,
                          parse_manifest, run_manifest)
 from pertlab.errors import ManifestError, PertlabError
@@ -396,7 +398,150 @@ def test_fuzzed_manifest_keeps_exit_code_contract(tmp_path, capsys, text):
     assert code in (0, 1, 2), text
     assert "Traceback" not in err, text
     if code == 2:
-        assert err.startswith("error:"), text
+        assert err.startswith("error:") and len(err.splitlines()) == 1, text
+
+
+# Elements of degree at most 3, so each reads at D >= 4 and lifts to D + 2.
+ELEMENTS = ["x", "y", "x + y", "x^2 + y", "x*y", "1 + x", "0"]
+PERTURBATIONS = ["x^2", "y^3", "x*y", "2*x^2 + y^2", "0"]
+
+
+@st.composite
+def ruled_manifests(draw):
+    """(text, broken): a manifest that obeys the parser's cross-key rules by
+    construction, and about one in five with exactly one rule broken, named
+    by ``broken`` (None when every rule holds).  The rules: verify gets a
+    known claim and either a single N or an epsilon as long as f; a sampled
+    N stays below an explicit D; n_max stays at or below an explicit D;
+    bound-n gets one f; find-min-n gets an N range; only verify reads claim
+    and epsilon."""
+    command = draw(st.sampled_from(COMMANDS))
+    task, ring, ideals = {"command": command}, {}, {}
+    if draw(st.booleans()):
+        task["catalog"] = draw(st.sampled_from(sorted(CATALOG)))
+        d = draw(st.sampled_from([None, 6]))
+        f_count = len(CATALOG[task["catalog"]].f_exprs)
+        if d is not None:
+            ring["D"] = d
+    else:
+        d = draw(st.sampled_from([None, 4, 5, 6]))
+        ring.update(p=draw(st.sampled_from([2, 3, 5, 7])), vars="x, y",
+                    D="auto" if d is None else d)
+        gens = draw(st.sampled_from(VALID_FIELDS[("ring", "gens")]))
+        if gens:
+            ring["gens"] = gens
+        f_count = draw(st.integers(1, 2))
+    if command == "bound-n" or "catalog" not in task:
+        f_count = 1 if command == "bound-n" else f_count
+        task["f"] = ", ".join(draw(st.lists(st.sampled_from(ELEMENTS),
+                                            min_size=f_count,
+                                            max_size=f_count)))
+    if draw(st.booleans()):
+        ideals["J"] = draw(st.sampled_from(["x, y", "x^2, y", "x + y, y^2"]))
+        task["J"] = "J"
+    if draw(st.booleans()):
+        task["n_max"] = draw(st.integers(1, min(3, d or 3)))
+    top = min(3, d - 1) if d else 3  # the deepest N below an explicit D
+    sampled = command in ("find-min-n", "experiment") and (
+        command == "find-min-n" or draw(st.booleans()))
+    if sampled:
+        lo = draw(st.integers(1, top))
+        task["N"] = f"{lo}..{draw(st.integers(lo, top))}"
+    if command == "verify":
+        task["claim"] = draw(st.sampled_from(VERIFY_CLAIMS))
+        if draw(st.booleans()):
+            task["N"], sampled = draw(st.integers(1, top)), True
+        else:
+            task["epsilon"] = ", ".join(draw(st.lists(
+                st.sampled_from(PERTURBATIONS), min_size=f_count,
+                max_size=f_count)))
+    if sampled:
+        task["samples"] = draw(st.integers(1, 2))
+    task["seed"] = draw(st.integers(0, 9))
+
+    rules = {"a non-verify command reads claim": command != "verify"}
+    if command == "verify":
+        rules.update({"unknown claim": True, "verify without a depth": True,
+                      "epsilon longer than f": "epsilon" in task})
+    rules["bound-n with two elements"] = command == "bound-n"
+    rules["find-min-n without an N range"] = command == "find-min-n"
+    rules["n_max past the explicit D"] = d is not None
+    rules["sampled N at the explicit D"] = sampled and d is not None
+    broken = None
+    if draw(st.integers(0, 9)) in (3, 6):  # not an end, which draws favour
+        broken = draw(st.sampled_from([r for r, ok in rules.items() if ok]))
+        if broken == "a non-verify command reads claim":
+            task["claim"] = "main"
+        elif broken == "unknown claim":
+            task["claim"] = "nope"
+        elif broken == "verify without a depth":
+            task.pop("N", None)
+            task.pop("epsilon", None)
+        elif broken == "epsilon longer than f":
+            task["epsilon"] += ", x^2"
+        elif broken == "bound-n with two elements":
+            task["f"] = "x, y"
+        elif broken == "find-min-n without an N range":
+            del task["N"]
+        elif broken == "n_max past the explicit D":
+            task["n_max"] = d + 1
+        else:
+            task["N"] = d if command == "verify" else f"1..{d}"
+    sections = {"manifest": {"format-version": 1}, "ring": ring,
+                "ideals": ideals, "task": task}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                          for k, v in keys.items())
+                   for name, keys in sections.items() if keys)
+    return text, broken
+
+
+def test_ruled_manifests_keep_the_contract_and_mostly_compute(tmp_path):
+    """Every manifest that breaks one cross-key rule exits 2 with one
+    ``error:`` line; every other one keeps the exit-code contract, and most
+    of them exit 0 or 1, so the computing paths run.  The ``ci`` profile
+    runs more examples than the default."""
+    path, abiding = tmp_path / "ruled.cfg", []
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ruled_manifests())
+    def run(case):
+        text, broken = case
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([str(path), "--format", "csv"])
+        event(f"{broken or 'every rule kept'}: exit {code}")
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err, text
+        if code == 2:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, text
+        if broken:
+            assert code == 2, (broken, text)
+        else:
+            abiding.append(code)
+
+    run()
+    assert sum(code != 2 for code in abiding) > len(abiding) / 2, abiding
+
+
+# configparser's messages span several lines: a key before any section
+# header gave three, and a line with no "=" gave two.
+MULTI_LINE = {
+    "headerless": "x = 1\n" + _task_manifest(command="hilbert",
+                                             catalog="regular-line"),
+    "no-delimiter": _task_manifest(command="hilbert", catalog="regular-line")
+    + "just words\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_LINE))
+def test_parse_error_prints_one_line(name, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MULTI_LINE[name])
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest parse error") and \
+        len(err.splitlines()) == 1, err
 
 
 def test_huge_prime_manifest_exits_two(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -118,6 +119,14 @@ def test_koszul_index_range(plane):
         koszul_homology_length(fs, 2)
     with pytest.raises(ValueError):
         koszul_homology_length(fs, 0)
+
+
+def test_empty_sequence_has_no_koszul_homology():
+    """An empty sequence has no H_i with i >= 1, as it has no
+    filter-regularity step to fail."""
+    report = koszul_report(())
+    assert (report.lengths, report.finite) == ((), ())
+    assert filter_regular_sequence_check(()).steps == ()
 
 
 def test_koszul_regular_sequence_vanishing_and_finiteness():
@@ -484,13 +493,63 @@ def test_artinian_readings_match_the_oracle(case, extra, scale):
     assert other.is_exact
 
 
+@st.composite
+def _artinian_windows(draw):
+    """F_p[x,y]/(x^a, y^b), its nilpotency t = a + b - 1, D from t to t + 2,
+    an n_max from t - 1 to t + 1, and 1-2 elements of degree <= 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    a, b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    t = a + b - 1
+    term = st.builds(lambda c, mono: f"{c}*" + "*".join(mono),
+                     st.integers(1, p - 1),
+                     st.lists(st.sampled_from("xy"), min_size=1, max_size=2))
+    fs = draw(st.lists(st.lists(term, min_size=1, max_size=2).map(" + ".join),
+                       min_size=1, max_size=2))
+    return (p, (f"x^{a}", f"y^{b}"), t, t + draw(st.integers(0, 2)),
+            t + draw(st.integers(-1, 1)), fs)
+
+
+@settings(max_examples=20, deadline=None)
+@example(case=(5, ("x^3", "y^3"), 5, 8, 6, ["x"]))
+@given(case=_artinian_windows())
+def test_artinian_artin_rees_windows_match_the_oracle(case):
+    """On a ring whose model is the ring, an Artin-Rees window that reaches
+    the nilpotency t is the true number, so ``ar_number`` and the k of
+    ``bound_N_one_element`` (window 2t' + 4, t' the level of (f) + J) read
+    it as exact and equal the brute-force window; a shorter window is never
+    exact.  J = m throughout."""
+    from oracle import NaiveModel
+    p, gens, t, D, n_max, fs = case
+    ring = build_ring(p, ("x", "y"), gens, D)
+    elems = tuple(map(ring.element, fs))
+    model = NaiveModel(p, 2, D, [_terms(g) for g in ring.base_gens])
+    F, m = [_terms(e) for e in elems], [{(1, 0): 1}, {(0, 1): 1}]
+
+    k = ar_number(IdealHandle(ring, elems), maximal_ideal(ring), n_max)
+    if n_max >= t:
+        assert (k.value, k.status) == (model.ar_window(F, m, n_max), EXACT)
+    else:
+        assert k.status != EXACT
+
+    bound = bound_N_one_element(elems[0], maximal_ideal(ring))
+    window = 2 * bound.t.value + 4
+    if window >= t:
+        colon = model.colon(model.base_span, F[0])
+        h = max(model.annihilator_exponent(model.base_span, colon), 1)
+        k_true = model.ar_window(F[:1], F[:1] + m, window)
+        assert (bound.k.value, bound.k.status) == (k_true, EXACT)
+        assert (bound.n_bound.value, bound.n_bound.status) == (
+            max(bound.t.value * (k_true + 1), h), EXACT)
+    assert ring.nilpotency == t
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=st.sampled_from([2, 5, 251]), nvars=st.integers(2, 3),
        D=st.integers(2, 9), data=st.data())
 def test_a_model_is_exact_only_with_a_base_certificate(p, nvars, D, data):
     """``is_exact`` is the base subspace's Nakayama certificate, read as a
-    pivot count: never on a ring whose base ideal lies in (x), as every
-    catalog ring's does, and never on the catalog at D = 6..12."""
+    pivot count: never on a ring whose base ideal lies in (x), and on each
+    catalog ring at D = 6..12 exactly when its base carries a certificate."""
     names = ("x", "y", "z")[:nvars]
     monomial = st.lists(st.sampled_from(names), max_size=3).map(
         lambda m: "*".join(("x",) + tuple(m)))
@@ -500,8 +559,9 @@ def test_a_model_is_exact_only_with_a_base_certificate(p, nvars, D, data):
     assert certificate_level(ring.base_subspace) is None
     for entry in CATALOG.values():
         for d in range(6, 13):
-            assert not build_ring(entry.p, entry.vars, entry.base_gens,
-                                  d).is_exact, (entry, d)
+            other = build_ring(entry.p, entry.vars, entry.base_gens, d)
+            assert other.is_exact == (
+                certificate_level(other.base_subspace) is not None), (entry, d)
 
 
 def test_koszul_leading_zero_plateau_is_read_exactly():
@@ -613,3 +673,65 @@ def test_random_ring_readings_survive_a_change_of_coordinates(ring, data, D):
     p, names, gens, fs, js = ring
     _assert_coordinate_free(p, names, gens, fs, js, D,
                             _invertible(data.draw, p, len(names)))
+
+
+# -- non-Artinian rings: D = 20 as a proxy for the true value ---------------------
+
+def _proxy_cases(seed: int = 7, count: int = 60) -> list:
+    """Seeded cases (p, base, f) over F_p[x,y]/(base), not Artinian: 1-2
+    elements, each a sum of 1-2 multiples of x, y, x^2, xy, y^2, x^3, y^3."""
+    rng = random.Random(seed)
+    bases = [(), ("x*y",), ("x^2",), ("x^2 - y^3",), ("x*y + y^3",),
+             ("x^2*y",)]
+    monomials = ["x", "y", "x^2", "x*y", "y^2", "x^3", "y^3"]
+    cases = []
+    for _ in range(count):
+        p, base = rng.choice([2, 3, 5, 7]), rng.choice(bases)
+        fs = tuple(" + ".join(f"{rng.randint(1, p - 1)}*{m}" for m in
+                              rng.sample(monomials, rng.randint(1, 2)))
+                   for _ in range(rng.randint(1, 2)))
+        cases.append((p, base, fs))
+    return cases
+
+
+# Certified readings at D = 8 that differ at D = 20.  On F_7[x,y]/(x^2 y),
+# R/(f_1) is F_7[y]/(y^7) in the first two: the colon exponent is 3 and 4
+# and H_1 of the second has length 4, while the leading run of zeros of
+# each profile is the widest at D = 8 and D + 2, so both levels read 0 (an
+# exponent is clamped to 1).  In the third, a middle run of 2s is wider than
+# the final run of 3s at both levels.
+_PROXY_FOUND = {
+    (7, ("x^2*y",), ("4*x + y^3", "5*y^3")),
+    (7, ("x^2*y",), ("3*x + 6*y^3", "5*x*y")),
+    (7, ("x*y + y^3",), ("5*x^3", "4*y^2 + 2*y")),
+}
+
+
+def _proxy_readings(p, base, fs, D) -> dict:
+    """(pass flag, exponent) of each filter-regularity step and each Koszul
+    length, keyed by kind and index, with whether it is certified."""
+    ring = build_ring(p, ("x", "y"), base, D)
+    elems = tuple(map(ring.element, fs))
+    out = {("step", s.index): ((s.passed, s.exponent.value),
+                               s.exponent.is_certified())
+           for s in filter_regular_sequence_check(elems).steps}
+    out.update({("H", i): (c.value, c.is_certified())
+                for i, c in enumerate(koszul_report(elems).lengths, 1)})
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=f"{k:02d}", marks=[pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1")] if case in _PROXY_FOUND else [])
+    for k, case in enumerate(sorted(_PROXY_FOUND - set(_proxy_cases()))
+                             + _proxy_cases())])
+def test_certified_readings_at_d8_hold_at_d20(case):
+    """On rings that are not Artinian no oracle reaches the true value, so
+    the reading at D = 20 stands in for it: every filter-regularity pass
+    flag and exponent and every Koszul length certified at D = 8 equals
+    it."""
+    lo, hi = (_proxy_readings(*case, d) for d in (8, 20))
+    wrong = {key: (value, hi.get(key, (None,))[0])
+             for key, (value, certified) in lo.items()
+             if certified and hi.get(key, (None,))[0] != value}
+    assert not wrong
