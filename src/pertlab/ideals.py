@@ -9,14 +9,14 @@ is carried by :class:`pertlab.certify.CertifiedValue`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import linalg
 from .certify import EXACT, UNCERTIFIED, CertifiedValue
-from .errors import RingMismatchError
-from .rings import Element, RingDescriptor, Subspace, nakayama_contains_power
+from .rings import (Element, RingDescriptor, Subspace, nakayama_contains_power,
+                    same_ring)
 
 
 class IdealHandle:
@@ -30,13 +30,11 @@ class IdealHandle:
 
     __slots__ = ("ring", "gens", "note", "_subspace")
 
-    def __init__(self, ring: RingDescriptor, gens: Sequence[Element],
+    def __init__(self, ring: RingDescriptor, gens: Iterable[Element],
                  note: str = ""):
-        for g in gens:
-            if g.ring is not ring:
-                raise RingMismatchError("generator belongs to a different ring")
         self.ring = ring
         self.gens = tuple(gens)
+        same_ring(ring, *self.gens)
         self.note = note
         self._subspace: Subspace | None = None
 
@@ -50,7 +48,7 @@ class IdealHandle:
         return self.subspace.contains_vector(e.vec)
 
     def equals(self, other: "IdealHandle") -> bool:
-        self._check_ring(other)
+        same_ring(self.ring, other)
         return self.subspace == other.subspace
 
     def is_unit(self) -> bool:
@@ -62,10 +60,6 @@ class IdealHandle:
             return self
         return IdealHandle(ring, [ring.element(g) for g in self.gens],
                            note=self.note)
-
-    def _check_ring(self, other: "IdealHandle") -> None:
-        if other.ring is not self.ring:
-            raise RingMismatchError("ideals live over different rings")
 
     def __repr__(self) -> str:
         gens = ", ".join(g.serialize() for g in self.gens) or "0"
@@ -99,13 +93,13 @@ def _dedupe(gens: Iterable[Element]) -> list[Element]:
 
 def ideal_sum(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     """Concatenated generators."""
-    a._check_ring(b)
+    same_ring(a.ring, b)
     return IdealHandle(a.ring, _dedupe(a.gens + b.gens))
 
 
 def ideal_product(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     """Pairwise generator products."""
-    a._check_ring(b)
+    same_ring(a.ring, b)
     return IdealHandle(a.ring, _dedupe(g * h for g in a.gens for h in b.gens))
 
 
@@ -126,7 +120,7 @@ def ideal_intersection(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     certified power of an m-primary ideal); otherwise callers should confirm
     by two-level agreement.
     """
-    a._check_ring(b)
+    same_ring(a.ring, b)
     return _handle_of(a.subspace.intersect(b.subspace))
 
 
@@ -168,7 +162,7 @@ def ideal_colon(a: IdealHandle, by: "Element | IdealHandle") -> IdealHandle:
     ring = a.ring
     if isinstance(by, Element):
         by = IdealHandle(by.ring, (by,))
-    a._check_ring(by)
+    same_ring(ring, by)
     divisors = [g for g in by.gens if not g.is_zero()]
     if not divisors:
         return IdealHandle(ring, [ring.one()],

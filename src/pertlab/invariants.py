@@ -81,7 +81,7 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
             entries.append(CertifiedValue(codim, EXACT, (ring.D,),
                                           note=f"m^{t} inside J^{n + 1}"))
         else:
-            union = i_sub.sum(psub)
+            union = i_sub.sum_rows(psub.rows)
             entries.append(quotient_length(union, certificate_level(union)))
     return HilbertTable("hs", tuple(entries))
 
@@ -174,15 +174,14 @@ def _times_ideal_once(j: IdealHandle, base: Subspace) -> Subspace:
 # Order-filtration plateaus
 # ---------------------------------------------------------------------------
 
-def order_profile(upper: Subspace, lower: Subspace,
+def order_profile(upper: linalg.Staircase, lower: linalg.Staircase,
                   cuts: np.ndarray) -> list[int]:
-    """Profile w -> length(H / F_w H) for the subquotient H = upper/lower.
-
-    ``cuts[w]`` is the number of coordinates of order < w.  Requires lower
-    to be contained in upper; both must be in ascending-order RREF, which
-    turns the profile into pivot counting.
-    """
-    return [upper.prefix_rank(c) - lower.prefix_rank(c) for c in cuts]
+    """Profile w -> length(H / F_w H) for H = upper/lower, two staircases
+    in ascending order, lower inside upper; ``cuts[w]`` counts coordinates
+    of order < w.  Echelon rows with pivot >= cut vanish on the first cut
+    coordinates, so the profile counts pivots."""
+    return (np.searchsorted(upper.pivots, cuts)
+            - np.searchsorted(lower.pivots, cuts)).tolist()
 
 
 def annihilator_profile(start: linalg.Staircase,
@@ -196,29 +195,30 @@ def annihilator_profile(start: linalg.Staircase,
     variables = linalg.unit_basis(np.sort(ring.var_cols), ring.M,
                                   ring.p).dense()
     return _annihilator_chain(
-        target, start, ring.cuts,
+        ring, target, start, ring.cuts,
         lambda rows, v, out: ring.rows_times(rows, variables[v], out))
 
 
-def _annihilator_chain(target: Subspace, start: linalg.Staircase,
-                       cuts: np.ndarray, times_var) -> list[int | None]:
-    """Annihilator profile of span(start) modulo ``target``.
+def _annihilator_chain(ring: RingDescriptor, target: linalg.Staircase,
+                       start: linalg.Staircase, cuts: np.ndarray,
+                       times_var) -> list[int | None]:
+    """Annihilator profile of span(start) modulo ``target``, staircases in
+    ascending order over ring or module coordinates of ``ring``.
 
     The h-th link of the chain m^h * span(start) lies in
     target + (order >= w) for w up to the order of its lowest surviving
     term (D once the chain dies).  ``cuts[w]`` counts the coordinates of
     order < w and ``times_var(rows, v, out)`` writes the rows times the
     v-th variable into the zeroed narrow block ``out``, so the same chain
-    serves ring and module coordinates.  Each link's products are written
+    serves both kinds of coordinates.  Each link's products are written
     once into one block, which is reduced where it stands; the link's
     elimination is compact, and its dense rows exist only to be
     multiplied.
     """
-    ring = target.ring
     nvars = len(ring.vars)
     thresholds = []
-    basis, piv = linalg.rref(target.reduce(start.dense(), in_place=True),
-                             ring.p)
+    basis, piv = linalg.rref(linalg.reduce_rows(
+        start.dense(), target, ring.p, in_place=True), ring.p)
     for _h in range(ring.D + 1):
         if piv.size == 0:
             break
@@ -231,7 +231,8 @@ def _annihilator_chain(target: Subspace, start: linalg.Staircase,
         for v in range(nvars):
             times_var(rows, v, nxt[v * k:(v + 1) * k])
         del rows, basis
-        basis, piv = linalg.rref(target.reduce(nxt, in_place=True), ring.p)
+        basis, piv = linalg.rref(linalg.reduce_rows(
+            nxt, target, ring.p, in_place=True), ring.p)
         del nxt
     thresholds += [ring.D] * (ring.D + 1 - len(thresholds))
     return [next((h for h, t in enumerate(thresholds) if t >= w), None)
@@ -298,8 +299,8 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
     perm = np.lexsort((np.tile(np.arange(d), ncomp),
                        np.repeat(np.arange(ncomp), d), degs))
     cuts = np.searchsorted(degs[perm], np.arange(ring.D + 1))
-    upper = Subspace(ring, linalg.rref(kernel[:, perm], ring.p)[0])
-    lower = Subspace(ring, linalg.rref(image_rows[:, perm], ring.p)[0])
+    upper = linalg.rref(kernel[:, perm], ring.p)[0]
+    lower = linalg.rref(image_rows[:, perm], ring.p)[0]
     value, resolved = read(order_profile(upper, lower, cuts), ring.is_exact)
 
     finite = False
@@ -314,7 +315,7 @@ def _homology_level(fs: tuple, i: int) -> tuple[tuple[int | None, bool], bool]:
             out[:] = prod.reshape(rows.shape[0], ncomp * d)[:, perm]
 
         h_val, h_resolved = plateau(
-            _annihilator_chain(lower, upper, cuts, times_var))
+            _annihilator_chain(ring, lower, upper, cuts, times_var))
         if h_resolved:
             finite = h_val + max(f.order() for f in fs) + 1 <= ring.D
     return (value, resolved), finite

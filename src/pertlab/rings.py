@@ -67,10 +67,17 @@ def default_truncation(t_j: int, n_max: int) -> int:
     return max(t_j * (n_max + 1) + 2, 8)
 
 
+def same_ring(ring: "RingDescriptor", *operands) -> None:
+    """RingMismatchError unless each operand's ``.ring`` is ``ring`` itself;
+    a rebuild at another D is another ring, read into by ``ring.element``."""
+    if any(x.ring is not ring for x in operands):
+        raise RingMismatchError("operands from another ring; lift them first")
+
+
 class Subspace(linalg.Staircase):
-    """A linear subspace of the ambient coordinate space, in canonical RREF,
-    stored as a ``linalg.Staircase``: pivots, unit-row mask and polynomial
-    rows.
+    """An ideal subspace of its ring's V (the span of an ideal plus the
+    defining ideal, modulo m^D), in canonical RREF, stored as a
+    ``linalg.Staircase``: pivots, unit-row mask and polynomial rows.
 
     Ideal subspaces are almost all monomials, so this is a small fraction
     of the dense form, and the kernel takes the subspace itself as a basis.
@@ -111,36 +118,15 @@ class Subspace(linalg.Staircase):
     def contains_vector(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
-    def contains(self, other: "Subspace") -> bool:
-        return not self.reduce(other.dense(), in_place=True).any()
-
     def sum_rows(self, extra: np.ndarray) -> "Subspace":
         basis, _ = linalg.merge(self, np.atleast_2d(extra), self.ring.p)
         # merge gives a basis it did not extend back as it is.
         return self if basis is self else Subspace(self.ring, basis)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ring(other)
-        if self.rank >= other.rank:
-            return self.sum_rows(other.rows)
-        return other.sum_rows(self.rows)
-
     def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ring(other)
+        same_ring(self.ring, other)
         return Subspace(self.ring, linalg.intersect_rowspaces(
             self, other, self.ring.p)[0])
-
-    def prefix_rank(self, cut: int) -> int:
-        """Rank of the subspace projected to the first ``cut`` coordinates.
-
-        In echelon form the rows with pivot >= cut vanish on those
-        coordinates, so this is a pivot count.
-        """
-        return int(np.searchsorted(self.pivots, cut))
-
-    def _check_ring(self, other: "Subspace") -> None:
-        if other.ring is not self.ring:
-            raise RingMismatchError("subspaces live over different rings")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -178,12 +164,8 @@ class Poly:
         self.raw = raw
         self.dropped = dropped
 
-    def _check_ring(self, other: "Poly") -> None:
-        if other.ring is not self.ring:
-            raise RingMismatchError("elements live over different rings")
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_ring(other)
+        same_ring(self.ring, other)
         raw = (self.raw.astype(np.int64) + other.raw) % self.ring.p
         return type(self)(self.ring, raw.astype(self.raw.dtype),
                           _lowest(self.dropped, other.dropped))
@@ -196,7 +178,7 @@ class Poly:
         return self + -other
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_ring(other)
+        same_ring(self.ring, other)
         ring = self.ring
         a, b = self.raw, other.raw
         if np.count_nonzero(a) > np.count_nonzero(b):
@@ -547,8 +529,7 @@ class RingDescriptor:
     def ideal_subspace(self, gens: Iterable[Element]) -> Subspace:
         """Echelon basis of (generated ideal + defining ideal) inside V."""
         gens = list(gens)
-        if any(g.ring is not self for g in gens):
-            raise RingMismatchError("generator from a different ring")
+        same_ring(self, *gens)
         stacked = self._stacked_multiples([g.vec for g in gens],
                                           self.base_subspace)
         return Subspace(self, linalg.rref(stacked, self.p)[0])
