@@ -144,6 +144,7 @@ def colon_subspace(target: Subspace, elem: Element) -> Subspace:
     which makes the solution space an ideal subspace as well.
     """
     ring = target.ring
+    same_ring(ring, elem)
     # One expression: the M x M products are reduced where they stand, and
     # freed once their columns off the target's pivots are gathered, before
     # the nullspace's elimination runs.

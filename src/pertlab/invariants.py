@@ -34,7 +34,7 @@ from .certify import (EXACT, TWO_LEVEL, UNCERTIFIED, CertifiedValue,
 from .errors import PertlabError
 from .ideals import (IdealHandle, IdealPowers, certificate_level,
                      colon_subspace, quotient_length)
-from .rings import MAX_MONOMIALS, RingDescriptor, Subspace
+from .rings import MAX_MONOMIALS, RingDescriptor, Subspace, same_ring
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,7 @@ def hs_table(i: IdealHandle, j: IdealHandle, n_max: int,
     ring = i.ring
     if powers is None:
         powers = IdealPowers(j, n_max + 1)
+    same_ring(ring, j, powers)
     i_sub = i.subspace
     nonpiv = i_sub.nonpivots()
     entries = []
@@ -328,6 +329,7 @@ def _koszul_lengths(fs: tuple, delta: int, indices) -> KoszulReport:
     k in {i, i + 1}, is sized at D + delta in ascending k: a dense
     (C(r,k) dim) x (C(r,k-1) dim) block past MAX_MONOMIALS^2 entries, the
     M x M rule, raises PertlabError."""
+    same_ring(fs[0].ring, *fs)
     fs_hi = tuple(map(fs[0].ring.above(delta).element, fs))
     r, ring = len(fs), fs_hi[0].ring
     for k in sorted({k for i in indices for k in (i, i + 1)}):
@@ -399,6 +401,7 @@ def filter_regular_check(i: IdealHandle, f, delta: int = 2
     a unit f is vacuously regular (flagged), once its D + delta model is
     built like any other f's; h is clamped to be positive.
     """
+    same_ring(i.ring, f)
     ring_hi = i.ring.above(delta)
     levels = (i.ring.D, ring_hi.D)
     if f.is_unit():

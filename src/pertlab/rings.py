@@ -387,10 +387,11 @@ class RingDescriptor:
             if isinstance(source, Element) and source.ring is self:
                 return source
             return Element(self, *self._read(source))
-        if np.shape(source) != (self.M,):
+        source = np.asarray(source)
+        if source.shape != (self.M,) or source.dtype.kind not in "biu":
             raise RingMismatchError(f"a coordinate vector at D = {self.D} "
-                                    f"has {self.M} entries")
-        return Element(self, (np.asarray(source) % self.p).astype(
+                                    f"has {self.M} integer entries")
+        return Element(self, (source % self.p).astype(
             linalg.narrow_dtype(self.p)))
 
     def _read(self, poly: Poly) -> tuple[np.ndarray, int | None]:

@@ -32,7 +32,7 @@ from .invariants import (HilbertTable, SequenceReport, ar_number,
                          colon_plateaus, filter_regular_check,
                          filter_regular_sequence_check, gr_hilbert_function,
                          hs_table, koszul_homology_length, koszul_report)
-from .rings import Element, RingDescriptor
+from .rings import Element, RingDescriptor, same_ring
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -130,6 +130,7 @@ class Workspace:
 
     def __init__(self, ring: RingDescriptor, fs: tuple[Element, ...],
                  j: IdealHandle, n_max: int, delta: int = 2):
+        same_ring(ring, *fs, j)
         self.ring = ring
         self.fs = fs
         self.j = j

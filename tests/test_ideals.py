@@ -7,12 +7,15 @@ import pytest
 
 from pertlab.certify import EXACT
 from pertlab.errors import RingMismatchError
-from pertlab.ideals import (IdealPowers, ideal, ideal_colon,
+from pertlab.ideals import (IdealHandle, IdealPowers, ideal, ideal_colon,
                             ideal_intersection, ideal_length,
                             ideal_power, ideal_product, ideal_sum,
                             m_primary_level, maximal_ideal, unit_ideal,
                             zero_ideal)
+from pertlab.invariants import (colon_plateaus, filter_regular_check, hs_table,
+                                koszul_report)
 from pertlab.rings import build_ring
+from pertlab.verifiers import Workspace, check_main_equality
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,43 @@ def test_combine_examples(f5xy):
 def test_mixed_ring_rejected(f5xy, branched):
     with pytest.raises(RingMismatchError):
         ideal_sum(ideal(f5xy, ["x"]), ideal(branched, ["x"]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda r, s: koszul_report((r.element("x"), s.element("y"))),
+    lambda r, s: check_main_equality(
+        Workspace(r, (r.element("x + y"),), maximal_ideal(s), 4),
+        (r.element("x^3"),)),
+    lambda r, s: hs_table(ideal(r, ["x + y"]), maximal_ideal(s), 4),
+    lambda r, s: hs_table(ideal(r, ["x + y"]), maximal_ideal(r), 4,
+                          IdealPowers(maximal_ideal(s), 5)),
+    lambda r, s: filter_regular_check(zero_ideal(r),
+                                      r.rebuild(10).element("x + y^9")),
+    lambda r, s: filter_regular_check(zero_ideal(r), s.element("y")),
+    lambda r, s: filter_regular_check(zero_ideal(r), s.element("1 + x")),
+    lambda r, s: colon_plateaus(zero_ideal(r).subspace, s.element("y")),
+], ids=["koszul", "main-equality", "hs-table", "hs-table-powers",
+        "colon-at-another-D", "colon-in-another-ring", "unit-in-another-ring",
+        "colon-plateaus"])
+def test_operands_from_another_ring_rejected(call):
+    """Each call takes an operand from F_5[x,y]/(x^2), or from a rebuild at
+    D = 10, into a computation over F_5[x,y]/(x*y) at D = 8.  Unchecked,
+    the Koszul lengths were read, the main equality verified and the tables
+    certified exact, the colon at D = 10 raised numpy's IndexError, and the
+    colon readings in the other ring, and a unit f there, answered from a
+    foreign vector."""
+    r = build_ring(5, ("x", "y"), ["x*y"], 8)
+    with pytest.raises(RingMismatchError):
+        call(r, build_ring(5, ("x", "y"), ["x^2"], 8))
+
+
+def test_handle_built_from_a_generator_keeps_it(f5xy):
+    """The ring check once consumed a generator argument before the handle
+    stored it, leaving the zero ideal."""
+    r = f5xy
+    handle = IdealHandle(r, (r.element(g) for g in ["x", "y"]))
+    assert len(handle.gens) == 2
+    assert handle.subspace.rank == ideal(r, ["x", "y"]).subspace.rank == 20
 
 
 def test_intersection_examples():

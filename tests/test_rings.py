@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import NaiveModel
 from pertlab import linalg
 from pertlab.certify import TWO_LEVEL, UNCERTIFIED, two_level_value
-from pertlab.errors import RingConstructionError, TruncationError
+from pertlab.errors import (RingConstructionError, RingMismatchError,
+                            TruncationError)
 from pertlab.ideals import mult_matrix, zero_ideal, ideal_colon
 from pertlab.polynomials import parse_poly
 from pertlab.rings import (MAX_KEY_TABLE, MAX_MONOMIALS, RingDescriptor,
@@ -235,6 +236,27 @@ def test_truncation_compatibility():
     cut = ring_hi.cut(5)
     restricted = sub_hi.rows[:np.searchsorted(sub_hi.pivots, cut), :cut]
     assert np.array_equal(restricted, sub_lo.rows)
+
+
+@pytest.mark.parametrize("fill", [0.5, 2.7, np.nan, 1 + 2j],
+                         ids=["half", "2.7", "nan", "complex"])
+def test_coordinate_vectors_hold_integers(fill):
+    """A float, NaN or complex vector is refused, not cast: 0.5 once read
+    as 0 and 2.7 as 2, NaN as 0 with a RuntimeWarning, and a complex vector
+    raised a bare TypeError."""
+    ring = build_ring(5, ("x", "y"), [], 4)
+    with pytest.raises(RingMismatchError, match="10 integer entries"):
+        ring.element(np.full(ring.M, fill))
+
+
+def test_integer_coordinate_vectors_are_read_mod_p():
+    """Signed, unsigned and bool arrays and Python int lists are read."""
+    ring = build_ring(5, ("x", "y"), [], 4)
+    ints = [7, -1, 0, 5, 3, 0, 0, 0, 0, 11]
+    for vec in (ints, np.array(ints), (np.array(ints) % 5).astype(np.uint8),
+                np.array(ints) % 2 == 1):
+        want = np.asarray(vec).astype(np.int64) % 5
+        assert np.array_equal(ring.element(vec).vec, want)
 
 
 def test_two_level_value_stable_and_unstable():
